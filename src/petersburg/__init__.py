@@ -43,6 +43,7 @@ from .gamble import (
 )
 from .montecarlo import (
     BankruptTrajectoryError,
+    Census,
     NonpositiveReturnError,
     SampleStats,
     SimulationConfig,
@@ -51,6 +52,7 @@ from .montecarlo import (
     ensemble_average_estimate,
     simulate_trajectory,
     subinterval_estimate,
+    time_average_census,
     time_average_estimate,
 )
 from .series import (
@@ -110,6 +112,7 @@ __all__ = [
     "recommendation_for",
     # montecarlo
     "BankruptTrajectoryError",
+    "Census",
     "NonpositiveReturnError",
     "SampleStats",
     "SimulationConfig",
@@ -118,5 +121,6 @@ __all__ = [
     "ensemble_average_estimate",
     "simulate_trajectory",
     "subinterval_estimate",
+    "time_average_census",
     "time_average_estimate",
 ]

@@ -9,6 +9,9 @@ keys; the worker count never appears in it, so runs differing only in
 parallelism are byte-identical.  CSV output is a plain data table on
 stdout with the same determinism guarantee.
 
+JSON is strict: a result that is not a finite number fails the command
+instead of printing ``Infinity`` or ``NaN``.
+
 Exit codes: 0 on success; 1 for usage, I/O, or evaluation errors; 2
 when the evaluated state has no defined recommendation, a simulated
 trajectory went bankrupt, or a sampled return was nonpositive.
@@ -28,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from .criteria import (
+    Recommendation,
     breakeven_curve,
     breakeven_price,
     evaluate as evaluate_state,
@@ -49,6 +53,7 @@ from .montecarlo import (
     ensemble_average_estimate,
     simulate_trajectory,
     subinterval_estimate,
+    time_average_census,
     time_average_estimate,
 )
 from .series import (
@@ -199,7 +204,7 @@ def _emit(fmt: str, command: str, parameters: dict, results: dict, rows) -> None
             "results": results,
             "version": __version__,
         }
-        click.echo(json.dumps(envelope, sort_keys=True))
+        click.echo(json.dumps(envelope, sort_keys=True, allow_nan=False))
     else:
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerows(rows)
@@ -272,7 +277,7 @@ def evaluate_cmd(wealth, price, utility, payout_rule, geom_p, tol, max_terms, fm
     if utility is not None:
         parameters["utility"] = utility
     _emit(fmt, "evaluate", parameters, results, rows)
-    if report.recommendation.value == "Undefined":
+    if report.recommendation is Recommendation.UNDEFINED:
         raise click.exceptions.Exit(2)
 
 
@@ -486,24 +491,26 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
         return
 
     parameters["rounds"] = rounds
-    trajectory = simulate_trajectory(state, spec, rounds, config)
-    if wealth_path_out is not None:
-        _write_wealth_path(trajectory, wealth_path_out)
+    if wealth_path_out is None:
+        run = time_average_census(state, spec, rounds, config)
+    else:
+        run = simulate_trajectory(state, spec, rounds, config)
+        _write_wealth_path(run, wealth_path_out)
 
-    if trajectory.bankrupt_at is not None:
+    if run.bankrupt_at is not None:
         results = {
             "mode": "time",
-            "bankrupt_at": trajectory.bankrupt_at,
-            "bankrupt_wealth": trajectory.bankrupt_wealth,
+            "bankrupt_at": run.bankrupt_at,
+            "bankrupt_wealth": run.bankrupt_wealth,
         }
         rows = [["field", "value"],
                 ["mode", "time"],
-                ["bankrupt_at", str(trajectory.bankrupt_at)],
-                ["bankrupt_wealth", _r(trajectory.bankrupt_wealth)]]
+                ["bankrupt_at", str(run.bankrupt_at)],
+                ["bankrupt_wealth", _r(run.bankrupt_wealth)]]
         _emit(fmt, "simulate", parameters, results, rows)
         raise click.exceptions.Exit(2)
 
-    stats = time_average_estimate(trajectory)
+    stats = time_average_estimate(run)
     results = {
         "mode": "time",
         "growth_rate_estimate": stats.estimate,

@@ -6,27 +6,42 @@ consequences the tests rely on:
 
 * results are byte-identical for any worker count, because parallelism
   only distributes whole blocks whose outputs land in disjoint slices
-  (or are reduced by order-independent integer counts);
+  or are reduced by order-independent integer counts;
 * for a fixed seed, a longer run extends a shorter one -- the first
   draws of a 10**6-round trajectory are exactly the 10**3-round
   trajectory's draws.
 
 One uniform variate is consumed per waiting time, for geometric and
 table rules alike.
+
+Every estimator is a reduction of its own census, the count of each
+waiting time drawn: a mean over rounds does not depend on their order.
+Blocks are drawn, counted and dropped one at a time, so the estimators
+use O(2**16) memory whatever the run length.  Only
+:func:`simulate_trajectory` builds the wealth path round by round.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, Iterator, Optional, Tuple, TypeVar, Union
 
 import numpy as np
 
-from .gamble import GambleSpec, PlayerState, Table, growth_factor
+from .gamble import Capped, GambleSpec, Menger, PlayerState, Table, payout
 
 _BLOCK_SIZE = 1 << 16
+
+#: Menger payouts ``w * expm1(2**n)`` exceed the double range from here on.
+_MENGER_OVERFLOW_N = 10
+
+_T = TypeVar("_T")
+
+_scratch = threading.local()
 
 
 class NonpositiveReturnError(ArithmeticError):
@@ -73,16 +88,6 @@ class SampleStats:
     max_n: int
 
 
-def _frequencies_from_counts(counts: np.ndarray) -> Dict[int, int]:
-    """Occurrence map ``{n: count}`` from a bincount array, zeros dropped."""
-    return {int(n): int(c) for n, c in enumerate(counts) if c and n}
-
-
-def _frequency_map(draws: np.ndarray) -> Dict[int, int]:
-    """Occurrence count per waiting time, keyed by ``n`` in ascending order."""
-    return _frequencies_from_counts(np.bincount(draws))
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """One player's simulated wealth history.
@@ -110,12 +115,32 @@ class Trajectory:
     @property
     def wealth_path(self) -> np.ndarray:
         """Wealth per round in ordinary units (may overflow to inf)."""
-        return np.exp(self.log_wealth_path)
+        with np.errstate(over="ignore"):
+            return np.exp(self.log_wealth_path)
 
     def growth_factors(self) -> np.ndarray:
         """Exact per-round growth factors implied by the drawn outcomes."""
-        lookup = _factor_lookup(self.state, self.spec, int(self.waiting_times.max()))
-        return lookup[self.waiting_times - 1]
+        ns = np.arange(1, int(self.waiting_times.max()) + 1)
+        return _growth_factors(self.state, self.spec, ns)[self.waiting_times - 1]
+
+
+@dataclass(frozen=True, eq=False)
+class Census:
+    """One seeded run of the gamble, kept as counts instead of a path.
+
+    ``counts[n]`` is the number of rounds that drew waiting time ``n``
+    before any bankruptcy; ``bankrupt_at`` and ``bankrupt_wealth`` are
+    those of the :class:`Trajectory` with the same inputs.
+    """
+
+    state: PlayerState
+    spec: GambleSpec
+    counts: np.ndarray = field(repr=False)
+    bankrupt_at: Optional[int] = None
+    bankrupt_wealth: Optional[float] = None
+
+
+# ====== Seeded blocks ======
 
 
 def _block_generator(seed: int, block: int) -> np.random.Generator:
@@ -123,19 +148,60 @@ def _block_generator(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _block_waiting_times(spec: GambleSpec, seed: int, block: int) -> np.ndarray:
-    """All 2**16 waiting times of one block (callers slice a prefix)."""
-    gen = _block_generator(seed, block)
-    uniforms = gen.random(_BLOCK_SIZE)
+def _block_waiting_times(spec: GambleSpec, seed: int, block: int, size: int) -> np.ndarray:
+    """The first ``size`` waiting times of one block.
+
+    PCG64's ``random(k)`` is a prefix of its ``random(2**16)``, so a
+    short block is exactly the head of the full one.
+    """
+    # a per-thread scratch buffer: fresh 2**16 arrays cost more in page
+    # faults than the arithmetic on them
+    scratch = getattr(_scratch, "uniforms", None)
+    if scratch is None:
+        scratch = _scratch.uniforms = np.empty(_BLOCK_SIZE)
+    u = _block_generator(seed, block).random(size, out=scratch[:size])
     rule = spec.payout_rule
     if isinstance(rule, Table):
         cumulative = np.cumsum([p for p, _ in rule.rows])
-        idx = np.searchsorted(cumulative, uniforms, side="right")
+        idx = np.searchsorted(cumulative, u, side="right")
         return np.minimum(idx, len(rule.rows) - 1).astype(np.int64) + 1
-    # inverse CDF of the geometric law: P(n > k) = (1-p)^k
-    shifted = 1.0 - uniforms  # (0, 1]: keeps log finite
-    draws = np.ceil(np.log(shifted) / math.log1p(-spec.probability_parameter))
-    return np.maximum(draws, 1.0).astype(np.int64)
+    # inverse CDF of the geometric law: P(n > k) = (1-p)^k, in place;
+    # 1 - u lies in (0, 1], which keeps the log finite
+    np.subtract(1.0, u, out=u)
+    np.log(u, out=u)
+    u /= math.log1p(-spec.probability_parameter)
+    np.ceil(u, out=u)
+    np.maximum(u, 1.0, out=u)
+    return u.astype(np.int64)
+
+
+def _map_blocks(fn: Callable[[int, int, int], _T], count: int, workers: int) -> Iterator[_T]:
+    """``fn(block, lo, hi)`` for each block of draws ``lo:hi`` below ``count``.
+
+    Results come in block order.  Blocks run on ``min(workers, blocks)``
+    threads, with no pool for one, and at most two per thread are in
+    flight, so memory does not grow with ``count``.  Closing the
+    iterator early cancels the blocks not yet started.
+    """
+    blocks = (count + _BLOCK_SIZE - 1) // _BLOCK_SIZE
+    spans = ((b, b * _BLOCK_SIZE, min((b + 1) * _BLOCK_SIZE, count)) for b in range(blocks))
+    threads = min(workers, blocks)
+    if threads == 1:
+        for span in spans:
+            yield fn(*span)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending: deque = deque()
+        try:
+            for span in spans:
+                pending.append(pool.submit(fn, *span))
+                if len(pending) == 2 * threads:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def draw_waiting_times(
@@ -158,28 +224,161 @@ def draw_waiting_times(
     if count < 1:
         raise ValueError(f"count must be positive, got {count!r}")
     config = config or SimulationConfig()
-    blocks = (count + _BLOCK_SIZE - 1) // _BLOCK_SIZE
     out = np.empty(count, dtype=np.int64)
 
-    def fill(block: int) -> None:
-        lo = block * _BLOCK_SIZE
-        hi = min(lo + _BLOCK_SIZE, count)
-        out[lo:hi] = _block_waiting_times(spec, config.seed, block)[: hi - lo]
+    def fill(block: int, lo: int, hi: int) -> None:
+        out[lo:hi] = _block_waiting_times(spec, config.seed, block, hi - lo)
 
-    if config.workers == 1 or blocks == 1:
-        for b in range(blocks):
-            fill(b)
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            list(pool.map(fill, range(blocks)))
+    for _ in _map_blocks(fill, count, config.workers):
+        pass
     return out
 
 
-def _factor_lookup(state: PlayerState, spec: GambleSpec, max_n: int) -> np.ndarray:
-    """Growth factor for each waiting time 1..max_n (index n-1)."""
-    return np.array(
-        [growth_factor(state, spec, n) for n in range(1, max_n + 1)], dtype=np.float64
+# ====== Factor tables ======
+
+
+def _payouts(spec: GambleSpec, ns: np.ndarray, wealth: float) -> np.ndarray:
+    """:func:`payout` at each waiting time in ``ns``, bit for bit."""
+    rule = spec.payout_rule
+    if isinstance(rule, Table):
+        return np.array([m for _, m in rule.rows])[ns - 1]
+    if isinstance(rule, Menger):
+        # numpy's expm1 may differ from math.expm1 in the last bit, so the
+        # few finite payouts come from the scalar reference
+        out = np.full(len(ns), math.inf)
+        small = ns < _MENGER_OVERFLOW_N
+        out[small] = [payout(spec, int(n), wealth) for n in ns[small]]
+        return out
+    with np.errstate(over="ignore"):
+        base = np.ldexp(1.0, np.minimum(ns - 1, 1024))
+    if isinstance(rule, Capped):
+        return np.where(base <= rule.max_payout, base, 0.0)
+    return base
+
+
+def _growth_factors(state: PlayerState, spec: GambleSpec, ns: np.ndarray) -> np.ndarray:
+    """:func:`growth_factor` at each waiting time in ``ns``, bit for bit.
+
+    Same operations in the same order, ``(w - c + m) / w``; a factor
+    beyond the double range is ``inf``.
+    """
+    w = state.wealth
+    with np.errstate(over="ignore"):
+        return (w - state.ticket_price + _payouts(spec, ns, w)) / w
+
+
+def _log_growth_factors(state: PlayerState, spec: GambleSpec, ns: np.ndarray) -> np.ndarray:
+    """Log growth factor at each waiting time in ``ns`` (nan if nonpositive).
+
+    A finite factor is logged as is; one that overflows a double is
+    computed in log space, so it stays finite while ``log`` of the
+    payout does.
+    """
+    factors = _growth_factors(state, spec, ns)
+    logs = np.log(factors, out=np.full(len(ns), math.nan), where=factors > 0.0)
+    huge = np.isinf(factors)
+    if not huge.any():
+        return logs
+    n = ns[huge]
+    w = state.wealth
+    net = w - state.ticket_price
+    rule = spec.payout_rule
+    with np.errstate(over="ignore"):
+        if isinstance(rule, Menger):
+            # f = e^x + (net - w) / w with x = 2**n
+            x = np.exp2(n.astype(np.float64))
+            logs[huge] = x + np.log1p((net - w) * np.exp(-x) / w)
+        elif isinstance(rule, Table):
+            m = _payouts(spec, n, w)
+            logs[huge] = np.log(m) + np.log1p(net / m) - math.log(w)
+        else:
+            # the payout is 2**(n - 1)
+            logs[huge] = ((n - 1) * math.log(2.0) + np.log1p(np.ldexp(net, 1 - n))
+                          - math.log(w))
+    return logs
+
+
+# ====== Census reductions ======
+
+
+def _frequencies(counts: np.ndarray) -> Dict[int, int]:
+    """Occurrence map ``{n: count}`` of a census, ascending, zeros dropped."""
+    return {int(n): int(counts[n]) for n in np.flatnonzero(counts)}
+
+
+def _census_stats(counts: np.ndarray, value_of: Callable[[np.ndarray], np.ndarray]
+                  ) -> SampleStats:
+    """Mean of ``value_of(n)`` over a census, and its standard error.
+
+    Sums are exactly rounded (``math.fsum``) over the distinct waiting
+    times, and the variance takes two passes, so the result depends on
+    the counts alone -- never on draw order or worker count.
+    """
+    ns = np.flatnonzero(counts)
+    weights = counts[ns].astype(np.float64)
+    total = int(counts.sum())
+    values = value_of(ns)
+    mean = math.fsum(weights * values) / total
+    if total < 2 or not math.isfinite(mean):
+        stderr = math.inf
+    else:
+        variance = math.fsum(weights * (values - mean) ** 2) / (total - 1)
+        stderr = math.sqrt(variance) / math.sqrt(total)
+    return SampleStats(
+        estimate=mean,
+        stderr=stderr,
+        count=total,
+        frequencies=_frequencies(counts),
+        max_n=int(ns[-1]),
     )
+
+
+def _bankrupt_wealth(state: PlayerState, spec: GambleSpec, survived: np.ndarray,
+                     fatal_n: int) -> float:
+    """Wealth after the fatal round, from the census of the rounds before it."""
+    ns = np.flatnonzero(survived)
+    log_wealth = math.log(state.wealth) + math.fsum(
+        survived[ns] * _log_growth_factors(state, spec, ns))
+    fatal = _growth_factors(state, spec, np.array([fatal_n]))[0]
+    return float(math.exp(log_wealth) * fatal)
+
+
+def _census(
+    state: PlayerState,
+    spec: GambleSpec,
+    count: int,
+    config: SimulationConfig,
+    stop_at_ruin: bool,
+) -> Tuple[np.ndarray, Optional[Tuple[int, int]]]:
+    """Census of the first ``count`` draws, block by block.
+
+    With ``stop_at_ruin``, the census stops before the first draw whose
+    growth factor is nonpositive, returned as ``(index, n)`` with a
+    0-based index; otherwise, and when no draw ruins, it is ``None``.
+    """
+
+    def block_census(block: int, lo: int, hi: int):
+        draws = _block_waiting_times(spec, config.seed, block, hi - lo)
+        counts = np.bincount(draws)
+        if stop_at_ruin:
+            seen = np.flatnonzero(counts)
+            ruinous = seen[_growth_factors(state, spec, seen) <= 0.0]
+            if ruinous.size:
+                first = int(np.argmax(np.isin(draws, ruinous)))
+                return np.bincount(draws[:first]), (lo + first, int(draws[first]))
+        return counts, None
+
+    total = np.zeros(1, dtype=np.int64)
+    for counts, fatal in _map_blocks(block_census, count, config.workers):
+        if len(counts) > len(total):
+            total = np.concatenate([total, np.zeros(len(counts) - len(total), np.int64)])
+        total[: len(counts)] += counts
+        if fatal is not None:
+            return total, fatal
+    return total, None
+
+
+# ====== Estimators ======
 
 
 def simulate_trajectory(
@@ -196,6 +395,9 @@ def simulate_trajectory(
     is the time-average growth rate.  A round whose factor is
     nonpositive bankrupts the player and ends the trajectory.
 
+    This is the only estimator input that holds every round in memory;
+    :func:`time_average_census` gives the same estimate without it.
+
     Args:
         state: Wealth and ticket price.
         spec: Gamble specification.
@@ -209,26 +411,28 @@ def simulate_trajectory(
         raise ValueError(f"rounds must be positive, got {rounds!r}")
     config = config or SimulationConfig()
     draws = draw_waiting_times(spec, rounds, config)
-    lookup = _factor_lookup(state, spec, int(draws.max()))
-    factors = lookup[draws - 1]
+    ns = np.arange(1, int(draws.max()) + 1)
+    ruinous = ns[_growth_factors(state, spec, ns) <= 0.0]
 
     bankrupt_at: Optional[int] = None
     bankrupt_wealth: Optional[float] = None
-    fatal = np.nonzero(factors <= 0.0)[0]
-    if fatal.size:
-        cut = int(fatal[0])  # 0-based round index of the fatal draw
-        bankrupt_at = cut + 1
-        draws = draws[: cut + 1]
-        surviving = factors[:cut]
-    else:
-        surviving = factors
+    survived = draws
+    if ruinous.size:
+        fatal = np.flatnonzero(np.isin(draws, ruinous))
+        if fatal.size:
+            cut = int(fatal[0])  # 0-based round index of the fatal draw
+            bankrupt_at = cut + 1
+            survived = draws[:cut]
+            draws = draws[: cut + 1]
+            bankrupt_wealth = _bankrupt_wealth(state, spec, np.bincount(survived),
+                                               int(draws[-1]))
 
-    log_path = np.empty(len(surviving) + 1, dtype=np.float64)
+    log_path = np.empty(len(survived) + 1, dtype=np.float64)
     log_path[0] = math.log(state.wealth)
-    np.cumsum(np.log(surviving), out=log_path[1:])
+    # indexed by n itself, which spares a shifted copy of the draws
+    logs = np.concatenate(([math.nan], _log_growth_factors(state, spec, ns)))
+    np.cumsum(logs[survived], out=log_path[1:])
     log_path[1:] += log_path[0]
-    if bankrupt_at is not None:
-        bankrupt_wealth = float(math.exp(log_path[-1]) * lookup[draws[-1] - 1])
     return Trajectory(
         state=state,
         spec=spec,
@@ -239,38 +443,66 @@ def simulate_trajectory(
     )
 
 
-def time_average_estimate(trajectory: Trajectory) -> SampleStats:
-    """Realized per-round growth rate of log wealth along one trajectory.
+def time_average_census(
+    state: PlayerState,
+    spec: GambleSpec,
+    rounds: int,
+    config: Optional[SimulationConfig] = None,
+) -> Census:
+    """The run :func:`simulate_trajectory` plays, counted instead of stored.
+
+    Same draws, same bankruptcy round and wealth, and the same
+    :func:`time_average_estimate`, in memory that does not grow with
+    ``rounds``.
 
     Args:
-        trajectory: A non-bankrupt trajectory of at least two rounds.
+        state: Wealth and ticket price.
+        spec: Gamble specification.
+        rounds: Number of rounds to attempt (positive).
+        config: Seed and worker count.
+
+    Returns:
+        A :class:`Census`.
+    """
+    if rounds < 1:
+        raise ValueError(f"rounds must be positive, got {rounds!r}")
+    config = config or SimulationConfig()
+    counts, fatal = _census(state, spec, rounds, config, stop_at_ruin=True)
+    if fatal is None:
+        return Census(state=state, spec=spec, counts=counts)
+    index, n = fatal
+    return Census(
+        state=state,
+        spec=spec,
+        counts=counts,
+        bankrupt_at=index + 1,
+        bankrupt_wealth=_bankrupt_wealth(state, spec, counts, n),
+    )
+
+
+def time_average_estimate(run: Union[Trajectory, Census]) -> SampleStats:
+    """Realized per-round growth rate of log wealth along one run.
+
+    The mean and standard error of the per-round log growth factors,
+    reduced from the run's census: a :class:`Trajectory` and the
+    :class:`Census` of the same inputs give identical results.
+
+    Args:
+        run: A non-bankrupt run of at least two rounds.
 
     Returns:
         Mean log growth per round, with the standard error of the
         per-round log increments.
 
     Raises:
-        BankruptTrajectoryError: If the trajectory ended in bankruptcy.
+        BankruptTrajectoryError: If the run ended in bankruptcy.
     """
-    if trajectory.bankrupt_at is not None:
-        raise BankruptTrajectoryError(
-            f"trajectory went bankrupt at round {trajectory.bankrupt_at}"
-        )
-    path = trajectory.log_wealth_path
-    rounds = len(path) - 1
-    if rounds < 2:
+    if run.bankrupt_at is not None:
+        raise BankruptTrajectoryError(f"trajectory went bankrupt at round {run.bankrupt_at}")
+    counts = run.counts if isinstance(run, Census) else np.bincount(run.waiting_times)
+    if counts.sum() < 2:
         raise ValueError("need at least 2 rounds to estimate a standard error")
-    increments = np.diff(path)
-    estimate = float((path[-1] - path[0]) / rounds)
-    stderr = float(increments.std(ddof=1) / math.sqrt(rounds))
-    frequencies = _frequency_map(trajectory.waiting_times)
-    return SampleStats(
-        estimate=estimate,
-        stderr=stderr,
-        count=rounds,
-        frequencies=frequencies,
-        max_n=max(frequencies),
-    )
+    return _census_stats(counts, lambda ns: _log_growth_factors(run.state, run.spec, ns))
 
 
 def subinterval_estimate(
@@ -312,33 +544,20 @@ def subinterval_estimate(
     if q < 1:
         raise ValueError(f"subintervals must be positive, got {subintervals!r}")
     config = config or SimulationConfig()
-    draws = draw_waiting_times(spec, q, config)
-    lookup = _factor_lookup(state, spec, int(draws.max()))
-    factors = lookup[draws - 1]
-    if np.any(factors <= 0.0):
-        fatal = int(np.nonzero(factors <= 0.0)[0][0]) + 1
+    counts, fatal = _census(state, spec, q, config, stop_at_ruin=True)
+    if fatal is not None:
         raise NonpositiveReturnError(
-            f"draw {fatal} yields a nonpositive return; no real "
+            f"draw {fatal[0] + 1} yields a nonpositive return; no real "
             f"fractional-period rate exists at this ticket price"
         )
-    frequencies = _frequency_map(draws)
-    max_n = max(frequencies)
     if q == 1:
-        return SampleStats(
-            estimate=float(factors[0] - 1.0),
-            stderr=math.inf,
-            count=1,
-            frequencies=frequencies,
-            max_n=max_n,
-        )
-    rates = q * np.expm1(np.log(factors) / q)
-    return SampleStats(
-        estimate=float(rates.mean()),
-        stderr=float(rates.std(ddof=1) / math.sqrt(q)),
-        count=q,
-        frequencies=frequencies,
-        max_n=max_n,
-    )
+        return _census_stats(counts, lambda ns: _growth_factors(state, spec, ns) - 1.0)
+
+    def rates(ns: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return q * np.expm1(_log_growth_factors(state, spec, ns) / q)
+
+    return _census_stats(counts, rates)
 
 
 def ensemble_average_estimate(
@@ -374,35 +593,5 @@ def ensemble_average_estimate(
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples!r}")
     config = config or SimulationConfig()
-    blocks = (samples + _BLOCK_SIZE - 1) // _BLOCK_SIZE
-
-    def block_counts(block: int) -> np.ndarray:
-        lo = block * _BLOCK_SIZE
-        hi = min(lo + _BLOCK_SIZE, samples)
-        draws = _block_waiting_times(spec, config.seed, block)[: hi - lo]
-        return np.bincount(draws)
-
-    if config.workers == 1 or blocks == 1:
-        partials = [block_counts(b) for b in range(blocks)]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            partials = list(pool.map(block_counts, range(blocks)))
-
-    width = max(len(c) for c in partials)
-    counts = np.zeros(width, dtype=np.int64)
-    for c in partials:
-        counts[: len(c)] += c
-    # counts[n] players drew waiting time n; n = 0 never occurs
-    lookup = _factor_lookup(state, spec, width - 1)
-    weights = counts[1:].astype(np.float64)
-    mean = float(weights @ lookup / samples)
-    variance = float(weights @ (lookup - mean) ** 2 / (samples - 1))
-    stderr = math.sqrt(variance / samples)
-    frequencies = _frequencies_from_counts(counts)
-    return SampleStats(
-        estimate=mean,
-        stderr=stderr,
-        count=samples,
-        frequencies=frequencies,
-        max_n=max(frequencies),
-    )
+    counts, _ = _census(state, spec, samples, config, stop_at_ruin=False)
+    return _census_stats(counts, lambda ns: _growth_factors(state, spec, ns))

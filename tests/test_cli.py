@@ -28,6 +28,10 @@ def run(*args):
     return result
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-JSON constant {token}")
+
+
 def parse_envelope(result):
     envelope = json.loads(result.stdout)
     jsonschema.validate(envelope, ENVELOPE_SCHEMA,
@@ -332,6 +336,48 @@ class TestSimulateCommand:
             result = run("simulate", "--wealth", "100", "--price", "2",
                          "--wealth-path-out", str(out), *flags)
             assert result.exit_code == 2
+
+    def test_menger_time_mode_emits_strict_json(self, capsys):
+        # Seeds 0-19 include runs that draw n >= 10, whose payout
+        # overflows a double; the log growth factor does not.
+        deepest = 0
+        for seed in range(20):
+            code = main(["simulate", "--wealth", "100", "--payout", "menger",
+                         "--rounds", "1000", "--seed", str(seed)])
+            assert code == 0
+            results = json.loads(capsys.readouterr().out,
+                                 parse_constant=_reject_constant)["results"]
+            deepest = max(deepest, results["max_waiting_time"])
+        assert deepest >= 10
+
+    def test_nonfinite_result_fails_loudly(self, capsys):
+        # The Menger mean factor is infinite once a draw reaches n = 10:
+        # no JSON number can carry it, so the command fails instead.
+        code = main(["simulate", "--mode", "ensemble", "--wealth", "100",
+                     "--payout", "menger", "--samples", "1000", "--seed", "0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    @pytest.mark.filterwarnings("error")
+    def test_menger_run_prints_no_warning(self, capsys):
+        code = main(["simulate", "--wealth", "100", "--payout", "menger",
+                     "--rounds", "1000", "--seed", "0"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_p_run_prints_no_warning(self, capsys):
+        # The sampler stays silent on payouts past the double range; the
+        # analytic series at p = 1e-5 needs more terms than the default
+        # cap, and that is the only message.
+        code = main(["simulate", "--wealth", "100", "--price", "2",
+                     "--geom-p", "1e-05", "--rounds", "10"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: no tail bound")
+        assert "Warning" not in err
 
 
 # ====== menger ======

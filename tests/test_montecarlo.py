@@ -1,25 +1,34 @@
 """Tests for seeded simulation: draws, trajectories, and estimators."""
 
+import json
 import math
+import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from petersburg import (
     BankruptTrajectoryError,
+    BernoulliOriginal,
     Capped,
     GambleSpec,
+    Menger,
     NonpositiveReturnError,
     PlayerState,
     SimulationConfig,
     Table,
     ensemble_average_estimate,
     draw_waiting_times,
+    growth_factor,
     simulate_trajectory,
     subinterval_estimate,
+    time_average_census,
     time_average_estimate,
     time_average_growth,
 )
+from petersburg import montecarlo
+from petersburg.cli import main
 
 GROWTH_100_2 = 0.0234834936741544663694884870358
 
@@ -376,3 +385,160 @@ class TestAnalyticAgreement:
         ]
         assert errors[1] < errors[0]
         assert errors[1] < 0.05
+
+
+# ====== Census reductions ======
+
+
+#: Three full blocks and a partial one.
+CENSUS_ROUNDS = 3 * 2**16 + 123
+
+#: One round in 10**5 pays nothing, and at price 10.5 against wealth 10
+#: that round is ruinous.  At seed 1 the first one falls at round 129 818,
+#: in the second block.
+RARE_RUIN = Table(((0.99999, 10.0), (1e-05, 0.0)))
+RARE_RUIN_STATE = PlayerState(wealth=10.0, ticket_price=10.5)
+
+
+class TestCensusReducer:
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_streaming_estimate_equals_the_trajectory_estimate(self, workers):
+        state = PlayerState(wealth=100.0, ticket_price=2.0)
+        config = SimulationConfig(seed=4, workers=workers)
+        streamed = time_average_estimate(
+            time_average_census(state, GambleSpec(), CENSUS_ROUNDS, config))
+        stored = time_average_estimate(
+            simulate_trajectory(state, GambleSpec(), CENSUS_ROUNDS, config))
+        assert streamed == stored
+        assert streamed.count == CENSUS_ROUNDS
+
+    def test_every_mode_is_worker_invariant(self):
+        state = PlayerState(wealth=100.0, ticket_price=2.0)
+        spec = GambleSpec()
+
+        def estimates(workers):
+            config = SimulationConfig(seed=6, workers=workers)
+            return (
+                time_average_estimate(
+                    time_average_census(state, spec, CENSUS_ROUNDS, config)),
+                subinterval_estimate(state, spec, CENSUS_ROUNDS, config),
+                ensemble_average_estimate(state, spec, CENSUS_ROUNDS, config),
+            )
+
+        serial = estimates(1)
+        assert estimates(2) == serial
+        assert estimates(8) == serial
+
+    def test_first_ruin_past_the_first_block(self, tmp_path, capsys):
+        spec = GambleSpec(payout_rule=RARE_RUIN)
+        config = SimulationConfig(seed=1, workers=2)
+        trajectory = simulate_trajectory(RARE_RUIN_STATE, spec, 200_000, config)
+        assert trajectory.bankrupt_at > 2**16
+
+        census = time_average_census(RARE_RUIN_STATE, spec, 200_000, config)
+        assert census.bankrupt_at == trajectory.bankrupt_at
+        assert census.bankrupt_wealth == trajectory.bankrupt_wealth
+
+        with pytest.raises(NonpositiveReturnError,
+                           match=f"draw {trajectory.bankrupt_at} yields"):
+            subinterval_estimate(RARE_RUIN_STATE, spec, 200_000, config)
+
+        table = tmp_path / "rare-ruin.csv"
+        table.write_text("probability,payout\n0.99999,10.0\n1e-05,0.0\n")
+        status = main(["simulate", "--wealth", "10", "--price", "10.5",
+                       "--payout", f"table:{table}", "--rounds", "200000",
+                       "--seed", "1", "--workers", "2"])
+        assert status == 2
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["bankrupt_at"] == trajectory.bankrupt_at
+
+    def test_streaming_time_estimate_memory_does_not_grow_with_rounds(self):
+        # The draws -> factors -> log-path pipeline held about 64 MB of
+        # numpy arrays at this length; the census holds one block.
+        state = PlayerState(wealth=100.0, ticket_price=2.0)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            time_average_estimate(time_average_census(state, GambleSpec(), 2_000_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    @pytest.mark.filterwarnings("error")
+    def test_log_factors_stay_finite_past_the_double_range(self):
+        # At p = 1e-5 the seed-0 draws reach n = 286 360, whose payout
+        # 2**(n - 1) is far beyond a double; its log is not.
+        state = PlayerState(wealth=100.0, ticket_price=2.0)
+        spec = GambleSpec(probability_parameter=1e-5)
+        trajectory = simulate_trajectory(state, spec, 10)
+        assert trajectory.waiting_times.max() > 1024
+        assert np.all(np.isfinite(trajectory.log_wealth_path))
+        stats = time_average_estimate(time_average_census(state, spec, 10))
+        assert math.isfinite(stats.estimate) and math.isfinite(stats.stderr)
+        assert stats == time_average_estimate(trajectory)
+
+    @pytest.mark.filterwarnings("error")
+    def test_menger_log_factors_stay_finite(self):
+        # From n = 10 on the Menger payout w * expm1(2**n) overflows; its
+        # log growth factor is 2**n to double precision.
+        state = PlayerState(wealth=100.0)
+        spec = GambleSpec(payout_rule=Menger())
+        factors = montecarlo._log_growth_factors(state, spec, np.arange(1, 40))
+        assert np.all(np.isfinite(factors))
+        assert factors[11] == 2.0**12
+        for seed in range(20):
+            stats = time_average_estimate(
+                time_average_census(state, spec, 1000, SimulationConfig(seed=seed)))
+            assert math.isfinite(stats.estimate) and math.isfinite(stats.stderr)
+
+    def test_finite_factors_match_the_scalar_reference(self):
+        state = PlayerState(wealth=3.0, ticket_price=0.7)
+        ns = np.arange(1, 1100)
+        for rule in (BernoulliOriginal(), Capped(1e9), Menger(),
+                     Table(((0.5, 1.0), (0.25, 2.0), (0.25, 8.0)))):
+            spec = GambleSpec(payout_rule=rule)
+            support = ns[:3] if isinstance(rule, Table) else ns
+            factors = montecarlo._growth_factors(state, spec, support)
+            for n, factor in zip(support, factors):
+                reference = growth_factor(state, spec, int(n))
+                assert factor == reference or (math.isinf(reference) and math.isinf(factor))
+
+
+class TestBlockPool:
+    def test_pool_is_capped_at_the_block_count(self, monkeypatch):
+        sizes = []
+
+        class RecordingExecutor:
+            """Runs each task at submission; records the requested size."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingExecutor)
+        config = SimulationConfig(seed=2, workers=64)
+        draws = draw_waiting_times(GambleSpec(), 3 * 2**16, config)
+        assert sizes == [3]
+        assert np.array_equal(draws, draw_waiting_times(GambleSpec(), 3 * 2**16,
+                                                        SimulationConfig(seed=2)))
+
+    def test_one_block_uses_no_pool(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a pool was created for a single block")
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", forbidden)
+        state = PlayerState(wealth=100.0, ticket_price=2.0)
+        config = SimulationConfig(seed=2, workers=64)
+        time_average_estimate(time_average_census(state, GambleSpec(), 1000, config))
+        ensemble_average_estimate(state, GambleSpec(), 1000, config)
