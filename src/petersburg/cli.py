@@ -27,7 +27,6 @@ import sys
 from typing import Optional
 
 import click
-import numpy as np
 
 from . import __version__
 from .criteria import (
@@ -37,6 +36,7 @@ from .criteria import (
     evaluate as evaluate_state,
     menger_partial_sum_price,
     recommendation_for,
+    wealth_grid,
 )
 from .gamble import (
     BernoulliOriginal,
@@ -346,31 +346,18 @@ def breakeven_cmd(wealth, wmin, wmax, points, inset, price, price_tol,
 
     if inset:
         parameters["price"] = price
-        if not (math.isfinite(w_min) and 0.0 < w_min < w_max and math.isfinite(w_max)):
-            raise ValueError(
-                f"need 0 < wmin < wmax and both finite, got {w_min!r}, {w_max!r}"
-            )
-        if num_points < 2:
-            raise ValueError(f"points must be at least 2, got {num_points!r}")
         data = []
         failures = []
-        for w in np.geomspace(w_min, w_max, num_points):
-            w = float(w)
+        rows = [["wealth", "g_bar"]]
+        for w in wealth_grid(w_min, w_max, num_points):
             result = time_average_growth(PlayerState(w, price), spec, policy)
             if result.is_converged:
-                data.append((w, result.value))
+                data.append({"wealth": w, "growth_rate": result.value})
+                rows.append([_r(w), _r(result.value)])
             else:
-                failures.append((w, result.classification.value))
-        results = {
-            "price": price,
-            "inset": [{"wealth": w, "growth_rate": g} for w, g in data],
-            "failures": [{"wealth": w, "error": e} for w, e in failures],
-        }
-        rows = [["wealth", "g_bar"]]
-        by_wealth = dict(data)
-        for w in np.geomspace(w_min, w_max, num_points):
-            w = float(w)
-            rows.append([_r(w), _r(by_wealth[w]) if w in by_wealth else ""])
+                failures.append({"wealth": w, "error": result.classification.value})
+                rows.append([_r(w), ""])
+        results = {"price": price, "inset": data, "failures": failures}
         if failures:
             click.echo(f"warning: no defined growth rate at {len(failures)} "
                        f"grid point(s)", err=True)
@@ -384,11 +371,10 @@ def breakeven_cmd(wealth, wmin, wmax, points, inset, price, price_tol,
         "failures": [{"wealth": w, "error": msg} for w, msg in curve.failures],
         "solver_tolerance": curve.solver_tolerance,
     }
-    solved = dict(curve.points)
-    rows = [["wealth", "breakeven_price"]]
-    for w in np.geomspace(w_min, w_max, num_points):
-        w = float(w)
-        rows.append([_r(w), _r(solved[w]) if w in solved else ""])
+    # points and failures each ascend in wealth, so merged they are the grid
+    cells = sorted([(w, _r(p)) for w, p in curve.points]
+                   + [(w, "") for w, _ in curve.failures])
+    rows = [["wealth", "breakeven_price"]] + [[_r(w), cell] for w, cell in cells]
     if curve.failures:
         click.echo(f"warning: no break-even price at {len(curve.failures)} "
                    f"grid point(s)", err=True)
@@ -506,7 +492,8 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
         rows = [["field", "value"],
                 ["mode", "time"],
                 ["bankrupt_at", str(run.bankrupt_at)],
-                ["bankrupt_wealth", _r(run.bankrupt_wealth)]]
+                ["bankrupt_wealth",
+                 "" if run.bankrupt_wealth is None else _r(run.bankrupt_wealth)]]
         _emit(fmt, "simulate", parameters, results, rows)
         raise click.exceptions.Exit(2)
 

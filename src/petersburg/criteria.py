@@ -22,6 +22,7 @@ from .series import (
     Classification,
     SeriesResult,
     TruncationPolicy,
+    _log_change_slope,
     bernoulli_literal_lhs,
     ensemble_average_growth,
     expected_payout,
@@ -37,6 +38,12 @@ class Recommendation(str, Enum):
     DONT_BUY = "DontBuy"
     BUY_AT_ANY_NON_BANKRUPTING_PRICE = "BuyAtAnyNonBankruptingPrice"
     UNDEFINED = "Undefined"
+
+
+#: Newton steps :func:`breakeven_price` takes before it only bisects.
+#: Roots take fewer than ten, so the cap binds only where the step
+#: direction is badly wrong.
+_NEWTON_STEPS = 20
 
 
 class NoSignChangeError(ValueError):
@@ -141,8 +148,11 @@ def breakeven_price(
     Below the returned price repeated play grows the player's wealth;
     above it, wealth shrinks.  The root is bracketed between a vanishing
     price and the bankruptcy price ``wealth + smallest payout`` and then
-    bisected; the growth rate is strictly decreasing in the price, so
-    the root is unique when it exists.
+    found by safeguarded Newton steps, bisecting where a step is not
+    usable; the growth rate is strictly decreasing in the price, so the
+    root is unique when it exists.  The result is the midpoint of a
+    bracket whose ends have certified signs and lie at most
+    ``max(price_tolerance, 4 ulp(bankruptcy price))`` apart.
 
     Args:
         wealth: Player wealth (must be positive and finite).
@@ -172,19 +182,21 @@ def breakeven_price(
         divergence_window=policy.divergence_window,
     )
 
+    def growth_at(price: float) -> SeriesResult:
+        return time_average_growth(PlayerState(wealth, price), spec, inner)
+
     def sign_at(price: float) -> int:
-        return _criterion_sign(
-            time_average_growth(PlayerState(wealth, price), spec, inner)
-        )
+        return _criterion_sign(growth_at(price))
 
     # lower end: scan down until the rate turns positive (or give up)
     lo = wealth * 1e-6
-    lo_sign = sign_at(lo)
+    lo_growth = growth_at(lo)
     shrink_attempts = 0
-    while lo_sign <= 0 and shrink_attempts < 40:
+    while _criterion_sign(lo_growth) <= 0 and shrink_attempts < 40:
         lo *= 0.25
-        lo_sign = sign_at(lo)
+        lo_growth = growth_at(lo)
         shrink_attempts += 1
+    lo_sign = _criterion_sign(lo_growth)
     if lo_sign < 0:
         raise NoSignChangeError(
             "time-average growth is negative even at vanishing ticket prices; "
@@ -210,24 +222,47 @@ def breakeven_price(
             "ticket price; no finite break-even price exists"
         )
 
-    # grow lo toward hi so the bracket is tight before bisection
-    probe = lo * 2.0
-    while probe < hi and sign_at(probe) > 0:
-        lo = probe
-        probe *= 2.0
-
     floor = max(price_tolerance, 4.0 * math.ulp(bankruptcy))
+    # Newton steps.  With gap = bankruptcy - price, the rate is concave
+    # in the price, and increasing and convex in u = ln(gap).  So from any
+    # price the tangent in the price meets zero on or right of the root
+    # and the tangent in u on or left of it: the two Newton targets
+    # bracket the root.  The u step is taken; from lo it climbs to the
+    # root without overshooting, even where the rate has a log singularity
+    # at bankruptcy.  Once the targets pin the root within half a floor of
+    # lo or hi, a probe three quarters of a floor past it certifies the
+    # other end.  A target outside (lo, hi), a rate that did not converge,
+    # or a root still open after _NEWTON_STEPS steps bisects instead.
+    price, growth = lo, lo_growth
+    steps = 0
     while hi - lo > floor:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        s = sign_at(mid)
+        target = None
+        if growth.is_converged and steps < _NEWTON_STEPS:
+            slope = _log_change_slope(spec, wealth, wealth - price, growth.terms_used)
+            gap = bankruptcy - price
+            # capped so that a step from far right of the root lands below lo
+            lower = bankruptcy - gap * math.exp(min(-growth.value / (slope * gap), 700.0))
+            upper = price + growth.value / slope
+            if price == lo and upper - lo <= 0.5 * floor:
+                target = lo + 0.75 * floor
+            elif price == hi and hi - lower <= 0.5 * floor:
+                target = hi - 0.75 * floor
+            else:
+                target = lower
+        if target is None or not lo < target < hi:
+            target = 0.5 * (lo + hi)
+            if target <= lo or target >= hi:
+                break
+        price = target
+        growth = growth_at(price)
+        steps += 1
+        s = _criterion_sign(growth)
         if s > 0:
-            lo = mid
+            lo = price
         elif s < 0:
-            hi = mid
+            hi = price
         else:
-            return mid
+            return price
     return 0.5 * (lo + hi)
 
 
@@ -247,6 +282,21 @@ class BreakEvenCurve:
 
     def __iter__(self):
         return iter(self.points)
+
+
+def wealth_grid(w_min: float, w_max: float, num_points: int) -> List[float]:
+    """``num_points`` log-spaced wealth levels from ``w_min`` to ``w_max``.
+
+    Both ends are hit exactly.  Raises :class:`ValueError` unless
+    ``0 < w_min < w_max``, both finite, and ``num_points >= 2``.
+    """
+    if not (math.isfinite(w_min) and w_min > 0.0):
+        raise ValueError(f"w_min must be positive and finite, got {w_min!r}")
+    if not (math.isfinite(w_max) and w_max > w_min):
+        raise ValueError(f"w_max must be finite and exceed w_min, got {w_max!r}")
+    if num_points < 2:
+        raise ValueError(f"num_points must be at least 2, got {num_points!r}")
+    return [float(w) for w in np.geomspace(w_min, w_max, num_points)]
 
 
 def breakeven_curve(
@@ -275,16 +325,9 @@ def breakeven_curve(
         A :class:`BreakEvenCurve`.  Wealth levels where no break-even
         price exists are recorded in ``failures`` instead of ``points``.
     """
-    if not (math.isfinite(w_min) and w_min > 0.0):
-        raise ValueError(f"w_min must be positive and finite, got {w_min!r}")
-    if not (math.isfinite(w_max) and w_max > w_min):
-        raise ValueError(f"w_max must be finite and exceed w_min, got {w_max!r}")
-    if num_points < 2:
-        raise ValueError(f"num_points must be at least 2, got {num_points!r}")
     points: List[Tuple[float, float]] = []
     failures: List[Tuple[float, str]] = []
-    for wealth in np.geomspace(w_min, w_max, num_points):
-        wealth = float(wealth)
+    for wealth in wealth_grid(w_min, w_max, num_points):
         try:
             points.append((wealth, breakeven_price(wealth, spec, policy, price_tolerance)))
         except NoSignChangeError as exc:

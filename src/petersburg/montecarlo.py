@@ -97,7 +97,8 @@ class Trajectory:
     survives growth rates whose cumulative effect overflows a double.
     On bankruptcy the path stops at the last positive wealth,
     ``bankrupt_at`` records the fatal 1-based round, and
-    ``bankrupt_wealth`` the nonpositive wealth that round produced.
+    ``bankrupt_wealth`` the nonpositive wealth that round produced
+    (``None`` if it lies beyond the double range).
     """
 
     state: PlayerState
@@ -334,13 +335,22 @@ def _census_stats(counts: np.ndarray, value_of: Callable[[np.ndarray], np.ndarra
 
 
 def _bankrupt_wealth(state: PlayerState, spec: GambleSpec, survived: np.ndarray,
-                     fatal_n: int) -> float:
-    """Wealth after the fatal round, from the census of the rounds before it."""
+                     fatal_n: int) -> Optional[float]:
+    """Wealth after the fatal round, from the census of the rounds before it.
+
+    ``None`` when it lies beyond the double range: the wealth before the
+    fatal round may itself be too large for a double.
+    """
     ns = np.flatnonzero(survived)
     log_wealth = math.log(state.wealth) + math.fsum(
         survived[ns] * _log_growth_factors(state, spec, ns))
-    fatal = _growth_factors(state, spec, np.array([fatal_n]))[0]
-    return float(math.exp(log_wealth) * fatal)
+    fatal = float(_growth_factors(state, spec, np.array([fatal_n]))[0])
+    if fatal == 0.0:
+        return 0.0
+    try:
+        return math.copysign(math.exp(log_wealth + math.log(abs(fatal))), fatal)
+    except OverflowError:
+        return None
 
 
 def _census(

@@ -445,6 +445,34 @@ def _log_change_series(
     )
 
 
+def _log_change_slope(spec: GambleSpec, wealth: float, net: float, terms_used: int) -> float:
+    """``sum P(n) / (net + payout_n)``, minus the derivative of the log
+    change series in the price.
+
+    Summed over the ``terms_used`` terms of a converged value of that
+    series, plus the exact tail of a capped rule, whose outcomes past
+    the cap all pay nothing.  It only steers the break-even solver and
+    carries no error bound.
+    """
+    rule = spec.payout_rule
+    if isinstance(rule, Table):
+        return sum(p / (net + m) for p, m in rule.rows)
+    p = spec.probability_parameter
+    q = 1.0 - p
+    menger = isinstance(rule, Menger)
+    # a doubling payout is 2**(n-1); a capped series stops at its last paid n
+    weight, m, total = p, 1.0, 0.0
+    for n in range(1, terms_used + 1):
+        if menger:
+            m = payout(spec, n, wealth)
+        total += weight / (net + m)
+        weight *= q
+        m *= 2.0
+    if isinstance(rule, Capped):
+        total += q ** terms_used / net
+    return total
+
+
 def time_average_growth(
     state: PlayerState,
     spec: GambleSpec,
@@ -699,5 +727,7 @@ def bernoulli_literal_lhs(
     gains = _log_change_series(spec, w, w, policy)
     if not gains.is_converged:
         return gains
-    loss = -math.log1p(-c / w)  # ln w - ln(w - c), positive for c > 0
+    # ln w - ln(w - c), positive for c > 0.  log1p(-c/w) amplifies the
+    # rounding of c/w by w/(w - c); for c >= w/2, w - c is exact (Sterbenz)
+    loss = math.log(w / (w - c)) if c >= 0.5 * w else -math.log1p(-c / w)
     return SeriesResult.converged(gains.value - loss, gains.tail_bound, gains.terms_used)

@@ -304,6 +304,21 @@ class TestSimulateCommand:
         assert envelope["results"]["bankrupt_at"] >= 1
         assert envelope["results"]["bankrupt_wealth"] <= 0.0
 
+    def test_bankrupt_wealth_beyond_double_range_is_null(self, tmp_path):
+        # wealth passes 1e300 before the first losing round; the wealth that
+        # round leaves overflows a double
+        path = tmp_path / "rows.csv"
+        path.write_text("p,m\n0.9,1e300\n0.1,0.0\n")
+        args = ("simulate", "--wealth", "1", "--price", "2", "--payout", f"table:{path}",
+                "--seed", "1", "--rounds", "100")
+        result = run(*args)
+        assert result.exit_code == 2
+        results = parse_envelope(result)["results"]
+        assert results["bankrupt_at"] > 1
+        assert results["bankrupt_wealth"] is None
+        rows = list(csv.reader(run(*args, "--format", "csv").stdout.splitlines()))
+        assert ["bankrupt_wealth", ""] in rows
+
     def test_csv_format(self):
         result = run("simulate", "--wealth", "100", "--price", "2",
                      "--rounds", "5000", "--seed", "0", "--format", "csv")

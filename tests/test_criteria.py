@@ -1,10 +1,15 @@
 """Tests for decision criteria, break-even pricing, and closed-form stakes."""
 
 import math
+import sys
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from petersburg import criteria
 from petersburg import (
+    BernoulliOriginal,
     BreakEvenCurve,
     Capped,
     GambleSpec,
@@ -18,8 +23,10 @@ from petersburg import (
     bernoulli_stake,
     breakeven_curve,
     breakeven_price,
+    cap_point,
     evaluate,
     menger_partial_sum_price,
+    min_payout,
     recommendation_for,
     time_average_growth,
 )
@@ -129,6 +136,111 @@ class TestBreakevenPrice:
             breakeven_price(0.0, GambleSpec())
         with pytest.raises(ValueError):
             breakeven_price(-10.0, GambleSpec())
+
+
+def _oracle_growth_sign(spec: GambleSpec, wealth: float, price: float) -> int:
+    """Sign of the time-average growth rate in 40-digit arithmetic.
+
+    Undefined rates count as negative, as in the solver.  Past term
+    ``last`` a doubling term is ``(n-1) ln 2 - ln w`` to a relative
+    ``2**-120``, and that tail is summed in closed form.
+    """
+    rule = spec.payout_rule
+    capped = isinstance(rule, Capped)
+    with mpmath.workdps(40):
+        p = mpmath.mpf(spec.probability_parameter)
+        q = 1 - p
+        w = mpmath.mpf(wealth)
+        net = w - mpmath.mpf(price)
+        if net + (0 if capped else 1) <= 0:
+            return -1
+        log_w = mpmath.log(w)
+        last = cap_point(rule.max_payout) if capped else 130 + int(math.log2(wealth + 2))
+        total = mpmath.fsum(p * q ** (n - 1) * (mpmath.log(net + mpmath.mpf(2) ** (n - 1)) - log_w)
+                            for n in range(1, last + 1))
+        if capped:
+            total += q ** last * (mpmath.log(net) - log_w)
+        else:
+            total += q ** last * (mpmath.log(2) * (last + q / p) - log_w)
+        return int(mpmath.sign(total))
+
+
+def _recording_growth(monkeypatch):
+    """Record ``(price, sign)`` of every rate the solver evaluates."""
+    probes = []
+    real = criteria.time_average_growth
+
+    def recording(state, spec, policy=None):
+        result = real(state, spec, policy)
+        probes.append((state.ticket_price, criteria._criterion_sign(result)))
+        return result
+
+    monkeypatch.setattr(criteria, "time_average_growth", recording)
+    return probes
+
+
+def _assert_certified(probes, price, floor):
+    """The returned price sits in an evaluated bracket no wider than ``floor``."""
+    lo = max(c for c, s in probes if s > 0 and c < price)
+    hi = min(c for c, s in probes if s < 0 and c > price)
+    assert hi - lo <= floor
+    assert price == 0.5 * (lo + hi)
+
+
+class TestBreakevenSolver:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rule=st.sampled_from(["bernoulli", "capped"]),
+           p=st.sampled_from([0.5, 0.2, 0.05]),
+           wealth=st.floats(1.0, 1e6),
+           cap=st.floats(10.0, 1e9))
+    def test_oracle_sign_changes_at_the_root(self, rule, p, wealth, cap):
+        spec = GambleSpec(BernoulliOriginal() if rule == "bernoulli" else Capped(cap), p)
+        bankruptcy = wealth + min_payout(spec, wealth)
+        try:
+            price = breakeven_price(wealth, spec)
+        except NoSignChangeError:
+            # the root, if any, is closer to bankruptcy than the solver looks
+            assert _oracle_growth_sign(spec, wealth, bankruptcy * (1.0 - 1e-15)) > 0
+            return
+        reach = max(1e-10, 4.0 * math.ulp(bankruptcy))
+        if 1e-10 / (16.0 * wealth) < 4e-16:
+            # known defect: the series tolerance floors at 4e-16 above wealth
+            # 15625, and the growth error it leaves moves the price by a few
+            # eps * wealth
+            reach += 8.0 * sys.float_info.epsilon * wealth
+        assert _oracle_growth_sign(spec, wealth, max(price - reach, 0.0)) >= 0
+        assert _oracle_growth_sign(spec, wealth, price + reach) <= 0
+
+    def test_few_series_evaluations_per_root(self, monkeypatch):
+        probes = _recording_growth(monkeypatch)
+        breakeven_price(100.0, GambleSpec())
+        assert len(probes) <= 12
+
+    def test_newton_root_is_certified(self, monkeypatch):
+        probes = _recording_growth(monkeypatch)
+        price = breakeven_price(100.0, GambleSpec())
+        _assert_certified(probes, price, 1e-10)
+        assert abs(price - BREAKEVEN_100) < 1e-10
+
+    def test_bisection_fallback_root_is_certified(self, monkeypatch):
+        # a vanishing slope sends every Newton target past the bracket
+        monkeypatch.setattr(criteria, "_log_change_slope", lambda *args: 1e-300)
+        probes = _recording_growth(monkeypatch)
+        price = breakeven_price(100.0, GambleSpec())
+        assert len(probes) > 12
+        _assert_certified(probes, price, 1e-10)
+        assert abs(price - BREAKEVEN_100) < 1e-10
+
+    def test_root_near_bankruptcy(self, monkeypatch):
+        # at p = 0.05 and large wealth the root lies ~1e-7 below the
+        # bankruptcy price, where the rate has a log singularity
+        probes = _recording_growth(monkeypatch)
+        wealth = 229728.68056160095
+        spec = GambleSpec(probability_parameter=0.05)
+        price = breakeven_price(wealth, spec)
+        assert 0.0 < wealth + 1.0 - price < 1e-6
+        assert len(probes) <= 12
+        _assert_certified(probes, price, 4.0 * math.ulp(wealth + 1.0))
 
 
 class TestBreakevenCurve:

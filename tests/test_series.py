@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 
 from petersburg import (
@@ -278,6 +279,22 @@ class TestBernoulliLiteralLhs:
         state = PlayerState(wealth=100.0, ticket_price=99.9)
         result = bernoulli_literal_lhs(state, GambleSpec(payout_rule=Menger()))
         assert result.classification is Classification.DIVERGES_POSITIVE
+
+    @pytest.mark.parametrize("fraction", [0.5, 0.9, 0.999, 0.9999999, 0.9999999999])
+    def test_near_ruin_price_keeps_its_digits(self, fraction):
+        # ln(w / (w - c)) grows without bound as c -> w; computing it as
+        # log1p(-c/w) would amplify the rounding of c/w by w / (w - c).
+        wealth = 1000.0
+        price = wealth * fraction
+        tight = TruncationPolicy(tolerance=1e-16)
+        result = bernoulli_literal_lhs(PlayerState(wealth, price), GambleSpec(), tight)
+        with mpmath.workdps(40):
+            w, c = mpmath.mpf(wealth), mpmath.mpf(price)
+            gains = mpmath.fsum(mpmath.mpf(2) ** -n * mpmath.log1p(mpmath.mpf(2) ** (n - 1) / w)
+                                for n in range(1, 200))
+            exact = gains - mpmath.log(w / (w - c))
+            miss = abs(mpmath.mpf(result.value) - exact)
+            assert miss <= result.tail_bound + 4 * math.ulp(float(exact))
 
 
 # ====== Divergence structure of the two classic series ======
