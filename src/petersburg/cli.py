@@ -211,17 +211,6 @@ def _emit(fmt: str, command: str, parameters: dict, results: dict, rows) -> None
         click.echo(buffer.getvalue(), nl=False)
 
 
-def _payout_token(rule: PayoutRule) -> str:
-    """Canonical token for the envelope's parameter block."""
-    if isinstance(rule, BernoulliOriginal):
-        return "bernoulli"
-    if isinstance(rule, Menger):
-        return "menger"
-    if isinstance(rule, Capped):
-        return f"capped:{rule.max_payout!r}"
-    return f"table:{len(rule.rows)} rows"
-
-
 @click.group()
 @click.version_option(version=__version__, prog_name="petersburg")
 def cli() -> None:
@@ -269,7 +258,7 @@ def evaluate_cmd(wealth, price, utility, payout_rule, geom_p, tol, max_terms, fm
     parameters = {
         "wealth": wealth,
         "price": price,
-        "payout": _payout_token(payout_rule),
+        "payout": payout_rule.token,
         "geom_p": geom_p,
         "tol": tol,
         "max_terms": max_terms,
@@ -324,7 +313,7 @@ def breakeven_cmd(wealth, wmin, wmax, points, inset, price, price_tol,
     policy = TruncationPolicy(tolerance=tol, max_terms=max_terms)
 
     parameters = {
-        "payout": _payout_token(payout_rule),
+        "payout": payout_rule.token,
         "geom_p": geom_p,
         "tol": tol,
         "max_terms": max_terms,
@@ -418,7 +407,7 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
     parameters = {
         "wealth": wealth,
         "price": price,
-        "payout": _payout_token(payout_rule),
+        "payout": payout_rule.token,
         "geom_p": geom_p,
         "tol": tol,
         "max_terms": max_terms,

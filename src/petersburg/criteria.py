@@ -50,6 +50,10 @@ class NoSignChangeError(ValueError):
     """The criterion keeps one sign over all candidate prices."""
 
 
+_NEVER_WORTH_BUYING = ("time-average growth is negative even at vanishing ticket prices; "
+                       "no positive break-even price exists")
+
+
 def recommendation_for(result: SeriesResult) -> Recommendation:
     """Map a classified criterion value to an action.
 
@@ -188,9 +192,13 @@ def breakeven_price(
     def sign_at(price: float) -> int:
         return _criterion_sign(growth_at(price))
 
-    # lower end: scan down until the rate turns positive (or give up)
+    # lower end: scan down until the rate turns positive (or give up).  The
+    # rate falls with the price, so if it is not positive for a free
+    # ticket (a gamble that never pays) no scan can find a root.
     lo = wealth * 1e-6
     lo_growth = growth_at(lo)
+    if _criterion_sign(lo_growth) <= 0 and sign_at(0.0) <= 0:
+        raise NoSignChangeError(_NEVER_WORTH_BUYING)
     shrink_attempts = 0
     while _criterion_sign(lo_growth) <= 0 and shrink_attempts < 40:
         lo *= 0.25
@@ -198,10 +206,7 @@ def breakeven_price(
         shrink_attempts += 1
     lo_sign = _criterion_sign(lo_growth)
     if lo_sign < 0:
-        raise NoSignChangeError(
-            "time-average growth is negative even at vanishing ticket prices; "
-            "no positive break-even price exists"
-        )
+        raise NoSignChangeError(_NEVER_WORTH_BUYING)
     if lo_sign == 0:
         return lo
 
@@ -238,7 +243,8 @@ def breakeven_price(
     while hi - lo > floor:
         target = None
         if growth.is_converged and steps < _NEWTON_STEPS:
-            slope = _log_change_slope(spec, wealth, wealth - price, growth.terms_used)
+            slope = _log_change_slope(spec, wealth, wealth - price, growth.terms_used,
+                                      inner)
             gap = bankruptcy - price
             # capped so that a step from far right of the root lands below lo
             lower = bankruptcy - gap * math.exp(min(-growth.value / (slope * gap), 700.0))

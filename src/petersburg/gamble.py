@@ -1,4 +1,4 @@
-"""Gamble specifications and per-outcome quantities.
+"""Gamble specifications and payout rules.
 
 A gamble is resolved by a waiting time ``n = 1, 2, ...``: the number of
 coin tosses up to and including the first heads.  Waiting times follow a
@@ -6,6 +6,13 @@ geometric distribution, ``P(n) = (1 - p)**(n - 1) * p``, except for
 explicit table gambles which carry their own probabilities.  Each payout
 rule maps a waiting time to a dollar payout; the growth factor of a round
 is the ratio of wealth after the round to wealth before it.
+
+Everything a payout rule decides lives in its class: its payouts, scalar
+and vectorised; its log and square-root series terms, safe where the
+payout leaves the double range; the tail each criterion series may omit;
+its waiting-time law; its smallest payout and its command-line token.
+The series engine, the sampler and the command line ask the rule and
+never branch on its type.
 """
 
 from __future__ import annotations
@@ -13,33 +20,287 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from functools import cached_property
+from itertools import accumulate, count, repeat
+from operator import add, mul
+from typing import Callable, Iterator, NamedTuple, Optional, Tuple
+
+import numpy as np
+
+_LN2 = math.log(2.0)
+
+#: Menger payouts ``w * expm1(2**n)`` exceed the double range from here on.
+_MENGER_OVERFLOW_N = 10
+
+#: A series term ``(n, weight, log_weight) -> P(n) * gain(n)``, where
+#: ``weight = P(n)`` and ``log_weight`` is its log.  A term raises
+#: ``ValueError`` where the gain does not exist (the log or square root
+#: of a nonpositive wealth).
+Term = Callable[[int, float, float], float]
 
 
 class OutOfSupportError(LookupError):
     """Raised when an outcome index lies beyond a finite payout table."""
 
 
+class Tail(NamedTuple):
+    """The part of a series past term ``n``, from term ``start`` on.
+
+    ``rest(n)`` is that part in closed form when ``exact``, and otherwise
+    a bound on its magnitude.
+    """
+
+    start: int
+    rest: Callable[[int], float]
+    exact: bool = False
+
+
+def _doubling_log(n, net, log1p=math.log1p, ldexp=math.ldexp):
+    """``ln(net + 2**(n-1))`` once the payout dwarfs ``|net|``.
+
+    ``(n-1) ln2 + log1p(net 2**(1-n))``; with ``np.log1p`` and
+    ``np.ldexp`` it takes an array of ``n``.
+    """
+    return (n - 1) * _LN2 + log1p(ldexp(net, 1 - n))
+
+
+class PayoutRule:
+    """Base of the payout rules; one subclass per rule.
+
+    A rule provides ``payout(n, wealth)`` and ``payouts(ns, wealth)``, the
+    same payouts for a numpy array of waiting times, bit for bit, and
+    ``token``, its command-line form.  The defaults below are the
+    geometric waiting-time law and the series terms written with the
+    plain payout; a rule overrides what it knows better.
+    """
+
+    #: Number of outcomes, or ``None`` for geometric waiting times.
+    support_size: Optional[int] = None
+
+    def min_payout(self, wealth: float) -> float:
+        """Smallest payout over the support."""
+        return self.payout(1, wealth)
+
+    def log_terms(self, net: float, wealth: float) -> Tuple[Term, Term]:
+        """Terms of ``P(n) * (ln(net + payout_n) - ln(wealth))``.
+
+        Returns ``(term, far)``: ``term`` holds for every ``n``; ``far``
+        is the same term taken in log space, which the series uses past
+        ``n = 900``, where weights and payouts leave the double range.
+        """
+        payout, log_wealth = self.payout, math.log(wealth)
+
+        def term(n: int, weight: float, log_weight: float) -> float:
+            return weight * (math.log(net + payout(n, wealth)) - log_wealth)
+
+        return term, term
+
+    def sqrt_terms(self, net: float, wealth: float) -> Tuple[Term, Term]:
+        """Terms of ``P(n) * (sqrt(net + payout_n) - sqrt(wealth))``, as
+        :meth:`log_terms`."""
+        payout, sqrt_wealth = self.payout, math.sqrt(wealth)
+
+        def term(n: int, weight: float, log_weight: float) -> float:
+            return weight * (math.sqrt(net + payout(n, wealth)) - sqrt_wealth)
+
+        return term, term
+
+    def tail(self, term: Term, p: float) -> Optional[Tail]:
+        """Exact tail of any series of ``term`` past the last paid outcome,
+        or ``None`` when payouts never stop."""
+        return None
+
+    def payout_tail(self, p: float) -> Optional[Tail]:
+        """Tail of the expected payout, or ``None`` if there is none."""
+        return None
+
+    def log_tail(self, p: float, net: float, wealth: float) -> Optional[Tail]:
+        """Tail of the series of :meth:`log_terms`, or ``None``."""
+        return None
+
+    def sqrt_tail(self, p: float, net: float, wealth: float) -> Optional[Tail]:
+        """Tail of the series of :meth:`sqrt_terms`, or ``None``."""
+        return None
+
+    def outcomes(self, p: float, max_terms: int) -> Iterator[Tuple[int, float, float]]:
+        """``(n, P(n), ln P(n))`` for the first ``max_terms`` outcomes.
+
+        Weights are multiplied along, ``P(n + 1) = P(n) * (1 - p)``.
+        """
+        return zip(range(1, max_terms + 1),
+                   accumulate(repeat(1.0 - p), mul, initial=p),
+                   accumulate(repeat(math.log1p(-p)), add, initial=math.log(p)))
+
+    def probability(self, n: int, p: float) -> float:
+        """``P(n)`` under the waiting-time law."""
+        return p * (1.0 - p) ** (n - 1)
+
+    def waiting_times(self, u: np.ndarray, p: float) -> np.ndarray:
+        """Waiting times from uniform variates in ``[0, 1)``; ``u`` is
+        overwritten."""
+        # inverse CDF of the geometric law: P(n > k) = (1-p)^k, in place;
+        # 1 - u lies in (0, 1], which keeps the log finite
+        np.subtract(1.0, u, out=u)
+        np.log(u, out=u)
+        u /= math.log1p(-p)
+        np.ceil(u, out=u)
+        np.maximum(u, 1.0, out=u)
+        return u.astype(np.int64)
+
+    def huge_log_factors(self, ns: np.ndarray, net: float, wealth: float) -> np.ndarray:
+        """``ln((net + payout_n) / wealth)`` at waiting times whose growth
+        factor overflows a double."""
+        m = self.payouts(ns, wealth)
+        return np.log(m) + np.log1p(net / m) - math.log(wealth)
+
+
+class _Doubling(PayoutRule):
+    """Waiting time ``n`` pays ``2**(n - 1)`` up to ``_last_paid``, then nothing."""
+
+    def payout(self, n: int, wealth: float = 1.0) -> float:
+        if n > self._last_paid:
+            return 0.0
+        try:
+            return math.ldexp(1.0, n - 1)
+        except OverflowError:
+            return math.inf
+
+    def payouts(self, ns: np.ndarray, wealth: float) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            base = np.ldexp(1.0, np.minimum(ns - 1, 1024))
+        return np.where(ns <= self._last_paid, base, 0.0)
+
+    def log_terms(self, net: float, wealth: float) -> Tuple[Term, Term]:
+        log_wealth, last = math.log(wealth), self._last_paid
+
+        def far(n: int, weight: float, log_weight: float) -> float:
+            return weight * (_doubling_log(n, net) - log_wealth)
+
+        def term(n: int, weight: float, log_weight: float) -> float:
+            try:
+                m = math.ldexp(1.0, n - 1) if n <= last else 0.0
+            except OverflowError:
+                return far(n, weight, log_weight)
+            return weight * (math.log(net + m) - log_wealth)
+
+        return term, far
+
+    def sqrt_terms(self, net: float, wealth: float) -> Tuple[Term, Term]:
+        sqrt_wealth, last = math.sqrt(wealth), self._last_paid
+
+        def far(n: int, weight: float, log_weight: float) -> float:
+            return math.exp(log_weight + 0.5 * _doubling_log(n, net)) - weight * sqrt_wealth
+
+        def term(n: int, weight: float, log_weight: float) -> float:
+            try:
+                m = math.ldexp(1.0, n - 1) if n <= last else 0.0
+            except OverflowError:
+                return far(n, weight, log_weight)
+            return weight * (math.sqrt(net + m) - sqrt_wealth)
+
+        return term, far
+
+    def huge_log_factors(self, ns: np.ndarray, net: float, wealth: float) -> np.ndarray:
+        return _doubling_log(ns, net, np.log1p, np.ldexp) - math.log(wealth)
+
+
 @dataclass(frozen=True)
-class BernoulliOriginal:
+class BernoulliOriginal(_Doubling):
     """Classic doubling payout: waiting time ``n`` pays ``2**(n - 1)``.
 
     The payout for ``n`` beyond the range of a double saturates to
     ``inf``; series evaluation handles those indices in log space.
     """
 
+    token = "bernoulli"
+    _last_paid = math.inf
+
+    def payout_tail(self, p: float) -> Optional[Tail]:
+        # term = p q^(n-1) 2^(n-1), exactly geometric in 2q
+        ratio = 2.0 * (1.0 - p)
+        if ratio >= 1.0:
+            return None
+        return Tail(1, lambda n: p * ratio ** n / (1.0 - ratio), exact=True)
+
+    def log_tail(self, p: float, net: float, wealth: float) -> Optional[Tail]:
+        # |term_k| <= p q^(k-1) (alpha + ln2 (k-1)) once 2^(k-1) clears the
+        # price; summed, sum_{k>n} p q^(k-1) (alpha + ln2 (k-1)) is
+        # q^n (alpha + ln2 (n + q/p))
+        q = 1.0 - p
+        alpha = math.log1p(1.0 / wealth)
+        price_like = wealth - net
+        start = 1 if price_like <= 1.0 else int(math.floor(math.log2(price_like))) + 2
+        return Tail(start, lambda n: q ** n * (alpha + _LN2 * (n + q / p)))
+
+    def sqrt_tail(self, p: float, net: float, wealth: float) -> Optional[Tail]:
+        # |term_k| <= p q^(k-1) (sqrt(w) + sqrt(2)^(k-1)): geometric for q sqrt(2) < 1
+        q = 1.0 - p
+        growth = q * math.sqrt(2.0)
+        if growth >= 1.0:
+            return None
+        sqrt_wealth = math.sqrt(wealth)
+        return Tail(1, lambda n: sqrt_wealth * q ** n + p * growth ** n / (1.0 - growth))
+
 
 @dataclass(frozen=True)
-class Menger:
+class Menger(PayoutRule):
     """Wealth-scaled super-exponential payout: ``n`` pays ``w * (exp(2**n) - 1)``.
 
     Payouts exceed the double range from ``n = 10`` on and saturate to
     ``inf``; series evaluation handles them in log space.
     """
 
+    token = "menger"
+
+    def payout(self, n: int, wealth: float = 1.0) -> float:
+        try:
+            return wealth * math.expm1(2.0 ** n)
+        except OverflowError:
+            return math.inf
+
+    def payouts(self, ns: np.ndarray, wealth: float) -> np.ndarray:
+        # numpy's expm1 may differ from math.expm1 in the last bit, so the
+        # few finite payouts come from the scalar one
+        out = np.full(len(ns), math.inf)
+        small = ns < _MENGER_OVERFLOW_N
+        out[small] = [self.payout(int(n), wealth) for n in ns[small]]
+        return out
+
+    def log_terms(self, net: float, wealth: float) -> Tuple[Term, Term]:
+        # ln(net + w e^T - w) - ln w  =  T + log1p((net - w) e^-T / w)
+        def term(n: int, weight: float, log_weight: float) -> float:
+            try:
+                t = 2.0 ** n
+            except OverflowError:
+                t = math.inf
+            damp = math.exp(-t) if t < 745.0 else 0.0
+            return weight * (t + math.log1p((net - wealth) * damp / wealth))
+
+        def far(n: int, weight: float, log_weight: float) -> float:
+            # the weight underflows while the term explodes
+            return math.exp(log_weight + n * _LN2)
+
+        return term, far
+
+    def log_tail(self, p: float, net: float, wealth: float) -> Optional[Tail]:
+        q = 1.0 - p
+        ratio = 2.0 * q
+        if ratio >= 1.0:
+            return None
+        try:
+            kappa = abs(math.log1p((net - wealth) * math.exp(-2.0) / wealth))
+        except ValueError:
+            return None  # the first outcome bankrupts; its term says so
+        return Tail(1, lambda n: kappa * q ** n + 2.0 * p * ratio ** n / (1.0 - ratio))
+
+    def huge_log_factors(self, ns: np.ndarray, net: float, wealth: float) -> np.ndarray:
+        # the factor is e^x + (net - w) / w with x = 2**n
+        x = np.exp2(ns.astype(np.float64))
+        return x + np.log1p((net - wealth) * np.exp(-x) / wealth)
+
 
 @dataclass(frozen=True)
-class Capped:
+class Capped(_Doubling):
     """Doubling payout with a hard bank limit.
 
     Waiting time ``n`` pays ``2**(n - 1)`` as long as that amount does not
@@ -57,9 +318,27 @@ class Capped:
         if self.max_payout <= 0:
             raise ValueError(f"max_payout must be positive, got {self.max_payout!r}")
 
+    @property
+    def token(self) -> str:
+        return f"capped:{self.max_payout!r}"
+
+    @cached_property
+    def _last_paid(self) -> int:
+        return cap_point(self.max_payout)
+
+    def min_payout(self, wealth: float) -> float:
+        return 0.0  # runs past the cap pay nothing
+
+    def tail(self, term: Term, p: float) -> Optional[Tail]:
+        # every outcome past the cap pays nothing, so the rest is the next
+        # outcome's term at the weight q**n of all of them together
+        q = 1.0 - p
+        return Tail(max(self._last_paid, 1),
+                    lambda n: term(n + 1, q ** n, n * math.log1p(-p)), exact=True)
+
 
 @dataclass(frozen=True)
-class Table:
+class Table(PayoutRule):
     """Explicit finite gamble given as ``(probability, payout)`` rows.
 
     Probabilities must be strictly positive and sum to one within
@@ -89,8 +368,42 @@ class Table:
                 f"{self.probability_tolerance!r}"
             )
 
+    @property
+    def token(self) -> str:
+        return f"table:{len(self.rows)} rows"
 
-PayoutRule = Union[BernoulliOriginal, Menger, Capped, Table]
+    @property
+    def support_size(self) -> int:
+        return len(self.rows)
+
+    def _row(self, n: int) -> Tuple[float, float]:
+        if n > len(self.rows):
+            raise OutOfSupportError(f"outcome {n} beyond table of {len(self.rows)} rows")
+        return self.rows[n - 1]
+
+    def payout(self, n: int, wealth: float = 1.0) -> float:
+        return self._row(n)[1]
+
+    def payouts(self, ns: np.ndarray, wealth: float) -> np.ndarray:
+        return np.array([m for _, m in self.rows])[ns - 1]
+
+    def min_payout(self, wealth: float) -> float:
+        return min(m for _, m in self.rows)
+
+    def tail(self, term: Term, p: float) -> Optional[Tail]:
+        return Tail(len(self.rows), lambda n: 0.0, exact=True)
+
+    def outcomes(self, p: float, max_terms: int) -> Iterator[Tuple[int, float, float]]:
+        probs = [prob for prob, _ in self.rows]
+        return zip(count(1), probs, map(math.log, probs))
+
+    def probability(self, n: int, p: float) -> float:
+        return self._row(n)[0]
+
+    def waiting_times(self, u: np.ndarray, p: float) -> np.ndarray:
+        cumulative = np.cumsum([prob for prob, _ in self.rows])
+        idx = np.searchsorted(cumulative, u, side="right")
+        return np.minimum(idx, len(self.rows) - 1).astype(np.int64) + 1
 
 
 @dataclass(frozen=True)
@@ -153,7 +466,8 @@ def cap_point(max_payout: float) -> int:
     # guard against float rounding of log2 near exact powers of two
     while k >= 1 and math.ldexp(1.0, k - 1) > max_payout:
         k -= 1
-    while k < 1075 and math.ldexp(1.0, k) <= max_payout:
+    # 2**1024 is past the double range, so no finite cap reaches it
+    while k < 1024 and math.ldexp(1.0, k) <= max_payout:
         k += 1
     return k
 
@@ -174,36 +488,12 @@ def payout(spec: GambleSpec, n: int, wealth: float = 1.0) -> float:
     Raises:
         OutOfSupportError: If ``n`` lies beyond a finite payout table.
     """
-    n = _check_waiting_time(n)
-    rule = spec.payout_rule
-    if isinstance(rule, Table):
-        if n > len(rule.rows):
-            raise OutOfSupportError(f"outcome {n} beyond table of {len(rule.rows)} rows")
-        return rule.rows[n - 1][1]
-    if isinstance(rule, Menger):
-        try:
-            return wealth * math.expm1(2.0 ** n)
-        except OverflowError:
-            return math.inf
-    try:
-        base = math.ldexp(1.0, n - 1)
-    except OverflowError:
-        base = math.inf
-    if isinstance(rule, Capped):
-        return base if base <= rule.max_payout else 0.0
-    return base
+    return spec.payout_rule.payout(_check_waiting_time(n), wealth)
 
 
 def probability(spec: GambleSpec, n: int) -> float:
     """Probability of outcome ``n`` under the spec's waiting-time law."""
-    n = _check_waiting_time(n)
-    rule = spec.payout_rule
-    if isinstance(rule, Table):
-        if n > len(rule.rows):
-            raise OutOfSupportError(f"outcome {n} beyond table of {len(rule.rows)} rows")
-        return rule.rows[n - 1][0]
-    p = spec.probability_parameter
-    return p * (1.0 - p) ** (n - 1)
+    return spec.payout_rule.probability(_check_waiting_time(n), spec.probability_parameter)
 
 
 def growth_factor(state: PlayerState, spec: GambleSpec, n: int) -> float:
@@ -218,8 +508,7 @@ def growth_factor(state: PlayerState, spec: GambleSpec, n: int) -> float:
 
 def support_size(spec: GambleSpec) -> Optional[int]:
     """Number of outcomes, or ``None`` for an infinite-support gamble."""
-    rule = spec.payout_rule
-    return len(rule.rows) if isinstance(rule, Table) else None
+    return spec.payout_rule.support_size
 
 
 def min_payout(spec: GambleSpec, wealth: float = 1.0) -> float:
@@ -228,13 +517,7 @@ def min_payout(spec: GambleSpec, wealth: float = 1.0) -> float:
     Determines the bankruptcy threshold on the ticket price: a price of
     ``wealth + min_payout`` or more makes some outcome nonpositive.
     """
-    rule = spec.payout_rule
-    if isinstance(rule, Table):
-        return min(m for _, m in rule.rows)
-    if isinstance(rule, Capped):
-        # runs past the cap pay nothing
-        return 0.0
-    return payout(spec, 1, wealth)
+    return spec.payout_rule.min_payout(wealth)
 
 
 def load_table(path: str, probability_tolerance: float = 1e-9) -> Table:

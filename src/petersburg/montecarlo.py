@@ -32,12 +32,9 @@ from typing import Callable, Dict, Iterator, Optional, Tuple, TypeVar, Union
 
 import numpy as np
 
-from .gamble import Capped, GambleSpec, Menger, PlayerState, Table, payout
+from .gamble import GambleSpec, PlayerState
 
 _BLOCK_SIZE = 1 << 16
-
-#: Menger payouts ``w * expm1(2**n)`` exceed the double range from here on.
-_MENGER_OVERFLOW_N = 10
 
 _T = TypeVar("_T")
 
@@ -161,19 +158,7 @@ def _block_waiting_times(spec: GambleSpec, seed: int, block: int, size: int) -> 
     if scratch is None:
         scratch = _scratch.uniforms = np.empty(_BLOCK_SIZE)
     u = _block_generator(seed, block).random(size, out=scratch[:size])
-    rule = spec.payout_rule
-    if isinstance(rule, Table):
-        cumulative = np.cumsum([p for p, _ in rule.rows])
-        idx = np.searchsorted(cumulative, u, side="right")
-        return np.minimum(idx, len(rule.rows) - 1).astype(np.int64) + 1
-    # inverse CDF of the geometric law: P(n > k) = (1-p)^k, in place;
-    # 1 - u lies in (0, 1], which keeps the log finite
-    np.subtract(1.0, u, out=u)
-    np.log(u, out=u)
-    u /= math.log1p(-spec.probability_parameter)
-    np.ceil(u, out=u)
-    np.maximum(u, 1.0, out=u)
-    return u.astype(np.int64)
+    return spec.payout_rule.waiting_times(u, spec.probability_parameter)
 
 
 def _map_blocks(fn: Callable[[int, int, int], _T], count: int, workers: int) -> Iterator[_T]:
@@ -238,25 +223,6 @@ def draw_waiting_times(
 # ====== Factor tables ======
 
 
-def _payouts(spec: GambleSpec, ns: np.ndarray, wealth: float) -> np.ndarray:
-    """:func:`payout` at each waiting time in ``ns``, bit for bit."""
-    rule = spec.payout_rule
-    if isinstance(rule, Table):
-        return np.array([m for _, m in rule.rows])[ns - 1]
-    if isinstance(rule, Menger):
-        # numpy's expm1 may differ from math.expm1 in the last bit, so the
-        # few finite payouts come from the scalar reference
-        out = np.full(len(ns), math.inf)
-        small = ns < _MENGER_OVERFLOW_N
-        out[small] = [payout(spec, int(n), wealth) for n in ns[small]]
-        return out
-    with np.errstate(over="ignore"):
-        base = np.ldexp(1.0, np.minimum(ns - 1, 1024))
-    if isinstance(rule, Capped):
-        return np.where(base <= rule.max_payout, base, 0.0)
-    return base
-
-
 def _growth_factors(state: PlayerState, spec: GambleSpec, ns: np.ndarray) -> np.ndarray:
     """:func:`growth_factor` at each waiting time in ``ns``, bit for bit.
 
@@ -265,7 +231,7 @@ def _growth_factors(state: PlayerState, spec: GambleSpec, ns: np.ndarray) -> np.
     """
     w = state.wealth
     with np.errstate(over="ignore"):
-        return (w - state.ticket_price + _payouts(spec, ns, w)) / w
+        return (w - state.ticket_price + spec.payout_rule.payouts(ns, w)) / w
 
 
 def _log_growth_factors(state: PlayerState, spec: GambleSpec, ns: np.ndarray) -> np.ndarray:
@@ -278,24 +244,10 @@ def _log_growth_factors(state: PlayerState, spec: GambleSpec, ns: np.ndarray) ->
     factors = _growth_factors(state, spec, ns)
     logs = np.log(factors, out=np.full(len(ns), math.nan), where=factors > 0.0)
     huge = np.isinf(factors)
-    if not huge.any():
-        return logs
-    n = ns[huge]
-    w = state.wealth
-    net = w - state.ticket_price
-    rule = spec.payout_rule
-    with np.errstate(over="ignore"):
-        if isinstance(rule, Menger):
-            # f = e^x + (net - w) / w with x = 2**n
-            x = np.exp2(n.astype(np.float64))
-            logs[huge] = x + np.log1p((net - w) * np.exp(-x) / w)
-        elif isinstance(rule, Table):
-            m = _payouts(spec, n, w)
-            logs[huge] = np.log(m) + np.log1p(net / m) - math.log(w)
-        else:
-            # the payout is 2**(n - 1)
-            logs[huge] = ((n - 1) * math.log(2.0) + np.log1p(np.ldexp(net, 1 - n))
-                          - math.log(w))
+    if huge.any():
+        w = state.wealth
+        with np.errstate(over="ignore"):
+            logs[huge] = spec.payout_rule.huge_log_factors(ns[huge], w - state.ticket_price, w)
     return logs
 
 

@@ -12,8 +12,11 @@ Rather than truncating blindly, each evaluation returns a
 * ``Undefined`` -- some outcome requires the log (or other utility) of a
   nonpositive quantity, e.g. a ticket price that risks bankruptcy.
 
-Divergence detection only runs for series that lack a convergent
-closed-form envelope: when an envelope exists the series is provably
+All criteria are one sum, ``sum P(n) * gain(n)``, taken by one loop,
+:func:`_sum`.  The payout rule supplies the terms and, where it knows
+one, the tail: summed exactly (capped, table and exactly geometric
+tails) or bounded by a closed-form envelope.  Divergence detection only
+runs for series without a tail: with one the series is provably
 convergent, and heavy-tailed cases (small geometric parameter) rise for
 many terms before decaying, which would otherwise look like divergence.
 """
@@ -26,18 +29,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Union
 
-from .gamble import (
-    BernoulliOriginal,
-    Capped,
-    GambleSpec,
-    Menger,
-    PlayerState,
-    Table,
-    cap_point,
-    payout,
-)
+from .gamble import GambleSpec, PlayerState, Tail, Term
 
-_LN2 = math.log(2.0)
 # consecutive-term ratios at or above 1 - slack count as "not decaying"
 _RATIO_SLACK = 1e-12
 
@@ -125,12 +118,11 @@ class SeriesResult:
         return self.classification is Classification.CONVERGED
 
 
-class _UndefinedTerm(Exception):
-    """Internal: a term's utility argument left the admissible domain."""
+class _UndefinedTerm(ValueError):
+    """Internal: a custom utility rejected its argument."""
 
-    def __init__(self, reason: UndefinedReason, index: int):
+    def __init__(self, reason: UndefinedReason):
         self.reason = reason
-        self.index = index
         super().__init__(reason.value)
 
 
@@ -155,56 +147,68 @@ def _window_divergence(window: "deque[float]") -> int:
     return sign
 
 
-def _sum_table(
-    rule: Table,
-    term_value: Callable[[int, float], float],
-) -> SeriesResult:
-    """Sum a finite table exactly.  ``term_value(n, prob)`` yields the full term."""
-    total = 0.0
-    for n, (p, _) in enumerate(rule.rows, start=1):
-        try:
-            total += term_value(n, p)
-        except _UndefinedTerm as exc:
-            return SeriesResult.undefined(exc.reason, exc.index)
-    return SeriesResult.converged(total, 0.0, len(rule.rows))
+def _empirical_bound(window: "deque[float]") -> Optional[float]:
+    """Geometric envelope of the tail fitted to the trailing window, if any."""
+    mags = [abs(t) for t in window]
+    if all(m == 0.0 for m in mags):
+        return 0.0
+    if all(m > 0.0 for m in mags[:-1]):
+        rho = max(b / a for a, b in zip(mags, mags[1:]))
+        if rho < 1.0:
+            return mags[-1] * rho / (1.0 - rho)
+    return None
 
 
-def _sum_geometric(
-    p: float,
+def _undefined(exc: ValueError, n: int) -> SeriesResult:
+    """A term raised ``exc``: a log or root of nonpositive wealth, unless a
+    custom utility says otherwise."""
+    return SeriesResult.undefined(getattr(exc, "reason", UndefinedReason.BANKRUPTCY_TERM), n)
+
+
+def _sum(
+    spec: GambleSpec,
     policy: TruncationPolicy,
-    term: Callable[[int, float, float], float],
-    tail_bound: Optional[Callable[[int], float]] = None,
-    exact_tail: Optional[Callable[[int], float]] = None,
-    tail_start: int = 1,
+    term: Term,
+    far: Optional[Term] = None,
+    tail: Optional[Tail] = None,
+    empirical: bool = False,
 ) -> SeriesResult:
-    """Accumulate weighted terms of a geometric-waiting-time series.
+    """Sum ``term(n, P(n), ln P(n))`` over the outcomes of ``spec``.
 
-    ``term(n, weight, log_weight)`` returns the full n-th term, where
-    ``weight = p * (1-p)**(n-1)`` (and its log, for extreme indices).
-    ``tail_bound(n)`` bounds the omitted mass beyond term ``n`` and
-    ``exact_tail(n)`` sums it in closed form; both are only consulted for
-    ``n >= tail_start``.  Divergence detection runs only when no envelope
-    was supplied (an envelope proves convergence up front).
+    Past ``n = 900`` the terms come from ``far`` (default ``term``).  The
+    rule's exact tail past its last paid outcome, if it has one, replaces
+    ``tail``.  From ``tail.start`` on, the sum stops once ``tail.rest(n)``
+    sums the rest (``tail.exact``) or bounds it within the tolerance.
+    Without a tail, a window of non-decaying terms means divergence.  With
+    ``empirical`` (a custom utility, whose terms may rise while ``n`` is
+    below the mean waiting time ``1/p``, as ``P(n) n`` does) the window
+    starts past ``1/p``, and a geometric envelope fitted to it may
+    certify convergence.
     """
-    q = 1.0 - p
-    log_q = math.log1p(-p)
-    weight = p
-    log_weight = math.log(p)
-    has_envelope = tail_bound is not None or exact_tail is not None
+    rule = spec.payout_rule
+    p = spec.probability_parameter
+    tail = rule.tail(term, p) or tail
+    start, rest, exact = tail or (None, None, False)
+    far = far or term
+    window_from = int(1.0 / p) + 1 if empirical else 1
     window: deque = deque(maxlen=policy.divergence_window)
     total = 0.0
-    for n in range(1, policy.max_terms + 1):
+    for n, weight, log_weight in rule.outcomes(p, policy.max_terms):
+        if n > 900:  # weights and payouts leave the double range
+            term = far
         try:
             tau = term(n, weight, log_weight)
-        except _UndefinedTerm as exc:
-            return SeriesResult.undefined(exc.reason, exc.index)
-        if math.isinf(tau):
+        except ValueError as exc:
+            return _undefined(exc, n)
+        if not math.isfinite(tau):
+            if math.isnan(tau):
+                raise FloatingPointError(f"term {n} evaluated to NaN")
             return (SeriesResult.diverges_positive(n) if tau > 0
                     else SeriesResult.diverges_negative(n))
-        if math.isnan(tau):
-            raise FloatingPointError(f"term {n} evaluated to NaN")
         total += tau
-        if not has_envelope:
+        if start is None:
+            if n < window_from:
+                continue
             window.append(tau)
             if len(window) == window.maxlen:
                 sign = _window_divergence(window)
@@ -212,111 +216,23 @@ def _sum_geometric(
                     return SeriesResult.diverges_positive(n)
                 if sign < 0:
                     return SeriesResult.diverges_negative(n)
-        if n >= tail_start:
-            if exact_tail is not None:
-                try:
-                    rest = exact_tail(n)
-                except _UndefinedTerm as exc:
-                    return SeriesResult.undefined(exc.reason, exc.index)
-                return SeriesResult.converged(total + rest, 0.0, n)
-            if tail_bound is not None:
-                bound = tail_bound(n)
-                if bound <= policy.tolerance:
+                bound = _empirical_bound(window) if empirical else None
+                if bound is not None and bound <= policy.tolerance:
                     return SeriesResult.converged(total, bound, n)
-        weight *= q
-        log_weight += log_q
+        elif n >= start:
+            if exact:
+                try:
+                    omitted = rest(n)
+                except ValueError as exc:
+                    return _undefined(exc, n + 1)
+                return SeriesResult.converged(total + omitted, 0.0, n)
+            bound = rest(n)
+            if bound <= policy.tolerance:
+                return SeriesResult.converged(total, bound, n)
     raise TruncationInconclusiveError(
         f"no tail bound below {policy.tolerance!r} and no divergence detected "
         f"within {policy.max_terms} terms"
     )
-
-
-def _poly_geometric_tail(p: float, q: float, alpha: float, beta: float, n: int) -> float:
-    """Closed form of ``sum_{k>n} p q^(k-1) (alpha + beta (k-1))``."""
-    return q ** n * (alpha + beta * (n + q / p))
-
-
-# ---------------------------------------------------------------------------
-# per-rule term values
-# ---------------------------------------------------------------------------
-
-def _doubling_payout_upto(rule: Union[BernoulliOriginal, Capped], n: int) -> float:
-    """Payout of a doubling rule for moderate n (callers keep n <= ~900)."""
-    m = math.ldexp(1.0, n - 1)
-    if isinstance(rule, Capped) and m > rule.max_payout:
-        return 0.0
-    return m
-
-
-def _log_gain_value(spec: GambleSpec, wealth: float, net: float, n: int) -> float:
-    """Unweighted log term ``ln(net + payout_n) - ln(wealth)``.
-
-    ``net`` is the wealth that survives the round regardless of outcome
-    (``wealth - price`` for the time criterion, ``wealth`` for the
-    original Bernoulli criterion, which ignores the price on the gain
-    side).  Robust for indices whose payout overflows a double.
-
-    Raises:
-        _UndefinedTerm: If ``net + payout_n`` is not strictly positive.
-    """
-    rule = spec.payout_rule
-    log_wealth = math.log(wealth)
-    if isinstance(rule, Menger):
-        # ln(net + w e^T - w) - ln w  =  T + log1p((net - w) e^-T / w)
-        try:
-            t_exp = 2.0 ** n
-        except OverflowError:
-            t_exp = math.inf
-        damp = math.exp(-t_exp) if t_exp < 745.0 else 0.0
-        try:
-            corr = math.log1p((net - wealth) * damp / wealth)
-        except ValueError:
-            raise _UndefinedTerm(UndefinedReason.BANKRUPTCY_TERM, n) from None
-        return t_exp + corr
-    if isinstance(rule, Table):
-        m = rule.rows[n - 1][1]
-        arg = net + m
-        if arg <= 0.0:
-            raise _UndefinedTerm(UndefinedReason.BANKRUPTCY_TERM, n)
-        return math.log(arg) - log_wealth
-    # doubling rules
-    if n <= 900:
-        arg = net + _doubling_payout_upto(rule, n)
-        if arg <= 0.0:
-            raise _UndefinedTerm(UndefinedReason.BANKRUPTCY_TERM, n)
-        return math.log(arg) - log_wealth
-    # payout dwarfs |net|: ln(net + 2^(n-1)) = (n-1) ln 2 + log1p(net 2^(1-n))
-    return (n - 1) * _LN2 + math.log1p(net * math.ldexp(1.0, 1 - n)) - log_wealth
-
-
-def _sqrt_gain_value(spec: GambleSpec, wealth: float, net: float, n: int) -> float:
-    """Unweighted square-root term ``sqrt(net + payout_n) - sqrt(wealth)``."""
-    rule = spec.payout_rule
-    sqrt_wealth = math.sqrt(wealth)
-    if isinstance(rule, Table):
-        arg = net + rule.rows[n - 1][1]
-        if arg < 0.0:
-            raise _UndefinedTerm(UndefinedReason.BANKRUPTCY_TERM, n)
-        return math.sqrt(arg) - sqrt_wealth
-    if isinstance(rule, Menger):
-        try:
-            m = wealth * math.expm1(2.0 ** n)
-        except OverflowError:
-            return math.inf
-        arg = net + m
-        if arg < 0.0:
-            raise _UndefinedTerm(UndefinedReason.BANKRUPTCY_TERM, n)
-        return math.sqrt(arg) - sqrt_wealth
-    if n <= 900:
-        arg = net + _doubling_payout_upto(rule, n)
-        if arg < 0.0:
-            raise _UndefinedTerm(UndefinedReason.BANKRUPTCY_TERM, n)
-        return math.sqrt(arg) - sqrt_wealth
-    half_log = 0.5 * ((n - 1) * _LN2 + math.log1p(net * math.ldexp(1.0, 1 - n)))
-    try:
-        return math.exp(half_log) - sqrt_wealth
-    except OverflowError:
-        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -344,39 +260,12 @@ def expected_payout(
     """
     policy = policy or TruncationPolicy()
     rule = spec.payout_rule
-    if isinstance(rule, Table):
-        return _sum_table(rule, lambda n, p: p * rule.rows[n - 1][1])
+    payout = rule.payout
 
-    p = spec.probability_parameter
-    q = 1.0 - p
-
-    if isinstance(rule, Menger):
-        def term(n: int, weight: float, log_weight: float) -> float:
-            try:
-                return weight * (wealth * math.expm1(2.0 ** n))
-            except OverflowError:
-                return math.inf
-
-        return _sum_geometric(p, policy, term)
-
-    # doubling rules: term = p q^(n-1) 2^(n-1), exactly geometric in 2q
     def term(n: int, weight: float, log_weight: float) -> float:
-        return weight * _doubling_payout_upto(rule, n)
+        return weight * payout(n, wealth)
 
-    if isinstance(rule, Capped):
-        last_paid = cap_point(rule.max_payout)
-        return _sum_geometric(
-            p, policy, term,
-            exact_tail=lambda n: 0.0,
-            tail_start=max(last_paid, 1),
-        )
-    if 2.0 * q < 1.0:
-        ratio = 2.0 * q
-        return _sum_geometric(
-            p, policy, term,
-            exact_tail=lambda n: p * ratio ** n / (1.0 - ratio),
-        )
-    return _sum_geometric(p, policy, term)
+    return _sum(spec, policy, term, tail=rule.payout_tail(spec.probability_parameter))
 
 
 def _log_change_series(
@@ -385,92 +274,34 @@ def _log_change_series(
     net: float,
     policy: TruncationPolicy,
 ) -> SeriesResult:
-    """Sum of ``P(n) * (ln(net + payout_n) - ln(wealth))`` over outcomes."""
+    """Sum of ``P(n) * (ln(net + payout_n) - ln(wealth))`` over outcomes.
+
+    ``net`` is the wealth that survives the round regardless of outcome
+    (``wealth - price`` for the time criterion, ``wealth`` for the
+    original Bernoulli criterion, which ignores the price on the gain
+    side).
+    """
     rule = spec.payout_rule
-    if isinstance(rule, Table):
-        return _sum_table(
-            rule, lambda n, p: p * _log_gain_value(spec, wealth, net, n)
-        )
-
-    p = spec.probability_parameter
-    q = 1.0 - p
-
-    def term(n: int, weight: float, log_weight: float) -> float:
-        return weight * _log_gain_value(spec, wealth, net, n)
-
-    if isinstance(rule, Menger):
-        def menger_term(n: int, weight: float, log_weight: float) -> float:
-            if n <= 900:
-                return weight * _log_gain_value(spec, wealth, net, n)
-            # weight underflows while the term explodes: combine in log space
-            return math.exp(log_weight + n * _LN2)
-
-        if 2.0 * q >= 1.0:
-            return _sum_geometric(p, policy, menger_term)
-        try:
-            kappa = abs(math.log1p((net - wealth) * math.exp(-2.0) / wealth))
-        except ValueError:
-            # net + first payout <= 0: the very first outcome bankrupts
-            return SeriesResult.undefined(UndefinedReason.BANKRUPTCY_TERM, 1)
-        ratio = 2.0 * q
-
-        def menger_tail(n: int) -> float:
-            return kappa * q ** n + 2.0 * p * ratio ** n / (1.0 - ratio)
-
-        return _sum_geometric(p, policy, menger_term, tail_bound=menger_tail)
-
-    if isinstance(rule, Capped):
-        last_paid = cap_point(rule.max_payout)
-
-        def capped_tail(n: int) -> float:
-            if net <= 0.0:
-                raise _UndefinedTerm(UndefinedReason.BANKRUPTCY_TERM, n + 1)
-            return (math.log(net) - math.log(wealth)) * q ** n
-
-        return _sum_geometric(
-            p, policy, term, exact_tail=capped_tail, tail_start=max(last_paid, 1)
-        )
-
-    # classic doubling payouts: |tail terms| <= p q^(k-1) (alpha + ln2 (k-1))
-    # once 2^(k-1) clears the price, giving a polynomial-geometric envelope
-    alpha = math.log1p(1.0 / wealth)
-    price_like = wealth - net
-    tail_start = 1 if price_like <= 1.0 else int(math.floor(math.log2(price_like))) + 2
-
-    def doubling_tail(n: int) -> float:
-        return _poly_geometric_tail(p, q, alpha, _LN2, n)
-
-    return _sum_geometric(
-        p, policy, term, tail_bound=doubling_tail, tail_start=tail_start
-    )
+    term, far = rule.log_terms(net, wealth)
+    return _sum(spec, policy, term, far, rule.log_tail(spec.probability_parameter, net, wealth))
 
 
-def _log_change_slope(spec: GambleSpec, wealth: float, net: float, terms_used: int) -> float:
+def _log_change_slope(spec: GambleSpec, wealth: float, net: float, terms_used: int,
+                      policy: TruncationPolicy) -> float:
     """``sum P(n) / (net + payout_n)``, minus the derivative of the log
     change series in the price.
 
     Summed over the ``terms_used`` terms of a converged value of that
-    series, plus the exact tail of a capped rule, whose outcomes past
-    the cap all pay nothing.  It only steers the break-even solver and
-    carries no error bound.
+    series under ``policy``, plus the exact tail of a capped rule, whose
+    outcomes past the cap all pay nothing.  It only steers the
+    break-even solver and carries no error bound.
     """
-    rule = spec.payout_rule
-    if isinstance(rule, Table):
-        return sum(p / (net + m) for p, m in rule.rows)
-    p = spec.probability_parameter
-    q = 1.0 - p
-    menger = isinstance(rule, Menger)
-    # a doubling payout is 2**(n-1); a capped series stops at its last paid n
-    weight, m, total = p, 1.0, 0.0
-    for n in range(1, terms_used + 1):
-        if menger:
-            m = payout(spec, n, wealth)
-        total += weight / (net + m)
-        weight *= q
-        m *= 2.0
-    if isinstance(rule, Capped):
-        total += q ** terms_used / net
-    return total
+    payout = spec.payout_rule.payout
+
+    def term(n: int, weight: float, log_weight: float) -> float:
+        return weight / (net + payout(n, wealth))
+
+    return _sum(spec, policy, term, tail=Tail(terms_used, lambda n: 0.0, exact=True)).value
 
 
 def time_average_growth(
@@ -581,10 +412,12 @@ def expected_utility_change(
         ``log``, negative for ``sqrt``) yield ``Undefined``.
 
     Note:
-        Custom callables get no closed-form tail envelope; convergence is
-        then certified from an empirical geometric envelope fitted to the
-        trailing window, and rising-then-decaying term patterns may be
-        misread as divergence.
+        Custom callables get no closed-form tail envelope, except the
+        exact tails of capped and table gambles; convergence is then
+        certified from an empirical geometric envelope fitted to the
+        trailing window.  Window and envelope start past the mean waiting
+        time ``1/p``; terms that still rise after it (e.g. at wealth far
+        above the early payouts) may be misread as divergence.
     """
     policy = policy or TruncationPolicy()
     w, c = state.wealth, state.ticket_price
@@ -602,42 +435,8 @@ def _sqrt_change_series(
     spec: GambleSpec, wealth: float, net: float, policy: TruncationPolicy
 ) -> SeriesResult:
     rule = spec.payout_rule
-    if isinstance(rule, Table):
-        return _sum_table(
-            rule, lambda n, p: p * _sqrt_gain_value(spec, wealth, net, n)
-        )
-    p = spec.probability_parameter
-    q = 1.0 - p
-
-    def term(n: int, weight: float, log_weight: float) -> float:
-        if n <= 900:
-            return weight * _sqrt_gain_value(spec, wealth, net, n)
-        half_log = 0.5 * ((n - 1) * _LN2 + math.log1p(net * math.ldexp(1.0, 1 - n)))
-        return math.exp(log_weight + half_log) - weight * math.sqrt(wealth)
-
-    if isinstance(rule, Menger):
-        return _sum_geometric(p, policy, term)
-    if isinstance(rule, Capped):
-        last_paid = cap_point(rule.max_payout)
-
-        def capped_tail(n: int) -> float:
-            if net < 0.0:
-                raise _UndefinedTerm(UndefinedReason.BANKRUPTCY_TERM, n + 1)
-            return (math.sqrt(net) - math.sqrt(wealth)) * q ** n
-
-        return _sum_geometric(
-            p, policy, term, exact_tail=capped_tail, tail_start=max(last_paid, 1)
-        )
-    # |term_k| <= p q^(k-1) (sqrt(w) + sqrt(2)^(k-1)): geometric for q sqrt(2) < 1
-    growth = q * math.sqrt(2.0)
-    if growth >= 1.0:
-        return _sum_geometric(p, policy, term)
-    sqrt_wealth = math.sqrt(wealth)
-
-    def sqrt_tail(n: int) -> float:
-        return sqrt_wealth * q ** n + p * growth ** n / (1.0 - growth)
-
-    return _sum_geometric(p, policy, term, tail_bound=sqrt_tail)
+    term, far = rule.sqrt_terms(net, wealth)
+    return _sum(spec, policy, term, far, rule.sqrt_tail(spec.probability_parameter, net, wealth))
 
 
 def _custom_change_series(
@@ -648,57 +447,18 @@ def _custom_change_series(
     utility: Callable[[float], float],
 ) -> SeriesResult:
     base = utility(wealth)
+    payout = spec.payout_rule.payout
 
-    def change(n: int) -> float:
-        arg = net + payout(spec, n, wealth)
+    def term(n: int, weight: float, log_weight: float) -> float:
+        arg = net + payout(n, wealth)
         try:
-            return utility(arg) - base
+            change = utility(arg) - base
         except (ValueError, OverflowError):
-            reason = (UndefinedReason.BANKRUPTCY_TERM if arg <= 0.0
-                      else UndefinedReason.NONPOSITIVE_LOG_ARGUMENT)
-            raise _UndefinedTerm(reason, n) from None
+            raise _UndefinedTerm(UndefinedReason.BANKRUPTCY_TERM if arg <= 0.0
+                                 else UndefinedReason.NONPOSITIVE_LOG_ARGUMENT) from None
+        return weight * change
 
-    rule = spec.payout_rule
-    if isinstance(rule, Table):
-        return _sum_table(rule, lambda n, p: p * change(n))
-
-    p = spec.probability_parameter
-    window: deque = deque(maxlen=policy.divergence_window)
-    weight = p
-    q = 1.0 - p
-    total = 0.0
-    for n in range(1, policy.max_terms + 1):
-        try:
-            tau = weight * change(n)
-        except _UndefinedTerm as exc:
-            return SeriesResult.undefined(exc.reason, exc.index)
-        if math.isinf(tau):
-            return (SeriesResult.diverges_positive(n) if tau > 0
-                    else SeriesResult.diverges_negative(n))
-        total += tau
-        window.append(tau)
-        if len(window) == window.maxlen:
-            sign = _window_divergence(window)
-            if sign > 0:
-                return SeriesResult.diverges_positive(n)
-            if sign < 0:
-                return SeriesResult.diverges_negative(n)
-            # empirical geometric envelope from the trailing window
-            mags = [abs(t) for t in window]
-            ratios = [b / a for a, b in zip(mags, mags[1:]) if a > 0.0]
-            if ratios and all(m > 0.0 for m in mags[:-1]):
-                rho = max(ratios)
-                if rho < 1.0:
-                    bound = mags[-1] * rho / (1.0 - rho)
-                    if bound <= policy.tolerance:
-                        return SeriesResult.converged(total, bound, n)
-            if all(m == 0.0 for m in mags):
-                return SeriesResult.converged(total, 0.0, n)
-        weight *= q
-    raise TruncationInconclusiveError(
-        f"no empirical tail bound below {policy.tolerance!r} within "
-        f"{policy.max_terms} terms"
-    )
+    return _sum(spec, policy, term, empirical=True)
 
 
 def bernoulli_literal_lhs(

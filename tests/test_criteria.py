@@ -231,6 +231,15 @@ class TestBreakevenSolver:
         _assert_certified(probes, price, 1e-10)
         assert abs(price - BREAKEVEN_100) < 1e-10
 
+    @pytest.mark.parametrize("rule", [Capped(0.784), Table(((0.5, 0.0), (0.5, 0.0)))])
+    def test_gamble_that_never_pays_has_no_root(self, monkeypatch, rule):
+        # the rate is ln(1 - c/w) < 0 at every positive price; it rounds
+        # to 0 only below ulp(wealth), where a scan used to end
+        probes = _recording_growth(monkeypatch)
+        with pytest.raises(NoSignChangeError, match="negative even at vanishing"):
+            breakeven_price(15.2, GambleSpec(rule, 0.01))
+        assert len(probes) <= 2
+
     def test_root_near_bankruptcy(self, monkeypatch):
         # at p = 0.05 and large wealth the root lies ~1e-7 below the
         # bankruptcy price, where the rate has a log singularity

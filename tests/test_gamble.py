@@ -1,9 +1,12 @@
 """Tests for payout rules, probabilities, and per-outcome quantities."""
 
 import math
+import sys
 
+import numpy as np
 import pytest
 
+from petersburg import montecarlo
 from petersburg import (
     BernoulliOriginal,
     Capped,
@@ -20,6 +23,7 @@ from petersburg import (
     probability,
     support_size,
 )
+from petersburg.cli import parse_payout
 
 
 class TestDoublingPayouts:
@@ -232,3 +236,43 @@ class TestLoadTable:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_table(str(tmp_path / "nope.csv"))
+
+
+# One table row per waiting time, with payouts up to 2**1023: at wealth
+# 1e-3 the top rows' growth factors overflow a double.
+_LONG_TABLE = Table(tuple((1.0 / 1100, math.ldexp(1.0, min(n - 1, 1023)))
+                          for n in range(1, 1101)))
+_RULES = [BernoulliOriginal(), Menger(), Capped(1e6), _LONG_TABLE]
+
+
+@pytest.mark.parametrize("rule", _RULES, ids=lambda rule: type(rule).__name__)
+class TestRuleConformance:
+    """The scalar rule methods the series use agree with the vectorised
+    ones the sampler uses, for every waiting time up to 1100."""
+
+    ns = np.arange(1, 1101)
+
+    @pytest.mark.parametrize("wealth", [1e-3, 1.0, 1e6])
+    def test_series_log_gain_matches_sampler_log_factor(self, rule, wealth):
+        state = PlayerState(wealth=wealth, ticket_price=wealth / 2.0)
+        vectorised = montecarlo._log_growth_factors(state, GambleSpec(rule), self.ns)
+        term, _ = rule.log_terms(state.wealth - state.ticket_price, wealth)
+        for n, factor in zip(self.ns.tolist(), vectorised.tolist()):
+            gain = term(n, 1.0, 0.0)
+            if math.isinf(gain) or math.isinf(factor):
+                assert gain == factor, n
+            else:
+                bound = 8.0 * sys.float_info.epsilon * (1.0 + abs(math.log(wealth)) + abs(gain))
+                assert abs(gain - factor) <= bound, n
+
+    def test_vectorised_payouts_are_the_scalar_ones(self, rule):
+        spec = GambleSpec(rule)
+        for wealth in (1e-3, 1.0, 1e6):
+            scalar = [payout(spec, n, wealth) for n in self.ns.tolist()]
+            assert rule.payouts(self.ns, wealth).tolist() == scalar
+
+    def test_token_round_trips(self, rule):
+        if isinstance(rule, Table):
+            assert rule.token == "table:1100 rows"
+        else:
+            assert parse_payout(rule.token) == rule

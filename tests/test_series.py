@@ -237,6 +237,31 @@ class TestExpectedUtilityChange:
         assert result.is_converged
         assert abs(result.value - GROWTH_100_2) <= result.tail_bound + 1e-13
 
+    @pytest.mark.parametrize("p", [0.5, 0.2, 0.05])
+    def test_callable_log_agrees_with_named_log(self, p):
+        # At p = 0.05 the terms rise until n ~ 1/p; a window reading that
+        # rise as divergence once called this convergent series divergent.
+        state = PlayerState(wealth=100.0, ticket_price=2.0)
+        spec = GambleSpec(probability_parameter=p)
+        custom = expected_utility_change(state, spec, lambda x: math.log(x))
+        named = expected_utility_change(state, spec, "log")
+        assert custom.is_converged
+        assert abs(custom.value - named.value) <= custom.tail_bound + named.tail_bound
+
+    def test_named_log_keeps_its_terms(self):
+        state = PlayerState(wealth=100.0, ticket_price=2.0)
+        result = expected_utility_change(state, GambleSpec(probability_parameter=0.05), "log")
+        assert result.value == 9.446866223314077
+        assert result.terms_used == 566
+
+    def test_callable_on_capped_gamble_sums_the_tail_exactly(self):
+        state = PlayerState(wealth=100.0, ticket_price=2.0)
+        spec = GambleSpec(payout_rule=Capped(1e9))
+        custom = expected_utility_change(state, spec, math.log)
+        named = expected_utility_change(state, spec, "log")
+        assert (custom.value, custom.tail_bound, custom.terms_used) == (
+            named.value, 0.0, named.terms_used)
+
     def test_linear_utility_recovers_divergent_expectation(self):
         state = PlayerState(wealth=100.0, ticket_price=2.0)
         result = expected_utility_change(state, GambleSpec(), lambda x: x)
