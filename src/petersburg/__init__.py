@@ -54,6 +54,7 @@ from .montecarlo import (
     subinterval_estimate,
     time_average_census,
     time_average_estimate,
+    trajectory_blocks,
 )
 from .series import (
     Classification,
@@ -123,4 +124,5 @@ __all__ = [
     "subinterval_estimate",
     "time_average_census",
     "time_average_estimate",
+    "trajectory_blocks",
 ]

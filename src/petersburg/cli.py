@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
 import click
 
@@ -51,10 +52,10 @@ from .montecarlo import (
     NonpositiveReturnError,
     SimulationConfig,
     ensemble_average_estimate,
-    simulate_trajectory,
     subinterval_estimate,
     time_average_census,
     time_average_estimate,
+    trajectory_blocks,
 )
 from .series import (
     SeriesResult,
@@ -466,11 +467,9 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
         return
 
     parameters["rounds"] = rounds
-    if wealth_path_out is None:
-        run = time_average_census(state, spec, rounds, config)
-    else:
-        run = simulate_trajectory(state, spec, rounds, config)
-        _write_wealth_path(run, wealth_path_out)
+    run = time_average_census(state, spec, rounds, config)
+    if wealth_path_out is not None:
+        _write_wealth_path(trajectory_blocks(state, spec, rounds, config), wealth_path_out)
 
     if run.bankrupt_at is not None:
         results = {
@@ -501,16 +500,50 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
     _emit(fmt, "simulate", parameters, results, census_rows(results, stats))
 
 
-def _write_wealth_path(trajectory, path: str) -> None:
+_PATH_SLICE = 1 << 13
+
+
+def _wealth_cell(log_wealth: float) -> str:
+    try:
+        return repr(math.exp(log_wealth))
+    except OverflowError:
+        return "inf"
+
+
+def _wealth_cells(log_wealth) -> Iterable[str]:
+    """``_wealth_cell`` of each log wealth of a slice, at C speed where it can.
+
+    ``math.exp`` is finite up to 709 and overflows from 710 on, so only a
+    slice reaching between the two takes the per-cell ``try``.  It stays
+    the scalar function: numpy's vectorised ``exp`` may round the last
+    digit differently.
+    """
+    if log_wealth.max() <= 709.0:
+        return map(repr, map(math.exp, log_wealth.tolist()))
+    if log_wealth.min() >= 710.0:
+        return itertools.repeat("inf", len(log_wealth))
+    return map(_wealth_cell, log_wealth.tolist())
+
+
+def _write_wealth_path(blocks, path: str) -> None:
+    """Write the ``round,wealth`` CSV of a path, a slice of rows at a time.
+
+    ``blocks`` yields ``(waiting_times, log_wealth)`` as
+    :func:`trajectory_blocks` does.  Each slice of up to 2**13 rows is
+    formatted by one ``%`` operation and written at once, so memory holds
+    one slice's cells, not the path's.
+    """
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["round", "wealth"])
-        for t, logw in enumerate(trajectory.log_wealth_path):
-            try:
-                plain = math.exp(logw)
-            except OverflowError:
-                plain = math.inf
-            writer.writerow([t, repr(plain)])
+        handle.write("round,wealth\n")
+        lo = 0
+        for _, log_wealth in blocks:
+            for start in range(0, len(log_wealth), _PATH_SLICE):
+                part = log_wealth[start:start + _PATH_SLICE]
+                fields = [None] * (2 * len(part))
+                fields[::2] = range(lo, lo + len(part))
+                fields[1::2] = _wealth_cells(part)
+                handle.write("%d,%s\n" * len(part) % tuple(fields))
+                lo += len(part)
 
 
 @cli.command("menger")

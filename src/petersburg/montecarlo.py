@@ -17,8 +17,9 @@ table rules alike.
 Every estimator is a reduction of its own census, the count of each
 waiting time drawn: a mean over rounds does not depend on their order.
 Blocks are drawn, counted and dropped one at a time, so the estimators
-use O(2**16) memory whatever the run length.  Only
-:func:`simulate_trajectory` builds the wealth path round by round.
+use O(2**16) memory whatever the run length.  The wealth path is built
+the same way by :func:`trajectory_blocks`, one block of log wealth at a
+time; :func:`simulate_trajectory` is their concatenation.
 """
 
 from __future__ import annotations
@@ -265,7 +266,9 @@ def _census_stats(counts: np.ndarray, value_of: Callable[[np.ndarray], np.ndarra
 
     Sums are exactly rounded (``math.fsum``) over the distinct waiting
     times, and the variance takes two passes, so the result depends on
-    the counts alone -- never on draw order or worker count.
+    the counts alone -- never on draw order or worker count.  Squared
+    deviations past the double range are summed scaled by the largest
+    deviation, so a finite mean always has a finite standard error.
     """
     ns = np.flatnonzero(counts)
     weights = counts[ns].astype(np.float64)
@@ -275,8 +278,18 @@ def _census_stats(counts: np.ndarray, value_of: Callable[[np.ndarray], np.ndarra
     if total < 2 or not math.isfinite(mean):
         stderr = math.inf
     else:
-        variance = math.fsum(weights * (values - mean) ** 2) / (total - 1)
-        stderr = math.sqrt(variance) / math.sqrt(total)
+        deviations = values - mean
+        try:
+            with np.errstate(over="ignore"):
+                variance = math.fsum(weights * deviations ** 2) / (total - 1)
+        except OverflowError:  # finite squares whose sum is not
+            variance = math.inf
+        if math.isfinite(variance):
+            stderr = math.sqrt(variance) / math.sqrt(total)
+        else:
+            scale = float(np.abs(deviations).max())
+            variance = math.fsum(weights * (deviations / scale) ** 2) / (total - 1)
+            stderr = scale * (math.sqrt(variance) / math.sqrt(total))
     return SampleStats(
         estimate=mean,
         stderr=stderr,
@@ -305,6 +318,24 @@ def _bankrupt_wealth(state: PlayerState, spec: GambleSpec, survived: np.ndarray,
         return None
 
 
+def _block_run(state: PlayerState, spec: GambleSpec, seed: int, block: int, lo: int,
+               hi: int) -> Tuple[np.ndarray, np.ndarray, Optional[Tuple[int, int]]]:
+    """Draws ``lo:hi`` of the run, cut before the first ruinous one.
+
+    Returns the draws kept, their census, and the first draw whose
+    growth factor is nonpositive as ``(index, n)`` with a 0-based index
+    (``None`` when no draw of the block ruins).
+    """
+    draws = _block_waiting_times(spec, seed, block, hi - lo)
+    counts = np.bincount(draws)
+    seen = np.flatnonzero(counts)
+    ruinous = seen[_growth_factors(state, spec, seen) <= 0.0]
+    if not ruinous.size:
+        return draws, counts, None
+    first = int(np.argmax(np.isin(draws, ruinous)))
+    return draws[:first], np.bincount(draws[:first]), (lo + first, int(draws[first]))
+
+
 def _census(
     state: PlayerState,
     spec: GambleSpec,
@@ -320,15 +351,9 @@ def _census(
     """
 
     def block_census(block: int, lo: int, hi: int):
-        draws = _block_waiting_times(spec, config.seed, block, hi - lo)
-        counts = np.bincount(draws)
         if stop_at_ruin:
-            seen = np.flatnonzero(counts)
-            ruinous = seen[_growth_factors(state, spec, seen) <= 0.0]
-            if ruinous.size:
-                first = int(np.argmax(np.isin(draws, ruinous)))
-                return np.bincount(draws[:first]), (lo + first, int(draws[first]))
-        return counts, None
+            return _block_run(state, spec, config.seed, block, lo, hi)[1:]
+        return np.bincount(_block_waiting_times(spec, config.seed, block, hi - lo)), None
 
     total = np.zeros(1, dtype=np.int64)
     for counts, fatal in _map_blocks(block_census, count, config.workers):
@@ -341,6 +366,57 @@ def _census(
 
 
 # ====== Estimators ======
+
+
+def trajectory_blocks(
+    state: PlayerState,
+    spec: GambleSpec,
+    rounds: int,
+    config: Optional[SimulationConfig] = None,
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The run of :func:`simulate_trajectory`, one block of 2**16 rounds at a time.
+
+    Yields ``(waiting_times, log_wealth)`` per block: the block's draws,
+    through the ruinous one if the player goes bankrupt in it, and the
+    log wealth after each of its rounds that left wealth positive.  The
+    first block's log wealth starts with the starting wealth (round 0).
+    No block follows a bankruptcy.  Concatenated, the blocks are the
+    :class:`Trajectory` arrays bit for bit, in memory that does not grow
+    with ``rounds``.
+
+    Args:
+        state: Wealth and ticket price.
+        spec: Gamble specification.
+        rounds: Number of rounds to attempt (positive).
+        config: Seed and worker count.
+    """
+    if rounds < 1:
+        raise ValueError(f"rounds must be positive, got {rounds!r}")
+    config = config or SimulationConfig()
+    start = math.log(state.wealth)
+
+    def block_steps(block: int, lo: int, hi: int):
+        draws, counts, fatal = _block_run(state, spec, config.seed, block, lo, hi)
+        # indexed by n itself, which spares a shifted copy of the draws
+        logs = np.empty(len(counts))
+        seen = np.flatnonzero(counts)
+        logs[seen] = _log_growth_factors(state, spec, seen)
+        steps = logs[draws]
+        if fatal is not None:
+            draws = np.append(draws, fatal[1])
+        return draws, steps, fatal
+
+    # the running sum is carried into each block's cumsum, so the path is
+    # rounded exactly as one cumsum over every round would round it
+    carry = 0.0
+    for block, (draws, steps, fatal) in enumerate(
+            _map_blocks(block_steps, rounds, config.workers)):
+        sums = np.cumsum(np.concatenate(([carry], steps)))
+        carry = sums[-1]
+        sums += start
+        yield draws, sums if block == 0 else sums[1:]
+        if fatal is not None:
+            return
 
 
 def simulate_trajectory(
@@ -358,7 +434,8 @@ def simulate_trajectory(
     nonpositive bankrupts the player and ends the trajectory.
 
     This is the only estimator input that holds every round in memory;
-    :func:`time_average_census` gives the same estimate without it.
+    :func:`time_average_census` gives the same estimate without it, and
+    :func:`trajectory_blocks` the same path.
 
     Args:
         state: Wealth and ticket price.
@@ -369,32 +446,14 @@ def simulate_trajectory(
     Returns:
         A :class:`Trajectory`.
     """
-    if rounds < 1:
-        raise ValueError(f"rounds must be positive, got {rounds!r}")
-    config = config or SimulationConfig()
-    draws = draw_waiting_times(spec, rounds, config)
-    ns = np.arange(1, int(draws.max()) + 1)
-    ruinous = ns[_growth_factors(state, spec, ns) <= 0.0]
-
+    draws, log_path = (np.concatenate(parts)
+                       for parts in zip(*trajectory_blocks(state, spec, rounds, config)))
     bankrupt_at: Optional[int] = None
     bankrupt_wealth: Optional[float] = None
-    survived = draws
-    if ruinous.size:
-        fatal = np.flatnonzero(np.isin(draws, ruinous))
-        if fatal.size:
-            cut = int(fatal[0])  # 0-based round index of the fatal draw
-            bankrupt_at = cut + 1
-            survived = draws[:cut]
-            draws = draws[: cut + 1]
-            bankrupt_wealth = _bankrupt_wealth(state, spec, np.bincount(survived),
-                                               int(draws[-1]))
-
-    log_path = np.empty(len(survived) + 1, dtype=np.float64)
-    log_path[0] = math.log(state.wealth)
-    # indexed by n itself, which spares a shifted copy of the draws
-    logs = np.concatenate(([math.nan], _log_growth_factors(state, spec, ns)))
-    np.cumsum(logs[survived], out=log_path[1:])
-    log_path[1:] += log_path[0]
+    if len(log_path) == len(draws):  # the ruinous round adds a draw but no wealth
+        bankrupt_at = len(draws)
+        bankrupt_wealth = _bankrupt_wealth(state, spec, np.bincount(draws[:-1]),
+                                           int(draws[-1]))
     return Trajectory(
         state=state,
         spec=spec,

@@ -171,7 +171,7 @@ def _sum(
     term: Term,
     far: Optional[Term] = None,
     tail: Optional[Tail] = None,
-    empirical: bool = False,
+    empirical_from: Optional[int] = None,
 ) -> SeriesResult:
     """Sum ``term(n, P(n), ln P(n))`` over the outcomes of ``spec``.
 
@@ -180,17 +180,16 @@ def _sum(
     ``tail``.  From ``tail.start`` on, the sum stops once ``tail.rest(n)``
     sums the rest (``tail.exact``) or bounds it within the tolerance.
     Without a tail, a window of non-decaying terms means divergence.  With
-    ``empirical`` (a custom utility, whose terms may rise while ``n`` is
-    below the mean waiting time ``1/p``, as ``P(n) n`` does) the window
-    starts past ``1/p``, and a geometric envelope fitted to it may
-    certify convergence.
+    ``empirical_from`` (a custom utility, whose terms may still rise
+    before it) the window starts at that ``n``, and a geometric envelope
+    fitted to it may certify convergence.
     """
     rule = spec.payout_rule
     p = spec.probability_parameter
     tail = rule.tail(term, p) or tail
     start, rest, exact = tail or (None, None, False)
     far = far or term
-    window_from = int(1.0 / p) + 1 if empirical else 1
+    window_from = empirical_from or 1
     window: deque = deque(maxlen=policy.divergence_window)
     total = 0.0
     for n, weight, log_weight in rule.outcomes(p, policy.max_terms):
@@ -216,7 +215,7 @@ def _sum(
                     return SeriesResult.diverges_positive(n)
                 if sign < 0:
                     return SeriesResult.diverges_negative(n)
-                bound = _empirical_bound(window) if empirical else None
+                bound = _empirical_bound(window) if empirical_from else None
                 if bound is not None and bound <= policy.tolerance:
                     return SeriesResult.converged(total, bound, n)
         elif n >= start:
@@ -415,9 +414,11 @@ def expected_utility_change(
         Custom callables get no closed-form tail envelope, except the
         exact tails of capped and table gambles; convergence is then
         certified from an empirical geometric envelope fitted to the
-        trailing window.  Window and envelope start past the mean waiting
-        time ``1/p``; terms that still rise after it (e.g. at wealth far
-        above the early payouts) may be misread as divergence.
+        trailing window.  Window and envelope start past
+        ``log2(wealth) + 1/p``, where the terms of a log-like utility
+        peak: they rise until the payouts reach the wealth and for about
+        the mean waiting time ``1/p`` after; terms that still rise past
+        that point may be misread as divergence.
     """
     policy = policy or TruncationPolicy()
     w, c = state.wealth, state.ticket_price
@@ -458,7 +459,10 @@ def _custom_change_series(
                                  else UndefinedReason.NONPOSITIVE_LOG_ARGUMENT) from None
         return weight * change
 
-    return _sum(spec, policy, term, empirical=True)
+    # the terms rise until the payout passes the wealth, about
+    # n = log2(wealth), and for the mean waiting time 1/p beyond
+    peak = 1.0 / spec.probability_parameter + max(0.0, math.log2(wealth))
+    return _sum(spec, policy, term, empirical_from=int(peak) + 1)
 
 
 def bernoulli_literal_lhs(

@@ -2,13 +2,25 @@
 
 import csv
 import importlib.resources
+import io
 import json
+import math
+import tracemalloc
 
 import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from petersburg import BernoulliOriginal, Capped, Menger, Table
+from petersburg import (
+    BernoulliOriginal,
+    Capped,
+    GambleSpec,
+    Menger,
+    PlayerState,
+    SimulationConfig,
+    Table,
+    simulate_trajectory,
+)
 from petersburg.cli import cli, main, parse_payout
 
 BREAKEVEN_100 = 4.36019402978550666497679191764
@@ -30,6 +42,22 @@ def run(*args):
 
 def _reject_constant(token):
     raise ValueError(f"non-JSON constant {token}")
+
+
+def reference_path_file(state, spec, rounds, seed):
+    """The wealth-path CSV written row by row: ``math.exp``, ``repr`` and
+    ``csv.writer`` for each round of the trajectory."""
+    trajectory = simulate_trajectory(state, spec, rounds, SimulationConfig(seed=seed))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["round", "wealth"])
+    for t, log_wealth in enumerate(trajectory.log_wealth_path):
+        try:
+            plain = math.exp(log_wealth)
+        except OverflowError:
+            plain = math.inf
+        writer.writerow([t, repr(plain)])
+    return buffer.getvalue().encode()
 
 
 def parse_envelope(result):
@@ -344,6 +372,20 @@ class TestSimulateCommand:
         assert abs(float(rows[1][1]) - 100.0) < 1e-9
         assert all(float(row[1]) > 0.0 for row in rows[1:])
 
+    def test_ensemble_stderr_near_the_double_range(self, tmp_path, capsys):
+        # the deviations are about 1e300; their squares leave the double range
+        path = tmp_path / "rows.csv"
+        path.write_text("p,m\n0.9,1e300\n0.1,0\n")
+        code = main(["simulate", "--wealth", "1", "--price", "0.5", "--mode", "ensemble",
+                     "--samples", "500", "--payout", f"table:{path}"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        results = json.loads(captured.out, parse_constant=_reject_constant)["results"]
+        wins = dict(results["frequencies"])[1]
+        spread = (1e300 - 0.5) * math.sqrt(wins * (500 - wins) / (500 * 499))
+        assert math.isclose(results["stderr"], spread / math.sqrt(500), rel_tol=1e-12)
+
     def test_wealth_path_requires_time_mode(self, tmp_path):
         out = tmp_path / "path.csv"
         for flags in (["--mode", "ensemble", "--samples", "1000"],
@@ -393,6 +435,67 @@ class TestSimulateCommand:
         assert code == 1
         assert err.startswith("error: no tail bound")
         assert "Warning" not in err
+
+
+class TestWealthPathFile:
+    """The path file equals the row-by-row reference byte for byte."""
+
+    @staticmethod
+    def write(tmp_path, *args):
+        out = tmp_path / "path.csv"
+        code = main(["simulate", *args, "--wealth-path-out", str(out)])
+        return code, out.read_bytes()
+
+    def test_overflow_to_inf_across_blocks(self, tmp_path, capsys):
+        rounds = 2**17 + 5
+        code, data = self.write(tmp_path, "--wealth", "100", "--price", "2",
+                                "--rounds", str(rounds), "--seed", "1")
+        assert code == 0
+        assert data == reference_path_file(PlayerState(100.0, 2.0), GambleSpec(), rounds, 1)
+        rows = data.splitlines()
+        first_inf = next(t for t, row in enumerate(rows[1:]) if row.endswith(b",inf"))
+        assert first_inf < 2**16
+        assert rows[-1] == f"{rounds},inf".encode()
+
+    def test_underflow_to_zero(self, tmp_path, capsys):
+        code, data = self.write(tmp_path, "--wealth", "100", "--price", "60",
+                                "--rounds", "100000", "--seed", "1")
+        assert code == 0
+        assert data.endswith(b"100000,0.0\n")
+        assert data == reference_path_file(PlayerState(100.0, 60.0), GambleSpec(), 100_000, 1)
+
+    def test_bankruptcy_in_a_later_block(self, tmp_path, capsys):
+        # the first ruinous round of this table at seed 1 is round 129 818
+        table = tmp_path / "rare-ruin.csv"
+        table.write_text("probability,payout\n0.99999,10.0\n1e-05,0.0\n")
+        code, data = self.write(tmp_path, "--wealth", "10", "--price", "10.5",
+                                "--payout", f"table:{table}", "--rounds", "200000",
+                                "--seed", "1")
+        assert code == 2
+        assert data.count(b"\n") == 1 + 129_818
+        spec = GambleSpec(payout_rule=Table(((0.99999, 10.0), (1e-05, 0.0))))
+        assert data == reference_path_file(PlayerState(10.0, 10.5), spec, 200_000, 1)
+
+    def test_workers_do_not_change_the_file(self, tmp_path, capsys):
+        args = ("--wealth", "100", "--price", "2", "--rounds", "200000", "--seed", "3")
+        _, serial = self.write(tmp_path, *args, "--workers", "1")
+        _, two = self.write(tmp_path, *args, "--workers", "2")
+        assert serial == two
+        assert serial == reference_path_file(PlayerState(100.0, 2.0), GambleSpec(), 200_000, 3)
+
+    def test_memory_does_not_grow_with_rounds(self, tmp_path, capsys):
+        # A writer holding the whole path peaked at 13 MB here (47 MB at
+        # 2e6 rounds); tracing every row string makes longer runs slow.
+        out = tmp_path / "path.csv"
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--wealth", "100", "--price", "2", "--rounds", str(2**19),
+                         "--seed", "1", "--wealth-path-out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 8 * 2**20
 
 
 # ====== menger ======

@@ -26,6 +26,7 @@ from petersburg import (
     time_average_census,
     time_average_estimate,
     time_average_growth,
+    trajectory_blocks,
 )
 from petersburg import montecarlo
 from petersburg.cli import main
@@ -398,6 +399,51 @@ CENSUS_ROUNDS = 3 * 2**16 + 123
 #: in the second block.
 RARE_RUIN = Table(((0.99999, 10.0), (1e-05, 0.0)))
 RARE_RUIN_STATE = PlayerState(wealth=10.0, ticket_price=10.5)
+
+
+def one_cumsum_path(state, spec, rounds, config):
+    """The log-wealth path as one cumsum over every round drawn."""
+    draws = draw_waiting_times(spec, rounds, config)
+    ns = np.arange(1, int(draws.max()) + 1)
+    fatal = np.flatnonzero(np.isin(draws, ns[montecarlo._growth_factors(state, spec, ns) <= 0.0]))
+    survived = draws[: fatal[0]] if fatal.size else draws
+    logs = np.concatenate(([math.nan], montecarlo._log_growth_factors(state, spec, ns)))
+    path = np.empty(len(survived) + 1)
+    path[0] = math.log(state.wealth)
+    np.cumsum(logs[survived], out=path[1:])
+    path[1:] += path[0]
+    return path
+
+
+class TestTrajectoryBlocks:
+    @pytest.mark.parametrize("state, spec, rounds, workers", [
+        (PlayerState(wealth=100.0, ticket_price=2.0), GambleSpec(), CENSUS_ROUNDS, 1),
+        (PlayerState(wealth=100.0, ticket_price=2.0), GambleSpec(), CENSUS_ROUNDS, 2),
+        (PlayerState(wealth=100.0, ticket_price=60.0), GambleSpec(probability_parameter=0.3),
+         2**16 + 1, 2),
+        (PlayerState(wealth=100.0), GambleSpec(payout_rule=Menger()), 1000, 1),
+        (RARE_RUIN_STATE, GambleSpec(payout_rule=RARE_RUIN), 200_000, 2),
+    ])
+    def test_blocks_round_the_path_as_one_cumsum(self, state, spec, rounds, workers):
+        config = SimulationConfig(seed=1, workers=workers)
+        blocks = list(trajectory_blocks(state, spec, rounds, config))
+        assert all(len(draws) <= 2**16 for draws, _ in blocks)
+        path = np.concatenate([log_wealth for _, log_wealth in blocks])
+        assert path.tobytes() == one_cumsum_path(state, spec, rounds, config).tobytes()
+        trajectory = simulate_trajectory(state, spec, rounds, config)
+        assert trajectory.log_wealth_path.tobytes() == path.tobytes()
+        assert np.array_equal(trajectory.waiting_times,
+                              np.concatenate([draws for draws, _ in blocks]))
+
+    def test_no_block_follows_a_bankruptcy(self):
+        spec = GambleSpec(payout_rule=RARE_RUIN)
+        blocks = list(trajectory_blocks(RARE_RUIN_STATE, spec, 10 * 2**16,
+                                        SimulationConfig(seed=1)))
+        assert len(blocks) == 2
+        draws, log_wealth = blocks[-1]
+        assert draws[-1] == 2  # the payout-0 outcome, ruinous at this price
+        assert len(draws) == len(log_wealth) + 1
+        assert 2**16 + len(draws) == 129_818
 
 
 class TestCensusReducer:

@@ -248,6 +248,18 @@ class TestExpectedUtilityChange:
         assert custom.is_converged
         assert abs(custom.value - named.value) <= custom.tail_bound + named.tail_bound
 
+    @pytest.mark.parametrize("wealth", [1e5, 1e6])
+    def test_callable_log_converges_at_large_wealth(self, wealth):
+        # The terms rise until the payout passes the wealth, n ~ log2(wealth),
+        # and for about 1/p rounds more; a window starting at 1/p read that
+        # rise as divergence.
+        state = PlayerState(wealth=wealth, ticket_price=2.0)
+        spec = GambleSpec(probability_parameter=0.05)
+        custom = expected_utility_change(state, spec, math.log)
+        named = expected_utility_change(state, spec, "log")
+        assert custom.is_converged
+        assert abs(custom.value - named.value) <= custom.tail_bound + named.tail_bound
+
     def test_named_log_keeps_its_terms(self):
         state = PlayerState(wealth=100.0, ticket_price=2.0)
         result = expected_utility_change(state, GambleSpec(probability_parameter=0.05), "log")
