@@ -81,27 +81,31 @@ class PayoutRule:
         """Smallest payout over the support."""
         return self.payout(1, wealth)
 
-    def log_terms(self, net: float, wealth: float) -> Tuple[Term, Term]:
+    def log_terms(self, net: float, wealth: float, residual: float = 0.0
+                  ) -> Tuple[Term, Term]:
         """Terms of ``P(n) * (ln(net + payout_n) - ln(wealth))``.
 
-        Returns ``(term, far)``: ``term`` holds for every ``n``; ``far``
-        is the same term taken in log space, which the series uses past
+        ``net + residual`` is the surviving wealth, ``residual`` being
+        the rounding error of ``net`` (see :func:`net_wealth`).  Returns
+        ``(term, far)``: ``term`` holds for every ``n``; ``far`` is the
+        same term taken in log space, which the series uses past
         ``n = 900``, where weights and payouts leave the double range.
         """
         payout, log_wealth = self.payout, math.log(wealth)
 
         def term(n: int, weight: float, log_weight: float) -> float:
-            return weight * (math.log(net + payout(n, wealth)) - log_wealth)
+            return weight * (math.log(net + payout(n, wealth) + residual) - log_wealth)
 
         return term, term
 
-    def sqrt_terms(self, net: float, wealth: float) -> Tuple[Term, Term]:
+    def sqrt_terms(self, net: float, wealth: float, residual: float = 0.0
+                   ) -> Tuple[Term, Term]:
         """Terms of ``P(n) * (sqrt(net + payout_n) - sqrt(wealth))``, as
         :meth:`log_terms`."""
         payout, sqrt_wealth = self.payout, math.sqrt(wealth)
 
         def term(n: int, weight: float, log_weight: float) -> float:
-            return weight * (math.sqrt(net + payout(n, wealth)) - sqrt_wealth)
+            return weight * (math.sqrt(net + payout(n, wealth) + residual) - sqrt_wealth)
 
         return term, term
 
@@ -170,7 +174,8 @@ class _Doubling(PayoutRule):
             base = np.ldexp(1.0, np.minimum(ns - 1, 1024))
         return np.where(ns <= self._last_paid, base, 0.0)
 
-    def log_terms(self, net: float, wealth: float) -> Tuple[Term, Term]:
+    def log_terms(self, net: float, wealth: float, residual: float = 0.0
+                  ) -> Tuple[Term, Term]:
         log_wealth, last = math.log(wealth), self._last_paid
 
         def far(n: int, weight: float, log_weight: float) -> float:
@@ -181,11 +186,12 @@ class _Doubling(PayoutRule):
                 m = math.ldexp(1.0, n - 1) if n <= last else 0.0
             except OverflowError:
                 return far(n, weight, log_weight)
-            return weight * (math.log(net + m) - log_wealth)
+            return weight * (math.log(net + m + residual) - log_wealth)
 
         return term, far
 
-    def sqrt_terms(self, net: float, wealth: float) -> Tuple[Term, Term]:
+    def sqrt_terms(self, net: float, wealth: float, residual: float = 0.0
+                   ) -> Tuple[Term, Term]:
         sqrt_wealth, last = math.sqrt(wealth), self._last_paid
 
         def far(n: int, weight: float, log_weight: float) -> float:
@@ -196,7 +202,7 @@ class _Doubling(PayoutRule):
                 m = math.ldexp(1.0, n - 1) if n <= last else 0.0
             except OverflowError:
                 return far(n, weight, log_weight)
-            return weight * (math.sqrt(net + m) - sqrt_wealth)
+            return weight * (math.sqrt(net + m + residual) - sqrt_wealth)
 
         return term, far
 
@@ -266,7 +272,8 @@ class Menger(PayoutRule):
         out[small] = [self.payout(int(n), wealth) for n in ns[small]]
         return out
 
-    def log_terms(self, net: float, wealth: float) -> Tuple[Term, Term]:
+    def log_terms(self, net: float, wealth: float, residual: float = 0.0
+                  ) -> Tuple[Term, Term]:
         # ln(net + w e^T - w) - ln w  =  T + log1p((net - w) e^-T / w)
         def term(n: int, weight: float, log_weight: float) -> float:
             try:
@@ -274,7 +281,7 @@ class Menger(PayoutRule):
             except OverflowError:
                 t = math.inf
             damp = math.exp(-t) if t < 745.0 else 0.0
-            return weight * (t + math.log1p((net - wealth) * damp / wealth))
+            return weight * (t + math.log1p((net - wealth + residual) * damp / wealth))
 
         def far(n: int, weight: float, log_weight: float) -> float:
             # the weight underflows while the term explodes
@@ -453,6 +460,19 @@ def _check_waiting_time(n: int) -> int:
     if n != int(n) or n < 1:
         raise ValueError(f"waiting time must be a positive integer, got {n!r}")
     return int(n)
+
+
+def net_wealth(wealth: float, price: float) -> Tuple[float, float]:
+    """``wealth - price`` as ``(net, residual)``: the rounded difference
+    and its exact rounding error (Knuth's two-sum).
+
+    Near the ruin price a payout cancels ``net``, and ``net + payout`` is
+    then exact, so ``net + payout + residual`` keeps the surviving wealth
+    to a rounding where ``net + payout`` alone may lose every digit.
+    """
+    net = wealth - price
+    kept = net + price
+    return net, (wealth - kept) - (price + (net - kept))
 
 
 def cap_point(max_payout: float) -> int:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Union
 
-from .gamble import GambleSpec, PlayerState, Tail, Term
+from .gamble import GambleSpec, PlayerState, Tail, Term, net_wealth
 
 # consecutive-term ratios at or above 1 - slack count as "not decaying"
 _RATIO_SLACK = 1e-12
@@ -270,18 +270,18 @@ def expected_payout(
 def _log_change_series(
     spec: GambleSpec,
     wealth: float,
-    net: float,
+    price: float,
     policy: TruncationPolicy,
 ) -> SeriesResult:
     """Sum of ``P(n) * (ln(net + payout_n) - ln(wealth))`` over outcomes.
 
-    ``net`` is the wealth that survives the round regardless of outcome
-    (``wealth - price`` for the time criterion, ``wealth`` for the
-    original Bernoulli criterion, which ignores the price on the gain
-    side).
+    ``net = wealth - price`` is the wealth that survives the round
+    regardless of outcome (the original Bernoulli criterion ignores the
+    price on the gain side and passes a price of 0).
     """
     rule = spec.payout_rule
-    term, far = rule.log_terms(net, wealth)
+    net, residual = net_wealth(wealth, price)
+    term, far = rule.log_terms(net, wealth, residual)
     return _sum(spec, policy, term, far, rule.log_tail(spec.probability_parameter, net, wealth))
 
 
@@ -328,9 +328,7 @@ def time_average_growth(
         the log to tame (Menger-type).
     """
     policy = policy or TruncationPolicy()
-    return _log_change_series(
-        spec, state.wealth, state.wealth - state.ticket_price, policy
-    )
+    return _log_change_series(spec, state.wealth, state.ticket_price, policy)
 
 
 def ensemble_average_growth(
@@ -422,36 +420,37 @@ def expected_utility_change(
     """
     policy = policy or TruncationPolicy()
     w, c = state.wealth, state.ticket_price
-    net = w - c
     if utility == "log":
-        return _log_change_series(spec, w, net, policy)
+        return _log_change_series(spec, w, c, policy)
     if utility == "sqrt":
-        return _sqrt_change_series(spec, w, net, policy)
+        return _sqrt_change_series(spec, w, c, policy)
     if not callable(utility):
         raise ValueError(f"utility must be 'log', 'sqrt', or a callable, got {utility!r}")
-    return _custom_change_series(spec, w, net, policy, utility)
+    return _custom_change_series(spec, w, c, policy, utility)
 
 
 def _sqrt_change_series(
-    spec: GambleSpec, wealth: float, net: float, policy: TruncationPolicy
+    spec: GambleSpec, wealth: float, price: float, policy: TruncationPolicy
 ) -> SeriesResult:
     rule = spec.payout_rule
-    term, far = rule.sqrt_terms(net, wealth)
+    net, residual = net_wealth(wealth, price)
+    term, far = rule.sqrt_terms(net, wealth, residual)
     return _sum(spec, policy, term, far, rule.sqrt_tail(spec.probability_parameter, net, wealth))
 
 
 def _custom_change_series(
     spec: GambleSpec,
     wealth: float,
-    net: float,
+    price: float,
     policy: TruncationPolicy,
     utility: Callable[[float], float],
 ) -> SeriesResult:
     base = utility(wealth)
     payout = spec.payout_rule.payout
+    net, residual = net_wealth(wealth, price)
 
     def term(n: int, weight: float, log_weight: float) -> float:
-        arg = net + payout(n, wealth)
+        arg = net + payout(n, wealth) + residual
         try:
             change = utility(arg) - base
         except (ValueError, OverflowError):
@@ -488,7 +487,7 @@ def bernoulli_literal_lhs(
     w, c = state.wealth, state.ticket_price
     if c >= w:
         return SeriesResult.undefined(UndefinedReason.NONPOSITIVE_LOG_ARGUMENT, 0)
-    gains = _log_change_series(spec, w, w, policy)
+    gains = _log_change_series(spec, w, 0.0, policy)
     if not gains.is_converged:
         return gains
     # ln w - ln(w - c), positive for c > 0.  log1p(-c/w) amplifies the
