@@ -28,6 +28,10 @@ from typing import Callable, Iterator, NamedTuple, Optional, Tuple
 import numpy as np
 
 _LN2 = math.log(2.0)
+_SQRT2 = math.sqrt(2.0)
+#: Unit roundoff of a double: one correctly rounded operation errs by at
+#: most this much relative to its result.
+_U = 2.0 ** -53
 
 #: Menger payouts ``w * expm1(2**n)`` exceed the double range from here on.
 _MENGER_OVERFLOW_N = 10
@@ -46,13 +50,14 @@ class OutOfSupportError(LookupError):
 class Tail(NamedTuple):
     """The part of a series past term ``n``, from term ``start`` on.
 
-    ``rest(n)`` is that part in closed form when ``exact``, and otherwise
-    a bound on its magnitude.
+    ``rest(n)`` returns ``(omitted, bound)``: ``omitted`` is what of that
+    part is known in closed form, and ``bound`` bounds the error of
+    adding it, the part left out plus the closed form's own rounding.
+    An exact tail returns ``(value, 0.0)``, an envelope ``(0.0, bound)``.
     """
 
     start: int
-    rest: Callable[[int], float]
-    exact: bool = False
+    rest: Callable[[int], Tuple[float, float]]
 
 
 def _doubling_log(n, net, log1p=math.log1p, ldexp=math.ldexp):
@@ -62,6 +67,13 @@ def _doubling_log(n, net, log1p=math.log1p, ldexp=math.ldexp):
     ``np.ldexp`` it takes an array of ``n``.
     """
     return (n - 1) * _LN2 + log1p(ldexp(net, 1 - n))
+
+
+def _doubling_start(net: float) -> int:
+    """First ``n`` with ``2**(n-1) >= 2 |net|``: from there on a doubling
+    payout keeps ``|net 2**(1-n)|`` within 1/2."""
+    mantissa, exponent = math.frexp(abs(net))
+    return max(1, exponent + (1 if mantissa == 0.5 else 2))
 
 
 class PayoutRule:
@@ -226,26 +238,55 @@ class BernoulliOriginal(_Doubling):
         ratio = 2.0 * (1.0 - p)
         if ratio >= 1.0:
             return None
-        return Tail(1, lambda n: p * ratio ** n / (1.0 - ratio), exact=True)
+        return Tail(1, lambda n: (p * ratio ** n / (1.0 - ratio), 0.0))
+
+    # Past n0 = _doubling_start(net), x_k = net 2**(1-k) lies within 1/4,
+    # and a term splits into a part with a closed-form sum over k > n and
+    # a remainder geometric in a ratio below q.  The closed forms take
+    # q**n as exp(n log1p(-p)), which errs by 2 + 3 n |log1p(-p)| units
+    # of roundoff where q**n from a rounded q would err by n of them; the
+    # rounding term bounds each closed form's error from its magnitude,
+    # so it falls with q**n and never with the running total.
 
     def log_tail(self, p: float, net: float, wealth: float) -> Optional[Tail]:
-        # |term_k| <= p q^(k-1) (alpha + ln2 (k-1)) once 2^(k-1) clears the
-        # price; summed, sum_{k>n} p q^(k-1) (alpha + ln2 (k-1)) is
-        # q^n (alpha + ln2 (n + q/p))
-        q = 1.0 - p
-        alpha = math.log1p(1.0 / wealth)
-        price_like = wealth - net
-        start = 1 if price_like <= 1.0 else int(math.floor(math.log2(price_like))) + 2
-        return Tail(start, lambda n: q ** n * (alpha + _LN2 * (n + q / p)))
+        # ln(net + 2**(k-1)) = (k-1) ln 2 + log1p(x_k).  Over k > n,
+        # P(k) ((k-1) ln 2 - ln w) sums to q**n (ln2 (n + q/p) - ln w),
+        # and |log1p(x)| <= 2|x| bounds the rest by
+        # 2 |net| p (q/2)**n / (1 - q/2).
+        log_q, log_w = math.log1p(-p), math.log(wealth)
+        mean_wait = 1.0 / p  # n + q/p = (n - 1) + 1/p
+        scale = 4.0 * abs(net) * p / (1.0 + p)
+
+        def rest(n: int) -> Tuple[float, float]:
+            qn = math.exp(n * log_q)
+            level = _LN2 * ((n - 1) + mean_wait)
+            rounding = (10.0 - 3.0 * n * log_q) * _U * qn * (level + abs(log_w))
+            return qn * (level - log_w), scale * math.ldexp(qn, -n) + rounding
+
+        return Tail(_doubling_start(net), rest)
 
     def sqrt_tail(self, p: float, net: float, wealth: float) -> Optional[Tail]:
-        # |term_k| <= p q^(k-1) (sqrt(w) + sqrt(2)^(k-1)): geometric for q sqrt(2) < 1
-        q = 1.0 - p
-        growth = q * math.sqrt(2.0)
+        # sqrt(net + 2**(k-1)) = sqrt(2)**(k-1) sqrt(1 + x_k).  Over k > n,
+        # P(k) (sqrt(2)**(k-1) - sqrt(w)) sums to
+        # p g**n / (1 - g) - sqrt(w) q**n with g = q sqrt(2), and
+        # |sqrt(1 + x) - 1| <= |x| bounds the rest by
+        # |net| p h**n / (1 - h) with h = q / sqrt(2).
+        growth = (1.0 - p) * _SQRT2
         if growth >= 1.0:
             return None
-        sqrt_wealth = math.sqrt(wealth)
-        return Tail(1, lambda n: sqrt_wealth * q ** n + p * growth ** n / (1.0 - growth))
+        log_q, sqrt_w = math.log1p(-p), math.sqrt(wealth)
+        short = 1.0 - growth  # errs by 3 units of roundoff of growth
+        shrink = (1.0 - p) / _SQRT2
+        scale = abs(net) * p / (1.0 - shrink)
+
+        def rest(n: int) -> Tuple[float, float]:
+            qn = math.exp(n * log_q)
+            gn = math.ldexp(qn, n // 2) * (_SQRT2 if n % 2 else 1.0)
+            rises, falls = p * gn / short, sqrt_w * qn
+            rounding = (8.0 - 3.0 * n * log_q + 3.0 / short) * _U * (rises + falls)
+            return rises - falls, scale * shrink ** n + rounding
+
+        return Tail(_doubling_start(net), rest)
 
 
 @dataclass(frozen=True)
@@ -298,7 +339,7 @@ class Menger(PayoutRule):
             kappa = abs(math.log1p((net - wealth) * math.exp(-2.0) / wealth))
         except ValueError:
             return None  # the first outcome bankrupts; its term says so
-        return Tail(1, lambda n: kappa * q ** n + 2.0 * p * ratio ** n / (1.0 - ratio))
+        return Tail(1, lambda n: (0.0, kappa * q ** n + 2.0 * p * ratio ** n / (1.0 - ratio)))
 
     def huge_log_factors(self, ns: np.ndarray, net: float, wealth: float) -> np.ndarray:
         # the factor is e^x + (net - w) / w with x = 2**n
@@ -341,7 +382,7 @@ class Capped(_Doubling):
         # outcome's term at the weight q**n of all of them together
         q = 1.0 - p
         return Tail(max(self._last_paid, 1),
-                    lambda n: term(n + 1, q ** n, n * math.log1p(-p)), exact=True)
+                    lambda n: (term(n + 1, q ** n, n * math.log1p(-p)), 0.0))
 
 
 @dataclass(frozen=True)
@@ -398,7 +439,7 @@ class Table(PayoutRule):
         return min(m for _, m in self.rows)
 
     def tail(self, term: Term, p: float) -> Optional[Tail]:
-        return Tail(len(self.rows), lambda n: 0.0, exact=True)
+        return Tail(len(self.rows), lambda n: (0.0, 0.0))
 
     def outcomes(self, p: float, max_terms: int) -> Iterator[Tuple[int, float, float]]:
         probs = [prob for prob, _ in self.rows]

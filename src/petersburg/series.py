@@ -187,7 +187,7 @@ def _sum(
     rule = spec.payout_rule
     p = spec.probability_parameter
     tail = rule.tail(term, p) or tail
-    start, rest, exact = tail or (None, None, False)
+    start, rest = tail or (None, None)
     far = far or term
     window_from = empirical_from or 1
     window: deque = deque(maxlen=policy.divergence_window)
@@ -219,15 +219,12 @@ def _sum(
                 if bound is not None and bound <= policy.tolerance:
                     return SeriesResult.converged(total, bound, n)
         elif n >= start:
-            if exact:
-                try:
-                    omitted = rest(n)
-                except ValueError as exc:
-                    return _undefined(exc, n + 1)
-                return SeriesResult.converged(total + omitted, 0.0, n)
-            bound = rest(n)
+            try:
+                omitted, bound = rest(n)
+            except ValueError as exc:
+                return _undefined(exc, n + 1)
             if bound <= policy.tolerance:
-                return SeriesResult.converged(total, bound, n)
+                return SeriesResult.converged(total + omitted, bound, n)
     raise TruncationInconclusiveError(
         f"no tail bound below {policy.tolerance!r} and no divergence detected "
         f"within {policy.max_terms} terms"
@@ -300,7 +297,7 @@ def _log_change_slope(spec: GambleSpec, wealth: float, net: float, terms_used: i
     def term(n: int, weight: float, log_weight: float) -> float:
         return weight / (net + payout(n, wealth))
 
-    return _sum(spec, policy, term, tail=Tail(terms_used, lambda n: 0.0, exact=True)).value
+    return _sum(spec, policy, term, tail=Tail(terms_used, lambda n: (0.0, 0.0))).value
 
 
 def time_average_growth(
@@ -450,7 +447,12 @@ def _custom_change_series(
     net, residual = net_wealth(wealth, price)
 
     def term(n: int, weight: float, log_weight: float) -> float:
-        arg = net + payout(n, wealth) + residual
+        m = payout(n, wealth)
+        if m == math.inf:  # says nothing of how the series ends
+            raise TruncationInconclusiveError(
+                f"the payout of term {n} overflows a double, and a custom utility "
+                f"has no tail bound below {policy.tolerance!r} before it")
+        arg = net + m + residual
         try:
             change = utility(arg) - base
         except (ValueError, OverflowError):

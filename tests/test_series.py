@@ -22,6 +22,7 @@ from petersburg import (
     expected_utility_change,
     time_average_growth,
 )
+from test_series_oracle import assert_agrees, reference
 
 # High-precision reference values, computed independently with 50-digit
 # decimal arithmetic and frozen here.
@@ -261,10 +262,14 @@ class TestExpectedUtilityChange:
         assert abs(custom.value - named.value) <= custom.tail_bound + named.tail_bound
 
     def test_named_log_keeps_its_terms(self):
+        # the closed doubling tail ends this series in fewer than 100
+        # terms (566 while the tail was only bounded), within its bound
         state = PlayerState(wealth=100.0, ticket_price=2.0)
-        result = expected_utility_change(state, GambleSpec(probability_parameter=0.05), "log")
-        assert result.value == 9.446866223314077
-        assert result.terms_used == 566
+        spec = GambleSpec(probability_parameter=0.05)
+        result = expected_utility_change(state, spec, "log")
+        assert result.terms_used < 100
+        with mpmath.workdps(40):
+            assert_agrees(result, reference(spec, 100.0, 2.0, "log"))
 
     def test_callable_on_capped_gamble_sums_the_tail_exactly(self):
         state = PlayerState(wealth=100.0, ticket_price=2.0)
@@ -278,6 +283,14 @@ class TestExpectedUtilityChange:
         state = PlayerState(wealth=100.0, ticket_price=2.0)
         result = expected_utility_change(state, GambleSpec(), lambda x: x)
         assert result.classification is Classification.DIVERGES_POSITIVE
+
+    def test_overflowing_payout_is_no_divergence(self):
+        # at p = 0.01 the window has not settled when 2**1024 overflows;
+        # an infinite term there says nothing of the series
+        state = PlayerState(wealth=100.0, ticket_price=2.0)
+        spec = GambleSpec(probability_parameter=0.01)
+        with pytest.raises(TruncationInconclusiveError, match="payout of term 1025 overflows"):
+            expected_utility_change(state, spec, math.log)
 
     def test_negated_linear_utility_diverges_negative(self):
         state = PlayerState(wealth=100.0, ticket_price=2.0)

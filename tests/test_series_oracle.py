@@ -94,7 +94,7 @@ def _doubling_tail(utility: str, p, net, wealth, n0: int):
     return tail
 
 
-def _reference(spec: GambleSpec, wealth: float, price: float, utility: str) -> _Reference:
+def reference(spec: GambleSpec, wealth: float, price: float, utility: str) -> _Reference:
     rule = spec.payout_rule
     w = mpmath.mpf(wealth)
     net = w - mpmath.mpf(price)
@@ -154,7 +154,7 @@ def _price(spec: GambleSpec, wealth: float, regime: str, closeness: float) -> fl
     return 0.0
 
 
-def _assert_agrees(result, ref: _Reference) -> None:
+def assert_agrees(result, ref: _Reference) -> None:
     assert result.classification is ref.classification, (result, ref.classification)
     if ref.reason is not None:
         assert result.reason is ref.reason
@@ -179,7 +179,7 @@ def _rounded_ruin(spec: GambleSpec, wealth: float, price: float) -> bool:
 
 def _check(spec: GambleSpec, wealth: float, price: float, utility: str) -> None:
     with mpmath.workdps(40):
-        ref = _reference(spec, wealth, price, utility)
+        ref = reference(spec, wealth, price, utility)
         try:
             result = _evaluate(spec, wealth, price, utility)
         except TruncationInconclusiveError:
@@ -190,11 +190,11 @@ def _check(spec: GambleSpec, wealth: float, price: float, utility: str) -> None:
         if _rounded_ruin(spec, wealth, price) and undefined in (result.classification,
                                                                 ref.classification):
             return
-        _assert_agrees(result, ref)
+        assert_agrees(result, ref)
 
 
 class TestOracleSweep:
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=500, deadline=None, derandomize=True)
     @given(rule=st.sampled_from(["bernoulli", "capped", "menger", "table"]),
            log_p=st.floats(-5.0, math.log10(0.5)),
            log_wealth=st.floats(-3.0, 6.0),
@@ -221,3 +221,28 @@ class TestOracleSweep:
     ])
     def test_named_cases_hold_the_reference(self, rule, p, wealth, price, utility):
         _check(_spec(rule, p, 1.0, "wide"), wealth, price, utility)
+
+
+class TestDoublingTailTerms:
+    """The closed doubling tails end a series in a number of terms that
+    hardly depends on ``p``."""
+
+    @pytest.mark.parametrize("p", [1e-5, 1e-4, 1e-3, 0.0032, 0.01, 0.05, 0.2, 0.5])
+    @pytest.mark.parametrize("wealth", [1.0, 100.0, 1e4, 1e6])
+    def test_log_series_takes_under_100_terms(self, p, wealth):
+        spec = GambleSpec(probability_parameter=p)
+        for price in (0.0, 0.02 * wealth, 0.5 * wealth, wealth, wealth + 0.5):
+            result = time_average_growth(PlayerState(wealth, price), spec)
+            assert result.terms_used < 100
+            with mpmath.workdps(40):
+                assert_agrees(result, reference(spec, wealth, price, "log"))
+
+    @pytest.mark.parametrize("p", [0.3, 0.4, 0.5])
+    @pytest.mark.parametrize("wealth", [1.0, 1e6])
+    def test_sqrt_series_takes_under_100_terms(self, p, wealth):
+        spec = GambleSpec(probability_parameter=p)
+        for price in (0.0, 0.5 * wealth, wealth + 0.5):
+            result = expected_utility_change(PlayerState(wealth, price), spec, "sqrt")
+            assert result.terms_used < 100
+            with mpmath.workdps(40):
+                assert_agrees(result, reference(spec, wealth, price, "sqrt"))
