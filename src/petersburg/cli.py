@@ -59,6 +59,7 @@ from .montecarlo import (
 )
 from .series import (
     SeriesResult,
+    TruncationInconclusiveError,
     TruncationPolicy,
     bernoulli_literal_lhs,
     expected_payout,
@@ -467,6 +468,12 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
         return
 
     parameters["rounds"] = rounds
+    # the analytic rate comes first and cheap; a rate the series cannot
+    # certify is left out, and the run is still reported
+    try:
+        analytic = time_average_growth(state, spec, policy)
+    except TruncationInconclusiveError as exc:
+        analytic = exc
     run = time_average_census(state, spec, rounds, config)
     if wealth_path_out is not None:
         _write_wealth_path(trajectory_blocks(state, spec, rounds, config), wealth_path_out)
@@ -494,8 +501,9 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
         "max_waiting_time": stats.max_n,
         "frequencies": _frequency_pairs(stats),
     }
-    analytic = time_average_growth(state, spec, policy)
-    if analytic.is_converged:
+    if isinstance(analytic, TruncationInconclusiveError):
+        click.echo(f"note: analytic_growth_rate omitted: {analytic}", err=True)
+    elif analytic.is_converged:
         results["analytic_growth_rate"] = analytic.value
     _emit(fmt, "simulate", parameters, results, census_rows(results, stats))
 

@@ -266,15 +266,23 @@ def _census_stats(counts: np.ndarray, value_of: Callable[[np.ndarray], np.ndarra
 
     Sums are exactly rounded (``math.fsum``) over the distinct waiting
     times, and the variance takes two passes, so the result depends on
-    the counts alone -- never on draw order or worker count.  Squared
-    deviations past the double range are summed scaled by the largest
-    deviation, so a finite mean always has a finite standard error.
+    the counts alone -- never on draw order or worker count.  Products
+    and squared deviations past the double range are summed scaled by the
+    largest value or deviation, so finite values have a finite mean and a
+    finite mean a finite standard error.
     """
     ns = np.flatnonzero(counts)
     weights = counts[ns].astype(np.float64)
     total = int(counts.sum())
     values = value_of(ns)
-    mean = math.fsum(weights * values) / total
+    try:
+        with np.errstate(over="ignore"):
+            mean = math.fsum(weights * values) / total
+    except OverflowError:  # finite products whose sum is not
+        mean = math.inf
+    if not math.isfinite(mean) and np.isfinite(values).all():
+        scale = float(np.abs(values).max())
+        mean = scale * (math.fsum(weights * (values / scale)) / total)
     if total < 2 or not math.isfinite(mean):
         stderr = math.inf
     else:

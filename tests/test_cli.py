@@ -5,9 +5,11 @@ import importlib.resources
 import io
 import json
 import math
+import sys
 import tracemalloc
 
 import jsonschema
+import mpmath
 import pytest
 from click.testing import CliRunner
 
@@ -22,6 +24,7 @@ from petersburg import (
     simulate_trajectory,
 )
 from petersburg.cli import cli, main, parse_payout
+from test_series_oracle import reference
 
 BREAKEVEN_100 = 4.36019402978550666497679191764
 
@@ -386,6 +389,23 @@ class TestSimulateCommand:
         spread = (1e300 - 0.5) * math.sqrt(wins * (500 - wins) / (500 * 499))
         assert math.isclose(results["stderr"], spread / math.sqrt(500), rel_tol=1e-12)
 
+    def test_ensemble_mean_near_the_double_range(self, tmp_path, capsys):
+        # a win times its count leaves the double range; the mean does not
+        path = tmp_path / "rows.csv"
+        path.write_text("p,m\n0.9,1.7e308\n0.1,0\n")
+        code = main(["simulate", "--wealth", "1", "--price", "0.5", "--mode", "ensemble",
+                     "--samples", "500", "--payout", f"table:{path}"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        results = json.loads(captured.out, parse_constant=_reject_constant)["results"]
+        with mpmath.workdps(40):
+            factor = {1: 1 - mpmath.mpf(0.5) + mpmath.mpf(1.7e308), 2: mpmath.mpf(0.5)}
+            counts = dict(results["frequencies"])
+            exact = mpmath.fsum(c * factor[n] for n, c in counts.items()) / 500
+            miss = abs(mpmath.mpf(results["mean_factor_estimate"]) - exact)
+            assert miss <= 4 * sys.float_info.epsilon * exact
+
     def test_wealth_path_requires_time_mode(self, tmp_path):
         out = tmp_path / "path.csv"
         for flags in (["--mode", "ensemble", "--samples", "1000"],
@@ -426,15 +446,28 @@ class TestSimulateCommand:
 
     @pytest.mark.filterwarnings("error")
     def test_tiny_p_run_prints_no_warning(self, capsys):
-        # The sampler stays silent on payouts past the double range; the
-        # analytic series at p = 1e-5 needs more terms than the default
-        # cap, and that is the only message.
+        # The sampler stays silent on payouts past the double range, and
+        # the analytic series at p = 1e-5 converges from its closed tail.
         code = main(["simulate", "--wealth", "100", "--price", "2",
                      "--geom-p", "1e-05", "--rounds", "10"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error: no tail bound")
-        assert "Warning" not in err
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        rate = json.loads(captured.out)["results"]["analytic_growth_rate"]
+        with mpmath.workdps(40):
+            exact = reference(GambleSpec(probability_parameter=1e-5), 100.0, 2.0, "log").value
+            assert abs(rate - exact) <= 1e-10
+
+    def test_uncertified_rate_keeps_the_run(self, capsys):
+        code = main(["simulate", "--wealth", "100", "--price", "2", "--rounds", "1000",
+                     "--tol", "1e-30", "--max-terms", "20"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err.startswith("note: analytic_growth_rate omitted")
+        assert len(captured.err.splitlines()) == 1
+        results = json.loads(captured.out)["results"]
+        assert "analytic_growth_rate" not in results
+        assert results["rounds"] == 1000
 
 
 class TestWealthPathFile:
