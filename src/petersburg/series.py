@@ -4,21 +4,27 @@ Every criterion evaluated here is an infinite sum over gamble outcomes.
 Rather than truncating blindly, each evaluation returns a
 :class:`SeriesResult` that says what the partial sums did:
 
-* ``Converged`` -- a closed-form envelope bounds the omitted tail below
-  the policy tolerance, so the reported value is trustworthy;
+* ``Converged`` -- the omitted tail is summed in closed form or bounded,
+  and what its closed form leaves out stays below the policy tolerance,
+  so the reported value is trustworthy;
 * ``DivergesPositive`` / ``DivergesNegative`` -- the terms do not decay
-  (detected over a window of consecutive terms, or a term overflowing the
-  double range);
+  (detected over a window of consecutive terms, or a rule's own term
+  overflowing the double range; a payout past that range under a custom
+  utility gives no verdict);
 * ``Undefined`` -- some outcome requires the log (or other utility) of a
   nonpositive quantity, e.g. a ticket price that risks bankruptcy.
 
 All criteria are one sum, ``sum P(n) * gain(n)``, taken by one loop,
 :func:`_sum`.  The payout rule supplies the terms and, where it knows
-one, the tail: summed exactly (capped, table and exactly geometric
-tails) or bounded by a closed-form envelope.  Divergence detection only
-runs for series without a tail: with one the series is provably
-convergent, and heavy-tailed cases (small geometric parameter) rise for
-many terms before decaying, which would otherwise look like divergence.
+one, the tail as a closed-form part and a bound on the rest: summed
+exactly (capped, table and exactly geometric tails), in closed form up
+to a remainder geometric in ``q/2`` or ``q/sqrt(2)`` (the log and sqrt
+tails of the doubling payout, which end the sum in a number of terms
+that hardly depends on ``p``), or only bounded by an envelope.
+Divergence detection only runs for series without a tail: with one the
+series is provably convergent, and heavy-tailed cases (small geometric
+parameter) rise for many terms before decaying, which would otherwise
+look like divergence.
 """
 
 from __future__ import annotations
@@ -87,8 +93,9 @@ class SeriesResult:
 
     ``value`` and ``tail_bound`` are set only for ``Converged`` results;
     ``reason`` only for ``Undefined`` ones.  ``tail_bound`` is zero when
-    the remainder beyond the examined terms was summed in closed form
-    (finite tables, capped tails, exactly geometric tails).
+    the remainder beyond the examined terms was summed exactly (finite
+    tables, capped tails, exactly geometric tails), and bounds what a
+    closed form leaves out, its rounding included, otherwise.
     """
 
     classification: Classification
@@ -177,8 +184,9 @@ def _sum(
 
     Past ``n = 900`` the terms come from ``far`` (default ``term``).  The
     rule's exact tail past its last paid outcome, if it has one, replaces
-    ``tail``.  From ``tail.start`` on, the sum stops once ``tail.rest(n)``
-    sums the rest (``tail.exact``) or bounds it within the tolerance.
+    ``tail``.  From ``tail.start`` on, the sum stops once the bound of
+    ``tail.rest(n)`` is within the tolerance, and reports the terms so
+    far plus the closed-form part of the rest.
     Without a tail, a window of non-decaying terms means divergence.  With
     ``empirical_from`` (a custom utility, whose terms may still rise
     before it) the window starts at that ``n``, and a geometric envelope

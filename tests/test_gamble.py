@@ -2,6 +2,7 @@
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from petersburg import (
     support_size,
 )
 from petersburg.cli import parse_payout
+from petersburg.gamble import net_wealth
 
 
 class TestDoublingPayouts:
@@ -159,6 +161,20 @@ class TestGrowthFactor:
         spec = GambleSpec()
         assert growth_factor(state, spec, 1) == 0.0
         assert growth_factor(PlayerState(10.0, 12.0), spec, 1) < 0.0
+
+
+class TestNetWealth:
+    @pytest.mark.parametrize("wealth, price", [
+        (0.018716800208158565, 1.018716800208152),  # a price past twice the wealth
+        (1.0, 1e-20),
+        (123.4, 5.67),
+        (1e6, 1e6 + 1.0),
+        (0.1, 0.3),
+    ])
+    def test_residual_is_the_exact_rounding_error(self, wealth, price):
+        net, residual = net_wealth(wealth, price)
+        assert net == wealth - price
+        assert Fraction(net) + Fraction(residual) == Fraction(wealth) - Fraction(price)
 
 
 class TestMinPayout:

@@ -95,6 +95,9 @@ def _doubling_tail(utility: str, p, net, wealth, n0: int):
 
 
 def reference(spec: GambleSpec, wealth: float, price: float, utility: str) -> _Reference:
+    """The criterion series of ``utility`` (``"none"`` for the expected
+    payout, ``"log"`` or ``"sqrt"``) at the working precision, which the
+    caller sets to 40 digits."""
     rule = spec.payout_rule
     w = mpmath.mpf(wealth)
     net = w - mpmath.mpf(price)
@@ -155,6 +158,8 @@ def _price(spec: GambleSpec, wealth: float, regime: str, closeness: float) -> fl
 
 
 def assert_agrees(result, ref: _Reference) -> None:
+    """``result`` has the reference's classification, and a converged
+    value lies within its tail bound plus the running-sum slack."""
     assert result.classification is ref.classification, (result, ref.classification)
     if ref.reason is not None:
         assert result.reason is ref.reason
@@ -194,7 +199,7 @@ def _check(spec: GambleSpec, wealth: float, price: float, utility: str) -> None:
 
 
 class TestOracleSweep:
-    @settings(max_examples=500, deadline=None, derandomize=True)
+    @settings(max_examples=400, deadline=None, derandomize=True)
     @given(rule=st.sampled_from(["bernoulli", "capped", "menger", "table"]),
            log_p=st.floats(-5.0, math.log10(0.5)),
            log_wealth=st.floats(-3.0, 6.0),
