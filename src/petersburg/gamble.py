@@ -275,7 +275,7 @@ class BernoulliOriginal(_Doubling):
         if growth >= 1.0:
             return None
         log_q, sqrt_w = math.log1p(-p), math.sqrt(wealth)
-        short = 1.0 - growth  # growth errs by 3 u growth, so short by 3 u / short of itself
+        short = 1.0 - growth  # off by 3 u growth: 3 u / short of itself
         shrink = (1.0 - p) / _SQRT2
         scale = abs(net) * p / (1.0 - shrink)
 
