@@ -93,8 +93,7 @@ class PayoutRule:
         """Smallest payout over the support."""
         return self.payout(1, wealth)
 
-    def log_terms(self, net: float, wealth: float, residual: float = 0.0
-                  ) -> Tuple[Term, Term]:
+    def log_terms(self, net: float, wealth: float, residual: float) -> Tuple[Term, Term]:
         """Terms of ``P(n) * (ln(net + payout_n) - ln(wealth))``.
 
         ``net + residual`` is the surviving wealth, ``residual`` being
@@ -110,8 +109,7 @@ class PayoutRule:
 
         return term, term
 
-    def sqrt_terms(self, net: float, wealth: float, residual: float = 0.0
-                   ) -> Tuple[Term, Term]:
+    def sqrt_terms(self, net: float, wealth: float, residual: float) -> Tuple[Term, Term]:
         """Terms of ``P(n) * (sqrt(net + payout_n) - sqrt(wealth))``, as
         :meth:`log_terms`."""
         payout, sqrt_wealth = self.payout, math.sqrt(wealth)
@@ -186,8 +184,7 @@ class _Doubling(PayoutRule):
             base = np.ldexp(1.0, np.minimum(ns - 1, 1024))
         return np.where(ns <= self._last_paid, base, 0.0)
 
-    def log_terms(self, net: float, wealth: float, residual: float = 0.0
-                  ) -> Tuple[Term, Term]:
+    def log_terms(self, net: float, wealth: float, residual: float) -> Tuple[Term, Term]:
         log_wealth, last = math.log(wealth), self._last_paid
 
         def far(n: int, weight: float, log_weight: float) -> float:
@@ -202,8 +199,7 @@ class _Doubling(PayoutRule):
 
         return term, far
 
-    def sqrt_terms(self, net: float, wealth: float, residual: float = 0.0
-                   ) -> Tuple[Term, Term]:
+    def sqrt_terms(self, net: float, wealth: float, residual: float) -> Tuple[Term, Term]:
         sqrt_wealth, last = math.sqrt(wealth), self._last_paid
 
         def far(n: int, weight: float, log_weight: float) -> float:
@@ -313,8 +309,7 @@ class Menger(PayoutRule):
         out[small] = [self.payout(int(n), wealth) for n in ns[small]]
         return out
 
-    def log_terms(self, net: float, wealth: float, residual: float = 0.0
-                  ) -> Tuple[Term, Term]:
+    def log_terms(self, net: float, wealth: float, residual: float) -> Tuple[Term, Term]:
         # ln(net + w e^T - w) - ln w  =  T + log1p((net - w) e^-T / w)
         def term(n: int, weight: float, log_weight: float) -> float:
             try:

@@ -9,8 +9,8 @@ Rather than truncating blindly, each evaluation returns a
   so the reported value is trustworthy;
 * ``DivergesPositive`` / ``DivergesNegative`` -- the terms do not decay
   (detected over a window of consecutive terms, or a rule's own term
-  overflowing the double range; a payout past that range under a custom
-  utility gives no verdict);
+  overflowing the double range; a payout past that range whose custom
+  utility is not finite gives no verdict);
 * ``Undefined`` -- some outcome requires the log (or other utility) of a
   nonpositive quantity, e.g. a ticket price that risks bankruptcy.
 
@@ -421,7 +421,10 @@ def expected_utility_change(
         ``log2(wealth) + 1/p``, where the terms of a log-like utility
         peak: they rise until the payouts reach the wealth and for about
         the mean waiting time ``1/p`` after; terms that still rise past
-        that point may be misread as divergence.
+        that point may be misread as divergence.  A payout past the
+        double range whose utility is not finite raises
+        :class:`TruncationInconclusiveError`; a bounded utility, such
+        as ``-1/x``, gets its limit there and sums on.
     """
     policy = policy or TruncationPolicy()
     w, c = state.wealth, state.ticket_price
@@ -456,16 +459,20 @@ def _custom_change_series(
 
     def term(n: int, weight: float, log_weight: float) -> float:
         m = payout(n, wealth)
-        if m == math.inf:  # says nothing of how the series ends
-            raise TruncationInconclusiveError(
-                f"the payout of term {n} overflows a double, and a custom utility "
-                f"has no tail bound below {policy.tolerance!r} before it")
         arg = net + m + residual
         try:
             change = utility(arg) - base
         except (ValueError, OverflowError):
-            raise _UndefinedTerm(UndefinedReason.BANKRUPTCY_TERM if arg <= 0.0
-                                 else UndefinedReason.NONPOSITIVE_LOG_ARGUMENT) from None
+            if m == math.inf:
+                change = math.nan
+            else:
+                raise _UndefinedTerm(UndefinedReason.BANKRUPTCY_TERM if arg <= 0.0
+                                     else UndefinedReason.NONPOSITIVE_LOG_ARGUMENT) from None
+        if m == math.inf and not math.isfinite(change):
+            # an overflowed payout says nothing of how the series ends
+            raise TruncationInconclusiveError(
+                f"the payout of term {n} overflows a double, and the utility of it "
+                f"is not finite; no tail bound below {policy.tolerance!r} came before it")
         return weight * change
 
     # the terms rise until the payout passes the wealth, about

@@ -272,7 +272,8 @@ class TestRuleConformance:
     def test_series_log_gain_matches_sampler_log_factor(self, rule, wealth):
         state = PlayerState(wealth=wealth, ticket_price=wealth / 2.0)
         vectorised = montecarlo._log_growth_factors(state, GambleSpec(rule), self.ns)
-        term, _ = rule.log_terms(state.wealth - state.ticket_price, wealth)
+        net, residual = net_wealth(state.wealth, state.ticket_price)
+        term, _ = rule.log_terms(net, wealth, residual)
         for n, factor in zip(self.ns.tolist(), vectorised.tolist()):
             gain = term(n, 1.0, 0.0)
             if math.isinf(gain) or math.isinf(factor):

@@ -22,7 +22,7 @@ from petersburg import (
     expected_utility_change,
     time_average_growth,
 )
-from test_series_oracle import assert_agrees, reference
+from test_series_oracle import _Reference, assert_agrees, reference
 
 # High-precision reference values, computed independently with 50-digit
 # decimal arithmetic and frozen here.
@@ -292,6 +292,23 @@ class TestExpectedUtilityChange:
         with pytest.raises(TruncationInconclusiveError, match="payout of term 1025 overflows"):
             expected_utility_change(state, spec, math.log)
 
+    @pytest.mark.parametrize("rule, p", [(BernoulliOriginal(), 0.01), (Menger(), 0.3)],
+                             ids=["bernoulli", "menger"])
+    def test_bounded_utility_sums_past_overflowing_payouts(self, rule, p):
+        # u(inf) = -0.0 is the exact limit, so a payout past the double
+        # range still gives a finite term
+        spec = GambleSpec(rule, p)
+        result = expected_utility_change(PlayerState(100.0, 2.0), spec, lambda x: -1.0 / x)
+        assert result.is_converged
+        with mpmath.workdps(40):
+            assert_agrees(result, _reciprocal_reference(spec, 100.0, 2.0))
+
+    def test_log_of_overflowing_menger_payout_is_no_divergence(self):
+        state = PlayerState(wealth=100.0, ticket_price=2.0)
+        spec = GambleSpec(Menger(), 0.3)
+        with pytest.raises(TruncationInconclusiveError, match="payout of term 10 overflows"):
+            expected_utility_change(state, spec, math.log)
+
     def test_negated_linear_utility_diverges_negative(self):
         state = PlayerState(wealth=100.0, ticket_price=2.0)
         result = expected_utility_change(state, GambleSpec(), lambda x: -x)
@@ -301,6 +318,23 @@ class TestExpectedUtilityChange:
         state = PlayerState(wealth=100.0, ticket_price=2.0)
         with pytest.raises(ValueError):
             expected_utility_change(state, GambleSpec(), "cubic")
+
+
+def _reciprocal_reference(spec: GambleSpec, wealth: float, price: float) -> _Reference:
+    """Series of ``P(n) (1/w - 1/(w - c + payout_n))``, the change of the
+    utility ``-1/x``, at the working precision.  Past 400 terms every
+    payout exceeds ``2**399`` and only ``sum P(n) / w = q**400 / w`` is
+    left to 40 digits."""
+    w = mpmath.mpf(wealth)
+    net, p = w - mpmath.mpf(price), mpmath.mpf(spec.probability_parameter)
+    if isinstance(spec.payout_rule, Menger):
+        paid = [w * mpmath.expm1(mpmath.mpf(2) ** n) for n in range(1, 401)]
+    else:
+        paid = [mpmath.mpf(2) ** (n - 1) for n in range(1, 401)]
+    terms = [p * (1 - p) ** (n - 1) * (1 / w - 1 / (net + m)) for n, m in enumerate(paid, 1)]
+    rest = (1 - p) ** 400 / w
+    size = mpmath.fsum(map(abs, terms)) + rest
+    return _Reference(Classification.CONVERGED, mpmath.fsum(terms) + rest, lambda n: size)
 
 
 # ====== Literal all-or-nothing accounting ======
