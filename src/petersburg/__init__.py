@@ -6,6 +6,11 @@ time and averaging over an ensemble of players give different answers
 for multiplicative wealth dynamics, every quantity here is computed as
 a classified series -- convergent with a certified tail bound,
 divergent, or undefined -- rather than as a bare float.
+
+The Monte Carlo names (the ``montecarlo`` block of ``__all__``) load
+with their first use, through a module ``__getattr__``: the series and
+the criteria need no numpy, so a program that only sums series never
+imports it.
 """
 
 __version__ = "0.1.0"
@@ -40,21 +45,6 @@ from .gamble import (
     payout,
     probability,
     support_size,
-)
-from .montecarlo import (
-    BankruptTrajectoryError,
-    Census,
-    NonpositiveReturnError,
-    SampleStats,
-    SimulationConfig,
-    Trajectory,
-    draw_waiting_times,
-    ensemble_average_estimate,
-    simulate_trajectory,
-    subinterval_estimate,
-    time_average_census,
-    time_average_estimate,
-    trajectory_blocks,
 )
 from .series import (
     Classification,
@@ -126,3 +116,13 @@ __all__ = [
     "time_average_estimate",
     "trajectory_blocks",
 ]
+
+
+def __getattr__(name: str):
+    # every other name in __all__ is bound above, so one looked up here
+    # is a montecarlo name
+    if name in __all__:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

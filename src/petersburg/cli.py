@@ -48,15 +48,6 @@ from .gamble import (
     PlayerState,
     load_table,
 )
-from .montecarlo import (
-    NonpositiveReturnError,
-    SimulationConfig,
-    ensemble_average_estimate,
-    subinterval_estimate,
-    time_average_census,
-    time_average_estimate,
-    trajectory_blocks,
-)
 from .series import (
     SeriesResult,
     TruncationInconclusiveError,
@@ -399,6 +390,17 @@ def breakeven_cmd(wealth, wmin, wmax, points, inset, price, price_tol,
 def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, workers,
                  wealth_path_out, payout_rule, geom_p, tol, max_terms, fmt):
     """Monte Carlo estimates of the growth rates."""
+    # the sampler, and numpy with it, loads only for the command using it
+    from .montecarlo import (
+        NonpositiveReturnError,
+        SimulationConfig,
+        ensemble_average_estimate,
+        subinterval_estimate,
+        time_average_census,
+        time_average_estimate,
+        trajectory_blocks,
+    )
+
     spec = GambleSpec(payout_rule=payout_rule, probability_parameter=geom_p)
     state = PlayerState(wealth=wealth, ticket_price=price)
     policy = TruncationPolicy(tolerance=tol, max_terms=max_terms)

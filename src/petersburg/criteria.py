@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, List, Optional, Tuple, Union
 
-import numpy as np
-
 from .gamble import GambleSpec, PlayerState, min_payout
 from .series import (
     Classification,
@@ -302,6 +300,8 @@ def wealth_grid(w_min: float, w_max: float, num_points: int) -> List[float]:
         raise ValueError(f"w_max must be finite and exceed w_min, got {w_max!r}")
     if num_points < 2:
         raise ValueError(f"num_points must be at least 2, got {num_points!r}")
+    import numpy as np
+
     return [float(w) for w in np.geomspace(w_min, w_max, num_points)]
 
 

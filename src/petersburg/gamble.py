@@ -13,6 +13,10 @@ payout leaves the double range; the tail each criterion series may omit;
 its waiting-time law; its smallest payout and its command-line token.
 The series engine, the sampler and the command line ask the rule and
 never branch on its type.
+
+Only the vectorised methods, which the sampler calls, import numpy; the
+series paths run on the ``math`` module alone, so a command that only
+sums series never loads it.
 """
 
 from __future__ import annotations
@@ -23,9 +27,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, count, repeat
 from operator import add, mul
-from typing import Callable, Iterator, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
@@ -152,6 +157,7 @@ class PayoutRule:
     def waiting_times(self, u: np.ndarray, p: float) -> np.ndarray:
         """Waiting times from uniform variates in ``[0, 1)``; ``u`` is
         overwritten."""
+        import numpy as np
         # inverse CDF of the geometric law: P(n > k) = (1-p)^k, in place;
         # 1 - u lies in (0, 1], which keeps the log finite
         np.subtract(1.0, u, out=u)
@@ -164,6 +170,7 @@ class PayoutRule:
     def huge_log_factors(self, ns: np.ndarray, net: float, wealth: float) -> np.ndarray:
         """``ln((net + payout_n) / wealth)`` at waiting times whose growth
         factor overflows a double."""
+        import numpy as np
         m = self.payouts(ns, wealth)
         return np.log(m) + np.log1p(net / m) - math.log(wealth)
 
@@ -180,6 +187,7 @@ class _Doubling(PayoutRule):
             return math.inf
 
     def payouts(self, ns: np.ndarray, wealth: float) -> np.ndarray:
+        import numpy as np
         with np.errstate(over="ignore"):
             base = np.ldexp(1.0, np.minimum(ns - 1, 1024))
         return np.where(ns <= self._last_paid, base, 0.0)
@@ -215,6 +223,7 @@ class _Doubling(PayoutRule):
         return term, far
 
     def huge_log_factors(self, ns: np.ndarray, net: float, wealth: float) -> np.ndarray:
+        import numpy as np
         return _doubling_log(ns, net, np.log1p, np.ldexp) - math.log(wealth)
 
 
@@ -302,6 +311,7 @@ class Menger(PayoutRule):
             return math.inf
 
     def payouts(self, ns: np.ndarray, wealth: float) -> np.ndarray:
+        import numpy as np
         # numpy's expm1 may differ from math.expm1 in the last bit, so the
         # few finite payouts come from the scalar one
         out = np.full(len(ns), math.inf)
@@ -337,6 +347,7 @@ class Menger(PayoutRule):
         return Tail(1, lambda n: (0.0, kappa * q ** n + 2.0 * p * ratio ** n / (1.0 - ratio)))
 
     def huge_log_factors(self, ns: np.ndarray, net: float, wealth: float) -> np.ndarray:
+        import numpy as np
         # the factor is e^x + (net - w) / w with x = 2**n
         x = np.exp2(ns.astype(np.float64))
         return x + np.log1p((net - wealth) * np.exp(-x) / wealth)
@@ -428,6 +439,7 @@ class Table(PayoutRule):
         return self._row(n)[1]
 
     def payouts(self, ns: np.ndarray, wealth: float) -> np.ndarray:
+        import numpy as np
         return np.array([m for _, m in self.rows])[ns - 1]
 
     def min_payout(self, wealth: float) -> float:
@@ -444,6 +456,7 @@ class Table(PayoutRule):
         return self._row(n)[0]
 
     def waiting_times(self, u: np.ndarray, p: float) -> np.ndarray:
+        import numpy as np
         cumulative = np.cumsum([prob for prob, _ in self.rows])
         idx = np.searchsorted(cumulative, u, side="right")
         return np.minimum(idx, len(self.rows) - 1).astype(np.int64) + 1
@@ -556,10 +569,14 @@ def growth_factor(state: PlayerState, spec: GambleSpec, n: int) -> float:
     """Per-round growth factor ``(wealth - price + payout) / wealth``.
 
     May be zero or negative when the ticket price exceeds wealth plus the
-    round's payout; such a round bankrupts the player.
+    round's payout; such a round bankrupts the player.  The surviving
+    wealth is ``net + payout + residual`` (see :func:`net_wealth`), so a
+    payout that nearly cancels ``wealth - price`` leaves the exact
+    remainder, not the rounding of ``wealth - price``.
     """
     m = payout(spec, n, state.wealth)
-    return (state.wealth - state.ticket_price + m) / state.wealth
+    net, residual = net_wealth(state.wealth, state.ticket_price)
+    return (net + m + residual) / state.wealth
 
 
 def support_size(spec: GambleSpec) -> Optional[int]:

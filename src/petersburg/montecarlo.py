@@ -33,7 +33,7 @@ from typing import Callable, Dict, Iterator, Optional, Tuple, TypeVar, Union
 
 import numpy as np
 
-from .gamble import GambleSpec, PlayerState
+from .gamble import GambleSpec, PlayerState, net_wealth
 
 _BLOCK_SIZE = 1 << 16
 
@@ -227,12 +227,13 @@ def draw_waiting_times(
 def _growth_factors(state: PlayerState, spec: GambleSpec, ns: np.ndarray) -> np.ndarray:
     """:func:`growth_factor` at each waiting time in ``ns``, bit for bit.
 
-    Same operations in the same order, ``(w - c + m) / w``; a factor
-    beyond the double range is ``inf``.
+    Same operations in the same order, ``(net + m + residual) / w``; a
+    factor beyond the double range is ``inf``.
     """
     w = state.wealth
+    net, residual = net_wealth(w, state.ticket_price)
     with np.errstate(over="ignore"):
-        return (w - state.ticket_price + spec.payout_rule.payouts(ns, w)) / w
+        return (net + spec.payout_rule.payouts(ns, w) + residual) / w
 
 
 def _log_growth_factors(state: PlayerState, spec: GambleSpec, ns: np.ndarray) -> np.ndarray:

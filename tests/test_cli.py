@@ -335,6 +335,17 @@ class TestSimulateCommand:
         assert envelope["results"]["bankrupt_at"] >= 1
         assert envelope["results"]["bankrupt_wealth"] <= 0.0
 
+    def test_price_just_short_of_ruin_is_not_reported_as_ruin(self):
+        # wealth - price rounds to -1 exactly, and the first payout of 1
+        # leaves 5.55e-17 of the wealth
+        result = run("simulate", "--wealth", "0.2543094026557902",
+                     "--price", "1.2543094026557902", "--rounds", "100", "--seed", "1")
+        assert result.exit_code == 0, result.output
+        results = parse_envelope(result)["results"]
+        assert "bankrupt_at" not in results
+        assert results["rounds"] == 100
+        assert results["analytic_growth_rate"] < 0.0
+
     def test_bankrupt_wealth_beyond_double_range_is_null(self, tmp_path):
         # wealth passes 1e300 before the first losing round; the wealth that
         # round leaves overflows a double

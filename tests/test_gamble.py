@@ -162,6 +162,20 @@ class TestGrowthFactor:
         assert growth_factor(state, spec, 1) == 0.0
         assert growth_factor(PlayerState(10.0, 12.0), spec, 1) < 0.0
 
+    @pytest.mark.parametrize("wealth, price", [
+        (0.018716800208158565, 1.018716800208152),
+        # the rounded wealth - price is -1 exactly: the factor would be 0
+        (0.2543094026557902, 1.2543094026557902),
+    ])
+    def test_near_ruin_factor_keeps_the_exact_remainder(self, wealth, price):
+        state, spec = PlayerState(wealth, price), GambleSpec()
+        exact = (Fraction(wealth) - Fraction(price) + 1) / Fraction(wealth)
+        factor = growth_factor(state, spec, 1)
+        assert exact > 0
+        assert abs(Fraction(factor) - exact) <= 2 * sys.float_info.epsilon * exact
+        assert montecarlo._growth_factors(state, spec, np.array([1, 2])).tolist() == [
+            factor, growth_factor(state, spec, 2)]
+
 
 class TestNetWealth:
     @pytest.mark.parametrize("wealth, price", [

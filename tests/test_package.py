@@ -1,0 +1,56 @@
+"""Tests for the package's exports and what its commands import."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import petersburg
+from petersburg import montecarlo
+
+# Runs the series-only commands, then a small simulation, in one fresh
+# interpreter; argv[1] is the directory holding the package.
+_STARTUP = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from petersburg.cli import main
+
+def quiet(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+
+for argv in (["evaluate", "--wealth", "100", "--price", "2"],
+             ["breakeven", "--wealth", "100"],
+             ["menger", "--wealth", "100"],
+             ["--version"]):
+    quiet(argv)
+    assert "numpy" not in sys.modules, argv
+quiet(["simulate", "--wealth", "100", "--price", "2", "--rounds", "1000"])
+assert "numpy" in sys.modules
+"""
+
+
+def test_series_commands_never_import_numpy():
+    src = Path(petersburg.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _STARTUP, str(src)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("name", petersburg.__all__)
+def test_every_exported_name_resolves(name):
+    value = getattr(petersburg, name)
+    if name in montecarlo.__dict__:
+        assert value is getattr(montecarlo, name)
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from petersburg import *", namespace)
+    assert set(petersburg.__all__) <= namespace.keys()
+
+
+def test_unknown_attribute_names_the_module():
+    with pytest.raises(AttributeError, match="module 'petersburg' has no attribute 'nonesuch'"):
+        petersburg.nonesuch
