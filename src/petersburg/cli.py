@@ -15,10 +15,15 @@ instead of printing ``Infinity`` or ``NaN``.
 Exit codes: 0 on success; 1 for usage, I/O, or evaluation errors; 2
 when the evaluated state has no defined recommendation, a simulated
 trajectory went bankrupt, or a sampled return was nonpositive.
+
+The parsers are ``argparse`` ones, built once at import; a usage error
+prints a ``Usage:`` line and the error on stderr.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import csv
 import io
 import itertools
@@ -26,8 +31,6 @@ import json
 import math
 import sys
 from typing import Iterable, Optional
-
-import click
 
 from . import __version__
 from .criteria import (
@@ -63,6 +66,9 @@ _GRID_DEFAULTS = (10.0, 10_000.0, 4)
 #: Wealth fractions probed by ``menger`` with the literal criterion.
 _LITERAL_PRICE_FRACTIONS = (0.5, 0.9, 0.999, 1.0)
 
+#: Truncation lengths ``menger`` tabulates when no ``--nmax`` is given.
+_NMAX_DEFAULT = (1, 5, 10, 30)
+
 
 def parse_payout(token: str) -> PayoutRule:
     """Build a payout rule from a CLI token.
@@ -91,67 +97,12 @@ def parse_payout(token: str) -> PayoutRule:
     )
 
 
-class _PayoutParam(click.ParamType):
-    name = "payout"
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, str):
-            try:
-                return parse_payout(value)
-            except (ValueError, OSError) as exc:
-                self.fail(str(exc), param, ctx)
-        return value
-
-
-_PAYOUT = _PayoutParam()
-
-
-def _gamble_options(f):
-    f = click.option(
-        "--geom-p",
-        type=float,
-        default=0.5,
-        show_default=True,
-        help="Per-round stopping probability of the waiting-time law.",
-    )(f)
-    f = click.option(
-        "--payout",
-        "payout_rule",
-        type=_PAYOUT,
-        default="bernoulli",
-        show_default=True,
-        help="Payout rule: bernoulli, menger, capped:<amount>, table:<csv-path>.",
-    )(f)
-    return f
-
-
-def _policy_options(f):
-    f = click.option(
-        "--max-terms",
-        type=int,
-        default=10_000,
-        show_default=True,
-        help="Hard cap on series terms before giving up.",
-    )(f)
-    f = click.option(
-        "--tol",
-        type=float,
-        default=1e-10,
-        show_default=True,
-        help="Tail bound a series must reach to count as converged.",
-    )(f)
-    return f
-
-
-def _format_option(f):
-    return click.option(
-        "--format",
-        "fmt",
-        type=click.Choice(["json", "csv"]),
-        default="json",
-        show_default=True,
-        help="Output format.",
-    )(f)
+def _payout_arg(token: str) -> PayoutRule:
+    """:func:`parse_payout` for the parser, keeping its error message."""
+    try:
+        return parse_payout(token)
+    except (ValueError, OSError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _series_dict(result: SeriesResult) -> dict:
@@ -197,31 +148,13 @@ def _emit(fmt: str, command: str, parameters: dict, results: dict, rows) -> None
             "results": results,
             "version": __version__,
         }
-        click.echo(json.dumps(envelope, sort_keys=True, allow_nan=False))
+        print(json.dumps(envelope, sort_keys=True, allow_nan=False))
     else:
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerows(rows)
-        click.echo(buffer.getvalue(), nl=False)
+        sys.stdout.write(buffer.getvalue())
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="petersburg")
-def cli() -> None:
-    """Growth-rate analysis of lotteries with heavy-tailed payouts."""
-
-
-@cli.command("evaluate")
-@click.option("--wealth", type=float, required=True, help="Player wealth before the round.")
-@click.option("--price", type=float, default=0.0, show_default=True, help="Ticket price.")
-@click.option(
-    "--utility",
-    type=click.Choice(["log", "sqrt"]),
-    default=None,
-    help="Also report the expected change of this utility.",
-)
-@_gamble_options
-@_policy_options
-@_format_option
 def evaluate_cmd(wealth, price, utility, payout_rule, geom_p, tol, max_terms, fmt):
     """Evaluate every decision criterion for one state and gamble."""
     spec = GambleSpec(payout_rule=payout_rule, probability_parameter=geom_p)
@@ -260,36 +193,9 @@ def evaluate_cmd(wealth, price, utility, payout_rule, geom_p, tol, max_terms, fm
         parameters["utility"] = utility
     _emit(fmt, "evaluate", parameters, results, rows)
     if report.recommendation is Recommendation.UNDEFINED:
-        raise click.exceptions.Exit(2)
+        return 2
 
 
-@cli.command("breakeven")
-@click.option("--wealth", type=float, default=None,
-              help="Solve a single wealth level instead of the grid.")
-@click.option("--wmin", type=float, default=None,
-              help=f"Smallest grid wealth.  [default: {_GRID_DEFAULTS[0]:g}]")
-@click.option("--wmax", type=float, default=None,
-              help=f"Largest grid wealth.  [default: {_GRID_DEFAULTS[1]:g}]")
-@click.option("--points", type=int, default=None,
-              help=f"Log-spaced grid points.  [default: {_GRID_DEFAULTS[2]}]")
-@click.option(
-    "--inset",
-    is_flag=True,
-    help="Emit time-average growth at a fixed --price over the wealth "
-         "grid instead of break-even prices.",
-)
-@click.option("--price", type=float, default=2.0, show_default=True,
-              help="Ticket price for --inset growth data.")
-@click.option(
-    "--price-tol",
-    type=float,
-    default=1e-10,
-    show_default=True,
-    help="Absolute tolerance on each solved price.",
-)
-@_gamble_options
-@_policy_options
-@_format_option
 def breakeven_cmd(wealth, wmin, wmax, points, inset, price, price_tol,
                   payout_rule, geom_p, tol, max_terms, fmt):
     """Break-even ticket prices over a wealth grid (or one wealth).
@@ -301,7 +207,7 @@ def breakeven_cmd(wealth, wmin, wmax, points, inset, price, price_tol,
     """
     grid_flags = (wmin, wmax, points)
     if wealth is not None and (inset or any(v is not None for v in grid_flags)):
-        raise click.UsageError("--wealth solves one point; drop the grid/--inset flags")
+        raise UsageError("--wealth solves one point; drop the grid/--inset flags")
     spec = GambleSpec(payout_rule=payout_rule, probability_parameter=geom_p)
     policy = TruncationPolicy(tolerance=tol, max_terms=max_terms)
 
@@ -341,8 +247,8 @@ def breakeven_cmd(wealth, wmin, wmax, points, inset, price, price_tol,
                 rows.append([_r(w), ""])
         results = {"price": price, "inset": data, "failures": failures}
         if failures:
-            click.echo(f"warning: no defined growth rate at {len(failures)} "
-                       f"grid point(s)", err=True)
+            print(f"warning: no defined growth rate at {len(failures)} grid point(s)",
+                  file=sys.stderr)
         _emit(fmt, "breakeven", parameters, results, rows)
         return
 
@@ -358,35 +264,11 @@ def breakeven_cmd(wealth, wmin, wmax, points, inset, price, price_tol,
                    + [(w, "") for w, _ in curve.failures])
     rows = [["wealth", "breakeven_price"]] + [[_r(w), cell] for w, cell in cells]
     if curve.failures:
-        click.echo(f"warning: no break-even price at {len(curve.failures)} "
-                   f"grid point(s)", err=True)
+        print(f"warning: no break-even price at {len(curve.failures)} grid point(s)",
+              file=sys.stderr)
     _emit(fmt, "breakeven", parameters, results, rows)
 
 
-@cli.command("simulate")
-@click.option("--wealth", type=float, required=True, help="Player wealth before each round.")
-@click.option("--price", type=float, default=0.0, show_default=True, help="Ticket price.")
-@click.option(
-    "--mode",
-    type=click.Choice(["time", "ensemble", "subinterval"]),
-    default="time",
-    show_default=True,
-    help="Which growth estimate to run.",
-)
-@click.option("--rounds", type=int, default=100_000, show_default=True,
-              help="Trajectory length (time mode; default q for subinterval mode).")
-@click.option("--samples", type=int, default=100_000, show_default=True,
-              help="Independent players (ensemble mode).")
-@click.option("--subintervals", type=int, default=None,
-              help="Slices per time unit, q (subinterval mode; default: --rounds).")
-@click.option("--seed", type=int, default=0, show_default=True, help="Experiment seed.")
-@click.option("--workers", type=int, default=1, show_default=True,
-              help="Threads; never changes the output.")
-@click.option("--wealth-path-out", type=click.Path(dir_okay=False, writable=True),
-              default=None, help="Write the trajectory's wealth path as CSV (time mode).")
-@_gamble_options
-@_policy_options
-@_format_option
 def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, workers,
                  wealth_path_out, payout_rule, geom_p, tol, max_terms, fmt):
     """Monte Carlo estimates of the growth rates."""
@@ -406,7 +288,7 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
     policy = TruncationPolicy(tolerance=tol, max_terms=max_terms)
     config = SimulationConfig(seed=seed, workers=workers)
     if wealth_path_out is not None and mode != "time":
-        raise click.UsageError("--wealth-path-out requires --mode time")
+        raise UsageError("--wealth-path-out requires --mode time")
 
     parameters = {
         "wealth": wealth,
@@ -456,7 +338,7 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
             rows = [["field", "value"], ["mode", "subinterval"],
                     ["error", "NonpositiveReturn"], ["detail", str(exc)]]
             _emit(fmt, "simulate", parameters, results, rows)
-            raise click.exceptions.Exit(2)
+            return 2
         results = {
             "mode": "subinterval",
             "per_round_rate_estimate": stats.estimate,
@@ -476,9 +358,14 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
         analytic = time_average_growth(state, spec, policy)
     except TruncationInconclusiveError as exc:
         analytic = exc
-    run = time_average_census(state, spec, rounds, config)
-    if wealth_path_out is not None:
-        _write_wealth_path(trajectory_blocks(state, spec, rounds, config), wealth_path_out)
+    # the path file opens before any draw: a path that cannot be written
+    # fails the command before the run is sampled
+    path_file = (contextlib.nullcontext() if wealth_path_out is None
+                 else open(wealth_path_out, "w", newline=""))
+    with path_file:
+        run = time_average_census(state, spec, rounds, config)
+        if wealth_path_out is not None:
+            _write_wealth_path(trajectory_blocks(state, spec, rounds, config), path_file)
 
     if run.bankrupt_at is not None:
         results = {
@@ -492,7 +379,7 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
                 ["bankrupt_wealth",
                  "" if run.bankrupt_wealth is None else _r(run.bankrupt_wealth)]]
         _emit(fmt, "simulate", parameters, results, rows)
-        raise click.exceptions.Exit(2)
+        return 2
 
     stats = time_average_estimate(run)
     results = {
@@ -504,7 +391,7 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
         "frequencies": _frequency_pairs(stats),
     }
     if isinstance(analytic, TruncationInconclusiveError):
-        click.echo(f"note: analytic_growth_rate omitted: {analytic}", err=True)
+        print(f"note: analytic_growth_rate omitted: {analytic}", file=sys.stderr)
     elif analytic.is_converged:
         results["analytic_growth_rate"] = analytic.value
     _emit(fmt, "simulate", parameters, results, census_rows(results, stats))
@@ -535,39 +422,26 @@ def _wealth_cells(log_wealth) -> Iterable[str]:
     return map(_wealth_cell, log_wealth.tolist())
 
 
-def _write_wealth_path(blocks, path: str) -> None:
-    """Write the ``round,wealth`` CSV of a path, a slice of rows at a time.
+def _write_wealth_path(blocks, handle) -> None:
+    """Write the ``round,wealth`` CSV of a path to ``handle``, a slice of rows at a time.
 
     ``blocks`` yields ``(waiting_times, log_wealth)`` as
     :func:`trajectory_blocks` does.  Each slice of up to 2**13 rows is
     formatted by one ``%`` operation and written at once, so memory holds
     one slice's cells, not the path's.
     """
-    with open(path, "w", newline="") as handle:
-        handle.write("round,wealth\n")
-        lo = 0
-        for _, log_wealth in blocks:
-            for start in range(0, len(log_wealth), _PATH_SLICE):
-                part = log_wealth[start:start + _PATH_SLICE]
-                fields = [None] * (2 * len(part))
-                fields[::2] = range(lo, lo + len(part))
-                fields[1::2] = _wealth_cells(part)
-                handle.write("%d,%s\n" * len(part) % tuple(fields))
-                lo += len(part)
+    handle.write("round,wealth\n")
+    lo = 0
+    for _, log_wealth in blocks:
+        for start in range(0, len(log_wealth), _PATH_SLICE):
+            part = log_wealth[start:start + _PATH_SLICE]
+            fields = [None] * (2 * len(part))
+            fields[::2] = range(lo, lo + len(part))
+            fields[1::2] = _wealth_cells(part)
+            handle.write("%d,%s\n" * len(part) % tuple(fields))
+            lo += len(part)
 
 
-@cli.command("menger")
-@click.option("--wealth", type=float, required=True, help="Player wealth.")
-@click.option(
-    "--nmax",
-    "nmax_list",
-    type=int,
-    multiple=True,
-    default=(1, 5, 10, 30),
-    show_default=True,
-    help="Truncation lengths to tabulate (repeatable).",
-)
-@_format_option
 def menger_cmd(wealth, nmax_list, fmt):
     """Price analysis of the unbounded-variant gamble.
 
@@ -578,6 +452,7 @@ def menger_cmd(wealth, nmax_list, fmt):
     prices up to the whole wealth, and reports what the time criterion
     says.
     """
+    nmax_list = nmax_list or _NMAX_DEFAULT
     spec = GambleSpec(payout_rule=Menger())
     truncations = [
         {"n_max": n, "price": menger_partial_sum_price(wealth, n)}
@@ -604,19 +479,168 @@ def menger_cmd(wealth, nmax_list, fmt):
     _emit(fmt, "menger", parameters, results, rows)
 
 
+# ====== Parsers ======
+
+
+class UsageError(Exception):
+    """A command line that the parser or a command rejects; exit status 1."""
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    def add_usage(self, usage, actions, groups, prefix=None):
+        super().add_usage(usage, actions, groups, "Usage: " if prefix is None else prefix)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ``argparse`` parser that raises :class:`UsageError` on bad input.
+
+    An option that takes a value takes the next token, whatever it looks
+    like, so ``--price -1e-3`` and ``--wealth -inf`` reach the library's
+    own checks; plain argparse reads such a value as an unknown option.
+    """
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(formatter_class=_HelpFormatter, allow_abbrev=False, **kwargs)
+        self._valued = set()
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.nargs != 0:
+            self._valued.update(action.option_strings)
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        tokens = iter(sys.argv[1:] if args is None else args)
+        joined = []
+        for token in tokens:
+            value = next(tokens, None) if token in self._valued else None
+            joined.append(token if value is None else f"{token}={value}")
+        return super().parse_known_args(joined, namespace)
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _format_option(parser: _Parser) -> None:
+    parser.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json",
+                        help="Output format.  [default: %(default)s]")
+
+
+def _gamble_options(parser: _Parser) -> None:
+    """The gamble, series policy and format options every series command takes."""
+    parser.add_argument("--payout", dest="payout_rule", metavar="PAYOUT", type=_payout_arg,
+                        default="bernoulli",
+                        help="Payout rule: bernoulli, menger, capped:<amount>, "
+                             "table:<csv-path>.  [default: %(default)s]")
+    parser.add_argument("--geom-p", type=float, default=0.5,
+                        help="Per-round stopping probability of the waiting-time law.  "
+                             "[default: %(default)s]")
+    parser.add_argument("--tol", type=float, default=1e-10,
+                        help="Tail bound a series must reach to count as converged.  "
+                             "[default: %(default)s]")
+    parser.add_argument("--max-terms", type=int, default=10_000,
+                        help="Hard cap on series terms before giving up.  [default: %(default)s]")
+    _format_option(parser)
+
+
+def _build_parsers():
+    """The top-level parser and each command's parser by name."""
+    top = _Parser(prog="petersburg", usage="%(prog)s [OPTIONS] COMMAND [ARGS]...",
+                  description="Growth-rate analysis of lotteries with heavy-tailed payouts.")
+    top.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = top.add_subparsers(title="commands", prog="petersburg", metavar="COMMAND",
+                                  required=True)
+
+    def command(name: str, run) -> _Parser:
+        parser = commands.add_parser(name, usage="%(prog)s [OPTIONS]",
+                                     help=run.__doc__.partition("\n")[0],
+                                     description=run.__doc__)
+        parser.set_defaults(run=run)
+        return parser
+
+    evaluate = command("evaluate", evaluate_cmd)
+    evaluate.add_argument("--wealth", type=float, required=True,
+                          help="Player wealth before the round.  [required]")
+    evaluate.add_argument("--price", type=float, default=0.0,
+                          help="Ticket price.  [default: %(default)s]")
+    evaluate.add_argument("--utility", choices=["log", "sqrt"],
+                          help="Also report the expected change of this utility.")
+    _gamble_options(evaluate)
+
+    breakeven = command("breakeven", breakeven_cmd)
+    breakeven.add_argument("--wealth", type=float,
+                           help="Solve a single wealth level instead of the grid.")
+    breakeven.add_argument("--wmin", type=float,
+                           help=f"Smallest grid wealth.  [default: {_GRID_DEFAULTS[0]:g}]")
+    breakeven.add_argument("--wmax", type=float,
+                           help=f"Largest grid wealth.  [default: {_GRID_DEFAULTS[1]:g}]")
+    breakeven.add_argument("--points", type=int,
+                           help=f"Log-spaced grid points.  [default: {_GRID_DEFAULTS[2]}]")
+    breakeven.add_argument("--inset", action="store_true",
+                           help="Emit time-average growth at a fixed --price over the wealth "
+                                "grid instead of break-even prices.")
+    breakeven.add_argument("--price", type=float, default=2.0,
+                           help="Ticket price for --inset growth data.  [default: %(default)s]")
+    breakeven.add_argument("--price-tol", type=float, default=1e-10,
+                           help="Absolute tolerance on each solved price.  "
+                                "[default: %(default)s]")
+    _gamble_options(breakeven)
+
+    simulate = command("simulate", simulate_cmd)
+    simulate.add_argument("--wealth", type=float, required=True,
+                          help="Player wealth before each round.  [required]")
+    simulate.add_argument("--price", type=float, default=0.0,
+                          help="Ticket price.  [default: %(default)s]")
+    simulate.add_argument("--mode", choices=["time", "ensemble", "subinterval"], default="time",
+                          help="Which growth estimate to run.  [default: %(default)s]")
+    simulate.add_argument("--rounds", type=int, default=100_000,
+                          help="Trajectory length (time mode; default q for subinterval "
+                               "mode).  [default: %(default)s]")
+    simulate.add_argument("--samples", type=int, default=100_000,
+                          help="Independent players (ensemble mode).  [default: %(default)s]")
+    simulate.add_argument("--subintervals", type=int,
+                          help="Slices per time unit, q (subinterval mode; default: --rounds).")
+    simulate.add_argument("--seed", type=int, default=0,
+                          help="Experiment seed.  [default: %(default)s]")
+    simulate.add_argument("--workers", type=int, default=1,
+                          help="Threads; never changes the output.  [default: %(default)s]")
+    simulate.add_argument("--wealth-path-out", metavar="PATH",
+                          help="Write the trajectory's wealth path as CSV (time mode).")
+    _gamble_options(simulate)
+
+    menger = command("menger", menger_cmd)
+    menger.add_argument("--wealth", type=float, required=True,
+                        help="Player wealth.  [required]")
+    menger.add_argument("--nmax", dest="nmax_list", metavar="NMAX", type=int, action="append",
+                        help="Truncation lengths to tabulate (repeatable).  "
+                             f"[default: {' '.join(map(str, _NMAX_DEFAULT))}]")
+    _format_option(menger)
+
+    return top, {"evaluate": evaluate, "breakeven": breakeven, "simulate": simulate,
+                 "menger": menger}
+
+
+_PARSER, _COMMANDS = _build_parsers()
+
+
 def main(argv: Optional[list] = None) -> int:
     """Console entry point with the documented exit codes."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command line that starts with a command goes to that command's parser
+    # alone; the top-level one answers --help, --version and the rest
+    parser = _COMMANDS.get(argv[0], _PARSER) if argv else _PARSER
     try:
-        status = cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.ClickException as exc:
-        exc.show()
+        args = vars(parser.parse_args(argv if parser is _PARSER else argv[1:]))
+        return args.pop("run")(**args) or 0
+    except UsageError as exc:
+        sys.stderr.write(f"{parser.format_usage()}Try '{parser.prog} --help' for help.\n"
+                         f"\nError: {exc}\n")
         return 1
+    except SystemExit as exc:  # --help and --version exit once printed
+        return exc.code
     except (ValueError, OSError, ArithmeticError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    return status if isinstance(status, int) else 0
 
 
 if __name__ == "__main__":

@@ -37,6 +37,10 @@ from .gamble import GambleSpec, PlayerState, net_wealth
 
 _BLOCK_SIZE = 1 << 16
 
+#: Blocks one census task counts in a row: a worker thread hands the main
+#: thread one census per 2**19 draws instead of one per block.
+_TASK_BLOCKS = 8
+
 _T = TypeVar("_T")
 
 _scratch = threading.local()
@@ -162,17 +166,25 @@ def _block_waiting_times(spec: GambleSpec, seed: int, block: int, size: int) -> 
     return spec.payout_rule.waiting_times(u, spec.probability_parameter)
 
 
-def _map_blocks(fn: Callable[[int, int, int], _T], count: int, workers: int) -> Iterator[_T]:
-    """``fn(block, lo, hi)`` for each block of draws ``lo:hi`` below ``count``.
+def _spans(lo: int, hi: int, size: int) -> Iterator[Tuple[int, int, int]]:
+    """``(index, start, stop)`` of the slices of ``size`` draws covering ``lo:hi``.
 
-    Results come in block order.  Blocks run on ``min(workers, blocks)``
+    ``lo`` is a multiple of ``size``, and ``index`` is ``start // size``.
+    """
+    return ((start // size, start, min(start + size, hi)) for start in range(lo, hi, size))
+
+
+def _map_blocks(fn: Callable[[int, int, int], _T], count: int, workers: int,
+                size: int = _BLOCK_SIZE) -> Iterator[_T]:
+    """``fn(index, lo, hi)`` for each slice of ``size`` draws ``lo:hi`` below ``count``.
+
+    Results come in slice order.  Slices run on ``min(workers, slices)``
     threads, with no pool for one, and at most two per thread are in
     flight, so memory does not grow with ``count``.  Closing the
-    iterator early cancels the blocks not yet started.
+    iterator early cancels the slices not yet started.
     """
-    blocks = (count + _BLOCK_SIZE - 1) // _BLOCK_SIZE
-    spans = ((b, b * _BLOCK_SIZE, min((b + 1) * _BLOCK_SIZE, count)) for b in range(blocks))
-    threads = min(workers, blocks)
+    threads = min(workers, -(-count // size))
+    spans = _spans(0, count, size)
     if threads == 1:
         for span in spans:
             yield fn(*span)
@@ -357,6 +369,8 @@ def _census(
     With ``stop_at_ruin``, the census stops before the first draw whose
     growth factor is nonpositive, returned as ``(index, n)`` with a
     0-based index; otherwise, and when no draw ruins, it is ``None``.
+    Each task counts ``_TASK_BLOCKS`` blocks in order and stops at its
+    first ruinous one, so the first ruin in block order is the one found.
     """
 
     def block_census(block: int, lo: int, hi: int):
@@ -364,11 +378,25 @@ def _census(
             return _block_run(state, spec, config.seed, block, lo, hi)[1:]
         return np.bincount(_block_waiting_times(spec, config.seed, block, hi - lo)), None
 
-    total = np.zeros(1, dtype=np.int64)
-    for counts, fatal in _map_blocks(block_census, count, config.workers):
+    def add(total: np.ndarray, counts: np.ndarray) -> np.ndarray:
         if len(counts) > len(total):
             total = np.concatenate([total, np.zeros(len(counts) - len(total), np.int64)])
         total[: len(counts)] += counts
+        return total
+
+    def task_census(task: int, lo: int, hi: int):
+        total = np.zeros(1, dtype=np.int64)
+        for span in _spans(lo, hi, _BLOCK_SIZE):
+            counts, fatal = block_census(*span)
+            total = add(total, counts)
+            if fatal is not None:
+                return total, fatal
+        return total, None
+
+    total = np.zeros(1, dtype=np.int64)
+    for counts, fatal in _map_blocks(task_census, count, config.workers,
+                                     _TASK_BLOCKS * _BLOCK_SIZE):
+        total = add(total, counts)
         if fatal is not None:
             return total, fatal
     return total, None

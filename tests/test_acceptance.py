@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-from click.testing import CliRunner
 
 from petersburg import (
     Capped,
@@ -35,7 +34,7 @@ from petersburg import (
     time_average_estimate,
     time_average_growth,
 )
-from petersburg.cli import cli
+from test_cli import run
 
 # High-precision reference values, computed independently with 50-digit
 # decimal arithmetic and frozen here.
@@ -256,7 +255,6 @@ class TestAcceptance:
         assert natural.estimate == (100.0 - 2.0 + 2.0 ** (first - 1)) / 100.0 - 1.0
 
     def test_simulate_cli_is_byte_identical_across_workers(self):
-        runner = CliRunner()
         invocations = (
             ["simulate", "--mode", "time", "--wealth", "100", "--price", "2",
              "--rounds", "70000", "--seed", "5"],
@@ -269,7 +267,7 @@ class TestAcceptance:
             outputs = set()
             for workers in ("1", "2", "8"):
                 for _ in range(2):
-                    result = runner.invoke(cli, base + ["--workers", workers])
+                    result = run(*base, "--workers", workers)
                     assert result.exit_code == 0
                     outputs.add(result.output)
             assert len(outputs) == 1

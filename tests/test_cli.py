@@ -1,17 +1,19 @@
 """Tests for the command-line interface and its output envelopes."""
 
+import contextlib
 import csv
 import importlib.resources
 import io
 import json
 import math
+import re
 import sys
 import tracemalloc
+from typing import NamedTuple
 
 import jsonschema
 import mpmath
 import pytest
-from click.testing import CliRunner
 
 from petersburg import (
     BernoulliOriginal,
@@ -23,7 +25,8 @@ from petersburg import (
     Table,
     simulate_trajectory,
 )
-from petersburg.cli import cli, main, parse_payout
+from petersburg import montecarlo
+from petersburg.cli import main, parse_payout
 from test_series_oracle import reference
 
 BREAKEVEN_100 = 4.36019402978550666497679191764
@@ -36,11 +39,22 @@ _schema_text = (
 ENVELOPE_SCHEMA = json.loads(_schema_text)
 
 
-def run(*args):
-    result = CliRunner().invoke(cli, list(args))
-    if result.exception is not None and not isinstance(result.exception, SystemExit):
-        raise result.exception
-    return result
+class Result(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        return self.stdout
+
+
+def run(*args) -> Result:
+    """The installed ``petersburg`` entry point on ``args``, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(args))
+    return Result(code, out.getvalue(), err.getvalue())
 
 
 def _reject_constant(token):
@@ -245,11 +259,11 @@ class TestBreakevenCommand:
 
     def test_wealth_and_inset_conflict(self):
         result = run("breakeven", "--wealth", "100", "--inset")
-        assert result.exit_code == 2
+        assert result.exit_code == 1
 
     def test_wealth_and_grid_flags_conflict(self):
         result = run("breakeven", "--wealth", "100", "--wmin", "10")
-        assert result.exit_code == 2
+        assert result.exit_code == 1
 
 
 # ====== simulate ======
@@ -423,7 +437,20 @@ class TestSimulateCommand:
                       ["--mode", "subinterval", "--subintervals", "10"]):
             result = run("simulate", "--wealth", "100", "--price", "2",
                          "--wealth-path-out", str(out), *flags)
-            assert result.exit_code == 2
+            assert result.exit_code == 1
+
+    @pytest.mark.parametrize("target", ["a-directory", "missing/path.csv"])
+    def test_unwritable_wealth_path_fails_before_any_draw(self, tmp_path, monkeypatch, target):
+        def draw(*args):
+            raise AssertionError("a block was drawn before the path file was opened")
+
+        monkeypatch.setattr(montecarlo, "_block_waiting_times", draw)
+        (tmp_path / "a-directory").mkdir()
+        result = run("simulate", "--wealth", "100", "--price", "2", "--rounds", "1000",
+                     "--wealth-path-out", str(tmp_path / target))
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:")
 
     def test_menger_time_mode_emits_strict_json(self, capsys):
         # Seeds 0-19 include runs that draw n >= 10, whose payout
@@ -617,3 +644,64 @@ class TestMainEntryPoint:
         result = run("--version")
         assert result.exit_code == 0
         assert "0.1.0" in result.output
+
+    def test_version_line(self):
+        result = run("--version")
+        assert (result.exit_code, result.stdout) == (0, "petersburg, version 0.1.0\n")
+
+    def test_usage_error_format(self):
+        result = run("breakeven", "--wealth", "100", "--inset")
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert lines[0] == "Usage: petersburg breakeven [OPTIONS]"
+        assert lines[-1] == "Error: --wealth solves one point; drop the grid/--inset flags"
+
+    def test_payout_error_keeps_its_message(self):
+        result = run("evaluate", "--wealth", "10", "--payout", "roulette")
+        assert result.exit_code == 1
+        assert result.stderr.startswith("Usage: petersburg evaluate [OPTIONS]")
+        assert "unknown payout rule 'roulette'" in result.stderr
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--price", "-1e-3", "ticket_price must be nonnegative"),
+        ("--wealth", "-inf", "wealth must be positive"),
+    ])
+    def test_negative_values_reach_the_library_check(self, flag, value, message):
+        argv = {"--price": ["--wealth", "10"], "--wealth": ["--price", "1"]}[flag]
+        result = run("evaluate", *argv, flag, value)
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error:")
+        assert message in result.stderr
+
+
+# ====== help ======
+
+
+#: Every option of each command.
+COMMAND_OPTIONS = {
+    "evaluate": {"--wealth", "--price", "--utility", "--payout", "--geom-p", "--tol",
+                 "--max-terms", "--format"},
+    "breakeven": {"--wealth", "--wmin", "--wmax", "--points", "--inset", "--price",
+                  "--price-tol", "--payout", "--geom-p", "--tol", "--max-terms", "--format"},
+    "simulate": {"--wealth", "--price", "--mode", "--rounds", "--samples", "--subintervals",
+                 "--seed", "--workers", "--wealth-path-out", "--payout", "--geom-p", "--tol",
+                 "--max-terms", "--format"},
+    "menger": {"--wealth", "--nmax", "--format"},
+}
+
+
+class TestHelp:
+    def test_top_level_help_names_every_command(self):
+        result = run("--help")
+        assert result.exit_code == 0
+        assert result.stdout.startswith("Usage: petersburg ")
+        assert {"--help", "--version"} <= set(re.findall(r"--[\w-]+", result.stdout))
+        assert set(COMMAND_OPTIONS) <= set(result.stdout.split())
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+    def test_command_help_names_every_option(self, command):
+        result = run(command, "--help")
+        assert result.exit_code == 0
+        assert result.stdout.startswith(f"Usage: petersburg {command} [OPTIONS]")
+        named = set(re.findall(r"--[\w-]+", result.stdout))
+        assert COMMAND_OPTIONS[command] | {"--help"} <= named

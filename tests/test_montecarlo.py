@@ -498,6 +498,25 @@ class TestCensusReducer:
         results = json.loads(capsys.readouterr().out)["results"]
         assert results["bankrupt_at"] == trajectory.bankrupt_at
 
+    def test_first_ruin_inside_a_later_census_task(self):
+        # Growth factors 1.25 and 0.8 keep log wealth a driftless walk, so
+        # the bankrupt wealth is a nonzero double.  At seed 0 the first
+        # ruinous round is 1 374 745, in block 20: not the first block of
+        # its census task, and tasks after it are drawn in parallel.
+        spec = GambleSpec(payout_rule=Table(((0.5, 13.0), (0.499999, 8.5), (1e-06, 0.0))))
+        state = PlayerState(wealth=10.0, ticket_price=10.5)
+        rounds = 2**21
+        trajectory = simulate_trajectory(state, spec, rounds, SimulationConfig(seed=0))
+        assert trajectory.bankrupt_at == 1_374_745
+        assert (trajectory.bankrupt_at - 1) // 2**16 % montecarlo._TASK_BLOCKS > 0
+        assert trajectory.bankrupt_wealth < 0.0
+        for workers in (1, 2, 8):
+            census = time_average_census(state, spec, rounds,
+                                         SimulationConfig(seed=0, workers=workers))
+            assert census.bankrupt_at == trajectory.bankrupt_at
+            assert census.bankrupt_wealth == trajectory.bankrupt_wealth
+            assert census.counts.sum() == trajectory.bankrupt_at - 1
+
     def test_streaming_time_estimate_memory_does_not_grow_with_rounds(self):
         # The draws -> factors -> log-path pipeline held about 64 MB of
         # numpy arrays at this length; the census holds one block.

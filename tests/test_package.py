@@ -10,10 +10,12 @@ import petersburg
 from petersburg import montecarlo
 
 # Runs the series-only commands, then a small simulation, in one fresh
-# interpreter; argv[1] is the directory holding the package.
+# interpreter; argv[1] is the directory holding the package.  The series
+# commands load nothing outside the standard library and the package.
 _STARTUP = """
 import contextlib, io, sys
 sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
 from petersburg.cli import main
 
 def quiet(argv):
@@ -25,9 +27,12 @@ for argv in (["evaluate", "--wealth", "100", "--price", "2"],
              ["menger", "--wealth", "100"],
              ["--version"]):
     quiet(argv)
-    assert "numpy" not in sys.modules, argv
+    foreign = {name for name in set(sys.modules) - before
+               if name.partition(".")[0] not in sys.stdlib_module_names | {"petersburg"}}
+    assert not foreign, (argv, sorted(foreign))
 quiet(["simulate", "--wealth", "100", "--price", "2", "--rounds", "1000"])
 assert "numpy" in sys.modules
+assert "click" not in sys.modules
 """
 
 
