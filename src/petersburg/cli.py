@@ -30,7 +30,7 @@ import itertools
 import json
 import math
 import sys
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import __version__
 from .criteria import (
@@ -280,7 +280,6 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
         subinterval_estimate,
         time_average_census,
         time_average_estimate,
-        trajectory_blocks,
     )
 
     spec = GambleSpec(payout_rule=payout_rule, probability_parameter=geom_p)
@@ -363,9 +362,9 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
     path_file = (contextlib.nullcontext() if wealth_path_out is None
                  else open(wealth_path_out, "w", newline=""))
     with path_file:
-        run = time_average_census(state, spec, rounds, config)
-        if wealth_path_out is not None:
-            _write_wealth_path(trajectory_blocks(state, spec, rounds, config), path_file)
+        run = time_average_census(
+            state, spec, rounds, config,
+            path=None if wealth_path_out is None else _wealth_path_writer(path_file))
 
     if run.bankrupt_at is not None:
         results = {
@@ -422,24 +421,29 @@ def _wealth_cells(log_wealth) -> Iterable[str]:
     return map(_wealth_cell, log_wealth.tolist())
 
 
-def _write_wealth_path(blocks, handle) -> None:
-    """Write the ``round,wealth`` CSV of a path to ``handle``, a slice of rows at a time.
+def _wealth_path_writer(handle) -> Callable[..., None]:
+    """Write the header of the ``round,wealth`` CSV of a path to ``handle``,
+    and return the writer of its rows, one block of log wealth at a time.
 
-    ``blocks`` yields ``(waiting_times, log_wealth)`` as
-    :func:`trajectory_blocks` does.  Each slice of up to 2**13 rows is
-    formatted by one ``%`` operation and written at once, so memory holds
-    one slice's cells, not the path's.
+    Blocks come as :func:`.montecarlo.trajectory_blocks` yields them.
+    Each slice of up to 2**13 rows is formatted by one ``%`` operation
+    and written at once, so memory holds one slice's cells, not the
+    path's.
     """
     handle.write("round,wealth\n")
-    lo = 0
-    for _, log_wealth in blocks:
+    rows = 0
+
+    def write(log_wealth) -> None:
+        nonlocal rows
         for start in range(0, len(log_wealth), _PATH_SLICE):
             part = log_wealth[start:start + _PATH_SLICE]
             fields = [None] * (2 * len(part))
-            fields[::2] = range(lo, lo + len(part))
+            fields[::2] = range(rows, rows + len(part))
             fields[1::2] = _wealth_cells(part)
             handle.write("%d,%s\n" * len(part) % tuple(fields))
-            lo += len(part)
+            rows += len(part)
+
+    return write
 
 
 def menger_cmd(wealth, nmax_list, fmt):

@@ -20,9 +20,10 @@ from .series import (
     Classification,
     SeriesResult,
     TruncationPolicy,
+    _ensemble_growth,
     _log_change_slope,
     bernoulli_literal_lhs,
-    ensemble_average_growth,
+    ensemble_average_growth,  # noqa: F401 -- a criterion of the report, importable here
     expected_payout,
     expected_utility_change,
     time_average_growth,
@@ -106,23 +107,24 @@ def evaluate(
     Returns:
         A :class:`DecisionReport` whose four criteria fields are always
         populated; its ``recommendation`` is derived from the
-        time-average growth rate alone.
+        time-average growth rate alone.  Each series is summed once: the
+        ensemble growth takes the naive payout sum, and a ``"log"``
+        utility change is the time growth result itself.
     """
     policy = policy or TruncationPolicy()
     time_growth = time_average_growth(state, spec, policy)
-    report = DecisionReport(
-        naive_expected_payout=expected_payout(spec, policy, wealth=state.wealth),
-        ensemble_growth=ensemble_average_growth(state, spec, policy),
+    naive = expected_payout(spec, policy, wealth=state.wealth)
+    return DecisionReport(
+        naive_expected_payout=naive,
+        ensemble_growth=_ensemble_growth(state, spec, policy, naive),
         time_growth=time_growth,
         bernoulli_literal=bernoulli_literal_lhs(state, spec, policy),
         recommendation=recommendation_for(time_growth),
-        utility_change=(
-            expected_utility_change(state, spec, utility, policy)
-            if utility is not None
-            else None
-        ),
+        # log utility is the time criterion, term for term
+        utility_change=(time_growth if utility == "log"
+                        else None if utility is None
+                        else expected_utility_change(state, spec, utility, policy)),
     )
-    return report
 
 
 def _criterion_sign(result: SeriesResult) -> int:

@@ -38,6 +38,17 @@ _SQRT2 = math.sqrt(2.0)
 #: most this much relative to its result.
 _U = 2.0 ** -53
 
+#: The smallest subnormal double: rounding a result below the normal
+#: range lowers it by at most half of this.
+_TINY = 2.0 ** -1074
+#: Slack, in logs, of a tail's ``reach``: far wider than the rounding
+#: of ``rest`` and of ``reach``'s own logs.
+_SLACK = 1e-9
+#: ``-ln`` of the smallest normal double, less the slack.
+_LOG_NORMAL = 1022.0 * _LN2 - _SLACK
+#: ``ln(10 u)``, the least log of the doubling log tail's rounding factor.
+_LOG_10U = math.log(10.0 * _U)
+
 #: Menger payouts ``w * expm1(2**n)`` exceed the double range from here on.
 _MENGER_OVERFLOW_N = 10
 
@@ -59,10 +70,14 @@ class Tail(NamedTuple):
     part is known in closed form, and ``bound`` bounds the error of
     adding it, the part left out plus the closed form's own rounding.
     An exact tail returns ``(value, 0.0)``, an envelope ``(0.0, bound)``.
+    ``reach(tolerance)``, where given, is an ``n`` before which that
+    bound, as ``rest`` computes it, stays above ``tolerance``: the sum
+    asks ``rest`` from ``max(start, reach(tolerance))`` on.
     """
 
     start: int
     rest: Callable[[int], Tuple[float, float]]
+    reach: Optional[Callable[[float], int]] = None
 
 
 def _doubling_log(n, net, log1p=math.log1p, ldexp=math.ldexp):
@@ -72,6 +87,32 @@ def _doubling_log(n, net, log1p=math.log1p, ldexp=math.ldexp):
     ``np.ldexp`` it takes an array of ``n``.
     """
     return (n - 1) * _LN2 + log1p(ldexp(net, 1 - n))
+
+
+def _log(x: float) -> float:
+    """``ln x``, ``-inf`` at 0."""
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def _climb(rounding: Callable[[float, float], float], n: float, log_tol: float,
+           cap: float) -> float:
+    """A bound ``b >= n`` with ``m < rounding(m, log_tol)`` at every ``m`` in
+    ``[n, b)``, and ``b <= cap`` unless ``n`` is above it.
+
+    ``rounding`` must not fall as ``m`` grows.  Then ``n <- rounding(n)``
+    only climbs: each ``m`` below the next step lies below the step
+    before, or at or past it, where ``rounding(m)`` is at least the next
+    step.
+    """
+    for _ in range(32):
+        if not n < cap:
+            return n
+        step = rounding(n, log_tol)
+        step = step if step < cap else cap
+        if not step >= n + 1.0:
+            return step if step > n else n
+        n = step
+    return n
 
 
 def _doubling_start(net: float) -> int:
@@ -252,6 +293,14 @@ class BernoulliOriginal(_Doubling):
     # of roundoff where q**n from a rounded q would err by n of them; the
     # rounding term bounds each closed form's error from its magnitude,
     # so it falls with q**n and never with the running total.
+    #
+    # reach(tol) solves, in logs, for the first n at which each part of
+    # the bound, a coefficient times a ratio**n, can fall to tol.  Below
+    # it the part exceeds tol + 2**-1074 by a slack far wider than the
+    # rounding of rest and of these logs, so rest's rounding, of a
+    # subnormal result too, cannot bring the part, or the bound, to tol.
+    # Each solve stops short of any n where a factor of its part could
+    # leave the normal range, past which that rounding is not relative.
 
     def log_tail(self, p: float, net: float, wealth: float) -> Optional[Tail]:
         # ln(net + 2**(k-1)) = (k-1) ln 2 + log1p(x_k).  Over k > n,
@@ -268,7 +317,42 @@ class BernoulliOriginal(_Doubling):
             rounding = (10.0 - 3.0 * n * log_q) * _U * qn * (level + abs(log_w))
             return qn * (level - log_w), scale * math.ldexp(qn, -n) + rounding
 
-        return Tail(_doubling_start(net), rest)
+        log_scale, drop, abs_log_w = _log(scale), _LN2 - log_q, abs(log_w)
+        # the rounding part at n = 1, but for its factor q**n
+        floor = 10.0 * _U * (_LN2 * mean_wait + abs_log_w) * (1.0 - 1e-6)
+        # below these n the factors of the remainder part, and those of the
+        # rounding part before its last, are normal doubles
+        normal, normal_rounding = _LOG_NORMAL / drop, (_LOG_NORMAL + _LOG_10U) / -log_q
+
+        def remainder(log_tol: float) -> float:
+            # the remainder part exceeds e**log_tol before this n
+            return (log_scale - log_tol) / drop
+
+        def rounding(n: float, log_tol: float) -> float:
+            return (math.log((10.0 - 3.0 * n * log_q) * _U) - log_tol
+                    + math.log(_LN2 * ((n - 1) + mean_wait) + abs_log_w)) / -log_q
+
+        def reach(tolerance: float) -> int:
+            log_tol = math.log(tolerance + _TINY) + _SLACK
+            n = max(min(remainder(log_tol), normal), 1.0)
+            rounds = _climb(rounding, n, log_tol, normal_rounding)
+            least = floor * math.exp(n * log_q)
+            if rounds < n + 1.0 and least > 0.1 * tolerance:
+                # the rounding part may hold the sum up where the remainder
+                # part reaches the tolerance.  Up to any n = upto it is at
+                # least floor q**upto, so the remainder part need only
+                # exceed the tolerance less that: every n below upto and
+                # below the n of that lesser tolerance has a bound above it
+                upto = n
+                for _ in range(2):
+                    gap = tolerance * (1.0 + _SLACK) + _TINY - (
+                        least if upto < normal_rounding else 0.0)
+                    below = remainder(math.log(gap) + _SLACK) if gap > 0.0 else math.inf
+                    n, upto = max(n, min(upto, below, normal)), below
+                    least = floor * math.exp(max(upto, 1.0) * log_q)
+            return math.ceil(max(n, rounds))
+
+        return Tail(_doubling_start(net), rest, reach)
 
     def sqrt_tail(self, p: float, net: float, wealth: float) -> Optional[Tail]:
         # sqrt(net + 2**(k-1)) = sqrt(2)**(k-1) sqrt(1 + x_k).  Over k > n,
@@ -291,7 +375,23 @@ class BernoulliOriginal(_Doubling):
             rounding = (8.0 - 3.0 * n * log_q + 3.0 / short) * _U * (rises + falls)
             return rises - falls, scale * shrink ** n + rounding
 
-        return Tail(_doubling_start(net), rest)
+        log_scale, log_shrink = _log(scale), math.log(shrink)
+        # the rounding part is at least its share of rises, whose factors
+        # are normal doubles while p q**n is
+        log_rises = math.log(p) - math.log(short)
+        normal_rounding = (_LOG_NORMAL + math.log(p)) / -log_q
+        fall = -(log_q + 0.5 * _LN2)  # -ln g
+
+        def rounding(n: float, log_tol: float) -> float:
+            log_cu = math.log((8.0 - 3.0 * n * log_q + 3.0 / short) * _U)
+            return (log_cu + log_rises - log_tol) / fall
+
+        def reach(tolerance: float) -> int:
+            log_tol = math.log(tolerance + _TINY) + _SLACK
+            n = max(min(log_scale - log_tol, _LOG_NORMAL) / -log_shrink, 1.0)
+            return math.ceil(_climb(rounding, n, log_tol, normal_rounding))
+
+        return Tail(_doubling_start(net), rest, reach)
 
 
 @dataclass(frozen=True)

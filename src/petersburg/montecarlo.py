@@ -378,17 +378,11 @@ def _census(
             return _block_run(state, spec, config.seed, block, lo, hi)[1:]
         return np.bincount(_block_waiting_times(spec, config.seed, block, hi - lo)), None
 
-    def add(total: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        if len(counts) > len(total):
-            total = np.concatenate([total, np.zeros(len(counts) - len(total), np.int64)])
-        total[: len(counts)] += counts
-        return total
-
     def task_census(task: int, lo: int, hi: int):
         total = np.zeros(1, dtype=np.int64)
         for span in _spans(lo, hi, _BLOCK_SIZE):
             counts, fatal = block_census(*span)
-            total = add(total, counts)
+            total = _add_counts(total, counts)
             if fatal is not None:
                 return total, fatal
         return total, None
@@ -396,10 +390,50 @@ def _census(
     total = np.zeros(1, dtype=np.int64)
     for counts, fatal in _map_blocks(task_census, count, config.workers,
                                      _TASK_BLOCKS * _BLOCK_SIZE):
-        total = add(total, counts)
+        total = _add_counts(total, counts)
         if fatal is not None:
             return total, fatal
     return total, None
+
+
+def _add_counts(total: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``total + counts``, ``total`` lengthened if ``counts`` is longer."""
+    if len(counts) > len(total):
+        total = np.concatenate([total, np.zeros(len(counts) - len(total), np.int64)])
+    total[: len(counts)] += counts
+    return total
+
+
+def _path_blocks(
+    state: PlayerState, spec: GambleSpec, rounds: int, config: SimulationConfig
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[Tuple[int, int]]]]:
+    """The run of :func:`trajectory_blocks`, with each block's census.
+
+    Yields ``(draws, counts, log_wealth, fatal)`` per block as
+    :func:`_block_run` gives the draws, their census and the ruinous draw,
+    and ``log_wealth`` as :func:`trajectory_blocks` does.
+    """
+    start = math.log(state.wealth)
+
+    def block_steps(block: int, lo: int, hi: int):
+        draws, counts, fatal = _block_run(state, spec, config.seed, block, lo, hi)
+        # indexed by n itself, which spares a shifted copy of the draws
+        logs = np.empty(len(counts))
+        seen = np.flatnonzero(counts)
+        logs[seen] = _log_growth_factors(state, spec, seen)
+        return draws, counts, logs[draws], fatal
+
+    # the running sum is carried into each block's cumsum, so the path is
+    # rounded exactly as one cumsum over every round would round it
+    carry = 0.0
+    for block, (draws, counts, steps, fatal) in enumerate(
+            _map_blocks(block_steps, rounds, config.workers)):
+        sums = np.cumsum(np.concatenate(([carry], steps)))
+        carry = sums[-1]
+        sums += start
+        yield draws, counts, sums if block == 0 else sums[1:], fatal
+        if fatal is not None:
+            return
 
 
 # ====== Estimators ======
@@ -429,31 +463,9 @@ def trajectory_blocks(
     """
     if rounds < 1:
         raise ValueError(f"rounds must be positive, got {rounds!r}")
-    config = config or SimulationConfig()
-    start = math.log(state.wealth)
-
-    def block_steps(block: int, lo: int, hi: int):
-        draws, counts, fatal = _block_run(state, spec, config.seed, block, lo, hi)
-        # indexed by n itself, which spares a shifted copy of the draws
-        logs = np.empty(len(counts))
-        seen = np.flatnonzero(counts)
-        logs[seen] = _log_growth_factors(state, spec, seen)
-        steps = logs[draws]
-        if fatal is not None:
-            draws = np.append(draws, fatal[1])
-        return draws, steps, fatal
-
-    # the running sum is carried into each block's cumsum, so the path is
-    # rounded exactly as one cumsum over every round would round it
-    carry = 0.0
-    for block, (draws, steps, fatal) in enumerate(
-            _map_blocks(block_steps, rounds, config.workers)):
-        sums = np.cumsum(np.concatenate(([carry], steps)))
-        carry = sums[-1]
-        sums += start
-        yield draws, sums if block == 0 else sums[1:]
-        if fatal is not None:
-            return
+    for draws, _, log_wealth, fatal in _path_blocks(state, spec, rounds,
+                                                    config or SimulationConfig()):
+        yield draws if fatal is None else np.append(draws, fatal[1]), log_wealth
 
 
 def simulate_trajectory(
@@ -506,6 +518,7 @@ def time_average_census(
     spec: GambleSpec,
     rounds: int,
     config: Optional[SimulationConfig] = None,
+    path: Optional[Callable[[np.ndarray], object]] = None,
 ) -> Census:
     """The run :func:`simulate_trajectory` plays, counted instead of stored.
 
@@ -518,6 +531,9 @@ def time_average_census(
         spec: Gamble specification.
         rounds: Number of rounds to attempt (positive).
         config: Seed and worker count.
+        path: Called with each block's log wealth in turn, the arrays
+            :func:`trajectory_blocks` yields; the census is then counted
+            from the same blocks, each drawn once.
 
     Returns:
         A :class:`Census`.
@@ -525,7 +541,13 @@ def time_average_census(
     if rounds < 1:
         raise ValueError(f"rounds must be positive, got {rounds!r}")
     config = config or SimulationConfig()
-    counts, fatal = _census(state, spec, rounds, config, stop_at_ruin=True)
+    if path is None:
+        counts, fatal = _census(state, spec, rounds, config, stop_at_ruin=True)
+    else:
+        counts = np.zeros(1, dtype=np.int64)
+        for _, block_counts, log_wealth, fatal in _path_blocks(state, spec, rounds, config):
+            path(log_wealth)
+            counts = _add_counts(counts, block_counts)
     if fatal is None:
         return Census(state=state, spec=spec, counts=counts)
     index, n = fatal

@@ -184,9 +184,11 @@ def _sum(
 
     Past ``n = 900`` the terms come from ``far`` (default ``term``).  The
     rule's exact tail past its last paid outcome, if it has one, replaces
-    ``tail``.  From ``tail.start`` on, the sum stops once the bound of
-    ``tail.rest(n)`` is within the tolerance, and reports the terms so
-    far plus the closed-form part of the rest.
+    ``tail``.  From ``tail.start`` on, or from ``tail.reach(tolerance)``
+    if that is later, the sum stops once the bound of ``tail.rest(n)``
+    is within the tolerance, and reports the terms so far plus the
+    closed-form part of the rest.  Before ``reach`` no bound could
+    reach the tolerance, so asking ``rest`` there would change nothing.
     Without a tail, a window of non-decaying terms means divergence.  With
     ``empirical_from`` (a custom utility, whose terms may still rise
     before it) the window starts at that ``n``, and a geometric envelope
@@ -195,7 +197,9 @@ def _sum(
     rule = spec.payout_rule
     p = spec.probability_parameter
     tail = rule.tail(term, p) or tail
-    start, rest = tail or (None, None)
+    start, rest, reach = tail or (None, None, None)
+    if reach is not None:
+        start = max(start, reach(policy.tolerance))
     far = far or term
     window_from = empirical_from or 1
     window: deque = deque(maxlen=policy.divergence_window)
@@ -357,10 +361,18 @@ def ensemble_average_growth(
         average is nonpositive.
     """
     policy = policy or TruncationPolicy()
+    return _ensemble_growth(state, spec, policy,
+                            expected_payout(spec, policy, wealth=state.wealth))
+
+
+def _ensemble_growth(state: PlayerState, spec: GambleSpec, policy: TruncationPolicy,
+                     inner: SeriesResult) -> SeriesResult:
+    """:func:`ensemble_average_growth` from ``inner``, the expected payout
+    of ``spec`` under ``policy`` at the player's wealth."""
     w, c = state.wealth, state.ticket_price
-    inner_policy = policy
-    for _ in range(4):
-        inner = expected_payout(spec, inner_policy, wealth=w)
+    for attempt in range(4):
+        if attempt:
+            inner = expected_payout(spec, inner_policy, wealth=w)
         if inner.classification is Classification.DIVERGES_POSITIVE:
             return SeriesResult.diverges_positive(inner.terms_used)
         if inner.classification is Classification.DIVERGES_NEGATIVE:

@@ -554,6 +554,35 @@ class TestWealthPathFile:
         assert serial == two
         assert serial == reference_path_file(PlayerState(100.0, 2.0), GambleSpec(), 200_000, 3)
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("case", ["grows", "bankrupt"])
+    def test_each_block_is_drawn_once(self, tmp_path, monkeypatch, case, workers):
+        # the census is counted from the blocks the file is written from,
+        # and reports what the same run without a file reports
+        table = tmp_path / "rare-ruin.csv"
+        table.write_text("probability,payout\n0.99999,10.0\n1e-05,0.0\n")
+        args = {"grows": ["--wealth", "100", "--price", "2", "--rounds", str(3 * 2**16 + 5)],
+                "bankrupt": ["--wealth", "10", "--price", "10.5", "--payout", f"table:{table}",
+                             "--rounds", "200000"]}[case]
+        args += ["--seed", "1", "--workers", workers]
+        plain = run("simulate", *args)
+        drawn = []
+        draw = montecarlo._block_waiting_times
+
+        def counted(spec, seed, block, size):
+            drawn.append(block)
+            return draw(spec, seed, block, size)
+
+        monkeypatch.setattr(montecarlo, "_block_waiting_times", counted)
+        out = tmp_path / "path.csv"
+        result = run("simulate", *args, "--wealth-path-out", str(out))
+        # two workers may draw a block past the ruinous one, and drop it
+        needed = {"grows": 4, "bankrupt": 2}[case]
+        assert sorted(drawn) == list(range(len(drawn)))
+        assert len(drawn) == needed if workers == "1" else len(drawn) >= needed
+        assert (result.exit_code, result.stdout, result.stderr) == \
+            (plain.exit_code, plain.stdout, plain.stderr)
+
     def test_memory_does_not_grow_with_rounds(self, tmp_path, capsys):
         # A writer holding the whole path peaked at 13 MB here (47 MB at
         # 2e6 rounds); tracing every row string makes longer runs slow.

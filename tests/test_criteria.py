@@ -7,7 +7,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from petersburg import criteria
+from petersburg import criteria, series
 from petersburg import (
     BernoulliOriginal,
     BreakEvenCurve,
@@ -20,11 +20,15 @@ from petersburg import (
     StakeKind,
     Table,
     TruncationPolicy,
+    bernoulli_literal_lhs,
     bernoulli_stake,
     breakeven_curve,
     breakeven_price,
     cap_point,
+    ensemble_average_growth,
     evaluate,
+    expected_payout,
+    expected_utility_change,
     menger_partial_sum_price,
     min_payout,
     recommendation_for,
@@ -86,6 +90,42 @@ class TestRecommendations:
         report = evaluate(PlayerState(100.0, 2.0), GambleSpec(), utility="log")
         assert report.utility_change is not None
         assert report.utility_change.value == report.time_growth.value
+
+
+class TestEvaluateSumsEachSeriesOnce:
+    @pytest.mark.parametrize("utility", [None, "log"])
+    def test_three_sums(self, monkeypatch, utility):
+        # time growth, naive payout and literal gains; the ensemble growth
+        # reuses the payout sum and log utility the time growth
+        calls = []
+        summed = series._sum
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return summed(*args, **kwargs)
+
+        monkeypatch.setattr(series, "_sum", counted)
+        evaluate(PlayerState(100.0, 2.0), GambleSpec(), utility=utility)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("spec", [
+        GambleSpec(),
+        GambleSpec(probability_parameter=0.7),
+        GambleSpec(payout_rule=Capped(1e9)),
+        GambleSpec(payout_rule=Menger()),
+        GambleSpec(payout_rule=Table(((0.5, 0.0), (0.25, 3.0), (0.25, 40.0)))),
+    ], ids=["bernoulli", "fast-decay", "capped", "menger", "table"])
+    @pytest.mark.parametrize("utility", [None, "log", "sqrt"])
+    @pytest.mark.parametrize("price", [0.0, 2.0, 60.0])
+    def test_fields_equal_the_standalone_criteria(self, spec, utility, price):
+        state, policy = PlayerState(100.0, price), TruncationPolicy(tolerance=1e-12)
+        report = evaluate(state, spec, policy, utility)
+        assert report.naive_expected_payout == expected_payout(spec, policy, wealth=100.0)
+        assert report.ensemble_growth == ensemble_average_growth(state, spec, policy)
+        assert report.time_growth == time_average_growth(state, spec, policy)
+        assert report.bernoulli_literal == bernoulli_literal_lhs(state, spec, policy)
+        assert report.utility_change == (
+            None if utility is None else expected_utility_change(state, spec, utility, policy))
 
 
 # ====== Break-even pricing ======

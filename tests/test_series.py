@@ -4,6 +4,7 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from petersburg import (
     BernoulliOriginal,
@@ -22,6 +23,8 @@ from petersburg import (
     expected_utility_change,
     time_average_growth,
 )
+from petersburg.gamble import net_wealth
+from petersburg.series import _sum
 from test_series_oracle import _Reference, assert_agrees, reference
 
 # High-precision reference values, computed independently with 50-digit
@@ -169,6 +172,87 @@ class TestTimeAverageGrowth:
         policy = TruncationPolicy(tolerance=1e-30, max_terms=20)
         with pytest.raises(TruncationInconclusiveError):
             time_average_growth(state, GambleSpec(), policy)
+
+
+# ====== Where the doubling tails start probing ======
+
+
+def _probed_sum(kind, p, wealth, price, policy, skip=True):
+    """``_sum`` of a doubling log or sqrt series, and the ``n`` its tail was
+    asked at.  Without ``skip`` the same tail is asked at every ``n`` from
+    its start."""
+    rule = BernoulliOriginal()
+    net, residual = net_wealth(wealth, price)
+    term, far = getattr(rule, f"{kind}_terms")(net, wealth, residual)
+    tail = getattr(rule, f"{kind}_tail")(p, net, wealth)
+    probes = []
+
+    def rest(n):
+        probes.append(n)
+        return tail.rest(n)
+
+    probed = tail._replace(rest=rest, reach=tail.reach if skip else None)
+    try:
+        result = _sum(GambleSpec(rule, p), policy, term, far, probed)
+    except TruncationInconclusiveError as exc:
+        result = f"inconclusive: {exc}"
+    return result, probes
+
+
+class TestTailReach:
+    """Tail probes start where a bound can first reach the tolerance."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["log", "sqrt"]),
+           p_exp=st.floats(-5.0, math.log10(0.5)),
+           wealth_exp=st.floats(-3.0, 16.0),
+           price=st.sampled_from(["free", "share", "near_ruin", "ruin"]),
+           share=st.floats(0.0, 1.0),
+           tol_exp=st.floats(-320.0, -3.0),
+           max_terms=st.sampled_from([10_000, 300, 40]))
+    @example(kind="log", p_exp=-2.0, wealth_exp=2.0, price="free", share=0.0,
+             tol_exp=-15.4, max_terms=300)  # first useful n near 880
+    @example(kind="log", p_exp=-5.0, wealth_exp=16.0, price="near_ruin", share=1.0,
+             tol_exp=-320.0, max_terms=10_000)
+    def test_skip_is_exact(self, kind, p_exp, wealth_exp, price, share, tol_exp, max_terms):
+        p = 10.0 ** p_exp
+        if kind == "sqrt":  # the sqrt tail exists only for q sqrt(2) < 1
+            p = 0.3 + 0.2 * (p_exp + 5.0) / (5.0 + math.log10(0.5))
+        wealth = 10.0 ** wealth_exp
+        ruin = wealth + 1.0  # the smallest payout is 1
+        price = {"free": 0.0, "share": share * wealth,
+                 "near_ruin": ruin * (1.0 - 10.0 ** (-1.0 - 14.0 * share)),
+                 "ruin": ruin}[price]
+        policy = TruncationPolicy(tolerance=10.0 ** tol_exp, max_terms=max_terms)
+        skipped, asked = _probed_sum(kind, p, wealth, price, policy)
+        every, asked_every = _probed_sum(kind, p, wealth, price, policy, skip=False)
+        assert repr(skipped) == repr(every)
+        assert asked == asked_every[len(asked_every) - len(asked):]
+
+    def test_first_useful_n_past_max_terms_asks_no_tail(self):
+        # at p = 0.01 a bound first reaches 4e-16 near n = 880
+        policy = TruncationPolicy(tolerance=4e-16, max_terms=300)
+        skipped, asked = _probed_sum("log", 0.01, 100.0, 2.0, policy)
+        every, _ = _probed_sum("log", 0.01, 100.0, 2.0, policy, skip=False)
+        assert skipped == every
+        assert skipped.startswith("inconclusive: no tail bound below 4e-16")
+        assert asked == []
+
+    @pytest.mark.parametrize("kind", ["log", "sqrt"])
+    @pytest.mark.parametrize("tolerance", [1e-10, 4e-16])
+    def test_converged_series_probe_at_most_three_times(self, kind, tolerance):
+        policy = TruncationPolicy(tolerance=tolerance)
+        converged = 0
+        for p in (0.5, 0.2, 0.05, 1e-3, 1e-5):
+            for wealth in (1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6):
+                for price in (0.0, 2.0, wealth / 2, 0.999 * wealth):
+                    if kind == "sqrt" and p < 0.3:
+                        continue  # no tail, and a divergent series
+                    result, asked = _probed_sum(kind, p, wealth, price, policy)
+                    if not isinstance(result, str) and result.is_converged:
+                        converged += 1
+                        assert len(asked) <= 3, (p, wealth, price, asked)
+        assert converged >= 28
 
 
 # ====== Ensemble-average growth ======
