@@ -25,12 +25,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
-import itertools
 import json
 import math
 import sys
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import __version__
 from .criteria import (
@@ -398,6 +398,14 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
 
 _PATH_SLICE = 1 << 13
 
+#: ``math.exp`` overflows from this log wealth up, so those cells read ``inf``
+_EXP_OVERFLOW = 710.0
+#: ``math.exp`` rounds to 0.0 from this log wealth down
+_EXP_UNDERFLOW = -746.0
+#: The fewest rows past a bound, inside a block, that the path writer
+#: takes from a template
+_FIXED_RUN_MIN = 64
+
 
 def _wealth_cell(log_wealth: float) -> str:
     try:
@@ -410,38 +418,116 @@ def _wealth_cells(log_wealth) -> Iterable[str]:
     """``_wealth_cell`` of each log wealth of a slice, at C speed where it can.
 
     ``math.exp`` is finite up to 709 and overflows from 710 on, so only a
-    slice reaching between the two takes the per-cell ``try``.  It stays
-    the scalar function: numpy's vectorised ``exp`` may round the last
-    digit differently.
+    slice reaching above 709 takes the per-cell ``try``; the writer sends
+    long runs at or above 710 to :func:`_fixed_rows` instead.  It stays the
+    scalar function: numpy's vectorised ``exp`` may round the last digit
+    differently.
     """
     if log_wealth.max() <= 709.0:
         return map(repr, map(math.exp, log_wealth.tolist()))
-    if log_wealth.min() >= 710.0:
-        return itertools.repeat("inf", len(log_wealth))
     return map(_wealth_cell, log_wealth.tolist())
+
+
+@functools.lru_cache(maxsize=None)
+def _row_template(cell: str) -> tuple:
+    """Rows ``000,cell`` to ``999,cell``: the rows of a thousand whose
+    cells read ``cell``, each without its thousands."""
+    return tuple(f"{row:03d},{cell}\n" for row in range(1000))
+
+
+def _fixed_rows(first: int, stop: int, cell: str) -> Iterator[str]:
+    """The CSV text of rows ``first`` to ``stop - 1``, whose cells all read
+    ``cell``, a thousand rows or fewer at a time.
+
+    Rows below 1000 have no thousands and are formatted one by one; the
+    rest are sliced from :func:`_row_template` and joined with their
+    thousands in front of each row.
+    """
+    if first < 1000:
+        below = min(stop, 1000)
+        yield f"%d,{cell}\n" * (below - first) % tuple(range(first, below))
+        first = below
+    template = _row_template(cell)
+    while first < stop:
+        thousands, row = divmod(first, 1000)
+        end = min(stop - 1000 * thousands, 1000)
+        prefix = str(thousands)
+        yield prefix + prefix.join(template[row:end])
+        first = 1000 * thousands + end
+
+
+def _cell_runs(log_wealth) -> Iterator[tuple]:
+    """Split a block of log wealth into runs of rows, in order.
+
+    Yields ``(begin, end, cell)``: ``cell`` is ``"inf"`` for a run at or
+    above the overflow bound, ``"0.0"`` for one at or below the underflow
+    bound, and ``None`` for the rows between, whose cells
+    :func:`_wealth_cells` formats.  A run past a bound that is shorter
+    than :data:`_FIXED_RUN_MIN` rows, and not the whole block, stays with
+    the rows between, so a path that wanders across a bound pays no
+    per-run cost for each short excursion.
+    """
+    import numpy as np  # loaded already, with the sampler that drew the block
+
+    size = len(log_wealth)
+    # most blocks lie on one side of both bounds; they skip the run
+    # search, whose temporaries fragment the heap that later ops grow
+    low, high = log_wealth.min(), log_wealth.max()
+    if low >= _EXP_OVERFLOW:
+        yield 0, size, "inf"
+        return
+    if high <= _EXP_UNDERFLOW:
+        yield 0, size, "0.0"
+        return
+    if _EXP_UNDERFLOW < low and high < _EXP_OVERFLOW:
+        yield 0, size, None
+        return
+    over = log_wealth >= _EXP_OVERFLOW
+    under = log_wealth <= _EXP_UNDERFLOW
+    edges = np.flatnonzero((over[1:] != over[:-1]) | (under[1:] != under[:-1])) + 1
+    starts = np.concatenate(([0], edges))
+    ends = np.append(edges, size)
+    fixed = (over[starts] | under[starts]) & (ends - starts >= _FIXED_RUN_MIN)
+    done = 0
+    for begin, end in zip(starts[fixed].tolist(), ends[fixed].tolist()):
+        if done < begin:
+            yield done, begin, None
+        yield begin, end, "inf" if over[begin] else "0.0"
+        done = end
+    if done < size:
+        yield done, size, None
 
 
 def _wealth_path_writer(handle) -> Callable[..., None]:
     """Write the header of the ``round,wealth`` CSV of a path to ``handle``,
     and return the writer of its rows, one block of log wealth at a time.
 
-    Blocks come as :func:`.montecarlo.trajectory_blocks` yields them.
-    Each slice of up to 2**13 rows is formatted by one ``%`` operation
-    and written at once, so memory holds one slice's cells, not the
-    path's.
+    Blocks come as :func:`.montecarlo.trajectory_blocks` yields them.  A
+    long path leaves the double range: its rows then read ``inf`` (log
+    wealth at or above 710) or ``0.0`` (at or below -746), and each run of
+    them is written from a cached template of a thousand rows (see
+    :func:`_fixed_rows`).  The other rows are formatted by one ``%``
+    operation per slice of up to 2**13 rows.  Each slice or thousand is
+    written at once, so memory holds one slice's cells, not the path's,
+    and the file is the same byte for byte as one formatted row by row.
     """
     handle.write("round,wealth\n")
     rows = 0
 
     def write(log_wealth) -> None:
         nonlocal rows
-        for start in range(0, len(log_wealth), _PATH_SLICE):
-            part = log_wealth[start:start + _PATH_SLICE]
-            fields = [None] * (2 * len(part))
-            fields[::2] = range(rows, rows + len(part))
-            fields[1::2] = _wealth_cells(part)
-            handle.write("%d,%s\n" * len(part) % tuple(fields))
-            rows += len(part)
+        for begin, end, cell in _cell_runs(log_wealth):
+            if cell is not None:
+                for text in _fixed_rows(rows + begin, rows + end, cell):
+                    handle.write(text)
+                continue
+            for start in range(begin, end, _PATH_SLICE):
+                part = log_wealth[start:min(start + _PATH_SLICE, end)]
+                fields = [None] * (2 * len(part))
+                fields[::2] = range(rows + start, rows + start + len(part))
+                fields[1::2] = _wealth_cells(part)
+                handle.write("%d,%s\n" * len(part) % tuple(fields))
+        rows += len(log_wealth)
 
     return write
 

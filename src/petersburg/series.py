@@ -368,35 +368,29 @@ def ensemble_average_growth(
 def _ensemble_growth(state: PlayerState, spec: GambleSpec, policy: TruncationPolicy,
                      inner: SeriesResult) -> SeriesResult:
     """:func:`ensemble_average_growth` from ``inner``, the expected payout
-    of ``spec`` under ``policy`` at the player's wealth."""
+    of ``spec`` under ``policy`` at the player's wealth.
+
+    Every built-in payout sum that converges is exact (``tail_bound``
+    0.0), so ``inner`` is used as it is: a bound too coarse for the
+    tolerance raises :class:`TruncationInconclusiveError`.
+    """
     w, c = state.wealth, state.ticket_price
-    for attempt in range(4):
-        if attempt:
-            inner = expected_payout(spec, inner_policy, wealth=w)
-        if inner.classification is Classification.DIVERGES_POSITIVE:
-            return SeriesResult.diverges_positive(inner.terms_used)
-        if inner.classification is Classification.DIVERGES_NEGATIVE:
-            return SeriesResult.undefined(
-                UndefinedReason.NONPOSITIVE_LOG_ARGUMENT, inner.terms_used
-            )
-        mean_factor = (w - c + inner.value) / w
-        tail = (inner.tail_bound or 0.0) / w
-        if mean_factor <= 0.0:
-            return SeriesResult.undefined(
-                UndefinedReason.NONPOSITIVE_LOG_ARGUMENT, inner.terms_used
-            )
-        if tail < mean_factor:
-            bound = tail / (mean_factor - tail)
-            if bound <= policy.tolerance:
-                return SeriesResult.converged(
-                    math.log(mean_factor), bound, inner.terms_used
-                )
-        # tail too coarse relative to the mean factor: tighten and retry
-        inner_policy = TruncationPolicy(
-            tolerance=max(mean_factor * w * policy.tolerance / 4.0, 5e-324),
-            max_terms=policy.max_terms,
-            divergence_window=policy.divergence_window,
+    if inner.classification is Classification.DIVERGES_POSITIVE:
+        return SeriesResult.diverges_positive(inner.terms_used)
+    if inner.classification is Classification.DIVERGES_NEGATIVE:
+        return SeriesResult.undefined(
+            UndefinedReason.NONPOSITIVE_LOG_ARGUMENT, inner.terms_used
         )
+    mean_factor = (w - c + inner.value) / w
+    tail = (inner.tail_bound or 0.0) / w
+    if mean_factor <= 0.0:
+        return SeriesResult.undefined(
+            UndefinedReason.NONPOSITIVE_LOG_ARGUMENT, inner.terms_used
+        )
+    if tail < mean_factor:
+        bound = tail / (mean_factor - tail)
+        if bound <= policy.tolerance:
+            return SeriesResult.converged(math.log(mean_factor), bound, inner.terms_used)
     raise TruncationInconclusiveError(
         "could not certify the ensemble growth rate to the requested tolerance"
     )

@@ -13,7 +13,9 @@ from typing import NamedTuple
 
 import jsonschema
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from petersburg import (
     BernoulliOriginal,
@@ -26,7 +28,7 @@ from petersburg import (
     simulate_trajectory,
 )
 from petersburg import montecarlo
-from petersburg.cli import main, parse_payout
+from petersburg.cli import _PATH_SLICE, _wealth_cell, _wealth_path_writer, main, parse_payout
 from test_series_oracle import reference
 
 BREAKEVEN_100 = 4.36019402978550666497679191764
@@ -534,6 +536,13 @@ class TestWealthPathFile:
         assert code == 0
         assert data.endswith(b"100000,0.0\n")
         assert data == reference_path_file(PlayerState(100.0, 60.0), GambleSpec(), 100_000, 1)
+        # the path underflows before row 1000 and stays there, so its run
+        # of 0.0 rows crosses the first thousand and a block boundary, and
+        # the second block is 0.0 throughout
+        rows = data.splitlines()[1:]
+        zeros = [t for t, row in enumerate(rows) if row.endswith(b",0.0")]
+        assert zeros[0] < 1000
+        assert zeros == list(range(zeros[0], 100_001))
 
     def test_bankruptcy_in_a_later_block(self, tmp_path, capsys):
         # the first ruinous round of this table at seed 1 is round 129 818
@@ -596,6 +605,58 @@ class TestWealthPathFile:
             tracemalloc.stop()
         assert code == 0
         assert peak < 8 * 2**20
+
+
+#: log wealth on both sides of each bound: ``math.exp`` is finite up to
+#: about 709.78 and rounds to 0.0 below about -745.13
+_EXP_EDGES = (709.0, 709.78, 709.79, math.nextafter(710.0, 0.0), 710.0, 710.5, 1e308, math.inf,
+              -745.13, -745.14, math.nextafter(-746.0, 0.0), -746.0, -746.5, -1e308, -math.inf,
+              0.0, 4.6)
+
+_run_values = st.lists(st.one_of(st.sampled_from(_EXP_EDGES), st.floats(-800.0, 800.0)),
+                       min_size=1, max_size=3)
+_run_length = st.one_of(st.integers(1, 1500), st.integers(_PATH_SLICE - 3, _PATH_SLICE + 3))
+
+
+class TestWealthPathWriter:
+    """The path writer against a row-by-row reference, on synthetic blocks."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(first=st.sampled_from([0, 999, 1000, 9_999, 99_990, 999_995]),
+           runs=st.lists(st.tuples(_run_values, _run_length), min_size=1, max_size=4),
+           cuts=st.lists(st.integers(1, 3 * _PATH_SLICE), max_size=4))
+    @example(first=999_995, runs=[([800.0], 2 * _PATH_SLICE + 3)], cuts=[])
+    @example(first=99_990, runs=[([4.6, 709.5, -745.0], 2 * _PATH_SLICE + 3)], cuts=[])
+    @example(first=0, runs=[([-800.0], 1500), ([4.6, 709.9], 10), ([-745.2], 3)], cuts=[1499])
+    @example(first=1000, runs=[([709.0, 709.78], 100), ([-745.13, -745.0], 100)], cuts=[100])
+    def test_matches_row_by_row_reference(self, first, runs, cuts):
+        # each run repeats its values; the rows then go to the writer in
+        # blocks cut at ``cuts``, after ``first`` rows that read inf
+        path = np.concatenate([np.resize(values, length) for values, length in runs])
+        bounds = [0, *sorted({c for c in cuts if c < len(path)}), len(path)]
+        handle = io.StringIO()
+        write = _wealth_path_writer(handle)
+        if first:
+            write(np.full(first, 800.0))
+        written = handle.tell()
+        for begin, end in zip(bounds, bounds[1:]):
+            write(path[begin:end])
+        expected = "".join(["%d,%s\n" % (first + t, _wealth_cell(x))
+                            for t, x in enumerate(path.tolist())])
+        assert handle.getvalue()[written:] == expected
+        assert handle.getvalue()[:13] == "round,wealth\n"
+
+    @pytest.mark.parametrize("first", [0, 995, 1000, 12_345, 999_990])
+    def test_leading_inf_run(self, first):
+        # the rows the sweep writes before those it compares
+        handle = io.StringIO()
+        write = _wealth_path_writer(handle)
+        if first:
+            write(np.full(first, 800.0))
+        write(np.array([-800.0, 800.0]))
+        rows = handle.getvalue().splitlines()
+        assert rows == ["round,wealth", *(f"{t},inf" for t in range(first)),
+                        f"{first},0.0", f"{first + 1},inf"]
 
 
 # ====== menger ======

@@ -23,8 +23,9 @@ from petersburg import (
     expected_utility_change,
     time_average_growth,
 )
+from petersburg import series
 from petersburg.gamble import net_wealth
-from petersburg.series import _sum
+from petersburg.series import SeriesResult, _sum
 from test_series_oracle import _Reference, assert_agrees, reference
 
 # High-precision reference values, computed independently with 50-digit
@@ -284,6 +285,28 @@ class TestEnsembleAverageGrowth:
         result = ensemble_average_growth(state, GambleSpec(payout_rule=table))
         assert result.classification is Classification.UNDEFINED
         assert result.reason is UndefinedReason.NONPOSITIVE_LOG_ARGUMENT
+
+    @pytest.mark.parametrize("tail_bound", [1e-6, 1.0, 1e3])
+    def test_coarse_payout_bound_is_inconclusive_at_once(self, monkeypatch, tail_bound):
+        # no built-in rule gives a converged payout a nonzero bound, so a
+        # synthetic one stands in; the payout is not summed again
+        def resummed(*args, **kwargs):
+            raise AssertionError("expected payout summed again")
+
+        monkeypatch.setattr(series, "expected_payout", resummed)
+        inner = SeriesResult.converged(5.0, tail_bound, 12)
+        with pytest.raises(TruncationInconclusiveError, match="ensemble growth rate"):
+            series._ensemble_growth(PlayerState(100.0, 2.0), GambleSpec(),
+                                    TruncationPolicy(), inner)
+
+    def test_fine_payout_bound_converges(self):
+        inner = SeriesResult.converged(5.0, 1e-9, 12)
+        result = series._ensemble_growth(PlayerState(100.0, 2.0), GambleSpec(),
+                                         TruncationPolicy(), inner)
+        assert result.is_converged
+        assert result.value == math.log(1.03)
+        assert result.tail_bound == (1e-9 / 100.0) / (1.03 - 1e-9 / 100.0)
+        assert result.terms_used == 12
 
 
 # ====== Expected utility change ======
