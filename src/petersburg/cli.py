@@ -402,9 +402,6 @@ _PATH_SLICE = 1 << 13
 _EXP_OVERFLOW = 710.0
 #: ``math.exp`` rounds to 0.0 from this log wealth down
 _EXP_UNDERFLOW = -746.0
-#: The fewest rows past a bound, inside a block, that the path writer
-#: takes from a template
-_FIXED_RUN_MIN = 64
 
 
 def _wealth_cell(log_wealth: float) -> str:
@@ -418,14 +415,24 @@ def _wealth_cells(log_wealth) -> Iterable[str]:
     """``_wealth_cell`` of each log wealth of a slice, at C speed where it can.
 
     ``math.exp`` is finite up to 709 and overflows from 710 on, so only a
-    slice reaching above 709 takes the per-cell ``try``; the writer sends
-    long runs at or above 710 to :func:`_fixed_rows` instead.  It stays the
-    scalar function: numpy's vectorised ``exp`` may round the last digit
-    differently.
+    slice reaching above 709 takes the per-cell ``try``; the writer sends a
+    slice at or above 710 throughout to :func:`_fixed_rows` instead.  It
+    stays the scalar function: numpy's vectorised ``exp`` may round the
+    last digit differently.
     """
     if log_wealth.max() <= 709.0:
         return map(repr, map(math.exp, log_wealth.tolist()))
     return map(_wealth_cell, log_wealth.tolist())
+
+
+def _fixed_cell(log_wealth) -> Optional[str]:
+    """The cell every row of a slice reads when the whole slice lies past
+    one bound of the double range, else ``None``."""
+    if log_wealth.min() >= _EXP_OVERFLOW:
+        return "inf"
+    if log_wealth.max() <= _EXP_UNDERFLOW:
+        return "0.0"
+    return None
 
 
 @functools.lru_cache(maxsize=None)
@@ -456,77 +463,37 @@ def _fixed_rows(first: int, stop: int, cell: str) -> Iterator[str]:
         first = 1000 * thousands + end
 
 
-def _cell_runs(log_wealth) -> Iterator[tuple]:
-    """Split a block of log wealth into runs of rows, in order.
-
-    Yields ``(begin, end, cell)``: ``cell`` is ``"inf"`` for a run at or
-    above the overflow bound, ``"0.0"`` for one at or below the underflow
-    bound, and ``None`` for the rows between, whose cells
-    :func:`_wealth_cells` formats.  A run past a bound that is shorter
-    than :data:`_FIXED_RUN_MIN` rows, and not the whole block, stays with
-    the rows between, so a path that wanders across a bound pays no
-    per-run cost for each short excursion.
-    """
-    import numpy as np  # loaded already, with the sampler that drew the block
-
-    size = len(log_wealth)
-    # most blocks lie on one side of both bounds; they skip the run
-    # search, whose temporaries fragment the heap that later ops grow
-    low, high = log_wealth.min(), log_wealth.max()
-    if low >= _EXP_OVERFLOW:
-        yield 0, size, "inf"
-        return
-    if high <= _EXP_UNDERFLOW:
-        yield 0, size, "0.0"
-        return
-    if _EXP_UNDERFLOW < low and high < _EXP_OVERFLOW:
-        yield 0, size, None
-        return
-    over = log_wealth >= _EXP_OVERFLOW
-    under = log_wealth <= _EXP_UNDERFLOW
-    edges = np.flatnonzero((over[1:] != over[:-1]) | (under[1:] != under[:-1])) + 1
-    starts = np.concatenate(([0], edges))
-    ends = np.append(edges, size)
-    fixed = (over[starts] | under[starts]) & (ends - starts >= _FIXED_RUN_MIN)
-    done = 0
-    for begin, end in zip(starts[fixed].tolist(), ends[fixed].tolist()):
-        if done < begin:
-            yield done, begin, None
-        yield begin, end, "inf" if over[begin] else "0.0"
-        done = end
-    if done < size:
-        yield done, size, None
-
-
 def _wealth_path_writer(handle) -> Callable[..., None]:
     """Write the header of the ``round,wealth`` CSV of a path to ``handle``,
     and return the writer of its rows, one block of log wealth at a time.
 
-    Blocks come as :func:`.montecarlo.trajectory_blocks` yields them.  A
-    long path leaves the double range: its rows then read ``inf`` (log
-    wealth at or above 710) or ``0.0`` (at or below -746), and each run of
-    them is written from a cached template of a thousand rows (see
-    :func:`_fixed_rows`).  The other rows are formatted by one ``%``
-    operation per slice of up to 2**13 rows.  Each slice or thousand is
-    written at once, so memory holds one slice's cells, not the path's,
-    and the file is the same byte for byte as one formatted row by row.
+    Blocks come as :func:`.montecarlo.trajectory_blocks` yields them, and
+    are written in slices of up to 2**13 rows.  A long path leaves the
+    double range: its rows then read ``inf`` (log wealth at or above 710)
+    or ``0.0`` (at or below -746), and a slice lying wholly past one bound
+    is written from a cached template of a thousand rows (see
+    :func:`_fixed_rows`).  Any other slice is formatted by one ``%``
+    operation.  Each slice or thousand is written at once, so memory holds
+    one slice's cells, not the path's, and the file is the same byte for
+    byte as one formatted row by row.
     """
     handle.write("round,wealth\n")
     rows = 0
 
     def write(log_wealth) -> None:
         nonlocal rows
-        for begin, end, cell in _cell_runs(log_wealth):
+        for start in range(0, len(log_wealth), _PATH_SLICE):
+            part = log_wealth[start:start + _PATH_SLICE]
+            first = rows + start
+            cell = _fixed_cell(part)
             if cell is not None:
-                for text in _fixed_rows(rows + begin, rows + end, cell):
+                for text in _fixed_rows(first, first + len(part), cell):
                     handle.write(text)
                 continue
-            for start in range(begin, end, _PATH_SLICE):
-                part = log_wealth[start:min(start + _PATH_SLICE, end)]
-                fields = [None] * (2 * len(part))
-                fields[::2] = range(rows + start, rows + start + len(part))
-                fields[1::2] = _wealth_cells(part)
-                handle.write("%d,%s\n" * len(part) % tuple(fields))
+            fields = [None] * (2 * len(part))
+            fields[::2] = range(first, first + len(part))
+            fields[1::2] = _wealth_cells(part)
+            handle.write("%d,%s\n" * len(part) % tuple(fields))
         rows += len(log_wealth)
 
     return write

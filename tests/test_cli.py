@@ -592,6 +592,28 @@ class TestWealthPathFile:
         assert (result.exit_code, result.stdout, result.stderr) == \
             (plain.exit_code, plain.stdout, plain.stderr)
 
+    def test_bankruptcy_at_the_start_of_a_block(self, tmp_path, monkeypatch, capsys):
+        # a block whose first draw ruins adds no rows: the writer gets an
+        # empty block after the first, and the file ends with the first
+        table = tmp_path / "rare-ruin.csv"
+        table.write_text("probability,payout\n0.99999,10.0\n1e-05,0.0\n")
+        draw = montecarlo._block_waiting_times
+
+        def ruin_at_block_one(spec, seed, block, size):
+            draws = draw(spec, seed, block, size)
+            if block == 1:
+                draws[0] = 2  # the table's second row pays 0.0
+            return draws
+
+        monkeypatch.setattr(montecarlo, "_block_waiting_times", ruin_at_block_one)
+        code, data = self.write(tmp_path, "--wealth", "10", "--price", "10.5",
+                                "--payout", f"table:{table}", "--rounds", "200000",
+                                "--seed", "1", "--workers", "1")
+        assert code == 2
+        assert data.count(b"\n") == 1 + 2**16 + 1
+        spec = GambleSpec(payout_rule=Table(((0.99999, 10.0), (1e-05, 0.0))))
+        assert data == reference_path_file(PlayerState(10.0, 10.5), spec, 200_000, 1)
+
     def test_memory_does_not_grow_with_rounds(self, tmp_path, capsys):
         # A writer holding the whole path peaked at 13 MB here (47 MB at
         # 2e6 rounds); tracing every row string makes longer runs slow.
@@ -624,16 +646,18 @@ class TestWealthPathWriter:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(first=st.sampled_from([0, 999, 1000, 9_999, 99_990, 999_995]),
            runs=st.lists(st.tuples(_run_values, _run_length), min_size=1, max_size=4),
-           cuts=st.lists(st.integers(1, 3 * _PATH_SLICE), max_size=4))
+           cuts=st.lists(st.integers(0, 3 * _PATH_SLICE), max_size=4))
     @example(first=999_995, runs=[([800.0], 2 * _PATH_SLICE + 3)], cuts=[])
     @example(first=99_990, runs=[([4.6, 709.5, -745.0], 2 * _PATH_SLICE + 3)], cuts=[])
     @example(first=0, runs=[([-800.0], 1500), ([4.6, 709.9], 10), ([-745.2], 3)], cuts=[1499])
     @example(first=1000, runs=[([709.0, 709.78], 100), ([-745.13, -745.0], 100)], cuts=[100])
+    @example(first=1000, runs=[([800.0], 100), ([-800.0], 100)], cuts=[0, 100, 100, 200])
     def test_matches_row_by_row_reference(self, first, runs, cuts):
         # each run repeats its values; the rows then go to the writer in
-        # blocks cut at ``cuts``, after ``first`` rows that read inf
+        # blocks cut at ``cuts``, after ``first`` rows that read inf; a
+        # repeated cut, or one at either end, makes an empty block
         path = np.concatenate([np.resize(values, length) for values, length in runs])
-        bounds = [0, *sorted({c for c in cuts if c < len(path)}), len(path)]
+        bounds = [0, *sorted(c for c in cuts if c <= len(path)), len(path)]
         handle = io.StringIO()
         write = _wealth_path_writer(handle)
         if first:
