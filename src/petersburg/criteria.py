@@ -20,8 +20,8 @@ from .series import (
     Classification,
     SeriesResult,
     TruncationPolicy,
+    _Probe,
     _ensemble_growth,
-    _log_change_slope,
     bernoulli_literal_lhs,
     ensemble_average_growth,  # noqa: F401 -- a criterion of the report, importable here
     expected_payout,
@@ -158,6 +158,11 @@ def breakeven_price(
     bracket whose ends have certified signs and lie at most
     ``max(price_tolerance, 4 ulp(bankruptcy price))`` apart.
 
+    Each rate the steps read is summed once, and its slope in the price
+    is summed in the same pass.  The probes whose sign alone is read (the
+    bankruptcy end and a free ticket) stop summing once that sign is
+    certain.
+
     Args:
         wealth: Player wealth (must be positive and finite).
         spec: Gamble specification.
@@ -186,11 +191,16 @@ def breakeven_price(
         divergence_window=policy.divergence_window,
     )
 
+    # a rate the solver reads comes with its slope, in ``sloped.slope``
+    # until the next one; a rate whose sign alone is read stops early
+    sloped, signed = _Probe(), _Probe(sign_only=True)
+
     def growth_at(price: float) -> SeriesResult:
-        return time_average_growth(PlayerState(wealth, price), spec, inner)
+        return time_average_growth(PlayerState(wealth, price), spec, inner, _probe=sloped)
 
     def sign_at(price: float) -> int:
-        return _criterion_sign(growth_at(price))
+        return _criterion_sign(
+            time_average_growth(PlayerState(wealth, price), spec, inner, _probe=signed))
 
     # lower end: scan down until the rate turns positive (or give up).  The
     # rate falls with the price, so if it is not positive for a free
@@ -243,8 +253,7 @@ def breakeven_price(
     while hi - lo > floor:
         target = None
         if growth.is_converged and steps < _NEWTON_STEPS:
-            slope = _log_change_slope(spec, wealth, wealth - price, growth.terms_used,
-                                      inner)
+            slope = sloped.slope
             gap = bankruptcy - price
             # capped so that a step from far right of the root lands below lo
             lower = bankruptcy - gap * math.exp(min(-growth.value / (slope * gap), 700.0))

@@ -139,7 +139,8 @@ class PayoutRule:
         """Smallest payout over the support."""
         return self.payout(1, wealth)
 
-    def log_terms(self, net: float, wealth: float, residual: float) -> Tuple[Term, Term]:
+    def log_terms(self, net: float, wealth: float, residual: float,
+                  with_slope: bool = False) -> tuple:
         """Terms of ``P(n) * (ln(net + payout_n) - ln(wealth))``.
 
         ``net + residual`` is the surviving wealth, ``residual`` being
@@ -147,13 +148,29 @@ class PayoutRule:
         ``(term, far)``: ``term`` holds for every ``n``; ``far`` is the
         same term taken in log space, which the series uses past
         ``n = 900``, where weights and payouts leave the double range.
+
+        With ``with_slope`` it returns ``(term, far, slope)``: each call
+        of ``term`` or ``far`` also adds ``P(n) / (net + payout_n)`` to a
+        running sum, in the order of the calls, and ``slope()`` returns
+        that sum.  It is minus the derivative of the series in the price.
         """
         payout, log_wealth = self.payout, math.log(wealth)
 
         def term(n: int, weight: float, log_weight: float) -> float:
             return weight * (math.log(net + payout(n, wealth) + residual) - log_wealth)
 
-        return term, term
+        if not with_slope:
+            return term, term
+        slope = 0.0
+
+        def sloped(n: int, weight: float, log_weight: float) -> float:
+            nonlocal slope
+            m = payout(n, wealth)
+            value = weight * (math.log(net + m + residual) - log_wealth)
+            slope += weight / (net + m)
+            return value
+
+        return sloped, sloped, lambda: slope
 
     def sqrt_terms(self, net: float, wealth: float, residual: float) -> Tuple[Term, Term]:
         """Terms of ``P(n) * (sqrt(net + payout_n) - sqrt(wealth))``, as
@@ -233,7 +250,8 @@ class _Doubling(PayoutRule):
             base = np.ldexp(1.0, np.minimum(ns - 1, 1024))
         return np.where(ns <= self._last_paid, base, 0.0)
 
-    def log_terms(self, net: float, wealth: float, residual: float) -> Tuple[Term, Term]:
+    def log_terms(self, net: float, wealth: float, residual: float,
+                  with_slope: bool = False) -> tuple:
         log_wealth, last = math.log(wealth), self._last_paid
 
         def far(n: int, weight: float, log_weight: float) -> float:
@@ -246,7 +264,27 @@ class _Doubling(PayoutRule):
                 return far(n, weight, log_weight)
             return weight * (math.log(net + m + residual) - log_wealth)
 
-        return term, far
+        if not with_slope:
+            return term, far
+        payout, slope = self.payout, 0.0
+
+        def sloped_far(n: int, weight: float, log_weight: float) -> float:
+            nonlocal slope
+            value = weight * (_doubling_log(n, net) - log_wealth)
+            slope += weight / (net + payout(n))
+            return value
+
+        def sloped(n: int, weight: float, log_weight: float) -> float:
+            nonlocal slope
+            try:
+                m = math.ldexp(1.0, n - 1) if n <= last else 0.0
+            except OverflowError:
+                return sloped_far(n, weight, log_weight)
+            value = weight * (math.log(net + m + residual) - log_wealth)
+            slope += weight / (net + m)
+            return value
+
+        return sloped, sloped_far, lambda: slope
 
     def sqrt_terms(self, net: float, wealth: float, residual: float) -> Tuple[Term, Term]:
         sqrt_wealth, last = math.sqrt(wealth), self._last_paid
@@ -419,7 +457,8 @@ class Menger(PayoutRule):
         out[small] = [self.payout(int(n), wealth) for n in ns[small]]
         return out
 
-    def log_terms(self, net: float, wealth: float, residual: float) -> Tuple[Term, Term]:
+    def log_terms(self, net: float, wealth: float, residual: float,
+                  with_slope: bool = False) -> tuple:
         # ln(net + w e^T - w) - ln w  =  T + log1p((net - w) e^-T / w)
         def term(n: int, weight: float, log_weight: float) -> float:
             try:
@@ -433,7 +472,21 @@ class Menger(PayoutRule):
             # the weight underflows while the term explodes
             return math.exp(log_weight + n * _LN2)
 
-        return term, far
+        if not with_slope:
+            return term, far
+        payout, slope = self.payout, 0.0
+
+        def sloped(plain: Term) -> Term:
+            # the terms do not compute the payout; it is asked for again
+            def sloped_term(n: int, weight: float, log_weight: float) -> float:
+                nonlocal slope
+                value = plain(n, weight, log_weight)
+                slope += weight / (net + payout(n, wealth))
+                return value
+
+            return sloped_term
+
+        return sloped(term), sloped(far), lambda: slope
 
     def log_tail(self, p: float, net: float, wealth: float) -> Optional[Tail]:
         q = 1.0 - p

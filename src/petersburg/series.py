@@ -33,12 +33,14 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Tuple, Union
 
 from .gamble import GambleSpec, PlayerState, Tail, Term, net_wealth
 
 # consecutive-term ratios at or above 1 - slack count as "not decaying"
 _RATIO_SLACK = 1e-12
+# the spacing of doubles at 1
+_EPS = 2.0 ** -52
 
 
 class Classification(str, Enum):
@@ -172,6 +174,23 @@ def _undefined(exc: ValueError, n: int) -> SeriesResult:
     return SeriesResult.undefined(getattr(exc, "reason", UndefinedReason.BANKRUPTCY_TERM), n)
 
 
+def _measured(term: Term, far: Term) -> Tuple[Term, Term, Callable[[], float]]:
+    """``term`` and ``far`` that also add up the magnitudes of the values
+    they return; the third item reads that sum."""
+    mass = 0.0
+
+    def measured(plain: Term) -> Term:
+        def counted(n: int, weight: float, log_weight: float) -> float:
+            nonlocal mass
+            tau = plain(n, weight, log_weight)
+            mass += abs(tau)
+            return tau
+
+        return counted
+
+    return measured(term), measured(far), lambda: mass
+
+
 def _sum(
     spec: GambleSpec,
     policy: TruncationPolicy,
@@ -179,6 +198,7 @@ def _sum(
     far: Optional[Term] = None,
     tail: Optional[Tail] = None,
     empirical_from: Optional[int] = None,
+    sign_only: bool = False,
 ) -> SeriesResult:
     """Sum ``term(n, P(n), ln P(n))`` over the outcomes of ``spec``.
 
@@ -193,14 +213,29 @@ def _sum(
     ``empirical_from`` (a custom utility, whose terms may still rise
     before it) the window starts at that ``n``, and a geometric envelope
     fitted to it may certify convergence.
+
+    With ``sign_only``, a sum with a tail asks ``rest`` from
+    ``tail.start`` on, and also stops at the first ``n`` where the sign of
+    the value is certain: where ``|total + omitted|`` exceeds twice the
+    bound plus the rounding of the partial sum, ``n eps`` times the sum of
+    the magnitudes of its terms.  The rest lies within the bound of
+    ``omitted``, and a sum run on to the tolerance would end within a
+    smaller bound of it, so its value would lie within twice the bound of
+    ``total + omitted`` and have the same sign.  Such a result is
+    ``Converged`` with a ``tail_bound`` that may exceed the tolerance:
+    only its sign is certain.  Where no sign is certain the sum runs on
+    to the tolerance, as without ``sign_only``.
     """
     rule = spec.payout_rule
     p = spec.probability_parameter
     tail = rule.tail(term, p) or tail
     start, rest, reach = tail or (None, None, None)
-    if reach is not None:
-        start = max(start, reach(policy.tolerance))
     far = far or term
+    mass = None
+    if sign_only and start is not None:
+        term, far, mass = _measured(term, far)
+    elif reach is not None:
+        start = max(start, reach(policy.tolerance))
     window_from = empirical_from or 1
     window: deque = deque(maxlen=policy.divergence_window)
     total = 0.0
@@ -235,7 +270,8 @@ def _sum(
                 omitted, bound = rest(n)
             except ValueError as exc:
                 return _undefined(exc, n + 1)
-            if bound <= policy.tolerance:
+            if bound <= policy.tolerance or (
+                    mass is not None and abs(total + omitted) > 2.0 * bound + n * _EPS * mass()):
                 return SeriesResult.converged(total + omitted, bound, n)
     raise TruncationInconclusiveError(
         f"no tail bound below {policy.tolerance!r} and no divergence detected "
@@ -276,46 +312,56 @@ def expected_payout(
     return _sum(spec, policy, term, tail=rule.payout_tail(spec.probability_parameter))
 
 
+class _Probe:
+    """What the break-even solver asks of one growth-rate sum besides its
+    result.
+
+    A ``sign_only`` probe sums only until the sign of the value is
+    certain (see :func:`_sum`).  Any other probe gets ``slope``: the sum
+    of ``P(n) / (net + payout_n)`` over the terms the value took, plus
+    the exact tail of a capped rule.  That is minus the derivative of the
+    rate in the price; it steers Newton steps and carries no error bound.
+    """
+
+    __slots__ = ("sign_only", "slope")
+
+    def __init__(self, sign_only: bool = False) -> None:
+        self.sign_only = sign_only
+        self.slope: Optional[float] = None
+
+
 def _log_change_series(
     spec: GambleSpec,
     wealth: float,
     price: float,
     policy: TruncationPolicy,
+    probe: Optional[_Probe] = None,
 ) -> SeriesResult:
     """Sum of ``P(n) * (ln(net + payout_n) - ln(wealth))`` over outcomes.
 
     ``net = wealth - price`` is the wealth that survives the round
     regardless of outcome (the original Bernoulli criterion ignores the
-    price on the gain side and passes a price of 0).
+    price on the gain side and passes a price of 0).  A ``probe`` asks
+    for a sign only, or for the slope as well (see :class:`_Probe`).
     """
     rule = spec.payout_rule
     net, residual = net_wealth(wealth, price)
-    term, far = rule.log_terms(net, wealth, residual)
-    return _sum(spec, policy, term, far, rule.log_tail(spec.probability_parameter, net, wealth))
-
-
-def _log_change_slope(spec: GambleSpec, wealth: float, net: float, terms_used: int,
-                      policy: TruncationPolicy) -> float:
-    """``sum P(n) / (net + payout_n)``, minus the derivative of the log
-    change series in the price.
-
-    Summed over the ``terms_used`` terms of a converged value of that
-    series under ``policy``, plus the exact tail of a capped rule, whose
-    outcomes past the cap all pay nothing.  It only steers the
-    break-even solver and carries no error bound.
-    """
-    payout = spec.payout_rule.payout
-
-    def term(n: int, weight: float, log_weight: float) -> float:
-        return weight / (net + payout(n, wealth))
-
-    return _sum(spec, policy, term, tail=Tail(terms_used, lambda n: (0.0, 0.0))).value
+    tail = rule.log_tail(spec.probability_parameter, net, wealth)
+    if probe is None or probe.sign_only:
+        term, far = rule.log_terms(net, wealth, residual)
+        return _sum(spec, policy, term, far, tail, sign_only=probe is not None)
+    term, far, slope = rule.log_terms(net, wealth, residual, with_slope=True)
+    result = _sum(spec, policy, term, far, tail)
+    probe.slope = slope()
+    return result
 
 
 def time_average_growth(
     state: PlayerState,
     spec: GambleSpec,
     policy: Optional[TruncationPolicy] = None,
+    *,
+    _probe: Optional[_Probe] = None,
 ) -> SeriesResult:
     """Expected per-round growth rate of log wealth.
 
@@ -335,9 +381,11 @@ def time_average_growth(
         player with nonpositive wealth (price >= wealth + smallest
         payout); ``DivergesPositive`` for payouts growing too fast for
         the log to tame (Menger-type).
+
+    ``_probe`` serves the break-even solver alone (see :class:`_Probe`).
     """
     policy = policy or TruncationPolicy()
-    return _log_change_series(spec, state.wealth, state.ticket_price, policy)
+    return _log_change_series(spec, state.wealth, state.ticket_price, policy, _probe)
 
 
 def ensemble_average_growth(

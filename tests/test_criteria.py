@@ -205,14 +205,20 @@ def _oracle_growth_sign(spec: GambleSpec, wealth: float, price: float) -> int:
         return int(mpmath.sign(total))
 
 
-def _recording_growth(monkeypatch):
-    """Record ``(price, sign)`` of every rate the solver evaluates."""
+def _recording_growth(monkeypatch, slope=None):
+    """Record ``(price, sign)`` of every rate the solver evaluates.
+
+    With ``slope``, every rate the solver reads comes with that slope.
+    """
     probes = []
     real = criteria.time_average_growth
 
-    def recording(state, spec, policy=None):
-        result = real(state, spec, policy)
+    def recording(state, spec, policy=None, **kwargs):
+        result = real(state, spec, policy, **kwargs)
         probes.append((state.ticket_price, criteria._criterion_sign(result)))
+        probe = kwargs.get("_probe")
+        if slope is not None and probe is not None and not probe.sign_only:
+            probe.slope = slope
         return result
 
     monkeypatch.setattr(criteria, "time_average_growth", recording)
@@ -264,8 +270,7 @@ class TestBreakevenSolver:
 
     def test_bisection_fallback_root_is_certified(self, monkeypatch):
         # a vanishing slope sends every Newton target past the bracket
-        monkeypatch.setattr(criteria, "_log_change_slope", lambda *args: 1e-300)
-        probes = _recording_growth(monkeypatch)
+        probes = _recording_growth(monkeypatch, slope=1e-300)
         price = breakeven_price(100.0, GambleSpec())
         assert len(probes) > 12
         _assert_certified(probes, price, 1e-10)
@@ -290,6 +295,59 @@ class TestBreakevenSolver:
         assert 0.0 < wealth + 1.0 - price < 1e-6
         assert len(probes) <= 12
         _assert_certified(probes, price, 4.0 * math.ulp(wealth + 1.0))
+
+
+    def test_bankruptcy_probe_stops_at_a_certain_sign(self, monkeypatch):
+        # the rate just below the bankruptcy price is about -19; a full sum
+        # to the solver's tolerance takes 23 terms
+        terms = {}
+        real = criteria.time_average_growth
+
+        def recording(state, spec, policy=None, **kwargs):
+            result = real(state, spec, policy, **kwargs)
+            terms[state.ticket_price] = result.terms_used
+            return result
+
+        monkeypatch.setattr(criteria, "time_average_growth", recording)
+        breakeven_price(100.0, GambleSpec())
+        assert terms[101.0 - 101.0 * 1e-15] <= 4
+
+
+#: Roots as the solver returned them before its slope was summed with the
+#: rate and its sign probes stopped early: a solver change that moves a
+#: root shows here.
+PINNED_ROOTS = [
+    (BernoulliOriginal(), 0.5, 1.0, "1.6737849096126898"),
+    (BernoulliOriginal(), 0.5, 100.0, "4.36019402982154"),
+    (BernoulliOriginal(), 0.5, 1e6, "10.937183977046516"),
+    (BernoulliOriginal(), 0.2, 10.0, "10.816185608012926"),
+    (BernoulliOriginal(), 0.2, 1e4, "1660.251673206926"),
+    (BernoulliOriginal(), 0.05, 3e5, "300000.9999560958"),
+    (BernoulliOriginal(), 0.05, 1e6, "999958.1818316896"),
+    (Capped(10.0), 0.5, 1.0, "0.9995142319305665"),
+    (Capped(1e6), 0.5, 100.0, "4.359247245296532"),
+    (Capped(1e9), 0.2, 1000.0, "319.7784395694895"),
+    (Capped(1e3), 0.2, 1e6, "36.31259712559404"),
+    (Capped(1e4), 0.05, 1e6, "442.7711251039873"),
+    (Capped(1e9), 0.05, 30.0, "29.99999034088193"),
+]
+
+
+class TestPinnedRoots:
+    @pytest.mark.parametrize("rule, p, wealth, root", PINNED_ROOTS)
+    def test_root_is_unchanged(self, rule, p, wealth, root):
+        assert repr(breakeven_price(wealth, GambleSpec(rule, p))) == root
+
+    def test_curve_is_unchanged(self):
+        curve = breakeven_curve(10.0, 1e4, 5, GambleSpec())
+        assert [(repr(w), repr(c)) for w, c in curve.points] == [
+            ("10.0", "2.8837618246167436"),
+            ("56.23413251903491", "3.97376530000444"),
+            ("316.2277660168379", "5.154951491962078"),
+            ("1778.2794100389228", "6.3784828491418635"),
+            ("10000.0", "7.61758114107285"),
+        ]
+        assert curve.failures == ()
 
 
 class TestBreakevenCurve:

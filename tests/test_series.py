@@ -21,12 +21,14 @@ from petersburg import (
     ensemble_average_growth,
     expected_payout,
     expected_utility_change,
+    min_payout,
     time_average_growth,
 )
-from petersburg import series
+from petersburg import criteria, series
 from petersburg.gamble import net_wealth
-from petersburg.series import SeriesResult, _sum
-from test_series_oracle import _Reference, assert_agrees, reference
+from petersburg.criteria import _criterion_sign
+from petersburg.series import SeriesResult, _Probe, _sum
+from test_series_oracle import _Reference, _price, _spec, assert_agrees, reference
 
 # High-precision reference values, computed independently with 50-digit
 # decimal arithmetic and frozen here.
@@ -254,6 +256,152 @@ class TestTailReach:
                         converged += 1
                         assert len(asked) <= 3, (p, wealth, price, asked)
         assert converged >= 28
+
+
+def _reference_slope(spec: GambleSpec, wealth: float, price: float, terms_used: int) -> float:
+    """``sum P(n) / (net + payout_n)`` over the first ``terms_used``
+    outcomes, plus the exact tail of a capped rule, by a plain loop."""
+    rule, p = spec.payout_rule, spec.probability_parameter
+    net = wealth - price
+    slope = 0.0
+    for n, weight, _ in rule.outcomes(p, terms_used):
+        slope += weight / (net + rule.payout(n, wealth))
+    if isinstance(rule, Capped):
+        # every outcome past the cap pays nothing
+        slope += (1.0 - p) ** terms_used / (net + rule.payout(terms_used + 1, wealth))
+    return slope
+
+
+def _solver_policy(wealth: float) -> TruncationPolicy:
+    """The tolerance :func:`breakeven_price` sums the rate to."""
+    return TruncationPolicy(tolerance=min(1e-10, max(1e-10 / (16.0 * wealth), 4e-16)))
+
+
+def _rate_zero(spec: GambleSpec, wealth: float, root: float) -> float:
+    """The last price at which the rate summed to the solver's tolerance is
+    positive, by bisection over the doubles around a solved ``root``."""
+    policy = _solver_policy(wealth)
+    floor = max(1e-10, 4.0 * math.ulp(wealth + min_payout(spec, wealth)))
+
+    def sign(price: float) -> int:
+        return _criterion_sign(time_average_growth(PlayerState(wealth, price), spec, policy))
+
+    lo, hi = max(root - floor, 0.0), root + floor
+    if sign(lo) <= 0 or sign(hi) > 0:
+        return root
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if sign(mid) > 0 else (lo, mid)
+    return lo
+
+
+_PROBE_RULES = st.sampled_from(["bernoulli", "capped", "menger", "table"])
+_PROBE_P = {"bernoulli": [0.5, 0.2, 0.05, 1e-3], "capped": [0.5, 0.2, 0.05, 1e-3],
+            "menger": [0.5, 0.51, 0.6, 0.9], "table": [0.5] * 4}
+
+
+class TestSolverProbes:
+    """The slope summed with the rate, and rates summed for a sign alone."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rule=_PROBE_RULES, p_index=st.integers(0, 3),
+           cap=st.sampled_from([0.5, 10.0, 1e9, 2.0 ** 1000]),
+           table=st.sampled_from(["few", "wide"]),
+           wealth_exp=st.floats(-3.0, 16.0),
+           regime=st.sampled_from(["zero", "normal", "near_ruin", "brink"]),
+           closeness=st.floats(1e-15, 0.1))
+    @example(rule="capped", p_index=3, cap=2.0 ** 1000, table="few", wealth_exp=2.0,
+             regime="normal", closeness=0.01)  # terms past n = 900, then the exact tail
+    @example(rule="menger", p_index=1, cap=10.0, table="few", wealth_exp=0.0,
+             regime="normal", closeness=0.01)  # Menger terms past n = 900
+    @example(rule="bernoulli", p_index=0, cap=10.0, table="few", wealth_exp=-0.5,
+             regime="brink", closeness=1e-9)  # wealth - price is rounded
+    def test_slope_is_the_plain_sum(self, rule, p_index, cap, table, wealth_exp, regime,
+                                    closeness):
+        spec = _spec(rule, _PROBE_P[rule][p_index], cap, table)
+        wealth = 10.0 ** wealth_exp
+        price = _price(spec, wealth, regime, closeness)
+        state, policy = PlayerState(wealth, price), _solver_policy(wealth)
+        probe = _Probe()
+        try:
+            plain = time_average_growth(state, spec, policy)
+        except TruncationInconclusiveError:
+            with pytest.raises(TruncationInconclusiveError):
+                time_average_growth(state, spec, policy, _probe=probe)
+            return
+        result = time_average_growth(state, spec, policy, _probe=probe)
+        assert repr(result) == repr(plain)
+        if result.is_converged:
+            assert repr(probe.slope) == repr(
+                _reference_slope(spec, wealth, price, result.terms_used))
+
+    def test_slope_sweep_reaches_far_terms(self):
+        spec = GambleSpec(Capped(2.0 ** 1000), 1e-3)
+        probe = _Probe()
+        result = time_average_growth(PlayerState(100.0, 1.0), spec, _probe=probe)
+        assert result.terms_used == 1001
+        assert probe.slope == _reference_slope(spec, 100.0, 1.0, 1001)
+        spec = GambleSpec(Menger(), 0.51)
+        result = time_average_growth(PlayerState(1.0, 0.01), spec, _solver_policy(1.0),
+                                     _probe=probe)
+        assert result.terms_used > 900
+        assert probe.slope == _reference_slope(spec, 1.0, 0.01, result.terms_used)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rule=_PROBE_RULES, p_index=st.integers(0, 3),
+           cap=st.sampled_from([0.5, 10.0, 1e9]),
+           table=st.sampled_from(["few", "wide"]),
+           wealth_exp=st.floats(-3.0, 16.0),
+           regime=st.sampled_from(["root", "root", "zero_rate", "zero_rate", "zero",
+                                   "normal", "near_ruin", "brink", "ruin", "ruinous"]),
+           closeness=st.floats(1e-15, 0.1),
+           ulps=st.integers(-4, 4))
+    def test_sign_only_sign_is_the_full_sign(self, rule, p_index, cap, table, wealth_exp,
+                                             regime, closeness, ulps):
+        spec = _spec(rule, _PROBE_P[rule][p_index], cap, table)
+        wealth = 10.0 ** wealth_exp
+        if regime in ("root", "zero_rate"):
+            try:
+                root = criteria.breakeven_price(wealth, spec)
+            except (criteria.NoSignChangeError, TruncationInconclusiveError):
+                root = _price(spec, wealth, "brink", closeness)
+            else:
+                if regime == "zero_rate":  # where the sign is least certain
+                    root = _rate_zero(spec, wealth, root)
+            price = max(root + ulps * math.ulp(root), 0.0)
+        elif regime == "ruinous":
+            price = _price(spec, wealth, "ruin", closeness) * (1.0 + closeness)
+        else:
+            price = _price(spec, wealth, regime, closeness)
+        state, policy = PlayerState(wealth, price), _solver_policy(wealth)
+        try:
+            full = time_average_growth(state, spec, policy)
+        except TruncationInconclusiveError:
+            # a sign may be certain long before the value is: check it
+            # against the oracle
+            try:
+                signed = time_average_growth(state, spec, policy, _probe=_Probe(sign_only=True))
+            except TruncationInconclusiveError:
+                return
+            with mpmath.workdps(40):
+                assert _criterion_sign(signed) == mpmath.sign(
+                    reference(spec, wealth, price, "log").value)
+            return
+        signed = time_average_growth(state, spec, policy, _probe=_Probe(sign_only=True))
+        assert _criterion_sign(signed) == _criterion_sign(full)
+        assert signed.classification is full.classification
+        if not full.is_converged:
+            assert signed == full
+        assert signed.terms_used <= full.terms_used
+
+    def test_sign_only_probe_without_a_certain_sign_runs_to_the_tolerance(self):
+        # where the rate changes sign it is far below every bound above the
+        # tolerance
+        price = _rate_zero(GambleSpec(), 100.0, criteria.breakeven_price(100.0, GambleSpec()))
+        state, policy = PlayerState(100.0, price), _solver_policy(100.0)
+        signed = time_average_growth(state, GambleSpec(), policy, _probe=_Probe(sign_only=True))
+        assert signed == time_average_growth(state, GambleSpec(), policy)
+        assert signed.tail_bound <= policy.tolerance
 
 
 # ====== Ensemble-average growth ======
