@@ -155,40 +155,39 @@ def _emit(fmt: str, command: str, parameters: dict, results: dict, rows) -> None
         sys.stdout.write(buffer.getvalue())
 
 
+def _series_setup(payout_rule, geom_p, tol, max_terms, wealth=None, price=None):
+    """The gamble, the player state (given a wealth), the series policy
+    and the envelope parameters of a command, validated in that order."""
+    spec = GambleSpec(payout_rule=payout_rule, probability_parameter=geom_p)
+    state = None if wealth is None else PlayerState(wealth=wealth, ticket_price=price)
+    policy = TruncationPolicy(tolerance=tol, max_terms=max_terms)
+    parameters = {"payout": payout_rule.token, "geom_p": geom_p, "tol": tol,
+                  "max_terms": max_terms}
+    if state is not None:
+        parameters.update(wealth=wealth, price=price)
+    return spec, state, policy, parameters
+
+
 def evaluate_cmd(wealth, price, utility, payout_rule, geom_p, tol, max_terms, fmt):
     """Evaluate every decision criterion for one state and gamble."""
-    spec = GambleSpec(payout_rule=payout_rule, probability_parameter=geom_p)
-    state = PlayerState(wealth=wealth, ticket_price=price)
-    policy = TruncationPolicy(tolerance=tol, max_terms=max_terms)
+    spec, state, policy, parameters = _series_setup(payout_rule, geom_p, tol, max_terms,
+                                                    wealth, price)
     report = evaluate_state(state, spec, policy, utility)
 
-    results = {
-        "naive_expected_payout": _series_dict(report.naive_expected_payout),
-        "ensemble_growth": _series_dict(report.ensemble_growth),
-        "time_growth": _series_dict(report.time_growth),
-        "bernoulli_literal": _series_dict(report.bernoulli_literal),
-        "recommendation": report.recommendation.value,
-    }
-    rows = [
-        ["quantity", "classification", "value", "tail_bound", "terms_used", "reason"],
-        _series_row("naive_expected_payout", report.naive_expected_payout),
-        _series_row("ensemble_growth", report.ensemble_growth),
-        _series_row("time_growth", report.time_growth),
-        _series_row("bernoulli_literal", report.bernoulli_literal),
+    series = [
+        ("naive_expected_payout", report.naive_expected_payout),
+        ("ensemble_growth", report.ensemble_growth),
+        ("time_growth", report.time_growth),
+        ("bernoulli_literal", report.bernoulli_literal),
     ]
     if report.utility_change is not None:
-        results["utility_change"] = _series_dict(report.utility_change)
-        rows.append(_series_row("utility_change", report.utility_change))
+        series.append(("utility_change", report.utility_change))
+    results = {label: _series_dict(result) for label, result in series}
+    results["recommendation"] = report.recommendation.value
+    rows = [["quantity", "classification", "value", "tail_bound", "terms_used", "reason"]]
+    rows += [_series_row(label, result) for label, result in series]
     rows.append(["recommendation", report.recommendation.value, "", "", "", ""])
 
-    parameters = {
-        "wealth": wealth,
-        "price": price,
-        "payout": payout_rule.token,
-        "geom_p": geom_p,
-        "tol": tol,
-        "max_terms": max_terms,
-    }
     if utility is not None:
         parameters["utility"] = utility
     _emit(fmt, "evaluate", parameters, results, rows)
@@ -208,15 +207,7 @@ def breakeven_cmd(wealth, wmin, wmax, points, inset, price, price_tol,
     grid_flags = (wmin, wmax, points)
     if wealth is not None and (inset or any(v is not None for v in grid_flags)):
         raise UsageError("--wealth solves one point; drop the grid/--inset flags")
-    spec = GambleSpec(payout_rule=payout_rule, probability_parameter=geom_p)
-    policy = TruncationPolicy(tolerance=tol, max_terms=max_terms)
-
-    parameters = {
-        "payout": payout_rule.token,
-        "geom_p": geom_p,
-        "tol": tol,
-        "max_terms": max_terms,
-    }
+    spec, _, policy, parameters = _series_setup(payout_rule, geom_p, tol, max_terms)
 
     if wealth is not None:
         parameters["wealth"] = wealth
@@ -282,23 +273,12 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
         time_average_estimate,
     )
 
-    spec = GambleSpec(payout_rule=payout_rule, probability_parameter=geom_p)
-    state = PlayerState(wealth=wealth, ticket_price=price)
-    policy = TruncationPolicy(tolerance=tol, max_terms=max_terms)
+    spec, state, policy, parameters = _series_setup(payout_rule, geom_p, tol, max_terms,
+                                                    wealth, price)
     config = SimulationConfig(seed=seed, workers=workers)
     if wealth_path_out is not None and mode != "time":
         raise UsageError("--wealth-path-out requires --mode time")
-
-    parameters = {
-        "wealth": wealth,
-        "price": price,
-        "payout": payout_rule.token,
-        "geom_p": geom_p,
-        "tol": tol,
-        "max_terms": max_terms,
-        "mode": mode,
-        "seed": seed,
-    }
+    parameters.update(mode=mode, seed=seed)
 
     def census_rows(results: dict, stats) -> list:
         rows = [["field", "value"]]
@@ -660,7 +640,8 @@ def _build_parsers():
     simulate.add_argument("--seed", type=int, default=0,
                           help="Experiment seed.  [default: %(default)s]")
     simulate.add_argument("--workers", type=int, default=1,
-                          help="Threads; never changes the output.  [default: %(default)s]")
+                          help="Threads, at most one per usable CPU; never changes the output.  "
+                               "[default: %(default)s]")
     simulate.add_argument("--wealth-path-out", metavar="PATH",
                           help="Write the trajectory's wealth path as CSV (time mode).")
     _gamble_options(simulate)

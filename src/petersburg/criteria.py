@@ -11,7 +11,7 @@ which an individual player is exactly indifferent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, List, Optional, Tuple, Union
 
@@ -185,11 +185,8 @@ def breakeven_price(
     if not (math.isfinite(price_tolerance) and price_tolerance > 0.0):
         raise ValueError(f"price_tolerance must be positive, got {price_tolerance!r}")
     policy = policy or TruncationPolicy()
-    inner = TruncationPolicy(
-        tolerance=min(policy.tolerance, max(price_tolerance / (16.0 * wealth), 4e-16)),
-        max_terms=policy.max_terms,
-        divergence_window=policy.divergence_window,
-    )
+    inner = replace(policy, tolerance=min(policy.tolerance,
+                                          max(price_tolerance / (16.0 * wealth), 4e-16)))
 
     # a rate the solver reads comes with its slope, in ``sloped.slope``
     # until the next one; a rate whose sign alone is read stops early
@@ -416,11 +413,7 @@ def bernoulli_stake(
     policy = policy or TruncationPolicy()
     # the closed form amplifies gain-series error by ~wealth, so the
     # series is summed tighter to keep the price good to policy.tolerance*wealth
-    inner = TruncationPolicy(
-        tolerance=max(policy.tolerance / (16.0 * max(wealth, 1.0)), 4e-16),
-        max_terms=policy.max_terms,
-        divergence_window=policy.divergence_window,
-    )
+    inner = replace(policy, tolerance=max(policy.tolerance / (16.0 * max(wealth, 1.0)), 4e-16))
     gains = bernoulli_literal_lhs(PlayerState(wealth, 0.0), spec, inner)
     if gains.classification is Classification.DIVERGES_POSITIVE:
         return StakeResult(kind=StakeKind.NEVER_ZERO, gains=gains)

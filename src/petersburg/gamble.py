@@ -149,28 +149,23 @@ class PayoutRule:
         same term taken in log space, which the series uses past
         ``n = 900``, where weights and payouts leave the double range.
 
-        With ``with_slope`` it returns ``(term, far, slope)``: each call
-        of ``term`` or ``far`` also adds ``P(n) / (net + payout_n)`` to a
-        running sum, in the order of the calls, and ``slope()`` returns
-        that sum.  It is minus the derivative of the series in the price.
+        Each rule writes one ``term`` and one ``far``.  With ``with_slope``
+        both also add ``P(n) / (net + payout_n)`` to a running sum after
+        their value, in the order of the calls, and the call returns
+        ``(term, far, slope)``, ``slope()`` reading that sum: minus the
+        derivative of the series in the price.
         """
-        payout, log_wealth = self.payout, math.log(wealth)
+        payout, log_wealth, slope = self.payout, math.log(wealth), 0.0
 
         def term(n: int, weight: float, log_weight: float) -> float:
-            return weight * (math.log(net + payout(n, wealth) + residual) - log_wealth)
-
-        if not with_slope:
-            return term, term
-        slope = 0.0
-
-        def sloped(n: int, weight: float, log_weight: float) -> float:
             nonlocal slope
             m = payout(n, wealth)
             value = weight * (math.log(net + m + residual) - log_wealth)
-            slope += weight / (net + m)
+            if with_slope:
+                slope += weight / (net + m)
             return value
 
-        return sloped, sloped, lambda: slope
+        return (term, term, lambda: slope) if with_slope else (term, term)
 
     def sqrt_terms(self, net: float, wealth: float, residual: float) -> Tuple[Term, Term]:
         """Terms of ``P(n) * (sqrt(net + payout_n) - sqrt(wealth))``, as
@@ -252,39 +247,27 @@ class _Doubling(PayoutRule):
 
     def log_terms(self, net: float, wealth: float, residual: float,
                   with_slope: bool = False) -> tuple:
-        log_wealth, last = math.log(wealth), self._last_paid
+        log_wealth, last, payout, slope = math.log(wealth), self._last_paid, self.payout, 0.0
 
         def far(n: int, weight: float, log_weight: float) -> float:
-            return weight * (_doubling_log(n, net) - log_wealth)
+            nonlocal slope
+            value = weight * (_doubling_log(n, net) - log_wealth)
+            if with_slope:
+                slope += weight / (net + payout(n))
+            return value
 
         def term(n: int, weight: float, log_weight: float) -> float:
+            nonlocal slope
             try:
                 m = math.ldexp(1.0, n - 1) if n <= last else 0.0
             except OverflowError:
                 return far(n, weight, log_weight)
-            return weight * (math.log(net + m + residual) - log_wealth)
-
-        if not with_slope:
-            return term, far
-        payout, slope = self.payout, 0.0
-
-        def sloped_far(n: int, weight: float, log_weight: float) -> float:
-            nonlocal slope
-            value = weight * (_doubling_log(n, net) - log_wealth)
-            slope += weight / (net + payout(n))
-            return value
-
-        def sloped(n: int, weight: float, log_weight: float) -> float:
-            nonlocal slope
-            try:
-                m = math.ldexp(1.0, n - 1) if n <= last else 0.0
-            except OverflowError:
-                return sloped_far(n, weight, log_weight)
             value = weight * (math.log(net + m + residual) - log_wealth)
-            slope += weight / (net + m)
+            if with_slope:
+                slope += weight / (net + m)
             return value
 
-        return sloped, sloped_far, lambda: slope
+        return (term, far, lambda: slope) if with_slope else (term, far)
 
     def sqrt_terms(self, net: float, wealth: float, residual: float) -> Tuple[Term, Term]:
         sqrt_wealth, last = math.sqrt(wealth), self._last_paid
@@ -459,34 +442,31 @@ class Menger(PayoutRule):
 
     def log_terms(self, net: float, wealth: float, residual: float,
                   with_slope: bool = False) -> tuple:
-        # ln(net + w e^T - w) - ln w  =  T + log1p((net - w) e^-T / w)
+        # ln(net + w e^T - w) - ln w  =  T + log1p((net - w) e^-T / w).
+        # The terms do not compute the payout; the slope asks for it again
+        payout, slope = self.payout, 0.0
+
         def term(n: int, weight: float, log_weight: float) -> float:
+            nonlocal slope
             try:
                 t = 2.0 ** n
             except OverflowError:
                 t = math.inf
             damp = math.exp(-t) if t < 745.0 else 0.0
-            return weight * (t + math.log1p((net - wealth + residual) * damp / wealth))
+            value = weight * (t + math.log1p((net - wealth + residual) * damp / wealth))
+            if with_slope:
+                slope += weight / (net + payout(n, wealth))
+            return value
 
         def far(n: int, weight: float, log_weight: float) -> float:
+            nonlocal slope
             # the weight underflows while the term explodes
-            return math.exp(log_weight + n * _LN2)
-
-        if not with_slope:
-            return term, far
-        payout, slope = self.payout, 0.0
-
-        def sloped(plain: Term) -> Term:
-            # the terms do not compute the payout; it is asked for again
-            def sloped_term(n: int, weight: float, log_weight: float) -> float:
-                nonlocal slope
-                value = plain(n, weight, log_weight)
+            value = math.exp(log_weight + n * _LN2)
+            if with_slope:
                 slope += weight / (net + payout(n, wealth))
-                return value
+            return value
 
-            return sloped_term
-
-        return sloped(term), sloped(far), lambda: slope
+        return (term, far, lambda: slope) if with_slope else (term, far)
 
     def log_tail(self, p: float, net: float, wealth: float) -> Optional[Tail]:
         q = 1.0 - p

@@ -25,6 +25,7 @@ time; :func:`simulate_trajectory` is their concatenation.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -60,7 +61,8 @@ class SimulationConfig:
 
     Args:
         seed: Nonnegative integer seeding the whole experiment.
-        workers: Thread count; any value yields identical results.
+        workers: Thread count, at most one per CPU the process may use;
+            any value yields identical results.
     """
 
     seed: int = 0
@@ -174,16 +176,24 @@ def _spans(lo: int, hi: int, size: int) -> Iterator[Tuple[int, int, int]]:
     return ((start // size, start, min(start + size, hi)) for start in range(lo, hi, size))
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
 def _map_blocks(fn: Callable[[int, int, int], _T], count: int, workers: int,
                 size: int = _BLOCK_SIZE) -> Iterator[_T]:
     """``fn(index, lo, hi)`` for each slice of ``size`` draws ``lo:hi`` below ``count``.
 
-    Results come in slice order.  Slices run on ``min(workers, slices)``
-    threads, with no pool for one, and at most two per thread are in
-    flight, so memory does not grow with ``count``.  Closing the
-    iterator early cancels the slices not yet started.
+    Results come in slice order.  Slices run on ``min(workers, slices,
+    usable CPUs)`` threads, with no pool for one, and at most two per
+    thread are in flight, so memory does not grow with ``count``.
+    Closing the iterator early cancels the slices not yet started.
     """
-    threads = min(workers, -(-count // size))
+    threads = min(workers, -(-count // size), _usable_cpus())
     spans = _spans(0, count, size)
     if threads == 1:
         for span in spans:

@@ -33,7 +33,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Union
 
 from .gamble import GambleSpec, PlayerState, Tail, Term, net_wealth
 
@@ -174,23 +174,6 @@ def _undefined(exc: ValueError, n: int) -> SeriesResult:
     return SeriesResult.undefined(getattr(exc, "reason", UndefinedReason.BANKRUPTCY_TERM), n)
 
 
-def _measured(term: Term, far: Term) -> Tuple[Term, Term, Callable[[], float]]:
-    """``term`` and ``far`` that also add up the magnitudes of the values
-    they return; the third item reads that sum."""
-    mass = 0.0
-
-    def measured(plain: Term) -> Term:
-        def counted(n: int, weight: float, log_weight: float) -> float:
-            nonlocal mass
-            tau = plain(n, weight, log_weight)
-            mass += abs(tau)
-            return tau
-
-        return counted
-
-    return measured(term), measured(far), lambda: mass
-
-
 def _sum(
     spec: GambleSpec,
     policy: TruncationPolicy,
@@ -217,8 +200,9 @@ def _sum(
     With ``sign_only``, a sum with a tail asks ``rest`` from
     ``tail.start`` on, and also stops at the first ``n`` where the sign of
     the value is certain: where ``|total + omitted|`` exceeds twice the
-    bound plus the rounding of the partial sum, ``n eps`` times the sum of
-    the magnitudes of its terms.  The rest lies within the bound of
+    bound plus the rounding of the partial sum, ``n eps`` times ``mass``,
+    the sum of the magnitudes of its terms, which the loop adds up beside
+    ``total`` in this mode only.  The rest lies within the bound of
     ``omitted``, and a sum run on to the tolerance would end within a
     smaller bound of it, so its value would lie within twice the bound of
     ``total + omitted`` and have the same sign.  Such a result is
@@ -231,14 +215,11 @@ def _sum(
     tail = rule.tail(term, p) or tail
     start, rest, reach = tail or (None, None, None)
     far = far or term
-    mass = None
-    if sign_only and start is not None:
-        term, far, mass = _measured(term, far)
-    elif reach is not None:
+    if reach is not None and not sign_only:
         start = max(start, reach(policy.tolerance))
     window_from = empirical_from or 1
     window: deque = deque(maxlen=policy.divergence_window)
-    total = 0.0
+    total = mass = 0.0
     for n, weight, log_weight in rule.outcomes(p, policy.max_terms):
         if n > 900:  # weights and payouts leave the double range
             term = far
@@ -252,6 +233,8 @@ def _sum(
             return (SeriesResult.diverges_positive(n) if tau > 0
                     else SeriesResult.diverges_negative(n))
         total += tau
+        if sign_only:
+            mass += abs(tau)
         if start is None:
             if n < window_from:
                 continue
@@ -271,7 +254,7 @@ def _sum(
             except ValueError as exc:
                 return _undefined(exc, n + 1)
             if bound <= policy.tolerance or (
-                    mass is not None and abs(total + omitted) > 2.0 * bound + n * _EPS * mass()):
+                    sign_only and abs(total + omitted) > 2.0 * bound + n * _EPS * mass):
                 return SeriesResult.converged(total + omitted, bound, n)
     raise TruncationInconclusiveError(
         f"no tail bound below {policy.tolerance!r} and no divergence detected "
@@ -319,8 +302,9 @@ class _Probe:
     A ``sign_only`` probe sums only until the sign of the value is
     certain (see :func:`_sum`).  Any other probe gets ``slope``: the sum
     of ``P(n) / (net + payout_n)`` over the terms the value took, plus
-    the exact tail of a capped rule.  That is minus the derivative of the
-    rate in the price; it steers Newton steps and carries no error bound.
+    the exact tail of a capped rule, added up by the log terms as they
+    run (``with_slope``).  That is minus the derivative of the rate in
+    the price; it steers Newton steps and carries no error bound.
     """
 
     __slots__ = ("sign_only", "slope")
@@ -347,12 +331,12 @@ def _log_change_series(
     rule = spec.payout_rule
     net, residual = net_wealth(wealth, price)
     tail = rule.log_tail(spec.probability_parameter, net, wealth)
-    if probe is None or probe.sign_only:
-        term, far = rule.log_terms(net, wealth, residual)
-        return _sum(spec, policy, term, far, tail, sign_only=probe is not None)
-    term, far, slope = rule.log_terms(net, wealth, residual, with_slope=True)
-    result = _sum(spec, policy, term, far, tail)
-    probe.slope = slope()
+    sign_only = probe is not None and probe.sign_only
+    term, far, *slope = rule.log_terms(net, wealth, residual,
+                                       with_slope=probe is not None and not sign_only)
+    result = _sum(spec, policy, term, far, tail, sign_only=sign_only)
+    if slope:
+        probe.slope = slope[0]()
     return result
 
 

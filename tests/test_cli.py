@@ -787,6 +787,17 @@ class TestMainEntryPoint:
         assert result.stderr.startswith("error:")
         assert message in result.stderr
 
+    @pytest.mark.parametrize("command", [["evaluate"], ["simulate", "--rounds", "10"]])
+    def test_checks_run_gamble_then_player_then_policy(self, command):
+        # each bad value hides the ones checked after it
+        bad = ["--wealth", "-1", "--tol", "-1"]
+        assert run(*command, *bad) == (
+            1, "", "error: wealth must be positive and finite, got -1.0\n")
+        result = run(*command, *bad, "--geom-p", "2")
+        assert result.stderr == "error: probability_parameter must lie in (0, 1), got 2.0\n"
+        result = run(*command, "--wealth", "1", "--tol", "-1")
+        assert result.stderr == "error: tolerance must be positive, got -1.0\n"
+
 
 # ====== help ======
 

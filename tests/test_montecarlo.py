@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import tracemalloc
 from concurrent.futures import Future
 
@@ -32,6 +33,8 @@ from petersburg import montecarlo
 from petersburg.cli import main
 
 GROWTH_100_2 = 0.0234834936741544663694884870358
+#: The sampler's CPU count, taken before a fixture replaces it.
+USABLE_CPUS = montecarlo._usable_cpus
 
 
 # ====== Seeded draws ======
@@ -597,6 +600,53 @@ class TestBlockPool:
         assert sizes == [3]
         assert np.array_equal(draws, draw_waiting_times(GambleSpec(), 3 * 2**16,
                                                         SimulationConfig(seed=2)))
+
+    @pytest.mark.parametrize("size, slices", [
+        (montecarlo._BLOCK_SIZE, 15_259),  # path blocks of a 1e9-round run
+        (montecarlo._TASK_BLOCKS * montecarlo._BLOCK_SIZE, 1_908),  # its census tasks
+    ])
+    def test_pool_is_capped_at_the_usable_cpus(self, monkeypatch, size, slices):
+        sizes = []
+
+        class RecordingExecutor:
+            """Runs each task at submission, on no thread; records the requested size."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        indices = montecarlo._map_blocks(lambda i, lo, hi: i, 10**9, 100_000, size)
+        assert list(indices) == list(range(slices))
+        assert sizes == [2]
+
+    def test_one_usable_cpu_uses_no_pool(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a pool was created on one usable CPU")
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", forbidden)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        config = SimulationConfig(seed=2, workers=100_000)
+        draws = draw_waiting_times(GambleSpec(), 3 * 2**16, config)
+        assert np.array_equal(draws, draw_waiting_times(GambleSpec(), 3 * 2**16,
+                                                        SimulationConfig(seed=2)))
+
+    def test_usable_cpus_are_those_of_the_affinity_mask(self):
+        usable = USABLE_CPUS()
+        if hasattr(os, "sched_getaffinity"):
+            assert usable == len(os.sched_getaffinity(0))
+        assert usable >= 1
 
     def test_one_block_uses_no_pool(self, monkeypatch):
         def forbidden(*args, **kwargs):
