@@ -135,11 +135,6 @@ def _series_row(label: str, result: SeriesResult) -> list:
     ]
 
 
-def _frequency_pairs(stats) -> list:
-    """Census as ``[n, count]`` pairs in ascending ``n`` (JSON-stable)."""
-    return [[n, stats.frequencies[n]] for n in sorted(stats.frequencies)]
-
-
 def _emit(fmt: str, command: str, parameters: dict, results: dict, rows) -> None:
     if fmt == "json":
         envelope = {
@@ -280,30 +275,17 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
         raise UsageError("--wealth-path-out requires --mode time")
     parameters.update(mode=mode, seed=seed)
 
-    def census_rows(results: dict, stats) -> list:
-        rows = [["field", "value"]]
-        for key in sorted(results):
-            if key != "frequencies":
-                value = results[key]
-                rows.append([key, _r(value) if isinstance(value, float) else str(value)])
-        rows += [[f"k_{n}", str(c)] for n, c in _frequency_pairs(stats)]
-        return rows
+    def emit(results: dict) -> None:
+        _emit(fmt, "simulate", parameters, results, _field_rows(results))
 
+    known = {}  # the analytic value beside an estimate, if the series gives one
     if mode == "ensemble":
         parameters["samples"] = samples
         stats = ensemble_average_estimate(state, spec, samples, config)
-        results = {
-            "mode": "ensemble",
-            "mean_factor_estimate": stats.estimate,
-            "stderr": stats.stderr,
-            "samples": stats.count,
-            "max_waiting_time": stats.max_n,
-            "frequencies": _frequency_pairs(stats),
-        }
         analytic = expected_payout(spec, policy, wealth=wealth)
         if analytic.is_converged:
-            results["analytic_mean_factor"] = (wealth - price + analytic.value) / wealth
-        _emit(fmt, "simulate", parameters, results, census_rows(results, stats))
+            known["analytic_mean_factor"] = (wealth - price + analytic.value) / wealth
+        emit(_estimate_results(stats, "ensemble", "mean_factor_estimate", "samples", **known))
         return
 
     if mode == "subinterval":
@@ -312,22 +294,10 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
         try:
             stats = subinterval_estimate(state, spec, q, config)
         except NonpositiveReturnError as exc:
-            results = {"mode": "subinterval", "error": "NonpositiveReturn",
-                       "detail": str(exc)}
-            rows = [["field", "value"], ["mode", "subinterval"],
-                    ["error", "NonpositiveReturn"], ["detail", str(exc)]]
-            _emit(fmt, "simulate", parameters, results, rows)
+            emit({"mode": "subinterval", "error": "NonpositiveReturn", "detail": str(exc)})
             return 2
-        results = {
-            "mode": "subinterval",
-            "per_round_rate_estimate": stats.estimate,
-            "subintervals": stats.count,
-            "max_waiting_time": stats.max_n,
-            "frequencies": _frequency_pairs(stats),
-        }
-        if stats.count >= 2:
-            results["stderr"] = stats.stderr
-        _emit(fmt, "simulate", parameters, results, census_rows(results, stats))
+        emit(_estimate_results(stats, "subinterval", "per_round_rate_estimate",
+                               "subintervals"))
         return
 
     parameters["rounds"] = rounds
@@ -347,33 +317,46 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
             path=None if wealth_path_out is None else _wealth_path_writer(path_file))
 
     if run.bankrupt_at is not None:
-        results = {
-            "mode": "time",
-            "bankrupt_at": run.bankrupt_at,
-            "bankrupt_wealth": run.bankrupt_wealth,
-        }
-        rows = [["field", "value"],
-                ["mode", "time"],
-                ["bankrupt_at", str(run.bankrupt_at)],
-                ["bankrupt_wealth",
-                 "" if run.bankrupt_wealth is None else _r(run.bankrupt_wealth)]]
-        _emit(fmt, "simulate", parameters, results, rows)
+        emit({"mode": "time", "bankrupt_at": run.bankrupt_at,
+              "bankrupt_wealth": run.bankrupt_wealth})
         return 2
 
     stats = time_average_estimate(run)
-    results = {
-        "mode": "time",
-        "growth_rate_estimate": stats.estimate,
-        "stderr": stats.stderr,
-        "rounds": stats.count,
-        "max_waiting_time": stats.max_n,
-        "frequencies": _frequency_pairs(stats),
-    }
     if isinstance(analytic, TruncationInconclusiveError):
         print(f"note: analytic_growth_rate omitted: {analytic}", file=sys.stderr)
     elif analytic.is_converged:
-        results["analytic_growth_rate"] = analytic.value
-    _emit(fmt, "simulate", parameters, results, census_rows(results, stats))
+        known["analytic_growth_rate"] = analytic.value
+    emit(_estimate_results(stats, "time", "growth_rate_estimate", "rounds", **known))
+
+
+def _estimate_results(stats, mode: str, estimate: str, count: str, **known) -> dict:
+    """The ``results`` of a ``simulate`` estimate from its ``SampleStats``, in key order.
+
+    ``estimate`` and ``count`` name the mode's estimate and sample count,
+    and ``known`` holds any analytic value by name.  ``stderr`` is given
+    from a count of 2 up: one draw carries no spread.
+    """
+    results = {"mode": mode, estimate: stats.estimate, count: stats.count,
+               "max_waiting_time": stats.max_n,
+               "frequencies": sorted(stats.frequencies.items()), **known}
+    if stats.count >= 2:
+        results["stderr"] = stats.stderr
+    return dict(sorted(results.items()))
+
+
+def _field_rows(results: dict) -> list:
+    """The ``field,value`` CSV rows of a ``simulate`` envelope's ``results``.
+
+    Fields come in the dict's order, a float as its shortest round-tripping
+    text and ``None`` as an empty cell; the census follows as ``k_<n>`` rows.
+    """
+    rows = [["field", "value"]]
+    for key, value in results.items():
+        if key != "frequencies":
+            rows.append([key, "" if value is None
+                         else _r(value) if isinstance(value, float) else str(value)])
+    rows += [[f"k_{n}", str(c)] for n, c in results.get("frequencies", ())]
+    return rows
 
 
 _PATH_SLICE = 1 << 13

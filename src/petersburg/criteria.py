@@ -219,15 +219,10 @@ def breakeven_price(
 
     # upper end: approach the bankruptcy price from below
     bankruptcy = wealth + min_payout(spec, wealth)
-    gap = bankruptcy * 1e-15
-    hi = bankruptcy - gap
+    hi = bankruptcy - bankruptcy * 1e-15
     hi_sign = sign_at(hi)
-    widen_attempts = 0
-    while hi_sign == 0 and widen_attempts < 60:
-        gap *= 64.0
-        hi = bankruptcy - gap
-        hi_sign = sign_at(hi)
-        widen_attempts += 1
+    if hi_sign == 0:
+        return hi
     if hi_sign > 0:
         raise NoSignChangeError(
             "time-average growth stays positive at every non-bankrupting "

@@ -660,18 +660,11 @@ def net_wealth(wealth: float, price: float) -> Tuple[float, float]:
 def cap_point(max_payout: float) -> int:
     """Largest waiting time whose doubling payout stays within the cap.
 
+    That is the binary exponent ``k`` with ``2**(k-1) <= max_payout < 2**k``,
+    read exactly off ``math.frexp``; it is 1024 for the largest doubles.
     Returns 0 when even the first payout of $1 exceeds the cap.
     """
-    if max_payout < 1.0:
-        return 0
-    k = int(math.floor(math.log2(max_payout))) + 1
-    # guard against float rounding of log2 near exact powers of two
-    while k >= 1 and math.ldexp(1.0, k - 1) > max_payout:
-        k -= 1
-    # 2**1024 is past the double range, so no finite cap reaches it
-    while k < 1024 and math.ldexp(1.0, k) <= max_payout:
-        k += 1
-    return k
+    return math.frexp(max_payout)[1] if max_payout >= 1.0 else 0
 
 
 def payout(spec: GambleSpec, n: int, wealth: float = 1.0) -> float:

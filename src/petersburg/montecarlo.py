@@ -30,7 +30,7 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Optional, Tuple, TypeVar, Union
+from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -278,11 +278,6 @@ def _log_growth_factors(state: PlayerState, spec: GambleSpec, ns: np.ndarray) ->
 # ====== Census reductions ======
 
 
-def _frequencies(counts: np.ndarray) -> Dict[int, int]:
-    """Occurrence map ``{n: count}`` of a census, ascending, zeros dropped."""
-    return {int(n): int(counts[n]) for n in np.flatnonzero(counts)}
-
-
 def _census_stats(counts: np.ndarray, value_of: Callable[[np.ndarray], np.ndarray]
                   ) -> SampleStats:
     """Mean of ``value_of(n)`` over a census, and its standard error.
@@ -325,7 +320,7 @@ def _census_stats(counts: np.ndarray, value_of: Callable[[np.ndarray], np.ndarra
         estimate=mean,
         stderr=stderr,
         count=total,
-        frequencies=_frequencies(counts),
+        frequencies=dict(zip(ns.tolist(), counts[ns].tolist())),
         max_n=int(ns[-1]),
     )
 
@@ -389,29 +384,24 @@ def _census(
         return np.bincount(_block_waiting_times(spec, config.seed, block, hi - lo)), None
 
     def task_census(task: int, lo: int, hi: int):
-        total = np.zeros(1, dtype=np.int64)
-        for span in _spans(lo, hi, _BLOCK_SIZE):
-            counts, fatal = block_census(*span)
-            total = _add_counts(total, counts)
-            if fatal is not None:
-                return total, fatal
-        return total, None
+        return _sum_censuses(block_census(*span) for span in _spans(lo, hi, _BLOCK_SIZE))
 
+    return _sum_censuses(_map_blocks(task_census, count, config.workers,
+                                     _TASK_BLOCKS * _BLOCK_SIZE))
+
+
+def _sum_censuses(parts: Iterable[Tuple[np.ndarray, Optional[Tuple[int, int]]]]
+                  ) -> Tuple[np.ndarray, Optional[Tuple[int, int]]]:
+    """The sum of the ``(counts, fatal)`` parts, in order, through the first
+    ruinous one (no later part is asked for), and that part's ``fatal``."""
     total = np.zeros(1, dtype=np.int64)
-    for counts, fatal in _map_blocks(task_census, count, config.workers,
-                                     _TASK_BLOCKS * _BLOCK_SIZE):
-        total = _add_counts(total, counts)
+    for counts, fatal in parts:
+        if len(counts) > len(total):
+            total = np.concatenate([total, np.zeros(len(counts) - len(total), np.int64)])
+        total[: len(counts)] += counts
         if fatal is not None:
             return total, fatal
     return total, None
-
-
-def _add_counts(total: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``total + counts``, ``total`` lengthened if ``counts`` is longer."""
-    if len(counts) > len(total):
-        total = np.concatenate([total, np.zeros(len(counts) - len(total), np.int64)])
-    total[: len(counts)] += counts
-    return total
 
 
 def _path_blocks(
@@ -554,10 +544,12 @@ def time_average_census(
     if path is None:
         counts, fatal = _census(state, spec, rounds, config, stop_at_ruin=True)
     else:
-        counts = np.zeros(1, dtype=np.int64)
-        for _, block_counts, log_wealth, fatal in _path_blocks(state, spec, rounds, config):
-            path(log_wealth)
-            counts = _add_counts(counts, block_counts)
+        def written():
+            for _, block_counts, log_wealth, fatal in _path_blocks(state, spec, rounds, config):
+                path(log_wealth)
+                yield block_counts, fatal
+
+        counts, fatal = _sum_censuses(written())
     if fatal is None:
         return Census(state=state, spec=spec, counts=counts)
     index, n = fatal

@@ -161,6 +161,13 @@ class TestEvaluateCommand:
         assert expected["classification"] == "Converged"
         assert expected["value"] == 15.0
 
+    def test_capped_payout_at_the_largest_double(self):
+        result = run("evaluate", "--wealth", "100", "--price", "2",
+                     "--payout", "capped:1.7976931348623157e308")
+        assert result.exit_code == 0, result.stderr
+        expected = parse_envelope(result)["results"]["naive_expected_payout"]
+        assert expected["value"] == 512.0  # 1024 paid outcomes worth 1/2 each
+
     def test_table_payout(self, tmp_path):
         path = tmp_path / "rows.csv"
         path.write_text("p,m\n0.5,1.0\n0.5,4.0\n")
@@ -508,6 +515,64 @@ class TestSimulateCommand:
         results = json.loads(captured.out)["results"]
         assert "analytic_growth_rate" not in results
         assert results["rounds"] == 1000
+
+
+#: ``simulate`` CSV envelopes byte for byte: an estimate lists its fields in
+#: key order, a failure lists ``mode`` first, and the census follows.
+#: ``{table}`` is a table whose wealth overflows before the first ruin.
+CSV_ENVELOPES = {
+    "time": (
+        ["--rounds", "10"], 0,
+        "field,value\n"
+        "analytic_growth_rate,0.023483493659299224\n"
+        "growth_rate_estimate,0.010057921043507648\n"
+        "max_waiting_time,5\nmode,time\nrounds,10\nstderr,0.0137654874772379\n"
+        "k_1,5\nk_2,3\nk_3,1\nk_5,1\n"),
+    "ensemble": (
+        ["--mode", "ensemble", "--payout", "capped:1e9", "--samples", "10"], 0,
+        "field,value\nanalytic_mean_factor,1.13\nmax_waiting_time,5\n"
+        "mean_factor_estimate,1.011\nmode,ensemble\nsamples,10\n"
+        "stderr,0.01464012750399849\nk_1,5\nk_2,3\nk_3,1\nk_5,1\n"),
+    "subinterval": (
+        ["--mode", "subinterval", "--subintervals", "6"], 0,
+        "field,value\nmax_waiting_time,5\nmode,subinterval\n"
+        "per_round_rate_estimate,0.017057277533559397\nstderr,0.0231696406578815\n"
+        "subintervals,6\nk_1,3\nk_2,2\nk_5,1\n"),
+    "subinterval-single": (
+        ["--mode", "subinterval", "--subintervals", "1"], 0,
+        "field,value\nmax_waiting_time,5\nmode,subinterval\n"
+        "per_round_rate_estimate,0.1399999999999999\nsubintervals,1\nk_5,1\n"),
+    "bankrupt": (
+        ["--wealth", "10", "--price", "11", "--rounds", "1000"], 2,
+        "field,value\nmode,time\nbankrupt_at,2\nbankrupt_wealth,0.0\n"),
+    "bankrupt-beyond-doubles": (
+        ["--wealth", "1", "--payout", "table:{table}", "--seed", "1", "--rounds", "100"], 2,
+        "field,value\nmode,time\nbankrupt_at,23\nbankrupt_wealth,\n"),
+    "nonpositive-return": (
+        ["--mode", "subinterval", "--wealth", "10", "--price", "11", "--subintervals", "100"],
+        2,
+        "field,value\nmode,subinterval\nerror,NonpositiveReturn\n"
+        "detail,draw 2 yields a nonpositive return; no real fractional-period rate exists "
+        "at this ticket price\n"),
+}
+
+
+class TestSimulateEnvelopes:
+    @pytest.mark.parametrize("case", sorted(CSV_ENVELOPES))
+    def test_csv_bytes_and_json_keys(self, case, tmp_path):
+        table = tmp_path / "rows.csv"
+        table.write_text("p,m\n0.9,1e300\n0.1,0.0\n")
+        extra, status, expected = CSV_ENVELOPES[case]
+        args = ["simulate", "--wealth", "100", "--price", "2", "--seed", "0"]
+        args += [arg.format(table=table) for arg in extra]
+        result = run(*args, "--format", "csv")
+        assert (result.exit_code, result.stdout, result.stderr) == (status, expected, "")
+        # the JSON results hold the same fields, with the census as frequencies
+        keys = [row.partition(",")[0] for row in expected.splitlines()[1:]]
+        fields = {key for key in keys if not key.startswith("k_")}
+        if len(fields) < len(keys):
+            fields.add("frequencies")
+        assert set(parse_envelope(run(*args))["results"]) == fields
 
 
 class TestWealthPathFile:

@@ -312,6 +312,19 @@ class TestBreakevenSolver:
         breakeven_price(100.0, GambleSpec())
         assert terms[101.0 - 101.0 * 1e-15] <= 4
 
+    def test_zero_rate_at_the_bankruptcy_end_is_the_root(self, monkeypatch):
+        # the rate falls strictly with the price, so a rate of exactly 0 at
+        # the upper end of the bracket makes that end the root
+        real = criteria.time_average_growth
+
+        def zero_sign(state, spec, policy=None, **kwargs):
+            if kwargs["_probe"].sign_only:
+                return series.SeriesResult.converged(0.0, 0.0, 1)
+            return real(state, spec, policy, **kwargs)
+
+        monkeypatch.setattr(criteria, "time_average_growth", zero_sign)
+        assert breakeven_price(100.0, GambleSpec()) == 101.0 - 101.0 * 1e-15
+
 
 #: Roots as the solver returned them before its slope was summed with the
 #: rate and its sign probes stopped early: a solver change that moves a

@@ -84,6 +84,12 @@ class TestCappedPayouts:
         assert cap_point(3.0) == 2
         assert cap_point(2.0 ** 52) == 53
 
+    def test_cap_point_of_the_largest_doubles(self):
+        # log2 rounds the 354 largest doubles up to 1024.0
+        assert cap_point(sys.float_info.max) == 1024
+        assert cap_point(2.0 ** 1023) == 1024
+        assert cap_point(math.nextafter(2.0 ** 1023, 0.0)) == 1023
+
     def test_cap_must_be_positive_and_finite(self):
         with pytest.raises(ValueError):
             Capped(0.0)
