@@ -9,8 +9,8 @@ keys; the worker count never appears in it, so runs differing only in
 parallelism are byte-identical.  CSV output is a plain data table on
 stdout with the same determinism guarantee.
 
-JSON is strict: a result that is not a finite number fails the command
-instead of printing ``Infinity`` or ``NaN``.
+Output is strict in either format: a result that is not a finite number
+fails the command instead of printing ``Infinity``, ``inf`` or ``NaN``.
 
 Exit codes: 0 on success; 1 for usage, I/O, or evaluation errors; 2
 when the evaluated state has no defined recommendation, a simulated
@@ -276,6 +276,11 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
     parameters.update(mode=mode, seed=seed)
 
     def emit(results: dict) -> None:
+        # a result that is not a finite number fails the command in either format
+        nonfinite = [f"{key} = {value!r}" for key, value in results.items()
+                     if isinstance(value, float) and not math.isfinite(value)]
+        if nonfinite:
+            raise ValueError(f"not a finite number: {', '.join(nonfinite)}")
         _emit(fmt, "simulate", parameters, results, _field_rows(results))
 
     known = {}  # the analytic value beside an estimate, if the series gives one

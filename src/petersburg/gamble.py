@@ -49,6 +49,10 @@ _LOG_NORMAL = 1022.0 * _LN2 - _SLACK
 #: ``ln(10 u)``, the least log of the doubling log tail's rounding factor.
 _LOG_10U = math.log(10.0 * _U)
 
+#: Waiting times drawn one by one in the time a census spends on one
+#: binomial of its multinomial chain.
+_CENSUS_STEP_DRAWS = 16.0
+
 #: Menger payouts ``w * expm1(2**n)`` exceed the double range from here on.
 _MENGER_OVERFLOW_N = 10
 
@@ -219,6 +223,31 @@ class PayoutRule:
         np.ceil(u, out=u)
         np.maximum(u, 1.0, out=u)
         return u.astype(np.int64)
+
+    def census(self, rng: np.random.Generator, size: int, p: float,
+               uniforms: np.ndarray) -> np.ndarray:
+        """Counts of ``size`` waiting times drawn from ``rng``, indexed by ``n``.
+
+        One multinomial draw counts the waiting times up to a depth ``K``;
+        the waiting times past it are ``K + Geometric(p)``, since the law
+        is memoryless, and are drawn one by one by :meth:`waiting_times`
+        into ``uniforms``, a scratch array of at least ``size`` doubles.
+        ``K`` balances the multinomial's chain of binomials, one per
+        waiting time, against the draws it leaves: about
+        ``_CENSUS_STEP_DRAWS / p`` of them.
+        """
+        import numpy as np
+        q = 1.0 - p
+        depth = int(math.log(min(1.0, _CENSUS_STEP_DRAWS / (size * p))) / math.log1p(-p))
+        # numpy gives the last category what the others leave: the
+        # waiting times past the depth, of probability q**depth
+        head = rng.multinomial(size, p * q ** np.arange(depth + 1.0))
+        rest = self.waiting_times(rng.random(head[-1], out=uniforms[:head[-1]]), p)
+        if depth:
+            rest += depth
+        counts = np.bincount(rest, minlength=depth + 1)
+        counts[1:depth + 1] += head[:-1]
+        return counts
 
     def huge_log_factors(self, ns: np.ndarray, net: float, wealth: float) -> np.ndarray:
         """``ln((net + payout_n) / wealth)`` at waiting times whose growth
@@ -593,6 +622,15 @@ class Table(PayoutRule):
         cumulative = np.cumsum([prob for prob, _ in self.rows])
         idx = np.searchsorted(cumulative, u, side="right")
         return np.minimum(idx, len(self.rows) - 1).astype(np.int64) + 1
+
+    def census(self, rng: np.random.Generator, size: int, p: float,
+               uniforms: np.ndarray) -> np.ndarray:
+        """Counts of ``size`` rows drawn from ``rng`` by one multinomial draw,
+        indexed by row; the last row takes what the others leave, as in
+        :meth:`waiting_times`."""
+        import numpy as np
+        cumulative = np.minimum(np.cumsum([prob for prob, _ in self.rows]), 1.0)
+        return np.concatenate(([0], rng.multinomial(size, np.diff(cumulative, prepend=0.0))))
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,15 @@ consequences the tests rely on:
   or are reduced by order-independent integer counts;
 * for a fixed seed, a longer run extends a shorter one -- the first
   draws of a 10**6-round trajectory are exactly the 10**3-round
-  trajectory's draws.
+  trajectory's draws, and a shorter ensemble's census is a sub-census
+  of a longer one's.
 
-One uniform variate is consumed per waiting time, for geometric and
-table rules alike.
+Trajectories and the time and subinterval estimates consume one uniform
+variate per waiting time, for geometric and table rules alike, so their
+census is the trajectory's draw for draw.  The ensemble estimate keeps
+no order, so past its first 2**14 draws it draws each block's census as
+counts (the rule's ``census``: one multinomial draw) and cuts a partial
+block's census from them by hypergeometric draws; each is exact in law.
 
 Every estimator is a reduction of its own census, the count of each
 waiting time drawn: a mean over rounds does not depend on their order.
@@ -37,6 +42,19 @@ import numpy as np
 from .gamble import GambleSpec, PlayerState, net_wealth
 
 _BLOCK_SIZE = 1 << 16
+
+#: Waiting times an ensemble run draws one by one before it draws counts.
+_DIRECT_DRAWS = 1 << 14
+
+#: Draws in the smallest part of a block that :func:`_sub_census` cuts by
+#: shuffling it instead of halving it.
+_LEAF_SIZE = 1 << 10
+
+#: numpy's "count" hypergeometric method takes a fixed ``_COUNT_FIXED``
+#: steps plus one per draw of the sample; its "marginals" method takes
+#: about ``_COUNT_DRAWS`` such steps per distinct waiting time.
+_COUNT_DRAWS = 8
+_COUNT_FIXED = 1 << 10
 
 #: Blocks one census task counts in a row: a worker thread hands the main
 #: thread one census per 2**19 draws instead of one per block.
@@ -159,13 +177,83 @@ def _block_waiting_times(spec: GambleSpec, seed: int, block: int, size: int) -> 
     PCG64's ``random(k)`` is a prefix of its ``random(2**16)``, so a
     short block is exactly the head of the full one.
     """
-    # a per-thread scratch buffer: fresh 2**16 arrays cost more in page
-    # faults than the arithmetic on them
+    u = _block_generator(seed, block).random(size, out=_uniforms()[:size])
+    return spec.payout_rule.waiting_times(u, spec.probability_parameter)
+
+
+def _uniforms() -> np.ndarray:
+    """This thread's scratch array of one block of doubles.
+
+    Fresh 2**16 arrays cost more in page faults than the arithmetic on them.
+    """
     scratch = getattr(_scratch, "uniforms", None)
     if scratch is None:
         scratch = _scratch.uniforms = np.empty(_BLOCK_SIZE)
-    u = _block_generator(seed, block).random(size, out=scratch[:size])
-    return spec.payout_rule.waiting_times(u, spec.probability_parameter)
+    return scratch
+
+
+def _block_census(spec: GambleSpec, seed: int, block: int, size: int) -> np.ndarray:
+    """Census of the first ``size`` waiting times of one block of an ensemble run.
+
+    The run's first ``_DIRECT_DRAWS`` waiting times are drawn one by one,
+    as :func:`draw_waiting_times` draws them, which is cheaper than
+    cutting so few from a census.  The rest of a block is drawn as counts
+    by the rule's :meth:`~petersburg.gamble.PayoutRule.census`, and a
+    partial block's cut from them by :func:`_sub_census`, from the same
+    generator, so a shorter block's census is a sub-census of a longer
+    one's.
+    """
+    rng = _block_generator(seed, block)
+    rule, p = spec.payout_rule, spec.probability_parameter
+    lo = _DIRECT_DRAWS if block == 0 else 0
+    if lo:
+        k = min(size, lo)
+        drawn = np.bincount(rule.waiting_times(rng.random(k, out=_uniforms()[:k]), p))
+        if size == k:
+            return drawn
+    counts = rule.census(rng, _BLOCK_SIZE - lo, p, _uniforms())
+    if size < _BLOCK_SIZE:
+        counts = _sub_census(rng, counts, lo, size)
+    return _sum_censuses([(drawn, None), (counts, None)])[0] if lo else counts
+
+
+def _sub_census(rng: np.random.Generator, counts: np.ndarray, lo: int, size: int
+                ) -> np.ndarray:
+    """The census of draws ``lo:size`` of a block whose draws ``lo:`` have census ``counts``.
+
+    The block is cut into parts at 2**10, 2**11, ..., 2**15 draws, each
+    part's census a hypergeometric sample of what the parts before it
+    leave.  Parts that end by ``size`` are taken whole, and the one holding
+    the cut is halved along the binary digits of ``size`` in the same way,
+    down to a leaf of ``_LEAF_SIZE`` draws whose census is shuffled and
+    cut.  Each draw from ``rng`` depends only on the draws before it, which
+    every larger ``size`` shares, so the census of a smaller ``size`` is a
+    sub-census of a larger one's.  Small parts come first, so a short run
+    makes few draws.
+    """
+    ns = np.flatnonzero(counts)
+    node, taken = counts[ns], np.zeros(len(ns), dtype=np.int64)
+    hi = _BLOCK_SIZE
+    while lo < size:
+        if hi - lo <= _LEAF_SIZE:
+            leaf = np.repeat(np.arange(len(ns)), node)
+            rng.shuffle(leaf)
+            taken += np.bincount(leaf[:size - lo], minlength=len(ns))
+            break
+        # the block's parts double from the first one; later nodes are halved
+        cut = lo + max(lo, _LEAF_SIZE) if hi == _BLOCK_SIZE and 2 * lo < hi else (lo + hi) // 2
+        cheaper = "count" if _COUNT_DRAWS * len(ns) > cut - lo + _COUNT_FIXED else "marginals"
+        head = rng.multivariate_hypergeometric(node, cut - lo, method=cheaper)
+        if size >= cut:
+            taken += head
+            node = node - head
+            lo = cut
+        else:
+            node, hi = head, cut
+    seen = np.flatnonzero(taken)
+    out = np.zeros(ns[seen[-1]] + 1, dtype=np.int64)
+    out[ns[seen]] = taken[seen]
+    return out
 
 
 def _spans(lo: int, hi: int, size: int) -> Iterator[Tuple[int, int, int]]:
@@ -381,7 +469,7 @@ def _census(
     def block_census(block: int, lo: int, hi: int):
         if stop_at_ruin:
             return _block_run(state, spec, config.seed, block, lo, hi)[1:]
-        return np.bincount(_block_waiting_times(spec, config.seed, block, hi - lo)), None
+        return _block_census(spec, config.seed, block, hi - lo), None
 
     def task_census(task: int, lo: int, hi: int):
         return _sum_censuses(block_census(*span) for span in _spans(lo, hi, _BLOCK_SIZE))
@@ -657,6 +745,12 @@ def ensemble_average_estimate(
     sample grows -- the expectation it chases is infinite -- while the
     time-average estimate of the same gamble settles near its finite
     analytic value.
+
+    Only the first 2**14 players' waiting times are drawn one by one, the
+    same as those of :func:`draw_waiting_times` with the same seed; every
+    block of 2**16 players past them is drawn as its census, exact in law.
+    The census depends on the seed alone, never on ``workers``, and a
+    smaller ``samples`` gives a sub-census of a larger one's.
 
     Args:
         state: Wealth and ticket price.

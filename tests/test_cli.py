@@ -474,15 +474,22 @@ class TestSimulateCommand:
             deepest = max(deepest, results["max_waiting_time"])
         assert deepest >= 10
 
-    def test_nonfinite_result_fails_loudly(self, capsys):
-        # The Menger mean factor is infinite once a draw reaches n = 10:
-        # no JSON number can carry it, so the command fails instead.
-        code = main(["simulate", "--mode", "ensemble", "--wealth", "100",
-                     "--payout", "menger", "--samples", "1000", "--seed", "0"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_nonfinite_result_fails_loudly(self, fmt, tmp_path, capsys):
+        # Every draw of this one-row table pays a growth factor past the
+        # double range, so the mean factor is infinite: neither format
+        # prints it, and the command fails instead.
+        table = tmp_path / "rows.csv"
+        table.write_text("p,m\n1.0,1.7e308\n")
+        code = main(["simulate", "--mode", "ensemble", "--wealth", "0.5",
+                     "--payout", f"table:{table}", "--samples", "1000", "--seed", "0",
+                     "--format", fmt])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error:")
+        assert len(captured.err.splitlines()) == 1
+        assert "mean_factor_estimate = inf" in captured.err
 
     @pytest.mark.filterwarnings("error")
     def test_menger_run_prints_no_warning(self, capsys):

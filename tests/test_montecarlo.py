@@ -6,6 +6,7 @@ import os
 import tracemalloc
 from concurrent.futures import Future
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -381,10 +382,14 @@ class TestAnalyticAgreement:
         spec = GambleSpec(payout_rule=Capped(1e9))
         # Convergence is slow: the factor's spread is dominated by the
         # rare near-cap payouts, so only the trend is sharply testable.
+        # A single seed can draw one of them, so the typical error over
+        # 100 seeds is compared.
         target = 1.0 + (15.0 - 2.0) / 1000.0
         errors = [
-            abs(ensemble_average_estimate(state, spec, samples,
-                                          SimulationConfig(seed=3)).estimate - target)
+            np.median([abs(ensemble_average_estimate(state, spec, samples,
+                                                     SimulationConfig(seed=seed)).estimate
+                           - target)
+                       for seed in range(100)])
             for samples in (1_000, 1_000_000)
         ]
         assert errors[1] < errors[0]
@@ -447,6 +452,148 @@ class TestTrajectoryBlocks:
         assert draws[-1] == 2  # the payout-0 outcome, ruinous at this price
         assert len(draws) == len(log_wealth) + 1
         assert 2**16 + len(draws) == 129_818
+
+
+#: Laws of the ensemble census tests: three geometric ones, the deepest
+#: drawn mostly past the multinomial's depth, and a table.
+CENSUS_LAWS = {
+    "p=0.5": GambleSpec(),
+    "p=0.05": GambleSpec(probability_parameter=0.05),
+    "p=1e-3": GambleSpec(probability_parameter=1e-3),
+    "table": GambleSpec(payout_rule=Table(((0.5, 1.0), (0.3, 2.0), (0.15, 8.0),
+                                           (0.04, 20.0), (0.01, 100.0)))),
+}
+
+#: Run lengths of the census law tests.  Past the first 2**14 draws, drawn
+#: one by one, 20 000 draws cut the first block's census inside a part;
+#: the others count a full first block and cut the second one's census:
+#: 600 draws from the first leaf, and 40 001 draws, which take six parts
+#: whole, halve the last and cut a leaf.
+LAW_SAMPLES = (20_000, 2**16 + 600, 2**16 + 40_001)
+
+#: Significance of the chi-square tests of the census law, fixed before
+#: any was run.
+LAW_ALPHA = 1e-4
+
+
+def pooled_frequencies(seeds, draw):
+    """Counts of each waiting time over ``draw(seed)`` censuses, as an array."""
+    pooled = np.zeros(1, dtype=np.int64)
+    for seed in seeds:
+        counts = draw(seed)
+        if len(counts) > len(pooled):
+            pooled = np.concatenate([pooled, np.zeros(len(counts) - len(pooled), np.int64)])
+        pooled[:len(counts)] += counts
+    return pooled
+
+
+def ensemble_counts(spec, samples, seed):
+    frequencies = ensemble_average_estimate(PlayerState(wealth=100.0, ticket_price=2.0),
+                                            spec, samples,
+                                            SimulationConfig(seed=seed)).frequencies
+    counts = np.zeros(max(frequencies) + 1, dtype=np.int64)
+    counts[list(frequencies)] = list(frequencies.values())
+    return counts
+
+
+def cells(probabilities, total, least=20.0):
+    """Cell edges ``[1, 2), [2, 3), ..., [k, inf)``: one waiting time a cell
+    while its expected count is at least ``least``, then the rest, which
+    holds the last waiting time of ``probabilities``."""
+    last = 1
+    while last + 1 < len(probabilities) and total * probabilities[last] >= least:
+        last += 1
+    return list(range(1, last + 1))
+
+
+def chi2_sf(statistic, df):
+    """Upper tail of the chi-square law with ``df`` degrees of freedom."""
+    return float(mpmath.gammainc(df / 2.0, statistic / 2.0, mpmath.inf, regularized=True))
+
+
+def cell_counts(counts, edges):
+    """Counts of ``counts`` (indexed by waiting time) in each cell of ``edges``."""
+    sums = [int(counts[lo:hi].sum()) for lo, hi in zip(edges, edges[1:])]
+    return np.array(sums + [int(counts[edges[-1]:].sum())], dtype=np.float64)
+
+
+class TestEnsembleCensusLaw:
+    """The ensemble census, drawn as counts, against the exact law and
+    against the census of the drawn waiting times."""
+
+    @pytest.mark.parametrize("samples", LAW_SAMPLES)
+    @pytest.mark.parametrize("law", sorted(CENSUS_LAWS))
+    def test_pooled_census_fits_the_law(self, law, samples):
+        spec = CENSUS_LAWS[law]
+        seeds = range(200)
+        pooled = pooled_frequencies(seeds,
+                                    lambda seed: ensemble_counts(spec, samples, seed))
+        total = samples * len(seeds)
+        assert pooled.sum() == total
+        rule, p = spec.payout_rule, spec.probability_parameter
+        depth = len(pooled) + 1 if rule.support_size is None else rule.support_size + 1
+        probabilities = [0.0] + [rule.probability(n, p) for n in range(1, depth)]
+        edges = cells(probabilities, total)
+        expected = [total * sum(probabilities[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+        expected = np.array(expected + [total - sum(expected)])
+        observed = cell_counts(pooled, edges)
+        statistic = float(((observed - expected) ** 2 / expected).sum())
+        assert chi2_sf(statistic, len(edges) - 1) > LAW_ALPHA
+
+    @pytest.mark.parametrize("samples", LAW_SAMPLES)
+    @pytest.mark.parametrize("law", sorted(CENSUS_LAWS))
+    def test_census_matches_the_drawn_waiting_times(self, law, samples):
+        spec = CENSUS_LAWS[law]
+        seeds = range(100)
+        counted = pooled_frequencies(seeds,
+                                     lambda seed: ensemble_counts(spec, samples, seed))
+        # other seeds: an ensemble's first 2**14 draws are the trajectory's
+        drawn = pooled_frequencies(seeds, lambda seed: np.bincount(
+            draw_waiting_times(spec, samples, SimulationConfig(seed=1000 + seed))))
+        both = np.zeros(max(len(counted), len(drawn)))
+        both[:len(counted)] += counted
+        both[:len(drawn)] += drawn
+        edges = cells(both / both.sum(), both.sum())
+        a, b = cell_counts(counted, edges), cell_counts(drawn, edges)
+        # equal totals: each cell's difference has variance a + b
+        statistic = float(((a - b) ** 2 / (a + b)).sum())
+        assert chi2_sf(statistic, len(edges) - 1) > LAW_ALPHA
+
+    @pytest.mark.parametrize("spec", [GambleSpec(), GambleSpec(probability_parameter=0.05)],
+                             ids=["p=0.5", "p=0.05"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_a_shorter_run_is_a_sub_census_of_a_longer_one(self, spec, seed):
+        sizes = (1, 2, 1000, 1024, 2**14, 2**14 + 1, 40_000, 40_001, 65_535, 65_536,
+                 65_537, CENSUS_ROUNDS)
+        state = PlayerState(wealth=100.0, ticket_price=2.0)
+        config = SimulationConfig(seed=seed)
+        censuses = [montecarlo._census(state, spec, size, config, stop_at_ruin=False)[0]
+                    for size in sizes]
+        width = max(len(counts) for counts in censuses)
+        censuses = [np.pad(counts, (0, width - len(counts))) for counts in censuses]
+        for size, counts in zip(sizes, censuses):
+            assert counts.sum() == size
+        for i, shorter in enumerate(censuses):
+            for longer in censuses[i + 1:]:
+                assert (shorter <= longer).all()
+
+    def test_the_first_draws_are_those_of_the_trajectory(self):
+        # an ensemble of up to 2**14 players draws its waiting times one by one
+        spec = GambleSpec(probability_parameter=0.05)
+        for samples in (2, 1000, 2**14):
+            counts = ensemble_counts(spec, samples, seed=7)
+            drawn = np.bincount(draw_waiting_times(spec, samples, SimulationConfig(seed=7)))
+            assert np.array_equal(counts, drawn)
+
+    def test_partial_block_output_is_worker_invariant(self, capsys):
+        # 17 blocks, the last partial, in three census tasks
+        outputs = set()
+        for workers in ("1", "2", "8"):
+            assert main(["simulate", "--mode", "ensemble", "--wealth", "100",
+                         "--price", "2", "--samples", str(2**20 + 12_345),
+                         "--seed", "3", "--workers", workers]) == 0
+            outputs.add(capsys.readouterr().out)
+        assert len(outputs) == 1
 
 
 class TestCensusReducer:
