@@ -52,6 +52,15 @@ _LOG_10U = math.log(10.0 * _U)
 #: Waiting times drawn one by one in the time a census spends on one
 #: binomial of its multinomial chain.
 _CENSUS_STEP_DRAWS = 16.0
+#: The largest waiting time the sampler may draw: its counts are dense up
+#: to the largest waiting time drawn.
+_MAX_WAITING_TIME = 2 ** 24
+#: ``ln 2**-53``: the log of the smallest ``1 - u`` a uniform double gives,
+#: from which the inverse CDF draws its largest waiting time.
+_LOG_LEAST_UNIFORM = math.log(2.0 ** -53)
+
+#: How far the probabilities of a :class:`Table` may sum from one.
+_PROBABILITY_TOLERANCE = 1e-9
 
 #: Menger payouts ``w * expm1(2**n)`` exceed the double range from here on.
 _MENGER_OVERFLOW_N = 10
@@ -213,8 +222,18 @@ class PayoutRule:
 
     def waiting_times(self, u: np.ndarray, p: float) -> np.ndarray:
         """Waiting times from uniform variates in ``[0, 1)``; ``u`` is
-        overwritten."""
+        overwritten.
+
+        Raises:
+            ValueError: If some uniform double would draw a waiting time
+                past ``_MAX_WAITING_TIME``, about ``36.74 / p``.
+        """
         import numpy as np
+        worst = _LOG_LEAST_UNIFORM / math.log1p(-p)
+        if worst > _MAX_WAITING_TIME:
+            raise ValueError(f"geometric parameter {p!r} is too small to sample: its waiting "
+                             f"times reach {worst:.4g}, past the sampler's limit of "
+                             f"{_MAX_WAITING_TIME}")
         # inverse CDF of the geometric law: P(n > k) = (1-p)^k, in place;
         # 1 - u lies in (0, 1], which keeps the log finite
         np.subtract(1.0, u, out=u)
@@ -557,14 +576,12 @@ class Capped(_Doubling):
 class Table(PayoutRule):
     """Explicit finite gamble given as ``(probability, payout)`` rows.
 
-    Probabilities must be strictly positive and sum to one within
-    ``probability_tolerance``.  Row ``i`` (1-based) plays the role of
-    waiting time ``i``; the geometric parameter of the enclosing spec is
-    ignored.
+    Probabilities must be strictly positive and sum to one within 1e-9.
+    Row ``i`` (1-based) plays the role of waiting time ``i``; the
+    geometric parameter of the enclosing spec is ignored.
     """
 
     rows: Tuple[Tuple[float, float], ...]
-    probability_tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
         rows = tuple((float(p), float(m)) for p, m in self.rows)
@@ -578,10 +595,10 @@ class Table(PayoutRule):
             if p <= 0.0:
                 raise ValueError(f"table row {i} has nonpositive probability {p!r}")
             total += p
-        if abs(total - 1.0) > self.probability_tolerance:
+        if abs(total - 1.0) > _PROBABILITY_TOLERANCE:
             raise ValueError(
                 f"table probabilities sum to {total!r}, expected 1 within "
-                f"{self.probability_tolerance!r}"
+                f"{_PROBABILITY_TOLERANCE!r}"
             )
 
     @property
@@ -757,7 +774,7 @@ def min_payout(spec: GambleSpec, wealth: float = 1.0) -> float:
     return spec.payout_rule.min_payout(wealth)
 
 
-def load_table(path: str, probability_tolerance: float = 1e-9) -> Table:
+def load_table(path: str) -> Table:
     """Load a payout table from a two-column CSV file.
 
     The file must start with a header row, followed by
@@ -765,8 +782,6 @@ def load_table(path: str, probability_tolerance: float = 1e-9) -> Table:
 
     Args:
         path: CSV file path.
-        probability_tolerance: Allowed deviation of the probability column
-            sum from one.
 
     Returns:
         The validated :class:`Table`.
@@ -798,6 +813,6 @@ def load_table(path: str, probability_tolerance: float = 1e-9) -> Table:
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric row {row!r}") from None
     try:
-        return Table(tuple(rows), probability_tolerance=probability_tolerance)
+        return Table(tuple(rows))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

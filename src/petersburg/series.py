@@ -41,6 +41,8 @@ from .gamble import GambleSpec, PlayerState, Tail, Term, net_wealth
 _RATIO_SLACK = 1e-12
 # the spacing of doubles at 1
 _EPS = 2.0 ** -52
+# consecutive non-decaying terms that classify a series as divergent
+_DIVERGENCE_WINDOW = 16
 
 
 class Classification(str, Enum):
@@ -71,22 +73,18 @@ class TruncationPolicy:
         tolerance: Absolute bound the omitted tail must satisfy before a
             result is reported ``Converged``.
         max_terms: Hard cap on examined terms; exceeding it raises
-            :class:`TruncationInconclusiveError`.
-        divergence_window: Number of consecutive non-decaying terms that
-            trigger a divergence classification.
+            :class:`TruncationInconclusiveError`.  At least 16, the run
+            of non-decaying terms that classifies a series as divergent.
     """
 
     tolerance: float = 1e-10
     max_terms: int = 10_000
-    divergence_window: int = 16
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
-        if self.divergence_window < 2:
-            raise ValueError("divergence_window must be at least 2")
-        if self.max_terms < self.divergence_window:
-            raise ValueError("max_terms must be at least divergence_window")
+        if self.max_terms < _DIVERGENCE_WINDOW:
+            raise ValueError(f"max_terms must be at least {_DIVERGENCE_WINDOW}")
 
 
 @dataclass(frozen=True)
@@ -218,7 +216,7 @@ def _sum(
     if reach is not None and not sign_only:
         start = max(start, reach(policy.tolerance))
     window_from = empirical_from or 1
-    window: deque = deque(maxlen=policy.divergence_window)
+    window: deque = deque(maxlen=_DIVERGENCE_WINDOW)
     total = mass = 0.0
     for n, weight, log_weight in rule.outcomes(p, policy.max_terms):
         if n > 900:  # weights and payouts leave the double range

@@ -1,9 +1,11 @@
 """Acceptance suite: one test per promised behavior of the package.
 
-Each test is self-contained and checks the public API against either an
-exact value, an independent oracle implemented inline here, or a seeded
-statistical bound.  Run with ``pytest -v tests/test_acceptance.py`` to get
-one pass/fail line per behavior.
+Each test checks the public API against an exact value, an independent
+oracle or a seeded statistical bound.  The break-even oracle bisects on
+the sign of the mpmath series in ``mp_oracle``; the truncated Menger
+criterion, which nothing else sums, is bisected inline here.  Run with
+``pytest -v tests/test_acceptance.py`` to get one pass/fail line per
+behavior.
 """
 
 import math
@@ -34,6 +36,7 @@ from petersburg import (
     time_average_estimate,
     time_average_growth,
 )
+from mp_oracle import breakeven
 from test_cli import run
 
 # High-precision reference values, computed independently with 50-digit
@@ -53,29 +56,6 @@ LARGE_WEALTH_GROWTH = (
     (1e5, 0.00007276321357172773789),
     (1e6, 8.9371504867132020128e-6),
 )
-
-
-def _oracle_growth(wealth: float, price: float, terms: int = 200) -> float:
-    """Direct, unoptimized partial sum of the per-round log growth series."""
-    total = 0.0
-    for n in range(1, terms + 1):
-        payout = 2.0 ** (n - 1)
-        total += 0.5 ** n * (math.log(wealth - price + payout) - math.log(wealth))
-    return total
-
-
-def _oracle_breakeven(wealth: float) -> float:
-    """Brute-force bisection of the growth series, independent of the solver."""
-    lo, hi = 1e-9, wealth - 1e-9
-    assert _oracle_growth(wealth, lo) > 0.0
-    assert _oracle_growth(wealth, hi) < 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _oracle_growth(wealth, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _oracle_guaranteed_win_price(wealth: float, terms: int) -> float:
@@ -183,7 +163,7 @@ class TestAcceptance:
             assert elapsed < 0.1
             residual = time_average_growth(PlayerState(wealth, price), spec, tight)
             assert abs(residual.value) <= 1e-10
-            assert abs(price - _oracle_breakeven(wealth)) <= 1e-8
+            assert abs(price - breakeven(spec, wealth)) <= 1e-8
 
     def test_guaranteed_win_prices_match_root_finding(self):
         for terms in (1, 5, 10, 30):

@@ -29,7 +29,8 @@ from petersburg import (
 )
 from petersburg import montecarlo
 from petersburg.cli import _PATH_SLICE, _wealth_cell, _wealth_path_writer, main, parse_payout
-from test_series_oracle import reference
+from mp_oracle import reference
+from test_gamble import SMALLEST_SAMPLED_P
 
 BREAKEVEN_100 = 4.36019402978550666497679191764
 
@@ -193,6 +194,11 @@ class TestEvaluateCommand:
         first = run("evaluate", "--wealth", "100", "--price", "2")
         second = run("evaluate", "--wealth", "100", "--price", "2")
         assert first.output == second.output
+
+    def test_too_few_terms_names_the_least(self):
+        result = run("evaluate", "--wealth", "100", "--price", "2", "--max-terms", "5")
+        assert result.exit_code == 1
+        assert result.stderr == "error: max_terms must be at least 16\n"
 
 
 # ====== breakeven ======
@@ -508,9 +514,33 @@ class TestSimulateCommand:
         assert code == 0
         assert captured.err == ""
         rate = json.loads(captured.out)["results"]["analytic_growth_rate"]
-        with mpmath.workdps(40):
-            exact = reference(GambleSpec(probability_parameter=1e-5), 100.0, 2.0, "log").value
-            assert abs(rate - exact) <= 1e-10
+        exact = reference(GambleSpec(probability_parameter=1e-5), 100.0, 2.0, "log").value
+        assert abs(rate - exact) <= 1e-10
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", ["1e-12", "1e-300"])
+    @pytest.mark.parametrize("mode", ["time", "ensemble", "subinterval"])
+    def test_unsampled_p_fails_in_one_line(self, mode, p, capsys):
+        # one uniform double would draw a waiting time of about 36.74 / p,
+        # and the counts are dense up to the largest waiting time drawn
+        code = main(["simulate", "--wealth", "100", "--price", "2", "--mode", mode,
+                     "--rounds", "10", "--samples", "100", "--geom-p", p])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: geometric parameter {p} is too small")
+        assert len(captured.err.splitlines()) == 1
+        assert "limit of 16777216" in captured.err
+
+    @pytest.mark.parametrize("mode", ["time", "ensemble", "subinterval"])
+    def test_smallest_sampled_p_runs(self, mode, capsys):
+        code = main(["simulate", "--wealth", "100", "--price", "2", "--mode", mode,
+                     "--rounds", "10", "--samples", "10", "--payout", "capped:1000000",
+                     "--geom-p", repr(SMALLEST_SAMPLED_P)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert sum(c for _, c in json.loads(captured.out)["results"]["frequencies"]) == 10
 
     def test_uncertified_rate_keeps_the_run(self, capsys):
         code = main(["simulate", "--wealth", "100", "--price", "2", "--rounds", "1000",

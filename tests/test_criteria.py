@@ -3,10 +3,10 @@
 import math
 import sys
 
-import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mp_oracle import growth_sign
 from petersburg import criteria, series
 from petersburg import (
     BernoulliOriginal,
@@ -24,7 +24,6 @@ from petersburg import (
     bernoulli_stake,
     breakeven_curve,
     breakeven_price,
-    cap_point,
     ensemble_average_growth,
     evaluate,
     expected_payout,
@@ -178,33 +177,6 @@ class TestBreakevenPrice:
             breakeven_price(-10.0, GambleSpec())
 
 
-def _oracle_growth_sign(spec: GambleSpec, wealth: float, price: float) -> int:
-    """Sign of the time-average growth rate in 40-digit arithmetic.
-
-    Undefined rates count as negative, as in the solver.  Past term
-    ``last`` a doubling term is ``(n-1) ln 2 - ln w`` to a relative
-    ``2**-120``, and that tail is summed in closed form.
-    """
-    rule = spec.payout_rule
-    capped = isinstance(rule, Capped)
-    with mpmath.workdps(40):
-        p = mpmath.mpf(spec.probability_parameter)
-        q = 1 - p
-        w = mpmath.mpf(wealth)
-        net = w - mpmath.mpf(price)
-        if net + (0 if capped else 1) <= 0:
-            return -1
-        log_w = mpmath.log(w)
-        last = cap_point(rule.max_payout) if capped else 130 + int(math.log2(wealth + 2))
-        total = mpmath.fsum(p * q ** (n - 1) * (mpmath.log(net + mpmath.mpf(2) ** (n - 1)) - log_w)
-                            for n in range(1, last + 1))
-        if capped:
-            total += q ** last * (mpmath.log(net) - log_w)
-        else:
-            total += q ** last * (mpmath.log(2) * (last + q / p) - log_w)
-        return int(mpmath.sign(total))
-
-
 def _recording_growth(monkeypatch, slope=None):
     """Record ``(price, sign)`` of every rate the solver evaluates.
 
@@ -246,7 +218,7 @@ class TestBreakevenSolver:
             price = breakeven_price(wealth, spec)
         except NoSignChangeError:
             # the root, if any, is closer to bankruptcy than the solver looks
-            assert _oracle_growth_sign(spec, wealth, bankruptcy * (1.0 - 1e-15)) > 0
+            assert growth_sign(spec, wealth, bankruptcy * (1.0 - 1e-15)) > 0
             return
         reach = max(1e-10, 4.0 * math.ulp(bankruptcy))
         if 1e-10 / (16.0 * wealth) < 4e-16:
@@ -254,8 +226,8 @@ class TestBreakevenSolver:
             # 15625, and the growth error it leaves moves the price by a few
             # eps * wealth
             reach += 8.0 * sys.float_info.epsilon * wealth
-        assert _oracle_growth_sign(spec, wealth, max(price - reach, 0.0)) >= 0
-        assert _oracle_growth_sign(spec, wealth, price + reach) <= 0
+        assert growth_sign(spec, wealth, max(price - reach, 0.0)) >= 0
+        assert growth_sign(spec, wealth, price + reach) <= 0
 
     def test_few_series_evaluations_per_root(self, monkeypatch):
         probes = _recording_growth(monkeypatch)

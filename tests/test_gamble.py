@@ -1,6 +1,7 @@
 """Tests for payout rules, probabilities, and per-outcome quantities."""
 
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -153,6 +154,26 @@ class TestProbabilities:
             GambleSpec(probability_parameter=1.0)
         with pytest.raises(ValueError):
             GambleSpec(probability_parameter=-0.2)
+
+
+#: The smallest geometric parameter the sampler draws: the largest double
+#: below 1 draws a waiting time of exactly 2**24 from it.
+SMALLEST_SAMPLED_P = 2.189681550783825e-06
+
+
+class TestWaitingTimeLimit:
+    def test_smallest_sampled_p_reaches_the_limit(self):
+        u = np.array([0.0, 1.0 - 2.0 ** -53])
+        assert BernoulliOriginal().waiting_times(u, SMALLEST_SAMPLED_P).tolist() == [1, 2 ** 24]
+
+    @pytest.mark.parametrize("p", [math.nextafter(SMALLEST_SAMPLED_P, 0.0), 1e-12, 1e-300,
+                                   5e-324])
+    def test_smaller_p_is_refused_before_any_draw(self, p):
+        u = np.array([0.5])
+        message = f"geometric parameter {re.escape(repr(p))} .* limit of 16777216"
+        with pytest.raises(ValueError, match=message):
+            BernoulliOriginal().waiting_times(u, p)
+        assert u.tolist() == [0.5]
 
 
 class TestGrowthFactor:

@@ -597,6 +597,10 @@ class TestEnsembleCensusLaw:
 
 
 class TestCensusReducer:
+    def test_rounds_must_be_positive(self):
+        with pytest.raises(ValueError, match="rounds must be positive"):
+            time_average_census(PlayerState(100.0, 2.0), GambleSpec(), 0)
+
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_streaming_estimate_equals_the_trajectory_estimate(self, workers):
         state = PlayerState(wealth=100.0, ticket_price=2.0)

@@ -28,7 +28,8 @@ from petersburg import criteria, series
 from petersburg.gamble import net_wealth
 from petersburg.criteria import _criterion_sign
 from petersburg.series import SeriesResult, _Probe, _sum
-from test_series_oracle import _Reference, _price, _spec, assert_agrees, reference
+from mp_oracle import assert_agrees, literal_lhs, reciprocal_reference, reference
+from test_series_oracle import _price, _spec
 
 # High-precision reference values, computed independently with 50-digit
 # decimal arithmetic and frozen here.
@@ -383,9 +384,8 @@ class TestSolverProbes:
                 signed = time_average_growth(state, spec, policy, _probe=_Probe(sign_only=True))
             except TruncationInconclusiveError:
                 return
-            with mpmath.workdps(40):
-                assert _criterion_sign(signed) == mpmath.sign(
-                    reference(spec, wealth, price, "log").value)
+            assert _criterion_sign(signed) == mpmath.sign(
+                reference(spec, wealth, price, "log").value)
             return
         signed = time_average_growth(state, spec, policy, _probe=_Probe(sign_only=True))
         assert _criterion_sign(signed) == _criterion_sign(full)
@@ -523,8 +523,7 @@ class TestExpectedUtilityChange:
         spec = GambleSpec(probability_parameter=0.05)
         result = expected_utility_change(state, spec, "log")
         assert result.terms_used < 100
-        with mpmath.workdps(40):
-            assert_agrees(result, reference(spec, 100.0, 2.0, "log"))
+        assert_agrees(result, reference(spec, 100.0, 2.0, "log"))
 
     def test_callable_on_capped_gamble_sums_the_tail_exactly(self):
         state = PlayerState(wealth=100.0, ticket_price=2.0)
@@ -555,8 +554,7 @@ class TestExpectedUtilityChange:
         spec = GambleSpec(rule, p)
         result = expected_utility_change(PlayerState(100.0, 2.0), spec, lambda x: -1.0 / x)
         assert result.is_converged
-        with mpmath.workdps(40):
-            assert_agrees(result, _reciprocal_reference(spec, 100.0, 2.0))
+        assert_agrees(result, reciprocal_reference(spec, 100.0, 2.0))
 
     def test_log_of_overflowing_menger_payout_is_no_divergence(self):
         state = PlayerState(wealth=100.0, ticket_price=2.0)
@@ -574,22 +572,26 @@ class TestExpectedUtilityChange:
         with pytest.raises(ValueError):
             expected_utility_change(state, GambleSpec(), "cubic")
 
+    def test_callable_utility_of_a_bankrupt_outcome_is_undefined(self):
+        result = expected_utility_change(PlayerState(100.0, 101.0), GambleSpec(), math.log)
+        assert result.classification is Classification.UNDEFINED
+        assert result.reason is UndefinedReason.BANKRUPTCY_TERM
+        assert result.terms_used == 1
 
-def _reciprocal_reference(spec: GambleSpec, wealth: float, price: float) -> _Reference:
-    """Series of ``P(n) (1/w - 1/(w - c + payout_n))``, the change of the
-    utility ``-1/x``, at the working precision.  Past 400 terms every
-    payout exceeds ``2**399`` and only ``sum P(n) / w = q**400 / w`` is
-    left to 40 digits."""
-    w = mpmath.mpf(wealth)
-    net, p = w - mpmath.mpf(price), mpmath.mpf(spec.probability_parameter)
-    if isinstance(spec.payout_rule, Menger):
-        paid = [w * mpmath.expm1(mpmath.mpf(2) ** n) for n in range(1, 401)]
-    else:
-        paid = [mpmath.mpf(2) ** (n - 1) for n in range(1, 401)]
-    terms = [p * (1 - p) ** (n - 1) * (1 / w - 1 / (net + m)) for n, m in enumerate(paid, 1)]
-    rest = (1 - p) ** 400 / w
-    size = mpmath.fsum(map(abs, terms)) + rest
-    return _Reference(Classification.CONVERGED, mpmath.fsum(terms) + rest, lambda n: size)
+    def test_callable_utility_failing_on_positive_wealth_is_undefined(self):
+        # the first outcome leaves 99 > 0, where this utility has no value
+        result = expected_utility_change(PlayerState(100.0, 2.0), GambleSpec(),
+                                         lambda x: math.log(x - 99.0))
+        assert result.classification is Classification.UNDEFINED
+        assert result.reason is UndefinedReason.NONPOSITIVE_LOG_ARGUMENT
+
+    def test_nan_utility_fails_loudly(self):
+        # term 7 pays 64, leaving 98 + 64 = 162
+        def utility(x):
+            return math.nan if x == 162.0 else math.log(x)
+
+        with pytest.raises(FloatingPointError, match="term 7 evaluated to NaN"):
+            expected_utility_change(PlayerState(100.0, 2.0), GambleSpec(), utility)
 
 
 # ====== Literal all-or-nothing accounting ======
@@ -627,13 +629,9 @@ class TestBernoulliLiteralLhs:
         price = wealth * fraction
         tight = TruncationPolicy(tolerance=1e-16)
         result = bernoulli_literal_lhs(PlayerState(wealth, price), GambleSpec(), tight)
-        with mpmath.workdps(40):
-            w, c = mpmath.mpf(wealth), mpmath.mpf(price)
-            gains = mpmath.fsum(mpmath.mpf(2) ** -n * mpmath.log1p(mpmath.mpf(2) ** (n - 1) / w)
-                                for n in range(1, 200))
-            exact = gains - mpmath.log(w / (w - c))
-            miss = abs(mpmath.mpf(result.value) - exact)
-            assert miss <= result.tail_bound + 4 * math.ulp(float(exact))
+        exact = literal_lhs(GambleSpec(), wealth, price)
+        miss = abs(mpmath.mpf(result.value) - exact)
+        assert miss <= result.tail_bound + 4 * math.ulp(float(exact))
 
 
 # ====== Divergence structure of the two classic series ======
@@ -673,17 +671,14 @@ class TestTruncationPolicy:
         policy = TruncationPolicy()
         assert policy.tolerance == 1e-10
         assert policy.max_terms == 10_000
-        assert policy.divergence_window == 16
 
     def test_validation(self):
         with pytest.raises(ValueError):
             TruncationPolicy(tolerance=0.0)
         with pytest.raises(ValueError):
             TruncationPolicy(tolerance=-1e-10)
-        with pytest.raises(ValueError):
-            TruncationPolicy(divergence_window=1)
-        with pytest.raises(ValueError):
-            TruncationPolicy(max_terms=8, divergence_window=16)
+        with pytest.raises(ValueError, match="max_terms must be at least 16"):
+            TruncationPolicy(max_terms=8)
 
 
 class TestClassificationLabels:

@@ -1,4 +1,4 @@
-"""Criterion series against an independent 40-digit mpmath reference.
+"""Criterion series against the independent mpmath reference of ``mp_oracle``.
 
 A derandomized sweep over wealth, ticket price, geometric parameter,
 payout rule and utility.  Classifications must follow the analytic
@@ -10,12 +10,11 @@ closed form past those terms, its rounding included, must sit inside
 """
 
 import math
-from typing import Callable, NamedTuple, Optional, Tuple
 
-import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mp_oracle import assert_agrees, reference
 from petersburg import (
     BernoulliOriginal,
     Capped,
@@ -25,20 +24,11 @@ from petersburg import (
     PlayerState,
     Table,
     TruncationInconclusiveError,
-    UndefinedReason,
-    cap_point,
     expected_payout,
     expected_utility_change,
     min_payout,
     time_average_growth,
 )
-
-EPS = 2.0 ** -52
-#: Terms summed directly past the payout's crossing of ``2 |net|``; beyond
-#: them ``|net 2**(1-n)| < 2**-64``, and ``_ORDERS`` orders of the
-#: expansion of the log or root in it reach 40 digits.
-_DIRECT = 64
-_ORDERS = 3
 
 _TABLES = {
     "few": ((0.5, 0.0), (0.25, 3.0), (0.25, 40.0)),
@@ -46,92 +36,10 @@ _TABLES = {
 }
 
 
-class _Reference(NamedTuple):
-    classification: Classification
-    value: object = None
-    #: ``magnitude(n)``: sum of the magnitudes of what a float loop adds
-    #: when it stops after ``n`` terms
-    magnitude: Optional[Callable[[int], object]] = None
-    reason: Optional[UndefinedReason] = None
-
-
 def _spec(rule: str, p: float, cap: float, table: str) -> GambleSpec:
     payout_rule = {"bernoulli": BernoulliOriginal(), "menger": Menger(), "capped": Capped(cap),
                    "table": Table(_TABLES[table])}[rule]
     return GambleSpec(payout_rule, p)
-
-
-def _gain(utility: str, net, wealth) -> Tuple[Callable, Callable]:
-    """``g(m)``, the change in utility from a payout ``m``, and the size
-    ``|g|`` of what the float loop rounds while computing it."""
-    if utility == "log":
-        log_w = mpmath.log(wealth)
-        return (lambda m: mpmath.log(net + m) - log_w,
-                lambda m: abs(mpmath.log(net + m)) + abs(log_w) + 1)
-    if utility == "sqrt":
-        sqrt_w = mpmath.sqrt(wealth)
-        return (lambda m: mpmath.sqrt(net + m) - sqrt_w,
-                lambda m: mpmath.sqrt(net + m) + sqrt_w + 1)
-    return (lambda m: m), abs
-
-
-def _doubling_tail(utility: str, p, net, wealth, n0: int):
-    """``sum_{n > n0} P(n) g(2**(n-1))`` for the log or root utility, summed
-    in powers of ``x = net 2**(1-n)``."""
-    q = 1 - p
-    if utility == "log":
-        # ln(net + 2**(n-1)) = (n-1) ln 2 + sum_k (-1)**(k+1) x**k / k
-        tail = q ** n0 * (mpmath.log(2) * (n0 + q / p) - mpmath.log(wealth))
-        for k in range(1, _ORDERS + 1):
-            ratio = q / mpmath.mpf(2) ** k
-            tail += (-1) ** (k + 1) * net ** k / k * p * ratio ** n0 / (1 - ratio)
-        return tail
-    # sqrt(net + 2**(n-1)) = 2**((n-1)/2) sum_k binom(1/2, k) x**k
-    tail = -mpmath.sqrt(wealth) * q ** n0
-    for k in range(0, _ORDERS + 1):
-        ratio = q * mpmath.mpf(2) ** (mpmath.mpf(1) / 2 - k)
-        tail += mpmath.binomial(mpmath.mpf(1) / 2, k) * net ** k * p * ratio ** n0 / (1 - ratio)
-    return tail
-
-
-def reference(spec: GambleSpec, wealth: float, price: float, utility: str) -> _Reference:
-    """The criterion series of ``utility`` (``"none"`` for the expected
-    payout, ``"log"`` or ``"sqrt"``) at the working precision, which the
-    caller sets to 40 digits."""
-    rule = spec.payout_rule
-    w = mpmath.mpf(wealth)
-    net = w - mpmath.mpf(price)
-    lowest = mpmath.mpf(min_payout(spec, wealth))
-    if (utility == "log" and net + lowest <= 0) or (utility == "sqrt" and net + lowest < 0):
-        return _Reference(Classification.UNDEFINED, reason=UndefinedReason.BANKRUPTCY_TERM)
-    g, size = _gain(utility, net, w)
-    if isinstance(rule, Table):
-        rows = [(mpmath.mpf(pr), mpmath.mpf(m)) for pr, m in rule.rows]
-        return _Reference(Classification.CONVERGED, mpmath.fsum(pr * g(m) for pr, m in rows),
-                          lambda n: mpmath.fsum(pr * size(m) for pr, m in rows[:n]))
-    p = mpmath.mpf(spec.probability_parameter)
-    q = 1 - p
-    if isinstance(rule, Capped):
-        last = cap_point(rule.max_payout)
-
-        def paid(n):
-            return mpmath.mpf(2) ** (n - 1) if n <= last else 0
-
-        def magnitude(n):  # the loop adds the unpaid rest as one term
-            return (mpmath.fsum(p * q ** (k - 1) * size(paid(k)) for k in range(1, n + 1))
-                    + q ** n * size(0))
-
-        value = (mpmath.fsum(p * q ** (n - 1) * g(paid(n)) for n in range(1, last + 1))
-                 + q ** last * g(0))
-        return _Reference(Classification.CONVERGED, value, magnitude)
-    if isinstance(rule, Menger) or (utility == "none" and 2 * q >= 1) or (
-            utility == "sqrt" and q * mpmath.sqrt(2) >= 1):
-        return _Reference(Classification.DIVERGES_POSITIVE)
-    n0 = _DIRECT + int(mpmath.ceil(mpmath.log(2 * abs(net) + 2, 2)))
-    value = mpmath.fsum(p * q ** (n - 1) * g(mpmath.mpf(2) ** (n - 1)) for n in range(1, n0 + 1))
-    return _Reference(Classification.CONVERGED, value + _doubling_tail(utility, p, net, w, n0),
-                      lambda n: mpmath.fsum(p * q ** (k - 1) * size(mpmath.mpf(2) ** (k - 1))
-                                            for k in range(1, n + 1)))
 
 
 def _evaluate(spec: GambleSpec, wealth: float, price: float, utility: str):
@@ -157,20 +65,6 @@ def _price(spec: GambleSpec, wealth: float, regime: str, closeness: float) -> fl
     return 0.0
 
 
-def assert_agrees(result, ref: _Reference) -> None:
-    """``result`` has the reference's classification, and a converged
-    value lies within its tail bound plus the running-sum slack."""
-    assert result.classification is ref.classification, (result, ref.classification)
-    if ref.reason is not None:
-        assert result.reason is ref.reason
-    if ref.classification is not Classification.CONVERGED:
-        return
-    n = result.terms_used
-    slack = result.tail_bound + 4.0 * EPS * (n + 4) * ref.magnitude(n)
-    miss = abs(mpmath.mpf(result.value) - ref.value)
-    assert miss <= slack, (result, mpmath.nstr(ref.value, 25), mpmath.nstr(miss, 5))
-
-
 def _rounded_ruin(spec: GambleSpec, wealth: float, price: float) -> bool:
     """Whether ``price`` is within rounding of a ruin price that is no double.
 
@@ -183,19 +77,18 @@ def _rounded_ruin(spec: GambleSpec, wealth: float, price: float) -> bool:
 
 
 def _check(spec: GambleSpec, wealth: float, price: float, utility: str) -> None:
-    with mpmath.workdps(40):
-        ref = reference(spec, wealth, price, utility)
-        try:
-            result = _evaluate(spec, wealth, price, utility)
-        except TruncationInconclusiveError:
-            # no verdict is never a wrong verdict; tests of term counts
-            # say where a verdict is due
-            return
-        undefined = Classification.UNDEFINED
-        if _rounded_ruin(spec, wealth, price) and undefined in (result.classification,
-                                                                ref.classification):
-            return
-        assert_agrees(result, ref)
+    ref = reference(spec, wealth, price, utility)
+    try:
+        result = _evaluate(spec, wealth, price, utility)
+    except TruncationInconclusiveError:
+        # no verdict is never a wrong verdict; tests of term counts
+        # say where a verdict is due
+        return
+    undefined = Classification.UNDEFINED
+    if _rounded_ruin(spec, wealth, price) and undefined in (result.classification,
+                                                            ref.classification):
+        return
+    assert_agrees(result, ref)
 
 
 class TestOracleSweep:
@@ -239,8 +132,7 @@ class TestDoublingTailTerms:
         for price in (0.0, 0.02 * wealth, 0.5 * wealth, wealth, wealth + 0.5):
             result = time_average_growth(PlayerState(wealth, price), spec)
             assert result.terms_used < 100
-            with mpmath.workdps(40):
-                assert_agrees(result, reference(spec, wealth, price, "log"))
+            assert_agrees(result, reference(spec, wealth, price, "log"))
 
     @pytest.mark.parametrize("p", [0.3, 0.4, 0.5])
     @pytest.mark.parametrize("wealth", [1.0, 1e6])
@@ -249,5 +141,18 @@ class TestDoublingTailTerms:
         for price in (0.0, 0.5 * wealth, wealth + 0.5):
             result = expected_utility_change(PlayerState(wealth, price), spec, "sqrt")
             assert result.terms_used < 100
-            with mpmath.workdps(40):
-                assert_agrees(result, reference(spec, wealth, price, "sqrt"))
+            assert_agrees(result, reference(spec, wealth, price, "sqrt"))
+
+
+class TestOraclePrecision:
+    """The reference keeps its digits where the price is tiny beside the wealth."""
+
+    def test_growth_sign_changes_between_close_prices_at_wealth_1e300(self):
+        spec = GambleSpec()
+
+        def growth(price):
+            return float(reference(spec, 1e300, price, "log").value)
+
+        assert f"{growth(499.26):.1e}" == "5.6e-304"
+        assert f"{growth(498.80):.1e}" == "4.6e-301"
+        assert growth(499.27) < 0.0
