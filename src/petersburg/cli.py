@@ -29,6 +29,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -317,9 +318,16 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
     path_file = (contextlib.nullcontext() if wealth_path_out is None
                  else open(wealth_path_out, "w", newline=""))
     with path_file:
-        run = time_average_census(
-            state, spec, rounds, config,
-            path=None if wealth_path_out is None else _wealth_path_writer(path_file))
+        try:
+            run = time_average_census(
+                state, spec, rounds, config,
+                path=None if wealth_path_out is None else _wealth_path_writer(path_file))
+        except BaseException:
+            # a run that fails or is refused leaves no path file
+            if wealth_path_out is not None:
+                path_file.close()
+                os.remove(wealth_path_out)
+            raise
 
     if run.bankrupt_at is not None:
         emit({"mode": "time", "bankrupt_at": run.bankrupt_at,

@@ -107,6 +107,13 @@ def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
 
 
+def _overflowed_factor(net: float, m: float, residual: float, wealth: float) -> float:
+    """The growth factor ``(net + m + residual) / wealth`` where that sum
+    overflows a double.  A finite ``m`` overflows it only beside a wealth
+    above about 1e292, so the factor is finite unless ``m`` is not."""
+    return (net + residual) / wealth + m / wealth
+
+
 def _climb(rounding: Callable[[float, float], float], n: float, log_tol: float,
            cap: float) -> float:
     """A bound ``b >= n`` with ``m < rounding(m, log_tol)`` at every ``m`` in
@@ -173,7 +180,11 @@ class PayoutRule:
         def term(n: int, weight: float, log_weight: float) -> float:
             nonlocal slope
             m = payout(n, wealth)
-            value = weight * (math.log(net + m + residual) - log_wealth)
+            after = net + m + residual
+            if after < math.inf:
+                value = weight * (math.log(after) - log_wealth)
+            else:
+                value = weight * math.log(_overflowed_factor(net, m, residual, wealth))
             if with_slope:
                 slope += weight / (net + m)
             return value
@@ -186,7 +197,12 @@ class PayoutRule:
         payout, sqrt_wealth = self.payout, math.sqrt(wealth)
 
         def term(n: int, weight: float, log_weight: float) -> float:
-            return weight * (math.sqrt(net + payout(n, wealth) + residual) - sqrt_wealth)
+            m = payout(n, wealth)
+            after = net + m + residual
+            if after < math.inf:
+                return weight * (math.sqrt(after) - sqrt_wealth)
+            factor = _overflowed_factor(net, m, residual, wealth)
+            return weight * sqrt_wealth * (math.sqrt(factor) - 1.0)
 
         return term, term
 
@@ -363,11 +379,11 @@ class BernoulliOriginal(_Doubling):
     # rounding term bounds each closed form's error from its magnitude,
     # so it falls with q**n and never with the running total.
     #
-    # reach(tol) solves, in logs, for the first n at which each part of
-    # the bound, a coefficient times a ratio**n, can fall to tol.  Below
-    # it the part exceeds tol + 2**-1074 by a slack far wider than the
-    # rounding of rest and of these logs, so rest's rounding, of a
-    # subnormal result too, cannot bring the part, or the bound, to tol.
+    # The log tail's reach(tol) solves, in logs, for the first n at which
+    # each part of the bound, a coefficient times a ratio**n, can fall to
+    # tol.  Below it the part exceeds tol + 2**-1074 by a slack far wider
+    # than the rounding of rest and of these logs, so rest's rounding, of
+    # a subnormal result too, cannot bring the part, or the bound, to tol.
     # Each solve stops short of any n where a factor of its part could
     # leave the normal range, past which that rounding is not relative.
 
@@ -444,23 +460,7 @@ class BernoulliOriginal(_Doubling):
             rounding = (8.0 - 3.0 * n * log_q + 3.0 / short) * _U * (rises + falls)
             return rises - falls, scale * shrink ** n + rounding
 
-        log_scale, log_shrink = _log(scale), math.log(shrink)
-        # the rounding part is at least its share of rises, whose factors
-        # are normal doubles while p q**n is
-        log_rises = math.log(p) - math.log(short)
-        normal_rounding = (_LOG_NORMAL + math.log(p)) / -log_q
-        fall = -(log_q + 0.5 * _LN2)  # -ln g
-
-        def rounding(n: float, log_tol: float) -> float:
-            log_cu = math.log((8.0 - 3.0 * n * log_q + 3.0 / short) * _U)
-            return (log_cu + log_rises - log_tol) / fall
-
-        def reach(tolerance: float) -> int:
-            log_tol = math.log(tolerance + _TINY) + _SLACK
-            n = max(min(log_scale - log_tol, _LOG_NORMAL) / -log_shrink, 1.0)
-            return math.ceil(_climb(rounding, n, log_tol, normal_rounding))
-
-        return Tail(_doubling_start(net), rest, reach)
+        return Tail(_doubling_start(net), rest)
 
 
 @dataclass(frozen=True)

@@ -412,6 +412,11 @@ def _ensemble_growth(state: PlayerState, spec: GambleSpec, policy: TruncationPol
             UndefinedReason.NONPOSITIVE_LOG_ARGUMENT, inner.terms_used
         )
     mean_factor = (w - c + inner.value) / w
+    if mean_factor == math.inf:
+        # the sum overflows only beside a wealth above about 1e292, where
+        # these quotients are finite; a quotient that overflows stays so,
+        # and the rate is then a difference of logs
+        mean_factor = (w - c) / w + inner.value / w
     tail = (inner.tail_bound or 0.0) / w
     if mean_factor <= 0.0:
         return SeriesResult.undefined(
@@ -420,7 +425,9 @@ def _ensemble_growth(state: PlayerState, spec: GambleSpec, policy: TruncationPol
     if tail < mean_factor:
         bound = tail / (mean_factor - tail)
         if bound <= policy.tolerance:
-            return SeriesResult.converged(math.log(mean_factor), bound, inner.terms_used)
+            rate = (math.log(mean_factor) if mean_factor < math.inf
+                    else math.log(w - c + inner.value) - math.log(w))
+            return SeriesResult.converged(rate, bound, inner.terms_used)
     raise TruncationInconclusiveError(
         "could not certify the ensemble growth rate to the requested tolerance"
     )
@@ -458,7 +465,8 @@ def expected_utility_change(
         peak: they rise until the payouts reach the wealth and for about
         the mean waiting time ``1/p`` after; terms that still rise past
         that point may be misread as divergence.  A payout past the
-        double range whose utility is not finite raises
+        double range, or one that takes the wealth past it, whose
+        utility is not finite raises
         :class:`TruncationInconclusiveError`; a bounded utility, such
         as ``-1/x``, gets its limit there and sums on.
     """
@@ -499,16 +507,18 @@ def _custom_change_series(
         try:
             change = utility(arg) - base
         except (ValueError, OverflowError):
-            if m == math.inf:
+            if arg == math.inf:
                 change = math.nan
             else:
                 raise _UndefinedTerm(UndefinedReason.BANKRUPTCY_TERM if arg <= 0.0
                                      else UndefinedReason.NONPOSITIVE_LOG_ARGUMENT) from None
-        if m == math.inf and not math.isfinite(change):
-            # an overflowed payout says nothing of how the series ends
+        if arg == math.inf and not math.isfinite(change):
+            # a payout that overflows, alone or added to the wealth, says
+            # nothing of how the series ends
             raise TruncationInconclusiveError(
-                f"the payout of term {n} overflows a double, and the utility of it "
-                f"is not finite; no tail bound below {policy.tolerance!r} came before it")
+                f"the payout of term {n} overflows a double, alone or with the wealth, and "
+                f"the utility of it is not finite; no tail bound below "
+                f"{policy.tolerance!r} came before it")
         return weight * change
 
     # the terms rise until the payout passes the wealth, about

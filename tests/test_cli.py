@@ -195,6 +195,31 @@ class TestEvaluateCommand:
         second = run("evaluate", "--wealth", "100", "--price", "2")
         assert first.output == second.output
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("wealth, rows", [("1e308", "0.5,1e308\n0.5,0\n"),
+                                              ("1e308", "1.0,1e308\n"),
+                                              ("1e-320", None)],
+                             ids=["two-rows", "one-row", "subnormal-wealth"])
+    def test_values_at_the_double_range_are_finite(self, tmp_path, fmt, wealth, rows):
+        # the wealth after a payout, or the mean growth factor, overflows a
+        # double; the rates do not
+        payout = "capped:1e300"
+        if rows is not None:
+            (tmp_path / "rows.csv").write_text("p,m\n" + rows)
+            payout = f"table:{tmp_path / 'rows.csv'}"
+        result = run("evaluate", "--wealth", wealth, "--payout", payout, "--format", fmt)
+        assert result.exit_code == 0, result.stderr
+        if fmt == "json":
+            results = parse_envelope(result)["results"]
+            assert results["recommendation"] == "Buy"
+            assert all(v["classification"] == "Converged" for k, v in results.items()
+                       if k != "recommendation")
+        else:
+            lines = list(csv.reader(result.stdout.splitlines()))[1:]
+            assert lines[-1][:2] == ["recommendation", "Buy"]
+            assert all(line[1] == "Converged" and math.isfinite(float(line[2]))
+                       for line in lines[:-1])
+
     def test_too_few_terms_names_the_least(self):
         result = run("evaluate", "--wealth", "100", "--price", "2", "--max-terms", "5")
         assert result.exit_code == 1
@@ -466,6 +491,14 @@ class TestSimulateCommand:
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr.startswith("error:")
+
+    def test_refused_run_leaves_no_path_file(self, tmp_path):
+        out = tmp_path / "path.csv"
+        result = run("simulate", "--wealth", "100", "--price", "2", "--rounds", "10",
+                     "--geom-p", "1e-12", "--wealth-path-out", str(out))
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: geometric parameter")
+        assert not out.exists()
 
     def test_menger_time_mode_emits_strict_json(self, capsys):
         # Seeds 0-19 include runs that draw n >= 10, whose payout

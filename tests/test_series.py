@@ -181,14 +181,14 @@ class TestTimeAverageGrowth:
 # ====== Where the doubling tails start probing ======
 
 
-def _probed_sum(kind, p, wealth, price, policy, skip=True):
-    """``_sum`` of a doubling log or sqrt series, and the ``n`` its tail was
+def _probed_sum(p, wealth, price, policy, skip=True):
+    """``_sum`` of the doubling log series, and the ``n`` its tail was
     asked at.  Without ``skip`` the same tail is asked at every ``n`` from
     its start."""
     rule = BernoulliOriginal()
     net, residual = net_wealth(wealth, price)
-    term, far = getattr(rule, f"{kind}_terms")(net, wealth, residual)
-    tail = getattr(rule, f"{kind}_tail")(p, net, wealth)
+    term, far = rule.log_terms(net, wealth, residual)
+    tail = rule.log_tail(p, net, wealth)
     probes = []
 
     def rest(n):
@@ -207,52 +207,46 @@ class TestTailReach:
     """Tail probes start where a bound can first reach the tolerance."""
 
     @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(kind=st.sampled_from(["log", "sqrt"]),
-           p_exp=st.floats(-5.0, math.log10(0.5)),
+    @given(p_exp=st.floats(-5.0, math.log10(0.5)),
            wealth_exp=st.floats(-3.0, 16.0),
            price=st.sampled_from(["free", "share", "near_ruin", "ruin"]),
            share=st.floats(0.0, 1.0),
            tol_exp=st.floats(-320.0, -3.0),
            max_terms=st.sampled_from([10_000, 300, 40]))
-    @example(kind="log", p_exp=-2.0, wealth_exp=2.0, price="free", share=0.0,
+    @example(p_exp=-2.0, wealth_exp=2.0, price="free", share=0.0,
              tol_exp=-15.4, max_terms=300)  # first useful n near 880
-    @example(kind="log", p_exp=-5.0, wealth_exp=16.0, price="near_ruin", share=1.0,
+    @example(p_exp=-5.0, wealth_exp=16.0, price="near_ruin", share=1.0,
              tol_exp=-320.0, max_terms=10_000)
-    def test_skip_is_exact(self, kind, p_exp, wealth_exp, price, share, tol_exp, max_terms):
+    def test_skip_is_exact(self, p_exp, wealth_exp, price, share, tol_exp, max_terms):
         p = 10.0 ** p_exp
-        if kind == "sqrt":  # the sqrt tail exists only for q sqrt(2) < 1
-            p = 0.3 + 0.2 * (p_exp + 5.0) / (5.0 + math.log10(0.5))
         wealth = 10.0 ** wealth_exp
         ruin = wealth + 1.0  # the smallest payout is 1
         price = {"free": 0.0, "share": share * wealth,
                  "near_ruin": ruin * (1.0 - 10.0 ** (-1.0 - 14.0 * share)),
                  "ruin": ruin}[price]
         policy = TruncationPolicy(tolerance=10.0 ** tol_exp, max_terms=max_terms)
-        skipped, asked = _probed_sum(kind, p, wealth, price, policy)
-        every, asked_every = _probed_sum(kind, p, wealth, price, policy, skip=False)
+        skipped, asked = _probed_sum(p, wealth, price, policy)
+        every, asked_every = _probed_sum(p, wealth, price, policy, skip=False)
         assert repr(skipped) == repr(every)
         assert asked == asked_every[len(asked_every) - len(asked):]
 
     def test_first_useful_n_past_max_terms_asks_no_tail(self):
         # at p = 0.01 a bound first reaches 4e-16 near n = 880
         policy = TruncationPolicy(tolerance=4e-16, max_terms=300)
-        skipped, asked = _probed_sum("log", 0.01, 100.0, 2.0, policy)
-        every, _ = _probed_sum("log", 0.01, 100.0, 2.0, policy, skip=False)
+        skipped, asked = _probed_sum(0.01, 100.0, 2.0, policy)
+        every, _ = _probed_sum(0.01, 100.0, 2.0, policy, skip=False)
         assert skipped == every
         assert skipped.startswith("inconclusive: no tail bound below 4e-16")
         assert asked == []
 
-    @pytest.mark.parametrize("kind", ["log", "sqrt"])
     @pytest.mark.parametrize("tolerance", [1e-10, 4e-16])
-    def test_converged_series_probe_at_most_three_times(self, kind, tolerance):
+    def test_converged_series_probe_at_most_three_times(self, tolerance):
         policy = TruncationPolicy(tolerance=tolerance)
         converged = 0
         for p in (0.5, 0.2, 0.05, 1e-3, 1e-5):
             for wealth in (1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6):
                 for price in (0.0, 2.0, wealth / 2, 0.999 * wealth):
-                    if kind == "sqrt" and p < 0.3:
-                        continue  # no tail, and a divergent series
-                    result, asked = _probed_sum(kind, p, wealth, price, policy)
+                    result, asked = _probed_sum(p, wealth, price, policy)
                     if not isinstance(result, str) and result.is_converged:
                         converged += 1
                         assert len(asked) <= 3, (p, wealth, price, asked)
@@ -632,6 +626,41 @@ class TestBernoulliLiteralLhs:
         exact = literal_lhs(GambleSpec(), wealth, price)
         miss = abs(mpmath.mpf(result.value) - exact)
         assert miss <= result.tail_bound + 4 * math.ulp(float(exact))
+
+
+# ====== Sums at the edge of the double range ======
+
+#: Wealth plus the first row's payout overflows a double; the growth
+#: factor 2 does not.
+_TABLE_AT_THE_DOUBLE_RANGE = GambleSpec(Table(((0.5, 1e308), (0.5, 0.0))))
+
+
+class TestDoubleRange:
+    @pytest.mark.parametrize("utility", ["log", "sqrt"])
+    def test_finite_table_converges(self, utility):
+        spec = _TABLE_AT_THE_DOUBLE_RANGE
+        result = expected_utility_change(PlayerState(1e308, 0.0), spec, utility)
+        exact = reference(spec, 1e308, 0.0, utility).value  # ln(2) / 2, or (sqrt 2 - 1) 1e154 / 2
+        assert result.is_converged, result
+        assert abs(mpmath.mpf(result.value) - exact) <= 1e-14 * abs(exact)
+
+    def test_custom_utility_of_an_overflowing_wealth_is_inconclusive(self):
+        with pytest.raises(TruncationInconclusiveError, match="payout of term 1 overflows"):
+            expected_utility_change(PlayerState(1e308, 0.0), _TABLE_AT_THE_DOUBLE_RANGE,
+                                    math.log)
+
+    @pytest.mark.parametrize("wealth, rule", [(1e-320, Capped(1e300)),
+                                              (1e308, Table(((1.0, 1e308),)))],
+                             ids=["subnormal-wealth", "largest-wealth"])
+    def test_ensemble_growth_where_the_mean_factor_overflows(self, wealth, rule):
+        spec = GambleSpec(rule)
+        result = ensemble_average_growth(PlayerState(wealth, 0.0), spec)
+        mean = reference(spec, wealth, 0.0, "none")
+        with mpmath.workprec(mean.bits):
+            w = mpmath.mpf(wealth)
+            exact = mpmath.log((w + mean.value) / w)  # 743.0388..., or ln 2
+        assert result.is_converged, result
+        assert abs(mpmath.mpf(result.value) - exact) <= 1e-14 * exact
 
 
 # ====== Divergence structure of the two classic series ======
