@@ -30,6 +30,7 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -325,8 +326,7 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
         except BaseException:
             # a run that fails or is refused leaves no path file
             if wealth_path_out is not None:
-                path_file.close()
-                os.remove(wealth_path_out)
+                _remove_opened(path_file, wealth_path_out)
             raise
 
     if run.bankrupt_at is not None:
@@ -340,6 +340,18 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
     elif analytic.is_converged:
         known["analytic_growth_rate"] = analytic.value
     emit(_estimate_results(stats, "time", "growth_rate_estimate", "rounds", **known))
+
+
+def _remove_opened(file, path: str) -> None:
+    """Close ``file`` and delete ``path`` if it names that very file, as a
+    regular file: a device, a FIFO or a link the user named stays.  A
+    failure to delete is not reported, so the error that led here is."""
+    opened = os.fstat(file.fileno())
+    file.close()
+    with contextlib.suppress(OSError):
+        named = os.lstat(path)
+        if stat.S_ISREG(named.st_mode) and os.path.samestat(named, opened):
+            os.remove(path)
 
 
 def _estimate_results(stats, mode: str, estimate: str, count: str, **known) -> dict:

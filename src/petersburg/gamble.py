@@ -107,13 +107,6 @@ def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
 
 
-def _overflowed_factor(net: float, m: float, residual: float, wealth: float) -> float:
-    """The growth factor ``(net + m + residual) / wealth`` where that sum
-    overflows a double.  A finite ``m`` overflows it only beside a wealth
-    above about 1e292, so the factor is finite unless ``m`` is not."""
-    return (net + residual) / wealth + m / wealth
-
-
 def _climb(rounding: Callable[[float, float], float], n: float, log_tol: float,
            cap: float) -> float:
     """A bound ``b >= n`` with ``m < rounding(m, log_tol)`` at every ``m`` in
@@ -184,7 +177,7 @@ class PayoutRule:
             if after < math.inf:
                 value = weight * (math.log(after) - log_wealth)
             else:
-                value = weight * math.log(_overflowed_factor(net, m, residual, wealth))
+                value = weight * math.log(overflowed_factor(net, m, residual, wealth))
             if with_slope:
                 slope += weight / (net + m)
             return value
@@ -201,7 +194,7 @@ class PayoutRule:
             after = net + m + residual
             if after < math.inf:
                 return weight * (math.sqrt(after) - sqrt_wealth)
-            factor = _overflowed_factor(net, m, residual, wealth)
+            factor = overflowed_factor(net, m, residual, wealth)
             return weight * sqrt_wealth * (math.sqrt(factor) - 1.0)
 
         return term, term
@@ -710,6 +703,14 @@ def net_wealth(wealth: float, price: float) -> Tuple[float, float]:
     net = wealth - price
     kept = net + price
     return net, (wealth - kept) - (price + (net - kept))
+
+
+def overflowed_factor(net: float, m: float, residual: float, wealth: float) -> float:
+    """The growth factor ``(net + m + residual) / wealth`` where that sum
+    overflows a double.  A finite ``m`` overflows it only beside a wealth
+    above about 1e292, where the factor is finite; the quotient
+    ``m / wealth`` alone may still overflow, beside a tiny wealth."""
+    return (net + residual) / wealth + m / wealth
 
 
 def cap_point(max_payout: float) -> int:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Union
 
-from .gamble import GambleSpec, PlayerState, Tail, Term, net_wealth
+from .gamble import GambleSpec, PlayerState, Tail, Term, net_wealth, overflowed_factor
 
 # consecutive-term ratios at or above 1 - slack count as "not decaying"
 _RATIO_SLACK = 1e-12
@@ -413,10 +413,10 @@ def _ensemble_growth(state: PlayerState, spec: GambleSpec, policy: TruncationPol
         )
     mean_factor = (w - c + inner.value) / w
     if mean_factor == math.inf:
-        # the sum overflows only beside a wealth above about 1e292, where
-        # these quotients are finite; a quotient that overflows stays so,
-        # and the rate is then a difference of logs
-        mean_factor = (w - c) / w + inner.value / w
+        # the quotient overflows when the sum does (a wealth above about
+        # 1e292), which the split mends, or when E/w does (a tiny
+        # wealth), where the rate is taken as a difference of logs
+        mean_factor = overflowed_factor(w - c, inner.value, 0.0, w)
     tail = (inner.tail_bound or 0.0) / w
     if mean_factor <= 0.0:
         return SeriesResult.undefined(

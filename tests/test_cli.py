@@ -6,6 +6,7 @@ import importlib.resources
 import io
 import json
 import math
+import os
 import re
 import sys
 import tracemalloc
@@ -499,6 +500,31 @@ class TestSimulateCommand:
         assert result.exit_code == 1
         assert result.stderr.startswith("error: geometric parameter")
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["link-to-devnull", "link-to-file", "fifo"])
+    def test_refused_run_keeps_a_path_it_did_not_make(self, kind, tmp_path):
+        # only a regular file the command opened is deleted: a device, a
+        # FIFO or a link named as the path stays, and so does its target
+        out, target, reader = tmp_path / "path.csv", tmp_path / "kept.csv", None
+        if kind == "link-to-devnull":
+            out.symlink_to(os.devnull)
+        elif kind == "link-to-file":
+            target.write_text("")
+            out.symlink_to(target)
+        else:
+            os.mkfifo(out)
+            # a reader, so that opening the FIFO to write does not block
+            reader = os.open(out, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            result = run("simulate", "--wealth", "100", "--price", "2", "--rounds", "10",
+                         "--geom-p", "1e-12", "--wealth-path-out", str(out))
+        finally:
+            if reader is not None:
+                os.close(reader)
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: geometric parameter")
+        assert os.path.lexists(out)
+        assert kind != "link-to-file" or target.exists()
 
     def test_menger_time_mode_emits_strict_json(self, capsys):
         # Seeds 0-19 include runs that draw n >= 10, whose payout
