@@ -52,6 +52,7 @@ from .gamble import (
     PayoutRule,
     PlayerState,
     load_table,
+    overflowed_factor,
 )
 from .series import (
     SeriesResult,
@@ -291,7 +292,10 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
         stats = ensemble_average_estimate(state, spec, samples, config)
         analytic = expected_payout(spec, policy, wealth=wealth)
         if analytic.is_converged:
-            known["analytic_mean_factor"] = (wealth - price + analytic.value) / wealth
+            mean_factor = (wealth - price + analytic.value) / wealth
+            if mean_factor == math.inf:  # split as series._ensemble_growth splits it
+                mean_factor = overflowed_factor(wealth - price, analytic.value, 0.0, wealth)
+            known["analytic_mean_factor"] = mean_factor
         emit(_estimate_results(stats, "ensemble", "mean_factor_estimate", "samples", **known))
         return
 

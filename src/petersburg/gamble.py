@@ -754,11 +754,16 @@ def growth_factor(state: PlayerState, spec: GambleSpec, n: int) -> float:
     round's payout; such a round bankrupts the player.  The surviving
     wealth is ``net + payout + residual`` (see :func:`net_wealth`), so a
     payout that nearly cancels ``wealth - price`` leaves the exact
-    remainder, not the rounding of ``wealth - price``.
+    remainder, not the rounding of ``wealth - price``.  Where that sum
+    overflows beside a finite payout, the factor is
+    :func:`overflowed_factor`.
     """
     m = payout(spec, n, state.wealth)
     net, residual = net_wealth(state.wealth, state.ticket_price)
-    return (net + m + residual) / state.wealth
+    total = net + m + residual
+    if math.isinf(total) and math.isfinite(m):
+        return overflowed_factor(net, m, residual, state.wealth)
+    return total / state.wealth
 
 
 def support_size(spec: GambleSpec) -> Optional[int]:

@@ -1,23 +1,29 @@
 """Monte Carlo verification of the analytic growth rates.
 
 Simulation draws waiting times in fixed blocks of 2**16, with block
-``b`` seeded by ``SeedSequence(entropy=seed, spawn_key=(b,))``.  Two
-consequences the tests rely on:
+``b`` seeded by ``SeedSequence(entropy=seed, spawn_key=(b,))``, and
+every estimator draws a block by the same law:
+
+* block 0 is drawn one by one, one uniform variate per waiting time;
+* every later block is drawn as its census, the count of each waiting
+  time among its 2**16 draws (the rule's ``census``: one multinomial
+  draw), exact in law.  Where a run reads the order of its draws -- a
+  trajectory, a census that holds a ruinous waiting time, or a partial
+  last block -- the order is drawn next, from the same generator, as a
+  uniform shuffle of the census, and a partial block is its head.
+
+Three consequences the tests rely on:
 
 * results are byte-identical for any worker count, because parallelism
   only distributes whole blocks whose outputs land in disjoint slices
   or are reduced by order-independent integer counts;
 * for a fixed seed, a longer run extends a shorter one -- the first
   draws of a 10**6-round trajectory are exactly the 10**3-round
-  trajectory's draws, and a shorter ensemble's census is a sub-census
-  of a longer one's.
-
-Trajectories and the time and subinterval estimates consume one uniform
-variate per waiting time, for geometric and table rules alike, so their
-census is the trajectory's draw for draw.  The ensemble estimate keeps
-no order, so past its first 2**14 draws it draws each block's census as
-counts (the rule's ``census``: one multinomial draw) and cuts a partial
-block's census from them by hypergeometric draws; each is exact in law.
+  trajectory's draws, and a shorter run's census is a sub-census of a
+  longer one's;
+* the time, subinterval and ensemble estimates of one seed and size
+  reduce one census, which a trajectory of that size plays draw for
+  draw (up to a ruinous draw, where the time and subinterval runs stop).
 
 Every estimator is a reduction of its own census, the count of each
 waiting time drawn: a mean over rounds does not depend on their order.
@@ -39,22 +45,9 @@ from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple, TypeVar,
 
 import numpy as np
 
-from .gamble import GambleSpec, PlayerState, net_wealth
+from .gamble import GambleSpec, PlayerState, net_wealth, overflowed_factor
 
 _BLOCK_SIZE = 1 << 16
-
-#: Waiting times an ensemble run draws one by one before it draws counts.
-_DIRECT_DRAWS = 1 << 14
-
-#: Draws in the smallest part of a block that :func:`_sub_census` cuts by
-#: shuffling it instead of halving it.
-_LEAF_SIZE = 1 << 10
-
-#: numpy's "count" hypergeometric method takes a fixed ``_COUNT_FIXED``
-#: steps plus one per draw of the sample; its "marginals" method takes
-#: about ``_COUNT_DRAWS`` such steps per distinct waiting time.
-_COUNT_DRAWS = 8
-_COUNT_FIXED = 1 << 10
 
 #: Blocks one census task counts in a row: a worker thread hands the main
 #: thread one census per 2**19 draws instead of one per block.
@@ -172,13 +165,18 @@ def _block_generator(seed: int, block: int) -> np.random.Generator:
 
 
 def _block_waiting_times(spec: GambleSpec, seed: int, block: int, size: int) -> np.ndarray:
-    """The first ``size`` waiting times of one block.
+    """The first ``size`` waiting times of one block, in order.
 
-    PCG64's ``random(k)`` is a prefix of its ``random(2**16)``, so a
-    short block is exactly the head of the full one.
+    Block 0 is drawn one by one, one uniform variate per waiting time;
+    PCG64's ``random(k)`` is a prefix of its ``random(2**16)``, so a short
+    block is exactly the head of the full one.  A later block is the
+    :func:`_order` of its census, and a short one that order's head.
     """
-    u = _block_generator(seed, block).random(size, out=_uniforms()[:size])
-    return spec.payout_rule.waiting_times(u, spec.probability_parameter)
+    rng = _block_generator(seed, block)
+    if block == 0:
+        u = rng.random(size, out=_uniforms()[:size])
+        return spec.payout_rule.waiting_times(u, spec.probability_parameter)
+    return _order(rng, _counted(spec, rng))[:size]
 
 
 def _uniforms() -> np.ndarray:
@@ -192,68 +190,21 @@ def _uniforms() -> np.ndarray:
     return scratch
 
 
-def _block_census(spec: GambleSpec, seed: int, block: int, size: int) -> np.ndarray:
-    """Census of the first ``size`` waiting times of one block of an ensemble run.
+def _counted(spec: GambleSpec, rng: np.random.Generator) -> np.ndarray:
+    """The census of a block after the first, drawn from its generator as
+    counts by the rule's :meth:`~petersburg.gamble.PayoutRule.census`."""
+    return spec.payout_rule.census(rng, _BLOCK_SIZE, spec.probability_parameter, _uniforms())
 
-    The run's first ``_DIRECT_DRAWS`` waiting times are drawn one by one,
-    as :func:`draw_waiting_times` draws them, which is cheaper than
-    cutting so few from a census.  The rest of a block is drawn as counts
-    by the rule's :meth:`~petersburg.gamble.PayoutRule.census`, and a
-    partial block's cut from them by :func:`_sub_census`, from the same
-    generator, so a shorter block's census is a sub-census of a longer
-    one's.
+
+def _order(rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
+    """The draws of a block with census ``counts``, shuffled by ``rng``.
+
+    Given their census, every order of i.i.d. draws is equally likely, so
+    a uniform shuffle of the census gives the draws' joint law exactly.
     """
-    rng = _block_generator(seed, block)
-    rule, p = spec.payout_rule, spec.probability_parameter
-    lo = _DIRECT_DRAWS if block == 0 else 0
-    if lo:
-        k = min(size, lo)
-        drawn = np.bincount(rule.waiting_times(rng.random(k, out=_uniforms()[:k]), p))
-        if size == k:
-            return drawn
-    counts = rule.census(rng, _BLOCK_SIZE - lo, p, _uniforms())
-    if size < _BLOCK_SIZE:
-        counts = _sub_census(rng, counts, lo, size)
-    return _sum_censuses([(drawn, None), (counts, None)])[0] if lo else counts
-
-
-def _sub_census(rng: np.random.Generator, counts: np.ndarray, lo: int, size: int
-                ) -> np.ndarray:
-    """The census of draws ``lo:size`` of a block whose draws ``lo:`` have census ``counts``.
-
-    The block is cut into parts at 2**10, 2**11, ..., 2**15 draws, each
-    part's census a hypergeometric sample of what the parts before it
-    leave.  Parts that end by ``size`` are taken whole, and the one holding
-    the cut is halved along the binary digits of ``size`` in the same way,
-    down to a leaf of ``_LEAF_SIZE`` draws whose census is shuffled and
-    cut.  Each draw from ``rng`` depends only on the draws before it, which
-    every larger ``size`` shares, so the census of a smaller ``size`` is a
-    sub-census of a larger one's.  Small parts come first, so a short run
-    makes few draws.
-    """
-    ns = np.flatnonzero(counts)
-    node, taken = counts[ns], np.zeros(len(ns), dtype=np.int64)
-    hi = _BLOCK_SIZE
-    while lo < size:
-        if hi - lo <= _LEAF_SIZE:
-            leaf = np.repeat(np.arange(len(ns)), node)
-            rng.shuffle(leaf)
-            taken += np.bincount(leaf[:size - lo], minlength=len(ns))
-            break
-        # the block's parts double from the first one; later nodes are halved
-        cut = lo + max(lo, _LEAF_SIZE) if hi == _BLOCK_SIZE and 2 * lo < hi else (lo + hi) // 2
-        cheaper = "count" if _COUNT_DRAWS * len(ns) > cut - lo + _COUNT_FIXED else "marginals"
-        head = rng.multivariate_hypergeometric(node, cut - lo, method=cheaper)
-        if size >= cut:
-            taken += head
-            node = node - head
-            lo = cut
-        else:
-            node, hi = head, cut
-    seen = np.flatnonzero(taken)
-    out = np.zeros(ns[seen[-1]] + 1, dtype=np.int64)
-    out[ns[seen]] = taken[seen]
-    return out
+    order = np.repeat(np.arange(len(counts)), counts)
+    rng.shuffle(order)
+    return order
 
 
 def _spans(lo: int, hi: int, size: int) -> Iterator[Tuple[int, int, int]]:
@@ -308,7 +259,8 @@ def draw_waiting_times(
 
     The sequence depends only on the seed (and the gamble's law), never
     on ``count`` or ``workers``: asking for more draws extends the same
-    sequence.
+    sequence.  The first 2**16 draws are drawn one by one; each later
+    block of 2**16 is its census drawn as counts, then shuffled.
 
     Args:
         spec: Gamble specification.
@@ -337,13 +289,17 @@ def draw_waiting_times(
 def _growth_factors(state: PlayerState, spec: GambleSpec, ns: np.ndarray) -> np.ndarray:
     """:func:`growth_factor` at each waiting time in ``ns``, bit for bit.
 
-    Same operations in the same order, ``(net + m + residual) / w``; a
+    Same operations in the same order, ``(net + m + residual) / w``, and
+    where a finite payout's sum overflows, :func:`overflowed_factor`; a
     factor beyond the double range is ``inf``.
     """
     w = state.wealth
     net, residual = net_wealth(w, state.ticket_price)
+    m = spec.payout_rule.payouts(ns, w)
     with np.errstate(over="ignore"):
-        return (net + spec.payout_rule.payouts(ns, w) + residual) / w
+        sums = net + m + residual
+        return np.where(np.isinf(sums) & np.isfinite(m), overflowed_factor(net, m, residual, w),
+                        sums / w)
 
 
 def _log_growth_factors(state: PlayerState, spec: GambleSpec, ns: np.ndarray) -> np.ndarray:
@@ -432,19 +388,55 @@ def _bankrupt_wealth(state: PlayerState, spec: GambleSpec, survived: np.ndarray,
         return None
 
 
-def _block_run(state: PlayerState, spec: GambleSpec, seed: int, block: int, lo: int,
-               hi: int) -> Tuple[np.ndarray, np.ndarray, Optional[Tuple[int, int]]]:
+def _ruin_test(state: PlayerState, spec: GambleSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """``held(counts)``: the waiting times counted in ``counts`` whose
+    growth factor is nonpositive, the ruinous ones.
+
+    Each waiting time's factor is computed once a run, when it is first
+    counted, so a block costs a lookup, not a factor table.  Threads may
+    share the marks: a mark is unknown or final, and one lost with a
+    replaced table is computed again.
+    """
+    table = [np.zeros(1, dtype=np.int8)]  # per waiting time: 0 unknown, 1 safe, 2 ruinous
+
+    def held(counts: np.ndarray) -> np.ndarray:
+        marks = table[0]
+        if len(marks) < len(counts):
+            marks = table[0] = np.concatenate(
+                [marks, np.zeros(len(counts) - len(marks), dtype=np.int8)])
+        seen = np.flatnonzero(counts)
+        new = seen[marks[seen] == 0]
+        if new.size:
+            marks[new] = np.where(_growth_factors(state, spec, new) <= 0.0, 2, 1)
+        return seen[marks[seen] == 2]
+
+    return held
+
+
+def _block_run(spec: GambleSpec, seed: int, block: int, lo: int, hi: int,
+               held: Optional[Callable[[np.ndarray], np.ndarray]], ordered: bool = True
+               ) -> Tuple[Optional[np.ndarray], np.ndarray, Optional[Tuple[int, int]]]:
     """Draws ``lo:hi`` of the run, cut before the first ruinous one.
 
-    Returns the draws kept, their census, and the first draw whose
-    growth factor is nonpositive as ``(index, n)`` with a 0-based index
-    (``None`` when no draw of the block ruins).
+    Returns the draws kept, their census, and the first draw that
+    ``held`` (see :func:`_ruin_test`) finds ruinous as ``(index, n)`` with
+    a 0-based index (``None`` when no draw ruins, or ``held`` is ``None``).
+    Unless ``ordered``, a full block after the first whose census holds
+    no ruinous waiting time is counted without its order, and its draws
+    are ``None``; any other block's order is drawn as
+    :func:`_block_waiting_times` draws it.
     """
-    draws = _block_waiting_times(spec, seed, block, hi - lo)
+    if block and not ordered:
+        rng = _block_generator(seed, block)
+        counts = _counted(spec, rng)
+        if hi - lo == _BLOCK_SIZE and (held is None or not len(held(counts))):
+            return None, counts, None
+        draws = _order(rng, counts)[:hi - lo]
+    else:
+        draws = _block_waiting_times(spec, seed, block, hi - lo)
     counts = np.bincount(draws)
-    seen = np.flatnonzero(counts)
-    ruinous = seen[_growth_factors(state, spec, seen) <= 0.0]
-    if not ruinous.size:
+    ruinous = () if held is None else held(counts)
+    if not len(ruinous):
         return draws, counts, None
     first = int(np.argmax(np.isin(draws, ruinous)))
     return draws[:first], np.bincount(draws[:first]), (lo + first, int(draws[first]))
@@ -465,14 +457,11 @@ def _census(
     Each task counts ``_TASK_BLOCKS`` blocks in order and stops at its
     first ruinous one, so the first ruin in block order is the one found.
     """
-
-    def block_census(block: int, lo: int, hi: int):
-        if stop_at_ruin:
-            return _block_run(state, spec, config.seed, block, lo, hi)[1:]
-        return _block_census(spec, config.seed, block, hi - lo), None
+    held = _ruin_test(state, spec) if stop_at_ruin else None
 
     def task_census(task: int, lo: int, hi: int):
-        return _sum_censuses(block_census(*span) for span in _spans(lo, hi, _BLOCK_SIZE))
+        return _sum_censuses(_block_run(spec, config.seed, *span, held, ordered=False)[1:]
+                             for span in _spans(lo, hi, _BLOCK_SIZE))
 
     return _sum_censuses(_map_blocks(task_census, count, config.workers,
                                      _TASK_BLOCKS * _BLOCK_SIZE))
@@ -502,9 +491,10 @@ def _path_blocks(
     and ``log_wealth`` as :func:`trajectory_blocks` does.
     """
     start = math.log(state.wealth)
+    held = _ruin_test(state, spec)
 
     def block_steps(block: int, lo: int, hi: int):
-        draws, counts, fatal = _block_run(state, spec, config.seed, block, lo, hi)
+        draws, counts, fatal = _block_run(spec, config.seed, block, lo, hi, held)
         # indexed by n itself, which spares a shifted copy of the draws
         logs = np.empty(len(counts))
         seen = np.flatnonzero(counts)
@@ -746,11 +736,13 @@ def ensemble_average_estimate(
     time-average estimate of the same gamble settles near its finite
     analytic value.
 
-    Only the first 2**14 players' waiting times are drawn one by one, the
-    same as those of :func:`draw_waiting_times` with the same seed; every
-    block of 2**16 players past them is drawn as its census, exact in law.
-    The census depends on the seed alone, never on ``workers``, and a
-    smaller ``samples`` gives a sub-census of a larger one's.
+    The players' waiting times are those of :func:`draw_waiting_times`
+    with the same seed, but only the first 2**16 are drawn one by one:
+    every later full block of 2**16 players is drawn as its census alone,
+    exact in law, with no order.  The census is that of
+    :func:`time_average_census` for the same seed and size when no round
+    ruins, depends on the seed alone, never on ``workers``, and a smaller
+    ``samples`` gives a sub-census of a larger one's.
 
     Args:
         state: Wealth and ticket price.

@@ -472,6 +472,33 @@ class TestSimulateCommand:
             miss = abs(mpmath.mpf(results["mean_factor_estimate"]) - exact)
             assert miss <= 4 * sys.float_info.epsilon * exact
 
+    def test_ensemble_factors_whose_sum_overflows(self, tmp_path, capsys):
+        # wealth plus the payout 1e308 leaves the double range; the factors
+        # 2 and 1, and their mean, do not
+        path = tmp_path / "rows.csv"
+        path.write_text("p,m\n0.5,1e308\n0.5,0\n")
+        code = main(["simulate", "--wealth", "1e308", "--mode", "ensemble",
+                     "--samples", "1000", "--payout", f"table:{path}"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        results = json.loads(captured.out, parse_constant=_reject_constant)["results"]
+        assert results["analytic_mean_factor"] == 1.5
+        counts = dict(results["frequencies"])
+        assert results["mean_factor_estimate"] == (2 * counts[1] + counts[2]) / 1000
+
+    def test_analytic_mean_factor_whose_sum_overflows(self, tmp_path, capsys):
+        path = tmp_path / "rows.csv"
+        path.write_text("p,m\n1.0,1e308\n")
+        code = main(["simulate", "--wealth", "1e308", "--mode", "ensemble",
+                     "--samples", "1000", "--payout", f"table:{path}"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        results = json.loads(captured.out, parse_constant=_reject_constant)["results"]
+        assert results["analytic_mean_factor"] == 2.0
+        assert results["mean_factor_estimate"] == 2.0
+
     def test_wealth_path_requires_time_mode(self, tmp_path):
         out = tmp_path / "path.csv"
         for flags in (["--mode", "ensemble", "--samples", "1000"],
@@ -706,16 +733,16 @@ class TestWealthPathFile:
         assert zeros == list(range(zeros[0], 100_001))
 
     def test_bankruptcy_in_a_later_block(self, tmp_path, capsys):
-        # the first ruinous round of this table at seed 1 is round 129 818
+        # the first ruinous round of this table at seed 2 is round 74 029
         table = tmp_path / "rare-ruin.csv"
         table.write_text("probability,payout\n0.99999,10.0\n1e-05,0.0\n")
         code, data = self.write(tmp_path, "--wealth", "10", "--price", "10.5",
                                 "--payout", f"table:{table}", "--rounds", "200000",
-                                "--seed", "1")
+                                "--seed", "2")
         assert code == 2
-        assert data.count(b"\n") == 1 + 129_818
+        assert data.count(b"\n") == 1 + 74_029
         spec = GambleSpec(payout_rule=Table(((0.99999, 10.0), (1e-05, 0.0))))
-        assert data == reference_path_file(PlayerState(10.0, 10.5), spec, 200_000, 1)
+        assert data == reference_path_file(PlayerState(10.0, 10.5), spec, 200_000, 2)
 
     def test_workers_do_not_change_the_file(self, tmp_path, capsys):
         args = ("--wealth", "100", "--price", "2", "--rounds", "200000", "--seed", "3")
@@ -731,10 +758,11 @@ class TestWealthPathFile:
         # and reports what the same run without a file reports
         table = tmp_path / "rare-ruin.csv"
         table.write_text("probability,payout\n0.99999,10.0\n1e-05,0.0\n")
-        args = {"grows": ["--wealth", "100", "--price", "2", "--rounds", str(3 * 2**16 + 5)],
+        args = {"grows": ["--wealth", "100", "--price", "2", "--rounds", str(3 * 2**16 + 5),
+                          "--seed", "1"],
                 "bankrupt": ["--wealth", "10", "--price", "10.5", "--payout", f"table:{table}",
-                             "--rounds", "200000"]}[case]
-        args += ["--seed", "1", "--workers", workers]
+                             "--rounds", "200000", "--seed", "2"]}[case]
+        args += ["--workers", workers]
         plain = run("simulate", *args)
         drawn = []
         draw = montecarlo._block_waiting_times

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import sys
 import tracemalloc
 from concurrent.futures import Future
 
@@ -403,10 +404,11 @@ class TestAnalyticAgreement:
 CENSUS_ROUNDS = 3 * 2**16 + 123
 
 #: One round in 10**5 pays nothing, and at price 10.5 against wealth 10
-#: that round is ruinous.  At seed 1 the first one falls at round 129 818,
-#: in the second block.
+#: that round is ruinous.  At seed ``RARE_RUIN_SEED`` the first one falls
+#: at round 74 029, in the second block, the first one drawn as counts.
 RARE_RUIN = Table(((0.99999, 10.0), (1e-05, 0.0)))
 RARE_RUIN_STATE = PlayerState(wealth=10.0, ticket_price=10.5)
+RARE_RUIN_SEED = 2
 
 
 def one_cumsum_path(state, spec, rounds, config):
@@ -424,16 +426,16 @@ def one_cumsum_path(state, spec, rounds, config):
 
 
 class TestTrajectoryBlocks:
-    @pytest.mark.parametrize("state, spec, rounds, workers", [
-        (PlayerState(wealth=100.0, ticket_price=2.0), GambleSpec(), CENSUS_ROUNDS, 1),
-        (PlayerState(wealth=100.0, ticket_price=2.0), GambleSpec(), CENSUS_ROUNDS, 2),
+    @pytest.mark.parametrize("state, spec, rounds, workers, seed", [
+        (PlayerState(wealth=100.0, ticket_price=2.0), GambleSpec(), CENSUS_ROUNDS, 1, 1),
+        (PlayerState(wealth=100.0, ticket_price=2.0), GambleSpec(), CENSUS_ROUNDS, 2, 1),
         (PlayerState(wealth=100.0, ticket_price=60.0), GambleSpec(probability_parameter=0.3),
-         2**16 + 1, 2),
-        (PlayerState(wealth=100.0), GambleSpec(payout_rule=Menger()), 1000, 1),
-        (RARE_RUIN_STATE, GambleSpec(payout_rule=RARE_RUIN), 200_000, 2),
+         2**16 + 1, 2, 1),
+        (PlayerState(wealth=100.0), GambleSpec(payout_rule=Menger()), 1000, 1, 1),
+        (RARE_RUIN_STATE, GambleSpec(payout_rule=RARE_RUIN), 200_000, 2, RARE_RUIN_SEED),
     ])
-    def test_blocks_round_the_path_as_one_cumsum(self, state, spec, rounds, workers):
-        config = SimulationConfig(seed=1, workers=workers)
+    def test_blocks_round_the_path_as_one_cumsum(self, state, spec, rounds, workers, seed):
+        config = SimulationConfig(seed=seed, workers=workers)
         blocks = list(trajectory_blocks(state, spec, rounds, config))
         assert all(len(draws) <= 2**16 for draws, _ in blocks)
         path = np.concatenate([log_wealth for _, log_wealth in blocks])
@@ -446,34 +448,43 @@ class TestTrajectoryBlocks:
     def test_no_block_follows_a_bankruptcy(self):
         spec = GambleSpec(payout_rule=RARE_RUIN)
         blocks = list(trajectory_blocks(RARE_RUIN_STATE, spec, 10 * 2**16,
-                                        SimulationConfig(seed=1)))
+                                        SimulationConfig(seed=RARE_RUIN_SEED)))
         assert len(blocks) == 2
         draws, log_wealth = blocks[-1]
         assert draws[-1] == 2  # the payout-0 outcome, ruinous at this price
         assert len(draws) == len(log_wealth) + 1
-        assert 2**16 + len(draws) == 129_818
+        assert 2**16 + len(draws) == 74_029
 
 
-#: Laws of the ensemble census tests: three geometric ones, the deepest
-#: drawn mostly past the multinomial's depth, and a table.
+#: Laws of the census tests: four geometric ones, p = 1e-3 drawn mostly
+#: and p = 1e-5 wholly past the multinomial's depth, and a table.
 CENSUS_LAWS = {
     "p=0.5": GambleSpec(),
     "p=0.05": GambleSpec(probability_parameter=0.05),
     "p=1e-3": GambleSpec(probability_parameter=1e-3),
+    "p=1e-5": GambleSpec(probability_parameter=1e-5),
     "table": GambleSpec(payout_rule=Table(((0.5, 1.0), (0.3, 2.0), (0.15, 8.0),
                                            (0.04, 20.0), (0.01, 100.0)))),
 }
 
-#: Run lengths of the census law tests.  Past the first 2**14 draws, drawn
-#: one by one, 20 000 draws cut the first block's census inside a part;
-#: the others count a full first block and cut the second one's census:
-#: 600 draws from the first leaf, and 40 001 draws, which take six parts
-#: whole, halve the last and cut a leaf.
-LAW_SAMPLES = (20_000, 2**16 + 600, 2**16 + 40_001)
+#: Run lengths of the census law tests.  Past the first block, drawn one
+#: by one, 600 and 40 001 draws take the head of the second block's order,
+#: and 3 * 2**16 + 5 draws count two blocks whole and take the head of the
+#: fourth.
+LAW_SAMPLES = (2**16 + 600, 2**16 + 40_001, 3 * 2**16 + 5)
 
 #: Significance of the chi-square tests of the census law, fixed before
 #: any was run.
 LAW_ALPHA = 1e-4
+
+#: The state of the census law runs: no waiting time is ruinous.
+LAW_STATE = PlayerState(wealth=100.0, ticket_price=2.0)
+
+
+def law_seeds(law, count, first=0):
+    """``count`` seeds from ``first`` on; a census of p = 1e-5 spans about
+    a million waiting times, so a twentieth as many of them."""
+    return range(first, first + (count // 20 if law == "p=1e-5" else count))
 
 
 def pooled_frequencies(seeds, draw):
@@ -488,22 +499,36 @@ def pooled_frequencies(seeds, draw):
 
 
 def ensemble_counts(spec, samples, seed):
-    frequencies = ensemble_average_estimate(PlayerState(wealth=100.0, ticket_price=2.0),
-                                            spec, samples,
+    frequencies = ensemble_average_estimate(LAW_STATE, spec, samples,
                                             SimulationConfig(seed=seed)).frequencies
     counts = np.zeros(max(frequencies) + 1, dtype=np.int64)
     counts[list(frequencies)] = list(frequencies.values())
     return counts
 
 
+#: The census each estimator reduces, by mode: the ensemble's, read off
+#: its estimate, the time run's, and that of the ordered draws.
+CENSUS_MODES = {
+    "ensemble": ensemble_counts,
+    "time": lambda spec, samples, seed: time_average_census(
+        LAW_STATE, spec, samples, SimulationConfig(seed=seed)).counts,
+    "drawn": lambda spec, samples, seed: np.bincount(
+        draw_waiting_times(spec, samples, SimulationConfig(seed=seed))),
+}
+
+
 def cells(probabilities, total, least=20.0):
-    """Cell edges ``[1, 2), [2, 3), ..., [k, inf)``: one waiting time a cell
-    while its expected count is at least ``least``, then the rest, which
-    holds the last waiting time of ``probabilities``."""
-    last = 1
-    while last + 1 < len(probabilities) and total * probabilities[last] >= least:
-        last += 1
-    return list(range(1, last + 1))
+    """Cell edges ``[e_0, e_1), ..., [e_k, inf)`` from ``e_0 = 1``: each cell
+    holds as few consecutive waiting times as give it an expected count of
+    at least ``least`` while the rest keep one too, and the last cell the
+    rest, with the last waiting time of ``probabilities``."""
+    below = total * np.cumsum(probabilities)  # expected count up to each waiting time
+    edges = [1]
+    while True:
+        last = int(np.searchsorted(below, below[edges[-1] - 1] + least))
+        if last >= len(probabilities) - 1 or total - below[last] < least:
+            return edges
+        edges.append(last + 1)
 
 
 def chi2_sf(statistic, df):
@@ -513,21 +538,25 @@ def chi2_sf(statistic, df):
 
 def cell_counts(counts, edges):
     """Counts of ``counts`` (indexed by waiting time) in each cell of ``edges``."""
-    sums = [int(counts[lo:hi].sum()) for lo, hi in zip(edges, edges[1:])]
-    return np.array(sums + [int(counts[edges[-1]:].sum())], dtype=np.float64)
+    padded = np.zeros(max(len(counts), edges[-1] + 1))
+    padded[:len(counts)] = counts
+    return np.add.reduceat(padded, edges)
 
 
 class TestEnsembleCensusLaw:
-    """The ensemble census, drawn as counts, against the exact law and
-    against the census of the drawn waiting times."""
+    """The census of every estimator, drawn as counts past the first
+    block, against the exact law and against the census of the drawn
+    waiting times."""
 
+    @pytest.mark.parametrize("mode", sorted(CENSUS_MODES))
     @pytest.mark.parametrize("samples", LAW_SAMPLES)
     @pytest.mark.parametrize("law", sorted(CENSUS_LAWS))
-    def test_pooled_census_fits_the_law(self, law, samples):
+    def test_pooled_census_fits_the_law(self, law, samples, mode):
         spec = CENSUS_LAWS[law]
-        seeds = range(200)
+        # disjoint seeds: the modes of one seed reduce one census
+        seeds = law_seeds(law, 200, first=1000 * sorted(CENSUS_MODES).index(mode))
         pooled = pooled_frequencies(seeds,
-                                    lambda seed: ensemble_counts(spec, samples, seed))
+                                    lambda seed: CENSUS_MODES[mode](spec, samples, seed))
         total = samples * len(seeds)
         assert pooled.sum() == total
         rule, p = spec.payout_rule, spec.probability_parameter
@@ -544,10 +573,10 @@ class TestEnsembleCensusLaw:
     @pytest.mark.parametrize("law", sorted(CENSUS_LAWS))
     def test_census_matches_the_drawn_waiting_times(self, law, samples):
         spec = CENSUS_LAWS[law]
-        seeds = range(100)
+        seeds = law_seeds(law, 100)
         counted = pooled_frequencies(seeds,
                                      lambda seed: ensemble_counts(spec, samples, seed))
-        # other seeds: an ensemble's first 2**14 draws are the trajectory's
+        # other seeds: an ensemble's census is that of the drawn waiting times
         drawn = pooled_frequencies(seeds, lambda seed: np.bincount(
             draw_waiting_times(spec, samples, SimulationConfig(seed=1000 + seed))))
         both = np.zeros(max(len(counted), len(drawn)))
@@ -558,6 +587,22 @@ class TestEnsembleCensusLaw:
         # equal totals: each cell's difference has variance a + b
         statistic = float(((a - b) ** 2 / (a + b)).sum())
         assert chi2_sf(statistic, len(edges) - 1) > LAW_ALPHA
+
+    def test_ordered_draws_are_independent(self):
+        # the census fixes which waiting times a block holds; its shuffle
+        # must leave neighbouring draws independent.  Pairs of draws, each
+        # capped at 4, from the blocks drawn as counts, against the law's
+        # product
+        spec = GambleSpec()
+        pairs = np.zeros((4, 4))
+        for seed in range(10):
+            draws = np.minimum(draw_waiting_times(spec, 3 * 2**16, SimulationConfig(seed=seed)),
+                               4)[2**16:] - 1
+            np.add.at(pairs, (draws[:-1], draws[1:]), 1)
+        law = np.array([0.5, 0.25, 0.125, 0.125])
+        expected = pairs.sum() * np.outer(law, law)
+        statistic = float(((pairs - expected) ** 2 / expected).sum())
+        assert chi2_sf(statistic, 15) > LAW_ALPHA
 
     @pytest.mark.parametrize("spec", [GambleSpec(), GambleSpec(probability_parameter=0.05)],
                              ids=["p=0.5", "p=0.05"])
@@ -578,12 +623,42 @@ class TestEnsembleCensusLaw:
                 assert (shorter <= longer).all()
 
     def test_the_first_draws_are_those_of_the_trajectory(self):
-        # an ensemble of up to 2**14 players draws its waiting times one by one
+        # an ensemble's first block of 2**16 players is drawn one by one
         spec = GambleSpec(probability_parameter=0.05)
         for samples in (2, 1000, 2**14):
             counts = ensemble_counts(spec, samples, seed=7)
             drawn = np.bincount(draw_waiting_times(spec, samples, SimulationConfig(seed=7)))
             assert np.array_equal(counts, drawn)
+
+    @pytest.mark.parametrize("size", [2**16 - 1, 2**16, 2**16 + 1, 2**16 + 600])
+    @pytest.mark.parametrize("law", sorted(CENSUS_LAWS))
+    def test_every_estimator_reduces_one_census(self, law, size):
+        # with no ruinous round, the time run, the ensemble and the ordered
+        # draws of one seed and size count the same waiting times
+        spec, config = CENSUS_LAWS[law], SimulationConfig(seed=3)
+        censuses = [
+            time_average_census(LAW_STATE, spec, size, config).counts,
+            montecarlo._census(LAW_STATE, spec, size, config, stop_at_ruin=False)[0],
+            np.bincount(draw_waiting_times(spec, size, config)),
+        ]
+        # a census drawn as counts may end in waiting times counted 0 times
+        first, *others = [np.trim_zeros(counts, "b") for counts in censuses]
+        assert first.sum() == size
+        for counts in others:
+            assert np.array_equal(counts, first)
+
+    @pytest.mark.parametrize("spec", [GambleSpec(), GambleSpec(probability_parameter=1e-3)],
+                             ids=["p=0.5", "p=1e-3"])
+    def test_a_trajectory_extends_across_a_partial_counted_block(self, spec):
+        # each run ends inside a block after the first, the head of its order
+        config = SimulationConfig(seed=5)
+        runs = [simulate_trajectory(LAW_STATE, spec, rounds, config)
+                for rounds in (2**16 + 600, 2**16 + 40_001, 3 * 2**16 + 5)]
+        for shorter, longer in zip(runs, runs[1:]):
+            head = shorter.rounds
+            assert np.array_equal(longer.waiting_times[:head], shorter.waiting_times)
+            assert (longer.log_wealth_path[:head + 1].tobytes()
+                    == shorter.log_wealth_path.tobytes())
 
     def test_partial_block_output_is_worker_invariant(self, capsys):
         # 17 blocks, the last partial, in three census tasks
@@ -631,7 +706,7 @@ class TestCensusReducer:
 
     def test_first_ruin_past_the_first_block(self, tmp_path, capsys):
         spec = GambleSpec(payout_rule=RARE_RUIN)
-        config = SimulationConfig(seed=1, workers=2)
+        config = SimulationConfig(seed=RARE_RUIN_SEED, workers=2)
         trajectory = simulate_trajectory(RARE_RUIN_STATE, spec, 200_000, config)
         assert trajectory.bankrupt_at > 2**16
 
@@ -647,7 +722,7 @@ class TestCensusReducer:
         table.write_text("probability,payout\n0.99999,10.0\n1e-05,0.0\n")
         status = main(["simulate", "--wealth", "10", "--price", "10.5",
                        "--payout", f"table:{table}", "--rounds", "200000",
-                       "--seed", "1", "--workers", "2"])
+                       "--seed", str(RARE_RUIN_SEED), "--workers", "2"])
         assert status == 2
         results = json.loads(capsys.readouterr().out)["results"]
         assert results["bankrupt_at"] == trajectory.bankrupt_at
@@ -655,13 +730,13 @@ class TestCensusReducer:
     def test_first_ruin_inside_a_later_census_task(self):
         # Growth factors 1.25 and 0.8 keep log wealth a driftless walk, so
         # the bankrupt wealth is a nonzero double.  At seed 0 the first
-        # ruinous round is 1 374 745, in block 20: not the first block of
+        # ruinous round is 751 822, in block 11: not the first block of
         # its census task, and tasks after it are drawn in parallel.
         spec = GambleSpec(payout_rule=Table(((0.5, 13.0), (0.499999, 8.5), (1e-06, 0.0))))
         state = PlayerState(wealth=10.0, ticket_price=10.5)
         rounds = 2**21
         trajectory = simulate_trajectory(state, spec, rounds, SimulationConfig(seed=0))
-        assert trajectory.bankrupt_at == 1_374_745
+        assert trajectory.bankrupt_at == 751_822
         assert (trajectory.bankrupt_at - 1) // 2**16 % montecarlo._TASK_BLOCKS > 0
         assert trajectory.bankrupt_wealth < 0.0
         for workers in (1, 2, 8):
@@ -670,6 +745,27 @@ class TestCensusReducer:
             assert census.bankrupt_at == trajectory.bankrupt_at
             assert census.bankrupt_wealth == trajectory.bankrupt_wealth
             assert census.counts.sum() == trajectory.bankrupt_at - 1
+
+    def test_ruin_marks_shared_by_threads_that_switch_often(self):
+        # A run's census tasks share one table of ruinous waiting times.
+        # With more threads than CPUs and a thread switch every
+        # microsecond, a lost or wrong mark would move the ruinous round
+        # or the census away from the serial run's.  Waiting times past
+        # 18 pay nothing, and at this price that round is ruinous.
+        spec = GambleSpec(payout_rule=Capped(2.0 ** 17))
+        state = PlayerState(wealth=10.0, ticket_price=10.5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [[time_average_census(state, spec, 2**22,
+                                         SimulationConfig(seed=seed, workers=workers))
+                     for workers in (1, 8)] for seed in range(4)]
+        finally:
+            sys.setswitchinterval(interval)
+        for serial, threaded in runs:
+            assert serial.bankrupt_at is not None
+            assert threaded.bankrupt_at == serial.bankrupt_at
+            assert np.array_equal(threaded.counts, serial.counts)
 
     def test_streaming_time_estimate_memory_does_not_grow_with_rounds(self):
         # The draws -> factors -> log-path pipeline held about 64 MB of
@@ -722,6 +818,19 @@ class TestCensusReducer:
             for n, factor in zip(support, factors):
                 reference = growth_factor(state, spec, int(n))
                 assert factor == reference or (math.isinf(reference) and math.isinf(factor))
+
+    def test_factors_whose_sum_overflows_match_the_scalar_reference(self):
+        # wealth 1e308 plus a payout near it leaves the double range; the
+        # factor does not, up to the last finite doubling payout 2**1023
+        state = PlayerState(wealth=1e308, ticket_price=0.0)
+        for rule, support in ((BernoulliOriginal(), np.arange(1, 1100)),
+                              (Table(((0.5, 1e308), (0.5, 0.0))), np.arange(1, 3))):
+            spec = GambleSpec(payout_rule=rule)
+            factors = montecarlo._growth_factors(state, spec, support)
+            assert factors.tolist() == [growth_factor(state, spec, int(n)) for n in support]
+            finite = support[np.isfinite(factors)]
+            assert finite[-1] == (1024 if isinstance(rule, BernoulliOriginal) else 2)
+        assert factors.tolist() == [2.0, 1.0]
 
 
 class TestBlockPool:
