@@ -32,7 +32,7 @@ import math
 import os
 import stat
 import sys
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from . import __version__
 from .criteria import (
@@ -396,25 +396,15 @@ _EXP_OVERFLOW = 710.0
 _EXP_UNDERFLOW = -746.0
 
 
-def _wealth_cell(log_wealth: float) -> str:
+def _wealth(log_wealth: float) -> float:
     try:
-        return repr(math.exp(log_wealth))
+        return math.exp(log_wealth)
     except OverflowError:
-        return "inf"
+        return math.inf
 
 
-def _wealth_cells(log_wealth) -> Iterable[str]:
-    """``_wealth_cell`` of each log wealth of a slice, at C speed where it can.
-
-    ``math.exp`` is finite up to 709 and overflows from 710 on, so only a
-    slice reaching above 709 takes the per-cell ``try``; the writer sends a
-    slice at or above 710 throughout to :func:`_fixed_rows` instead.  It
-    stays the scalar function: numpy's vectorised ``exp`` may round the
-    last digit differently.
-    """
-    if log_wealth.max() <= 709.0:
-        return map(repr, map(math.exp, log_wealth.tolist()))
-    return map(_wealth_cell, log_wealth.tolist())
+def _wealth_cell(log_wealth: float) -> str:
+    return repr(_wealth(log_wealth))
 
 
 def _fixed_cell(log_wealth) -> Optional[str]:
@@ -464,11 +454,14 @@ def _wealth_path_writer(handle) -> Callable[..., None]:
     double range: its rows then read ``inf`` (log wealth at or above 710)
     or ``0.0`` (at or below -746), and a slice lying wholly past one bound
     is written from a cached template of a thousand rows (see
-    :func:`_fixed_rows`).  Any other slice is formatted by one ``%``
-    operation.  Each slice or thousand is written at once, so memory holds
-    one slice's cells, not the path's, and the file is the same byte for
-    byte as one formatted row by row.
+    :func:`_fixed_rows`).  Any other slice is formatted in numpy by
+    :func:`._shortest.rows`, which gives ``repr``'s shortest digits.  Each
+    slice or thousand is written at once, so memory holds one slice's
+    cells, not the path's, and the file is the same byte for byte as one
+    formatted row by row.
     """
+    from . import _shortest
+
     handle.write("round,wealth\n")
     rows = 0
 
@@ -482,10 +475,10 @@ def _wealth_path_writer(handle) -> Callable[..., None]:
                 for text in _fixed_rows(first, first + len(part), cell):
                     handle.write(text)
                 continue
-            fields = [None] * (2 * len(part))
-            fields[::2] = range(first, first + len(part))
-            fields[1::2] = _wealth_cells(part)
-            handle.write("%d,%s\n" * len(part) % tuple(fields))
+            # the scalar math.exp: numpy's exp may round the last digit
+            # differently; past 709 it may overflow, and takes the try
+            exp = math.exp if part.max() <= 709.0 else _wealth
+            handle.write(_shortest.rows(first, list(map(exp, part.tolist()))))
         rows += len(log_wealth)
 
     return write

@@ -470,12 +470,18 @@ def _census(
 def _sum_censuses(parts: Iterable[Tuple[np.ndarray, Optional[Tuple[int, int]]]]
                   ) -> Tuple[np.ndarray, Optional[Tuple[int, int]]]:
     """The sum of the ``(counts, fatal)`` parts, in order, through the first
-    ruinous one (no later part is asked for), and that part's ``fatal``."""
-    total = np.zeros(1, dtype=np.int64)
+    ruinous one (no later part is asked for), and that part's ``fatal``.
+
+    The first part's counts become the total, added to in place: no caller
+    reads a part after handing it over."""
+    total = None
     for counts, fatal in parts:
-        if len(counts) > len(total):
-            total = np.concatenate([total, np.zeros(len(counts) - len(total), np.int64)])
-        total[: len(counts)] += counts
+        if total is None:
+            total = counts
+        else:
+            if len(counts) > len(total):
+                total = np.concatenate([total, np.zeros(len(counts) - len(total), np.int64)])
+            total[: len(counts)] += counts
         if fatal is not None:
             return total, fatal
     return total, None
