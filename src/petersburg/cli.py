@@ -5,9 +5,9 @@ Four subcommands: ``evaluate`` (all decision criteria for one state),
 data for plot insets), ``simulate`` (Monte Carlo estimates), and
 ``menger`` (price analysis of the unbounded variant).  JSON output is a
 stable envelope ``{command, parameters, results, version}`` with sorted
-keys; the worker count never appears in it, so runs differing only in
-parallelism are byte-identical.  CSV output is a plain data table on
-stdout with the same determinism guarantee.
+keys.  CSV output is a plain data table on stdout.  A seeded run prints
+the same bytes every time; ``simulate --workers`` is accepted for older
+command lines and has no effect.
 
 Output is strict in either format: a result that is not a finite number
 fails the command instead of printing ``Infinity``, ``inf`` or ``NaN``.
@@ -273,7 +273,9 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
 
     spec, state, policy, parameters = _series_setup(payout_rule, geom_p, tol, max_terms,
                                                     wealth, price)
-    config = SimulationConfig(seed=seed, workers=workers)
+    config = SimulationConfig(seed=seed)
+    if workers < 1:  # checked, then ignored: the sampler runs on one thread
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     if wealth_path_out is not None and mode != "time":
         raise UsageError("--wealth-path-out requires --mode time")
     parameters.update(mode=mode, seed=seed)
@@ -645,8 +647,8 @@ def _build_parsers():
     simulate.add_argument("--seed", type=int, default=0,
                           help="Experiment seed.  [default: %(default)s]")
     simulate.add_argument("--workers", type=int, default=1,
-                          help="Threads, at most one per usable CPU; never changes the output.  "
-                               "[default: %(default)s]")
+                          help="No effect: the sampler runs on one thread, and the output "
+                               "never depended on this value.  [default: %(default)s]")
     simulate.add_argument("--wealth-path-out", metavar="PATH",
                           help="Write the trajectory's wealth path as CSV (time mode).")
     _gamble_options(simulate)

@@ -12,11 +12,8 @@ every estimator draws a block by the same law:
   last block -- the order is drawn next, from the same generator, as a
   uniform shuffle of the census, and a partial block is its head.
 
-Three consequences the tests rely on:
+Two consequences the tests rely on:
 
-* results are byte-identical for any worker count, because parallelism
-  only distributes whole blocks whose outputs land in disjoint slices
-  or are reduced by order-independent integer counts;
 * for a fixed seed, a longer run extends a shorter one -- the first
   draws of a 10**6-round trajectory are exactly the 10**3-round
   trajectory's draws, and a shorter run's census is a sub-census of a
@@ -27,21 +24,20 @@ Three consequences the tests rely on:
 
 Every estimator is a reduction of its own census, the count of each
 waiting time drawn: a mean over rounds does not depend on their order.
-Blocks are drawn, counted and dropped one at a time, so the estimators
-use O(2**16) memory whatever the run length.  The wealth path is built
-the same way by :func:`trajectory_blocks`, one block of log wealth at a
-time; :func:`simulate_trajectory` is their concatenation.
+Blocks are drawn, counted and dropped one at a time, in order, on the
+calling thread, so the estimators use O(2**16) memory whatever the run
+length, and a run that stops at a ruinous draw draws no block after it.
+The blocks share one scratch array, so two threads must not sample at
+once.  The wealth path is built the same way by :func:`trajectory_blocks`,
+one block of log wealth at a time; :func:`simulate_trajectory` is their
+concatenation.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple, TypeVar, Union
+from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -49,13 +45,9 @@ from .gamble import GambleSpec, PlayerState, net_wealth, overflowed_factor
 
 _BLOCK_SIZE = 1 << 16
 
-#: Blocks one census task counts in a row: a worker thread hands the main
-#: thread one census per 2**19 draws instead of one per block.
-_TASK_BLOCKS = 8
-
-_T = TypeVar("_T")
-
-_scratch = threading.local()
+#: Scratch array of one block of uniform variates: fresh 2**16 arrays cost
+#: more in page faults than the arithmetic on them.
+_UNIFORMS = np.empty(_BLOCK_SIZE)
 
 
 class NonpositiveReturnError(ArithmeticError):
@@ -68,22 +60,17 @@ class BankruptTrajectoryError(NonpositiveReturnError):
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Reproducibility and execution knobs for the samplers.
+    """Reproducibility knob for the samplers.
 
     Args:
         seed: Nonnegative integer seeding the whole experiment.
-        workers: Thread count, at most one per CPU the process may use;
-            any value yields identical results.
     """
 
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise ValueError(f"workers must be a positive integer, got {self.workers!r}")
 
 
 @dataclass(frozen=True)
@@ -174,26 +161,15 @@ def _block_waiting_times(spec: GambleSpec, seed: int, block: int, size: int) -> 
     """
     rng = _block_generator(seed, block)
     if block == 0:
-        u = rng.random(size, out=_uniforms()[:size])
+        u = rng.random(size, out=_UNIFORMS[:size])
         return spec.payout_rule.waiting_times(u, spec.probability_parameter)
     return _order(rng, _counted(spec, rng))[:size]
-
-
-def _uniforms() -> np.ndarray:
-    """This thread's scratch array of one block of doubles.
-
-    Fresh 2**16 arrays cost more in page faults than the arithmetic on them.
-    """
-    scratch = getattr(_scratch, "uniforms", None)
-    if scratch is None:
-        scratch = _scratch.uniforms = np.empty(_BLOCK_SIZE)
-    return scratch
 
 
 def _counted(spec: GambleSpec, rng: np.random.Generator) -> np.ndarray:
     """The census of a block after the first, drawn from its generator as
     counts by the rule's :meth:`~petersburg.gamble.PayoutRule.census`."""
-    return spec.payout_rule.census(rng, _BLOCK_SIZE, spec.probability_parameter, _uniforms())
+    return spec.payout_rule.census(rng, _BLOCK_SIZE, spec.probability_parameter, _UNIFORMS)
 
 
 def _order(rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
@@ -207,49 +183,10 @@ def _order(rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
     return order
 
 
-def _spans(lo: int, hi: int, size: int) -> Iterator[Tuple[int, int, int]]:
-    """``(index, start, stop)`` of the slices of ``size`` draws covering ``lo:hi``.
-
-    ``lo`` is a multiple of ``size``, and ``index`` is ``start // size``.
-    """
-    return ((start // size, start, min(start + size, hi)) for start in range(lo, hi, size))
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
-def _map_blocks(fn: Callable[[int, int, int], _T], count: int, workers: int,
-                size: int = _BLOCK_SIZE) -> Iterator[_T]:
-    """``fn(index, lo, hi)`` for each slice of ``size`` draws ``lo:hi`` below ``count``.
-
-    Results come in slice order.  Slices run on ``min(workers, slices,
-    usable CPUs)`` threads, with no pool for one, and at most two per
-    thread are in flight, so memory does not grow with ``count``.
-    Closing the iterator early cancels the slices not yet started.
-    """
-    threads = min(workers, -(-count // size), _usable_cpus())
-    spans = _spans(0, count, size)
-    if threads == 1:
-        for span in spans:
-            yield fn(*span)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending: deque = deque()
-        try:
-            for span in spans:
-                pending.append(pool.submit(fn, *span))
-                if len(pending) == 2 * threads:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
+def _spans(count: int) -> Iterator[Tuple[int, int, int]]:
+    """``(block, start, stop)`` of the blocks of draws covering ``0:count``."""
+    return ((start // _BLOCK_SIZE, start, min(start + _BLOCK_SIZE, count))
+            for start in range(0, count, _BLOCK_SIZE))
 
 
 def draw_waiting_times(
@@ -258,14 +195,14 @@ def draw_waiting_times(
     """First ``count`` waiting times of the seeded experiment.
 
     The sequence depends only on the seed (and the gamble's law), never
-    on ``count`` or ``workers``: asking for more draws extends the same
-    sequence.  The first 2**16 draws are drawn one by one; each later
-    block of 2**16 is its census drawn as counts, then shuffled.
+    on ``count``: asking for more draws extends the same sequence.  The
+    first 2**16 draws are drawn one by one; each later block of 2**16 is
+    its census drawn as counts, then shuffled.
 
     Args:
         spec: Gamble specification.
         count: Number of draws (positive).
-        config: Seed and worker count.
+        config: Seed.
 
     Returns:
         Array of ``count`` waiting times (1-based, dtype int64).
@@ -274,12 +211,8 @@ def draw_waiting_times(
         raise ValueError(f"count must be positive, got {count!r}")
     config = config or SimulationConfig()
     out = np.empty(count, dtype=np.int64)
-
-    def fill(block: int, lo: int, hi: int) -> None:
+    for block, lo, hi in _spans(count):
         out[lo:hi] = _block_waiting_times(spec, config.seed, block, hi - lo)
-
-    for _ in _map_blocks(fill, count, config.workers):
-        pass
     return out
 
 
@@ -328,10 +261,10 @@ def _census_stats(counts: np.ndarray, value_of: Callable[[np.ndarray], np.ndarra
 
     Sums are exactly rounded (``math.fsum``) over the distinct waiting
     times, and the variance takes two passes, so the result depends on
-    the counts alone -- never on draw order or worker count.  Products
-    and squared deviations past the double range are summed scaled by the
-    largest value or deviation, so finite values have a finite mean and a
-    finite mean a finite standard error.
+    the counts alone -- never on draw order.  Products and squared
+    deviations past the double range are summed scaled by the largest
+    value or deviation, so finite values have a finite mean and a finite
+    mean a finite standard error.
     """
     ns = np.flatnonzero(counts)
     weights = counts[ns].astype(np.float64)
@@ -393,17 +326,14 @@ def _ruin_test(state: PlayerState, spec: GambleSpec) -> Callable[[np.ndarray], n
     growth factor is nonpositive, the ruinous ones.
 
     Each waiting time's factor is computed once a run, when it is first
-    counted, so a block costs a lookup, not a factor table.  Threads may
-    share the marks: a mark is unknown or final, and one lost with a
-    replaced table is computed again.
+    counted, so a block costs a lookup, not a factor table.
     """
-    table = [np.zeros(1, dtype=np.int8)]  # per waiting time: 0 unknown, 1 safe, 2 ruinous
+    marks = np.zeros(1, dtype=np.int8)  # per waiting time: 0 unknown, 1 safe, 2 ruinous
 
     def held(counts: np.ndarray) -> np.ndarray:
-        marks = table[0]
+        nonlocal marks
         if len(marks) < len(counts):
-            marks = table[0] = np.concatenate(
-                [marks, np.zeros(len(counts) - len(marks), dtype=np.int8)])
+            marks = np.concatenate([marks, np.zeros(len(counts) - len(marks), dtype=np.int8)])
         seen = np.flatnonzero(counts)
         new = seen[marks[seen] == 0]
         if new.size:
@@ -454,17 +384,11 @@ def _census(
     With ``stop_at_ruin``, the census stops before the first draw whose
     growth factor is nonpositive, returned as ``(index, n)`` with a
     0-based index; otherwise, and when no draw ruins, it is ``None``.
-    Each task counts ``_TASK_BLOCKS`` blocks in order and stops at its
-    first ruinous one, so the first ruin in block order is the one found.
+    No block after the ruinous one is drawn.
     """
     held = _ruin_test(state, spec) if stop_at_ruin else None
-
-    def task_census(task: int, lo: int, hi: int):
-        return _sum_censuses(_block_run(spec, config.seed, *span, held, ordered=False)[1:]
-                             for span in _spans(lo, hi, _BLOCK_SIZE))
-
-    return _sum_censuses(_map_blocks(task_census, count, config.workers,
-                                     _TASK_BLOCKS * _BLOCK_SIZE))
+    return _sum_censuses(_block_run(spec, config.seed, *span, held, ordered=False)[1:]
+                         for span in _spans(count))
 
 
 def _sum_censuses(parts: Iterable[Tuple[np.ndarray, Optional[Tuple[int, int]]]]
@@ -498,21 +422,16 @@ def _path_blocks(
     """
     start = math.log(state.wealth)
     held = _ruin_test(state, spec)
-
-    def block_steps(block: int, lo: int, hi: int):
+    # the running sum is carried into each block's cumsum, so the path is
+    # rounded exactly as one cumsum over every round would round it
+    carry = 0.0
+    for block, lo, hi in _spans(rounds):
         draws, counts, fatal = _block_run(spec, config.seed, block, lo, hi, held)
         # indexed by n itself, which spares a shifted copy of the draws
         logs = np.empty(len(counts))
         seen = np.flatnonzero(counts)
         logs[seen] = _log_growth_factors(state, spec, seen)
-        return draws, counts, logs[draws], fatal
-
-    # the running sum is carried into each block's cumsum, so the path is
-    # rounded exactly as one cumsum over every round would round it
-    carry = 0.0
-    for block, (draws, counts, steps, fatal) in enumerate(
-            _map_blocks(block_steps, rounds, config.workers)):
-        sums = np.cumsum(np.concatenate(([carry], steps)))
+        sums = np.cumsum(np.concatenate(([carry], logs[draws])))
         carry = sums[-1]
         sums += start
         yield draws, counts, sums if block == 0 else sums[1:], fatal
@@ -543,7 +462,7 @@ def trajectory_blocks(
         state: Wealth and ticket price.
         spec: Gamble specification.
         rounds: Number of rounds to attempt (positive).
-        config: Seed and worker count.
+        config: Seed.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be positive, got {rounds!r}")
@@ -574,7 +493,7 @@ def simulate_trajectory(
         state: Wealth and ticket price.
         spec: Gamble specification.
         rounds: Number of rounds to attempt (positive).
-        config: Seed and worker count.
+        config: Seed.
 
     Returns:
         A :class:`Trajectory`.
@@ -614,7 +533,7 @@ def time_average_census(
         state: Wealth and ticket price.
         spec: Gamble specification.
         rounds: Number of rounds to attempt (positive).
-        config: Seed and worker count.
+        config: Seed.
         path: Called with each block's log wealth in turn, the arrays
             :func:`trajectory_blocks` yields; the census is then counted
             from the same blocks, each drawn once.
@@ -696,7 +615,7 @@ def subinterval_estimate(
         state: Wealth and ticket price.
         spec: Gamble specification.
         subintervals: Number of slices ``q`` (positive).
-        config: Seed and worker count.
+        config: Seed.
 
     Returns:
         Mean per-unit-time rate over the ``q`` returns and its standard
@@ -747,14 +666,14 @@ def ensemble_average_estimate(
     every later full block of 2**16 players is drawn as its census alone,
     exact in law, with no order.  The census is that of
     :func:`time_average_census` for the same seed and size when no round
-    ruins, depends on the seed alone, never on ``workers``, and a smaller
-    ``samples`` gives a sub-census of a larger one's.
+    ruins, depends on the seed alone, and a smaller ``samples`` gives a
+    sub-census of a larger one's.
 
     Args:
         state: Wealth and ticket price.
         spec: Gamble specification.
         samples: Number of independent players (at least 2).
-        config: Seed and worker count.
+        config: Seed.
 
     Returns:
         Mean growth factor and its standard error.  When the payout

@@ -341,6 +341,14 @@ class TestSimulateCommand:
             outputs.add(result.output)
         assert len(outputs) == 1
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_are_refused(self, workers):
+        result = run("simulate", "--wealth", "100", "--price", "2", "--rounds", "1000",
+                     "--workers", workers)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"error: workers must be a positive integer, got {workers}\n"
+
     def test_ensemble_mode(self):
         result = run("simulate", "--mode", "ensemble", "--wealth", "100",
                      "--price", "2", "--payout", "capped:1e9",
@@ -774,10 +782,7 @@ class TestWealthPathFile:
         monkeypatch.setattr(montecarlo, "_block_waiting_times", counted)
         out = tmp_path / "path.csv"
         result = run("simulate", *args, "--wealth-path-out", str(out))
-        # two workers may draw a block past the ruinous one, and drop it
-        needed = {"grows": 4, "bankrupt": 2}[case]
-        assert sorted(drawn) == list(range(len(drawn)))
-        assert len(drawn) == needed if workers == "1" else len(drawn) >= needed
+        assert drawn == list(range({"grows": 4, "bankrupt": 2}[case]))
         assert (result.exit_code, result.stdout, result.stderr) == \
             (plain.exit_code, plain.stdout, plain.stderr)
 

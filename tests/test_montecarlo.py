@@ -1,11 +1,10 @@
 """Tests for seeded simulation: draws, trajectories, and estimators."""
 
 import json
+import dataclasses
 import math
-import os
-import sys
+import threading
 import tracemalloc
-from concurrent.futures import Future
 
 import mpmath
 import numpy as np
@@ -35,8 +34,6 @@ from petersburg import montecarlo
 from petersburg.cli import main
 
 GROWTH_100_2 = 0.0234834936741544663694884870358
-#: The sampler's CPU count, taken before a fixture replaces it.
-USABLE_CPUS = montecarlo._usable_cpus
 
 
 # ====== Seeded draws ======
@@ -54,16 +51,6 @@ class TestDrawWaitingTimes:
         a = draw_waiting_times(spec, 10_000, SimulationConfig(seed=7))
         b = draw_waiting_times(spec, 10_000, SimulationConfig(seed=8))
         assert not np.array_equal(a, b)
-
-    def test_worker_count_does_not_change_draws(self):
-        # 200k draws span several generator blocks, so multi-worker runs
-        # really do split the work — and must still agree bit for bit.
-        spec = GambleSpec()
-        serial = draw_waiting_times(spec, 200_000, SimulationConfig(seed=3))
-        two = draw_waiting_times(spec, 200_000, SimulationConfig(seed=3, workers=2))
-        eight = draw_waiting_times(spec, 200_000, SimulationConfig(seed=3, workers=8))
-        assert np.array_equal(serial, two)
-        assert np.array_equal(serial, eight)
 
     def test_prefix_property(self):
         # Asking for fewer draws yields a prefix of the longer run.
@@ -113,18 +100,28 @@ class TestDrawWaitingTimes:
         chi2 = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
         assert chi2 < 29.588
 
+    @pytest.mark.parametrize("count", [1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
+    def test_spans_tile_the_draws_in_blocks(self, count):
+        spans = list(montecarlo._spans(count))
+        assert [block for block, _, _ in spans] == list(range(len(spans)))
+        assert [lo for _, lo, _ in spans] == [2**16 * block for block, _, _ in spans]
+        assert [hi for _, _, hi in spans[:-1]] == [lo for _, lo, _ in spans[1:]]
+        assert spans[-1][2] == count
+        assert all(0 < hi - lo <= 2**16 for _, lo, hi in spans)
+
 
 class TestSimulationConfig:
     def test_defaults(self):
-        config = SimulationConfig()
-        assert config.seed == 0
-        assert config.workers == 1
+        assert SimulationConfig().seed == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SimulationConfig(seed=-1)
-        with pytest.raises(ValueError):
-            SimulationConfig(workers=0)
+
+    def test_seed_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(SimulationConfig)] == ["seed"]
+        with pytest.raises(TypeError):
+            SimulationConfig(seed=1, workers=2)
 
 
 # ====== Trajectories ======
@@ -345,18 +342,6 @@ class TestEnsembleAverageEstimate:
         assert stats.max_n == max(stats.frequencies)
         assert abs(stats.frequencies[1] / stats.count - 0.5) < 0.01
 
-    def test_worker_count_does_not_change_estimate(self):
-        table = Table(((0.5, 1.0), (0.25, 2.0), (0.25, 8.0)))
-        state = PlayerState(wealth=10.0, ticket_price=2.0)
-        spec = GambleSpec(payout_rule=table)
-        serial = ensemble_average_estimate(state, spec, 150_000,
-                                           SimulationConfig(seed=9))
-        eight = ensemble_average_estimate(state, spec, 150_000,
-                                          SimulationConfig(seed=9, workers=8))
-        assert serial.estimate == eight.estimate
-        assert serial.stderr == eight.stderr
-        assert serial.frequencies == eight.frequencies
-
     def test_needs_two_samples(self):
         state = PlayerState(wealth=100.0, ticket_price=2.0)
         with pytest.raises(ValueError):
@@ -426,16 +411,15 @@ def one_cumsum_path(state, spec, rounds, config):
 
 
 class TestTrajectoryBlocks:
-    @pytest.mark.parametrize("state, spec, rounds, workers, seed", [
-        (PlayerState(wealth=100.0, ticket_price=2.0), GambleSpec(), CENSUS_ROUNDS, 1, 1),
-        (PlayerState(wealth=100.0, ticket_price=2.0), GambleSpec(), CENSUS_ROUNDS, 2, 1),
+    @pytest.mark.parametrize("state, spec, rounds, seed", [
+        (PlayerState(wealth=100.0, ticket_price=2.0), GambleSpec(), CENSUS_ROUNDS, 1),
         (PlayerState(wealth=100.0, ticket_price=60.0), GambleSpec(probability_parameter=0.3),
-         2**16 + 1, 2, 1),
-        (PlayerState(wealth=100.0), GambleSpec(payout_rule=Menger()), 1000, 1, 1),
-        (RARE_RUIN_STATE, GambleSpec(payout_rule=RARE_RUIN), 200_000, 2, RARE_RUIN_SEED),
+         2**16 + 1, 1),
+        (PlayerState(wealth=100.0), GambleSpec(payout_rule=Menger()), 1000, 1),
+        (RARE_RUIN_STATE, GambleSpec(payout_rule=RARE_RUIN), 200_000, RARE_RUIN_SEED),
     ])
-    def test_blocks_round_the_path_as_one_cumsum(self, state, spec, rounds, workers, seed):
-        config = SimulationConfig(seed=seed, workers=workers)
+    def test_blocks_round_the_path_as_one_cumsum(self, state, spec, rounds, seed):
+        config = SimulationConfig(seed=seed)
         blocks = list(trajectory_blocks(state, spec, rounds, config))
         assert all(len(draws) <= 2**16 for draws, _ in blocks)
         path = np.concatenate([log_wealth for _, log_wealth in blocks])
@@ -676,10 +660,9 @@ class TestCensusReducer:
         with pytest.raises(ValueError, match="rounds must be positive"):
             time_average_census(PlayerState(100.0, 2.0), GambleSpec(), 0)
 
-    @pytest.mark.parametrize("workers", [1, 2, 8])
-    def test_streaming_estimate_equals_the_trajectory_estimate(self, workers):
+    def test_streaming_estimate_equals_the_trajectory_estimate(self):
         state = PlayerState(wealth=100.0, ticket_price=2.0)
-        config = SimulationConfig(seed=4, workers=workers)
+        config = SimulationConfig(seed=4)
         streamed = time_average_estimate(
             time_average_census(state, GambleSpec(), CENSUS_ROUNDS, config))
         stored = time_average_estimate(
@@ -687,26 +670,9 @@ class TestCensusReducer:
         assert streamed == stored
         assert streamed.count == CENSUS_ROUNDS
 
-    def test_every_mode_is_worker_invariant(self):
-        state = PlayerState(wealth=100.0, ticket_price=2.0)
-        spec = GambleSpec()
-
-        def estimates(workers):
-            config = SimulationConfig(seed=6, workers=workers)
-            return (
-                time_average_estimate(
-                    time_average_census(state, spec, CENSUS_ROUNDS, config)),
-                subinterval_estimate(state, spec, CENSUS_ROUNDS, config),
-                ensemble_average_estimate(state, spec, CENSUS_ROUNDS, config),
-            )
-
-        serial = estimates(1)
-        assert estimates(2) == serial
-        assert estimates(8) == serial
-
     def test_first_ruin_past_the_first_block(self, tmp_path, capsys):
         spec = GambleSpec(payout_rule=RARE_RUIN)
-        config = SimulationConfig(seed=RARE_RUIN_SEED, workers=2)
+        config = SimulationConfig(seed=RARE_RUIN_SEED)
         trajectory = simulate_trajectory(RARE_RUIN_STATE, spec, 200_000, config)
         assert trajectory.bankrupt_at > 2**16
 
@@ -727,45 +693,52 @@ class TestCensusReducer:
         results = json.loads(capsys.readouterr().out)["results"]
         assert results["bankrupt_at"] == trajectory.bankrupt_at
 
-    def test_first_ruin_inside_a_later_census_task(self):
+    def test_first_ruin_inside_a_later_block(self):
         # Growth factors 1.25 and 0.8 keep log wealth a driftless walk, so
         # the bankrupt wealth is a nonzero double.  At seed 0 the first
-        # ruinous round is 751 822, in block 11: not the first block of
-        # its census task, and tasks after it are drawn in parallel.
+        # ruinous round is 751 822, in block 11, and blocks after it are
+        # never drawn.
         spec = GambleSpec(payout_rule=Table(((0.5, 13.0), (0.499999, 8.5), (1e-06, 0.0))))
         state = PlayerState(wealth=10.0, ticket_price=10.5)
         rounds = 2**21
         trajectory = simulate_trajectory(state, spec, rounds, SimulationConfig(seed=0))
         assert trajectory.bankrupt_at == 751_822
-        assert (trajectory.bankrupt_at - 1) // 2**16 % montecarlo._TASK_BLOCKS > 0
         assert trajectory.bankrupt_wealth < 0.0
-        for workers in (1, 2, 8):
-            census = time_average_census(state, spec, rounds,
-                                         SimulationConfig(seed=0, workers=workers))
-            assert census.bankrupt_at == trajectory.bankrupt_at
-            assert census.bankrupt_wealth == trajectory.bankrupt_wealth
-            assert census.counts.sum() == trajectory.bankrupt_at - 1
+        census = time_average_census(state, spec, rounds, SimulationConfig(seed=0))
+        assert census.bankrupt_at == trajectory.bankrupt_at
+        assert census.bankrupt_wealth == trajectory.bankrupt_wealth
+        assert census.counts.sum() == trajectory.bankrupt_at - 1
 
-    def test_ruin_marks_shared_by_threads_that_switch_often(self):
-        # A run's census tasks share one table of ruinous waiting times.
-        # With more threads than CPUs and a thread switch every
-        # microsecond, a lost or wrong mark would move the ruinous round
-        # or the census away from the serial run's.  Waiting times past
-        # 18 pay nothing, and at this price that round is ruinous.
+    def test_no_block_past_the_ruinous_one_is_drawn(self, monkeypatch):
+        # the run of test_first_ruin_inside_a_later_block: ruin in block 11
+        drawn = []
+        generator = montecarlo._block_generator
+
+        def counted(seed, block):
+            drawn.append(block)
+            return generator(seed, block)
+
+        monkeypatch.setattr(montecarlo, "_block_generator", counted)
+        spec = GambleSpec(payout_rule=Table(((0.5, 13.0), (0.499999, 8.5), (1e-06, 0.0))))
+        state = PlayerState(wealth=10.0, ticket_price=10.5)
+        census = time_average_census(state, spec, 2**21, SimulationConfig(seed=0))
+        assert census.bankrupt_at == 751_822
+        assert drawn == list(range(12))
+
+    def test_ruin_marks_match_the_trajectory(self):
+        # The marks of ruinous waiting times grow with the largest one
+        # seen; a wrong mark would move the ruinous round or the census
+        # away from the trajectory's.  Waiting times past 18 pay nothing,
+        # and at this price that round is ruinous.
         spec = GambleSpec(payout_rule=Capped(2.0 ** 17))
         state = PlayerState(wealth=10.0, ticket_price=10.5)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            runs = [[time_average_census(state, spec, 2**22,
-                                         SimulationConfig(seed=seed, workers=workers))
-                     for workers in (1, 8)] for seed in range(4)]
-        finally:
-            sys.setswitchinterval(interval)
-        for serial, threaded in runs:
-            assert serial.bankrupt_at is not None
-            assert threaded.bankrupt_at == serial.bankrupt_at
-            assert np.array_equal(threaded.counts, serial.counts)
+        for seed in range(4):
+            config = SimulationConfig(seed=seed)
+            census = time_average_census(state, spec, 2**22, config)
+            trajectory = simulate_trajectory(state, spec, 2**22, config)
+            assert census.bankrupt_at is not None
+            assert census.bankrupt_at == trajectory.bankrupt_at
+            assert np.array_equal(census.counts, np.bincount(trajectory.waiting_times[:-1]))
 
     def test_streaming_time_estimate_memory_does_not_grow_with_rounds(self):
         # The draws -> factors -> log-path pipeline held about 64 MB of
@@ -833,87 +806,30 @@ class TestCensusReducer:
         assert factors.tolist() == [2.0, 1.0]
 
 
-class TestBlockPool:
-    def test_pool_is_capped_at_the_block_count(self, monkeypatch):
-        sizes = []
+class TestCallingThread:
+    """The sampler draws every block on the thread that asks for it."""
 
-        class RecordingExecutor:
-            """Runs each task at submission; records the requested size."""
+    @pytest.mark.parametrize("run", [
+        lambda spec, config: draw_waiting_times(spec, CENSUS_ROUNDS, config),
+        lambda spec, config: simulate_trajectory(
+            PlayerState(wealth=100.0, ticket_price=2.0), spec, CENSUS_ROUNDS, config),
+        lambda spec, config: time_average_census(
+            PlayerState(wealth=100.0, ticket_price=2.0), spec, CENSUS_ROUNDS, config),
+        lambda spec, config: subinterval_estimate(
+            PlayerState(wealth=100.0, ticket_price=2.0), spec, CENSUS_ROUNDS, config),
+        lambda spec, config: ensemble_average_estimate(
+            PlayerState(wealth=100.0, ticket_price=2.0), spec, CENSUS_ROUNDS, config),
+    ], ids=["draws", "trajectory", "census", "subinterval", "ensemble"])
+    def test_every_block_is_drawn_on_the_calling_thread(self, monkeypatch, run):
+        threads = []
+        generator = montecarlo._block_generator
 
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def recorded(seed, block):
+            threads.append((block, threading.get_ident()))
+            return generator(seed, block)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingExecutor)
-        config = SimulationConfig(seed=2, workers=64)
-        draws = draw_waiting_times(GambleSpec(), 3 * 2**16, config)
-        assert sizes == [3]
-        assert np.array_equal(draws, draw_waiting_times(GambleSpec(), 3 * 2**16,
-                                                        SimulationConfig(seed=2)))
-
-    @pytest.mark.parametrize("size, slices", [
-        (montecarlo._BLOCK_SIZE, 15_259),  # path blocks of a 1e9-round run
-        (montecarlo._TASK_BLOCKS * montecarlo._BLOCK_SIZE, 1_908),  # its census tasks
-    ])
-    def test_pool_is_capped_at_the_usable_cpus(self, monkeypatch, size, slices):
-        sizes = []
-
-        class RecordingExecutor:
-            """Runs each task at submission, on no thread; records the requested size."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingExecutor)
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-        indices = montecarlo._map_blocks(lambda i, lo, hi: i, 10**9, 100_000, size)
-        assert list(indices) == list(range(slices))
-        assert sizes == [2]
-
-    def test_one_usable_cpu_uses_no_pool(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a pool was created on one usable CPU")
-
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", forbidden)
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
-        config = SimulationConfig(seed=2, workers=100_000)
-        draws = draw_waiting_times(GambleSpec(), 3 * 2**16, config)
-        assert np.array_equal(draws, draw_waiting_times(GambleSpec(), 3 * 2**16,
-                                                        SimulationConfig(seed=2)))
-
-    def test_usable_cpus_are_those_of_the_affinity_mask(self):
-        usable = USABLE_CPUS()
-        if hasattr(os, "sched_getaffinity"):
-            assert usable == len(os.sched_getaffinity(0))
-        assert usable >= 1
-
-    def test_one_block_uses_no_pool(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a pool was created for a single block")
-
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", forbidden)
-        state = PlayerState(wealth=100.0, ticket_price=2.0)
-        config = SimulationConfig(seed=2, workers=64)
-        time_average_estimate(time_average_census(state, GambleSpec(), 1000, config))
-        ensemble_average_estimate(state, GambleSpec(), 1000, config)
+        monkeypatch.setattr(montecarlo, "_block_generator", recorded)
+        before = threading.active_count()
+        run(GambleSpec(), SimulationConfig(seed=5))
+        assert threads == [(block, threading.get_ident()) for block in range(4)]
+        assert threading.active_count() == before

@@ -32,6 +32,8 @@ for argv in (["evaluate", "--wealth", "100", "--price", "2"],
     assert not foreign, (argv, sorted(foreign))
 quiet(["simulate", "--wealth", "100", "--price", "2", "--rounds", "1000"])
 assert "numpy" in sys.modules
+# the sampler runs on the calling thread, with no pool to import
+assert "concurrent.futures" not in sys.modules
 # the path file's formatter loads only for a run that writes a path
 assert "petersburg._shortest" not in sys.modules
 assert "click" not in sys.modules
