@@ -409,12 +409,13 @@ def _wealth_cell(log_wealth: float) -> str:
     return repr(_wealth(log_wealth))
 
 
-def _fixed_cell(log_wealth) -> Optional[str]:
-    """The cell every row of a slice reads when the whole slice lies past
-    one bound of the double range, else ``None``."""
-    if log_wealth.min() >= _EXP_OVERFLOW:
+def _fixed_cell(low: float, high: float) -> Optional[str]:
+    """The cell every row reads when each row's log wealth lies in
+    ``[low, high]`` and that lies wholly past one bound of the double
+    range, else ``None``."""
+    if low >= _EXP_OVERFLOW:
         return "inf"
-    if log_wealth.max() <= _EXP_UNDERFLOW:
+    if high <= _EXP_UNDERFLOW:
         return "0.0"
     return None
 
@@ -451,12 +452,18 @@ def _wealth_path_writer(handle) -> Callable[..., None]:
     """Write the header of the ``round,wealth`` CSV of a path to ``handle``,
     and return the writer of its rows, one block of log wealth at a time.
 
-    Blocks come as :func:`.montecarlo.trajectory_blocks` yields them, and
-    are written in slices of up to 2**13 rows.  A long path leaves the
-    double range: its rows then read ``inf`` (log wealth at or above 710)
-    or ``0.0`` (at or below -746), and a slice lying wholly past one bound
-    is written from a cached template of a thousand rows (see
-    :func:`_fixed_rows`).  Any other slice is formatted in numpy by
+    ``write(log_wealth)`` writes a block given as an array, as
+    :func:`.montecarlo.trajectory_blocks` yields it.  ``write(log_wealth,
+    rows, low, high)`` writes one as :func:`.montecarlo.time_average_census`
+    gives it to ``path``: ``log_wealth`` is then a function of no arguments
+    returning that array, its ``rows`` rows each within ``[low, high]``.
+    A path leaves the double range: its rows then read ``inf`` (log wealth
+    at or above 710) or ``0.0`` (at or below -746).  A block whose bounds
+    lie wholly past one bound is written from ``rows`` alone, and its
+    ``log_wealth`` is never called, so its order is never drawn.  Any other
+    block is written in slices of up to 2**13 rows: a slice lying wholly
+    past one bound is written from a cached template of a thousand rows
+    (see :func:`_fixed_rows`), and any other is formatted in numpy by
     :func:`._shortest.rows`, which gives ``repr``'s shortest digits.  Each
     slice or thousand is written at once, so memory holds one slice's
     cells, not the path's, and the file is the same byte for byte as one
@@ -465,23 +472,35 @@ def _wealth_path_writer(handle) -> Callable[..., None]:
     from . import _shortest
 
     handle.write("round,wealth\n")
-    rows = 0
+    written = 0
 
-    def write(log_wealth) -> None:
-        nonlocal rows
+    def fixed(rows: int, cell: str) -> None:
+        nonlocal written
+        for text in _fixed_rows(written, written + rows, cell):
+            handle.write(text)
+        written += rows
+
+    def write(log_wealth, rows: int = 0, low: float = -math.inf,
+              high: float = math.inf) -> None:
+        nonlocal written
+        cell = _fixed_cell(low, high)
+        if cell is not None:
+            fixed(rows, cell)
+            return
+        if callable(log_wealth):
+            log_wealth = log_wealth()
         for start in range(0, len(log_wealth), _PATH_SLICE):
             part = log_wealth[start:start + _PATH_SLICE]
-            first = rows + start
-            cell = _fixed_cell(part)
+            top = part.max()
+            cell = _fixed_cell(part.min(), top)
             if cell is not None:
-                for text in _fixed_rows(first, first + len(part), cell):
-                    handle.write(text)
+                fixed(len(part), cell)
                 continue
             # the scalar math.exp: numpy's exp may round the last digit
             # differently; past 709 it may overflow, and takes the try
-            exp = math.exp if part.max() <= 709.0 else _wealth
-            handle.write(_shortest.rows(first, list(map(exp, part.tolist()))))
-        rows += len(log_wealth)
+            exp = math.exp if top <= 709.0 else _wealth
+            handle.write(_shortest.rows(written, list(map(exp, part.tolist()))))
+            written += len(part)
 
     return write
 

@@ -10,7 +10,12 @@ every estimator draws a block by the same law:
   draw), exact in law.  Where a run reads the order of its draws -- a
   trajectory, a census that holds a ruinous waiting time, or a partial
   last block -- the order is drawn next, from the same generator, as a
-  uniform shuffle of the census, and a partial block is its head.
+  uniform shuffle of the census, and a partial block is its head.  A
+  wealth path written by :func:`time_average_census` reads the order of
+  a full block only where a row's value depends on it: a block whose
+  census proves every row past the double range is written from its
+  bounds, and drawn again, census then order, only if a later block's
+  rows need the exact running sum it leaves.
 
 Two consequences the tests rely on:
 
@@ -30,7 +35,8 @@ length, and a run that stops at a ruinous draw draws no block after it.
 The blocks share one scratch array, so two threads must not sample at
 once.  The wealth path is built the same way by :func:`trajectory_blocks`,
 one block of log wealth at a time; :func:`simulate_trajectory` is their
-concatenation.
+concatenation.  A path left unsummed keeps a block index and an interval
+holding its running sum, not its draws.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from .gamble import GambleSpec, PlayerState, net_wealth, overflowed_factor
+from .gamble import _U, GambleSpec, PlayerState, net_wealth, overflowed_factor
 
 _BLOCK_SIZE = 1 << 16
 
@@ -344,32 +350,35 @@ def _ruin_test(state: PlayerState, spec: GambleSpec) -> Callable[[np.ndarray], n
 
 
 def _block_run(spec: GambleSpec, seed: int, block: int, lo: int, hi: int,
-               held: Optional[Callable[[np.ndarray], np.ndarray]], ordered: bool = True
-               ) -> Tuple[Optional[np.ndarray], np.ndarray, Optional[Tuple[int, int]]]:
+               held: Optional[Callable[[np.ndarray], np.ndarray]]
+               ) -> Tuple[Optional[np.ndarray], np.ndarray, Optional[Tuple[int, int]],
+                          Optional[np.random.Generator]]:
     """Draws ``lo:hi`` of the run, cut before the first ruinous one.
 
-    Returns the draws kept, their census, and the first draw that
-    ``held`` (see :func:`_ruin_test`) finds ruinous as ``(index, n)`` with
-    a 0-based index (``None`` when no draw ruins, or ``held`` is ``None``).
-    Unless ``ordered``, a full block after the first whose census holds
-    no ruinous waiting time is counted without its order, and its draws
-    are ``None``; any other block's order is drawn as
-    :func:`_block_waiting_times` draws it.
+    Returns the draws kept, their census, the first draw that ``held``
+    (see :func:`_ruin_test`) finds ruinous as ``(index, n)`` with a 0-based
+    index (``None`` when no draw ruins, or ``held`` is ``None``), and the
+    block's generator (``None`` for block 0).  A full block after the first
+    whose census holds no ruinous waiting time is counted without its
+    order: its draws are ``None``, and ``_order(rng, counts)`` draws them
+    as :func:`_block_waiting_times` would.  Any other block's order is
+    drawn at once.
     """
-    if block and not ordered:
+    rng = None
+    if block:
         rng = _block_generator(seed, block)
         counts = _counted(spec, rng)
         if hi - lo == _BLOCK_SIZE and (held is None or not len(held(counts))):
-            return None, counts, None
+            return None, counts, None, rng
         draws = _order(rng, counts)[:hi - lo]
     else:
         draws = _block_waiting_times(spec, seed, block, hi - lo)
     counts = np.bincount(draws)
     ruinous = () if held is None else held(counts)
     if not len(ruinous):
-        return draws, counts, None
+        return draws, counts, None, rng
     first = int(np.argmax(np.isin(draws, ruinous)))
-    return draws[:first], np.bincount(draws[:first]), (lo + first, int(draws[first]))
+    return draws[:first], np.bincount(draws[:first]), (lo + first, int(draws[first])), rng
 
 
 def _census(
@@ -387,7 +396,7 @@ def _census(
     No block after the ruinous one is drawn.
     """
     held = _ruin_test(state, spec) if stop_at_ruin else None
-    return _sum_censuses(_block_run(spec, config.seed, *span, held, ordered=False)[1:]
+    return _sum_censuses(_block_run(spec, config.seed, *span, held)[1:3]
                          for span in _spans(count))
 
 
@@ -411,32 +420,124 @@ def _sum_censuses(parts: Iterable[Tuple[np.ndarray, Optional[Tuple[int, int]]]]
     return total, None
 
 
+def _log_table(state: PlayerState, spec: GambleSpec, counts: np.ndarray
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """The log growth factor of each waiting time counted in ``counts``,
+    indexed by ``n`` itself, which spares a shifted copy of the draws (the
+    other entries are unset), and those waiting times."""
+    logs = np.empty(len(counts))
+    seen = np.flatnonzero(counts)
+    logs[seen] = _log_growth_factors(state, spec, seen)
+    return logs, seen
+
+
+def _sum_bounds(low: float, high: float, start: float, logs: np.ndarray,
+                weights: np.ndarray, terms: int) -> Tuple[float, float, float, float]:
+    """Bounds on a block's running sums from its census alone, whatever its order.
+
+    The running sum enters the block in ``[low, high]`` and adds ``terms``
+    log factors, ``weights[i]`` of them equal to ``logs[i]``, one rounded
+    addition at a time as ``np.cumsum`` adds them.  Returns ``(row_low,
+    row_high, out_low, out_high)``: each running sum, ``start`` added and
+    rounded, lies in ``[row_low, row_high]``, and the sum leaving the block
+    in ``[out_low, out_high]``.  Where a sum may leave the double range, or
+    a log factor is not finite, the bounds are infinite.
+    """
+    unbounded = (-math.inf, math.inf, -math.inf, math.inf)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            fall = math.fsum(weights * np.minimum(logs, 0.0))
+            rise = math.fsum(weights * np.maximum(logs, 0.0))
+    except OverflowError:  # finite products whose sum is not
+        return unbounded
+    scale = max(abs(low), abs(high)) + abs(start) + (rise - fall)
+    if not math.isfinite(2.0 * scale):
+        return unbounded
+    # Let C in [low, high] be the sum entering the block and A = rise - fall
+    # the sum of its |log factors|, so that |C| + |start| + A is at most
+    # scale, up to scale's own rounding.  Each exact running sum lies in
+    # [C + fall, C + rise], and the j-th rounded one differs from it by at
+    # most gamma_j (|C| + A) <= 1.01 j u scale, for j <= terms <= 2**16 and
+    # u the unit roundoff (recursive summation, Higham 2002, sec. 4.2).
+    # Adding ``start`` rounds monotonically, so a bound that is itself a
+    # double bounds the rounded row too.  The bounds' own arithmetic errs
+    # by at most 2u scale in fall or rise (rounded products, one fsum) and
+    # u scale in each of three additions, and scale is at most 6u relative
+    # below its exact value; 2 (terms + 4) u scale exceeds
+    # (1.01 terms + 5) u (1 + 6u) scale for every terms >= 0.
+    slack = 2.0 * (terms + 4) * _U * scale
+    return (low + start + fall - slack, high + start + rise + slack,
+            low + (fall + rise) - slack, high + (fall + rise) + slack)
+
+
 def _path_blocks(
     state: PlayerState, spec: GambleSpec, rounds: int, config: SimulationConfig
-) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[Tuple[int, int]]]]:
-    """The run of :func:`trajectory_blocks`, with each block's census.
+) -> Iterator[Tuple[np.ndarray, Optional[Tuple[int, int]], int, float, float,
+                    Callable[[], Tuple[np.ndarray, np.ndarray]]]]:
+    """The run of :func:`trajectory_blocks`, block by block, with each
+    block's census and bounds on its log wealth.
 
-    Yields ``(draws, counts, log_wealth, fatal)`` per block as
-    :func:`_block_run` gives the draws, their census and the ruinous draw,
-    and ``log_wealth`` as :func:`trajectory_blocks` does.
+    Yields ``(counts, fatal, rows, low, high, values)`` per block: the
+    census of its kept draws and the ruinous draw, as :func:`_block_run`
+    gives them; the number of rows of log wealth it adds, each within
+    ``[low, high]`` (see :func:`_sum_bounds`); and ``values``, a function
+    of no arguments returning ``(draws, log_wealth)`` as
+    :func:`trajectory_blocks` yields them, to be called at most once, and
+    before the next block is asked for.
+
+    The order of a full block after the first is drawn only when its
+    ``values`` are called.  A block whose ``values`` are not called is
+    deferred: only an interval holding the running sum after it is kept.
+    The next ``values`` called draws the deferred blocks again from their
+    seeds, census then order, to rebuild the running sum exactly, so the
+    state kept is a block index and an interval whatever the run length.
     """
+    seed = config.seed
     start = math.log(state.wealth)
     held = _ruin_test(state, spec)
     # the running sum is carried into each block's cumsum, so the path is
-    # rounded exactly as one cumsum over every round would round it
-    carry = 0.0
-    for block, lo, hi in _spans(rounds):
-        draws, counts, fatal = _block_run(spec, config.seed, block, lo, hi, held)
-        # indexed by n itself, which spares a shifted copy of the draws
-        logs = np.empty(len(counts))
-        seen = np.flatnonzero(counts)
-        logs[seen] = _log_growth_factors(state, spec, seen)
+    # rounded exactly as one cumsum over every round would round it;
+    # ``carry`` is the sum entering block ``deferred``, the first unsummed
+    # one, or the next block when none is, and ``[low, high]`` holds the
+    # sum entering the next block
+    carry = low = high = 0.0
+    deferred: Optional[int] = None
+
+    def summed(draws: np.ndarray, logs: np.ndarray) -> np.ndarray:
+        nonlocal carry
         sums = np.cumsum(np.concatenate(([carry], logs[draws])))
         carry = sums[-1]
-        sums += start
-        yield draws, counts, sums if block == 0 else sums[1:], fatal
+        return sums
+
+    for block, lo, hi in _spans(rounds):
+        draws, counts, fatal, rng = _block_run(spec, seed, block, lo, hi, held)
+        logs, seen = _log_table(state, spec, counts)
+        terms = len(draws) if draws is not None else hi - lo
+        row_low, row_high, low, high = _sum_bounds(
+            low, high, start, logs[seen], counts[seen].astype(np.float64), terms)
+        asked = False
+
+        def values() -> Tuple[np.ndarray, np.ndarray]:
+            nonlocal asked, deferred, draws
+            asked = True
+            if deferred is not None:
+                for again in range(deferred, block):
+                    replayed = _block_waiting_times(spec, seed, again, _BLOCK_SIZE)
+                    summed(replayed, _log_table(state, spec, np.bincount(replayed))[0])
+                deferred = None
+            if draws is None:
+                draws = _order(rng, counts)
+            sums = summed(draws, logs)
+            sums += start
+            return draws, sums if block == 0 else sums[1:]
+
+        yield counts, fatal, terms + (block == 0), row_low, row_high, values
         if fatal is not None:
             return
+        if asked:
+            low = high = carry
+        elif deferred is None:
+            deferred = block
 
 
 # ====== Estimators ======
@@ -466,8 +567,9 @@ def trajectory_blocks(
     """
     if rounds < 1:
         raise ValueError(f"rounds must be positive, got {rounds!r}")
-    for draws, _, log_wealth, fatal in _path_blocks(state, spec, rounds,
-                                                    config or SimulationConfig()):
+    for _, fatal, _, _, _, values in _path_blocks(state, spec, rounds,
+                                                  config or SimulationConfig()):
+        draws, log_wealth = values()
         yield draws if fatal is None else np.append(draws, fatal[1]), log_wealth
 
 
@@ -534,9 +636,16 @@ def time_average_census(
         spec: Gamble specification.
         rounds: Number of rounds to attempt (positive).
         config: Seed.
-        path: Called with each block's log wealth in turn, the arrays
-            :func:`trajectory_blocks` yields; the census is then counted
-            from the same blocks, each drawn once.
+        path: Called once per block, in order, with ``(log_wealth, rows,
+            low, high)``: a function of no arguments returning the block's
+            log wealth, the array :func:`trajectory_blocks` yields; that
+            array's length; and bounds ``low <= x <= high`` on each of its
+            entries, proven from the block's census and the running sum.
+            The census is counted from the same blocks.  A full block
+            after the first has its order drawn only if ``log_wealth`` is
+            called, so each block is drawn once unless a path skips a
+            block's log wealth and then asks for a later one: the skipped
+            blocks are then drawn again to rebuild the running sum.
 
     Returns:
         A :class:`Census`.
@@ -548,8 +657,9 @@ def time_average_census(
         counts, fatal = _census(state, spec, rounds, config, stop_at_ruin=True)
     else:
         def written():
-            for _, block_counts, log_wealth, fatal in _path_blocks(state, spec, rounds, config):
-                path(log_wealth)
+            for block_counts, fatal, rows, low, high, values in _path_blocks(
+                    state, spec, rounds, config):
+                path(lambda: values()[1], rows, low, high)
                 yield block_counts, fatal
 
         counts, fatal = _sum_censuses(written())

@@ -27,6 +27,7 @@ from petersburg import (
     SimulationConfig,
     Table,
     simulate_trajectory,
+    trajectory_blocks,
 )
 from petersburg import montecarlo
 from petersburg.cli import _PATH_SLICE, _wealth_cell, _wealth_path_writer, main, parse_payout
@@ -773,13 +774,13 @@ class TestWealthPathFile:
         args += ["--workers", workers]
         plain = run("simulate", *args)
         drawn = []
-        draw = montecarlo._block_waiting_times
+        generator = montecarlo._block_generator
 
-        def counted(spec, seed, block, size):
+        def counted(seed, block):
             drawn.append(block)
-            return draw(spec, seed, block, size)
+            return generator(seed, block)
 
-        monkeypatch.setattr(montecarlo, "_block_waiting_times", counted)
+        monkeypatch.setattr(montecarlo, "_block_generator", counted)
         out = tmp_path / "path.csv"
         result = run("simulate", *args, "--wealth-path-out", str(out))
         assert drawn == list(range({"grows": 4, "bankrupt": 2}[case]))
@@ -788,25 +789,93 @@ class TestWealthPathFile:
 
     def test_bankruptcy_at_the_start_of_a_block(self, tmp_path, monkeypatch, capsys):
         # a block whose first draw ruins adds no rows: the writer gets an
-        # empty block after the first, and the file ends with the first
+        # empty block after the first, and the file ends with the first.
+        # At seed 2 the census of block 1 holds the ruinous waiting time, so
+        # its order is drawn, and one such draw is moved to the front.
         table = tmp_path / "rare-ruin.csv"
         table.write_text("probability,payout\n0.99999,10.0\n1e-05,0.0\n")
-        draw = montecarlo._block_waiting_times
+        order = montecarlo._order
 
-        def ruin_at_block_one(spec, seed, block, size):
-            draws = draw(spec, seed, block, size)
-            if block == 1:
-                draws[0] = 2  # the table's second row pays 0.0
+        def ruin_first(rng, counts):
+            draws = order(rng, counts)
+            ruinous = np.flatnonzero(draws == 2)  # the table's second row pays 0.0
+            if ruinous.size:
+                draws[[0, ruinous[0]]] = draws[[ruinous[0], 0]]
             return draws
 
-        monkeypatch.setattr(montecarlo, "_block_waiting_times", ruin_at_block_one)
+        monkeypatch.setattr(montecarlo, "_order", ruin_first)
         code, data = self.write(tmp_path, "--wealth", "10", "--price", "10.5",
                                 "--payout", f"table:{table}", "--rounds", "200000",
-                                "--seed", "1", "--workers", "1")
+                                "--seed", "2", "--workers", "1")
         assert code == 2
         assert data.count(b"\n") == 1 + 2**16 + 1
         spec = GambleSpec(payout_rule=Table(((0.99999, 10.0), (1e-05, 0.0))))
-        assert data == reference_path_file(PlayerState(10.0, 10.5), spec, 200_000, 1)
+        assert data == reference_path_file(PlayerState(10.0, 10.5), spec, 200_000, 2)
+
+    def test_order_is_drawn_only_where_a_row_reads_it(self, tmp_path, monkeypatch, capsys):
+        # The bench's path op: from block 1 on every row reads inf, which
+        # each full block's census proves without its order.  Only the
+        # partial last block, block 15, has its order drawn, since its
+        # census is that of its head.
+        blocks, ordered = [], []
+        generator, order = montecarlo._block_generator, montecarlo._order
+
+        def recorded(seed, block):
+            blocks.append(block)
+            return generator(seed, block)
+
+        def counted(rng, counts):
+            ordered.append(blocks[-1])
+            return order(rng, counts)
+
+        monkeypatch.setattr(montecarlo, "_block_generator", recorded)
+        monkeypatch.setattr(montecarlo, "_order", counted)
+        rounds = 10**6
+        code, data = self.write(tmp_path, "--wealth", "100", "--price", "2",
+                                "--rounds", str(rounds), "--seed", "1")
+        assert code == 0
+        assert blocks == list(range(16))
+        assert ordered == [15]
+        # the same bytes as the writer gives the arrays of every block
+        monkeypatch.undo()
+        handle = io.StringIO()
+        write = _wealth_path_writer(handle)
+        for _, log_wealth in trajectory_blocks(PlayerState(100.0, 2.0), GambleSpec(), rounds,
+                                               SimulationConfig(seed=1)):
+            write(log_wealth)
+        assert data == handle.getvalue().encode()
+        assert data.endswith(b"\n1000000,inf\n")
+
+    def test_deferred_blocks_are_replayed_for_a_later_finite_row(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        # Each round gains 0.00995 in log wealth, or loses 499 at odds of
+        # 1e-5: the path crosses 710 and can fall back below it.  A block
+        # whose census proves every row inf is written without its order;
+        # when a later block's rows may be finite, the deferred blocks are
+        # drawn again to rebuild the exact running sum.
+        table = tmp_path / "falls.csv"
+        table.write_text("probability,payout\n0.99999,1.01\n1e-05,7e-218\n")
+        spec = GambleSpec(payout_rule=Table(((0.99999, 1.01), (1e-05, 7e-218))))
+        rounds = 10 * 2**16
+        generator = montecarlo._block_generator
+        replayed = []
+        for seed in range(4):
+            drawn = []
+
+            def recorded(seed, block):
+                drawn.append(block)
+                return generator(seed, block)
+
+            monkeypatch.setattr(montecarlo, "_block_generator", recorded)
+            code, data = self.write(tmp_path, "--wealth", "1", "--price", "1",
+                                    "--payout", f"table:{table}", "--rounds", str(rounds),
+                                    "--seed", str(seed))
+            monkeypatch.undo()
+            assert code == 0
+            assert data == reference_path_file(PlayerState(1.0, 1.0), spec, rounds, seed)
+            # a block drawn again comes after a later one: it was deferred
+            replayed += [block for at, block in enumerate(drawn) if block < max(drawn[:at + 1])]
+        assert replayed
 
     def test_memory_does_not_grow_with_rounds(self, tmp_path, capsys):
         # A writer holding the whole path peaked at 13 MB here (47 MB at

@@ -440,6 +440,31 @@ class TestTrajectoryBlocks:
         assert 2**16 + len(draws) == 74_029
 
 
+    def test_census_bounds_hold_for_every_order(self):
+        # A block's bounds come from its census alone; the rows and the sum
+        # leaving the block are those of a cumsum in the block's order,
+        # rounding included, from any sum in [low, high] entering it.
+        rng = np.random.default_rng(7)
+        for _ in range(400):
+            terms = int(rng.integers(0, 3000))
+            logs = rng.choice([-1.0, 1.0], 5) * 10.0 ** rng.uniform(-17.0, 3.0, 5)
+            draws = rng.integers(0, 5, terms)
+            weights = np.bincount(draws, minlength=5).astype(np.float64)
+            carry = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 17.0)
+            start = rng.uniform(-745.0, 709.0)
+            width = 10.0 ** rng.uniform(-20.0, 0.0) * abs(carry)
+            low, high = carry - width * rng.random(), carry + width * rng.random()
+            row_low, row_high, out_low, out_high = montecarlo._sum_bounds(
+                low, high, start, logs, weights, terms)
+            sums = np.cumsum(np.concatenate(([carry], logs[draws])))
+            assert out_low <= sums[-1] <= out_high
+            sums += start
+            assert row_low <= sums.min() and sums.max() <= row_high
+        # a log factor past the double range, or sums that leave it
+        for logs in ([math.inf, -1.0], [1e308, -1.0]):
+            bounds = montecarlo._sum_bounds(0.0, 0.0, 0.0, np.array(logs), np.array([2.0, 1.0]), 3)
+            assert bounds == (-math.inf, math.inf, -math.inf, math.inf)
+
 #: Laws of the census tests: four geometric ones, p = 1e-3 drawn mostly
 #: and p = 1e-5 wholly past the multinomial's depth, and a table.
 CENSUS_LAWS = {
