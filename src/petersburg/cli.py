@@ -52,9 +52,9 @@ from .gamble import (
     PayoutRule,
     PlayerState,
     load_table,
-    overflowed_factor,
 )
 from .series import (
+    _mean_factor,
     SeriesResult,
     TruncationInconclusiveError,
     TruncationPolicy,
@@ -280,13 +280,16 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
         raise UsageError("--wealth-path-out requires --mode time")
     parameters.update(mode=mode, seed=seed)
 
-    def emit(results: dict) -> None:
+    def finite(results: dict) -> dict:
         # a result that is not a finite number fails the command in either format
         nonfinite = [f"{key} = {value!r}" for key, value in results.items()
                      if isinstance(value, float) and not math.isfinite(value)]
         if nonfinite:
             raise ValueError(f"not a finite number: {', '.join(nonfinite)}")
-        _emit(fmt, "simulate", parameters, results, _field_rows(results))
+        return results
+
+    def emit(results: dict) -> None:
+        _emit(fmt, "simulate", parameters, finite(results), _field_rows(results))
 
     known = {}  # the analytic value beside an estimate, if the series gives one
     if mode == "ensemble":
@@ -294,10 +297,7 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
         stats = ensemble_average_estimate(state, spec, samples, config)
         analytic = expected_payout(spec, policy, wealth=wealth)
         if analytic.is_converged:
-            mean_factor = (wealth - price + analytic.value) / wealth
-            if mean_factor == math.inf:  # split as series._ensemble_growth splits it
-                mean_factor = overflowed_factor(wealth - price, analytic.value, 0.0, wealth)
-            known["analytic_mean_factor"] = mean_factor
+            known["analytic_mean_factor"] = _mean_factor(wealth, price, analytic.value)
         emit(_estimate_results(stats, "ensemble", "mean_factor_estimate", "samples", **known))
         return
 
@@ -320,6 +320,9 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
         analytic = time_average_growth(state, spec, policy)
     except TruncationInconclusiveError as exc:
         analytic = exc
+    else:
+        if analytic.is_converged:
+            known["analytic_growth_rate"] = analytic.value
     # the path file opens before any draw: a path that cannot be written
     # fails the command before the run is sampled
     path_file = (contextlib.nullcontext() if wealth_path_out is None
@@ -329,8 +332,12 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
             run = time_average_census(
                 state, spec, rounds, config,
                 path=None if wealth_path_out is None else _wealth_path_writer(path_file))
+            if run.bankrupt_at is None:
+                results = finite(_estimate_results(time_average_estimate(run), "time",
+                                                   "growth_rate_estimate", "rounds", **known))
         except BaseException:
-            # a run that fails or is refused leaves no path file
+            # a run that fails or is refused, or whose estimate fails, leaves
+            # no path file; a bankrupt run keeps its path
             if wealth_path_out is not None:
                 _remove_opened(path_file, wealth_path_out)
             raise
@@ -340,12 +347,9 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
               "bankrupt_wealth": run.bankrupt_wealth})
         return 2
 
-    stats = time_average_estimate(run)
     if isinstance(analytic, TruncationInconclusiveError):
         print(f"note: analytic_growth_rate omitted: {analytic}", file=sys.stderr)
-    elif analytic.is_converged:
-        known["analytic_growth_rate"] = analytic.value
-    emit(_estimate_results(stats, "time", "growth_rate_estimate", "rounds", **known))
+    emit(results)
 
 
 def _remove_opened(file, path: str) -> None:

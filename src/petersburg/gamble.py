@@ -252,14 +252,12 @@ class PayoutRule:
         np.maximum(u, 1.0, out=u)
         return u.astype(np.int64)
 
-    def census(self, rng: np.random.Generator, size: int, p: float,
-               uniforms: np.ndarray) -> np.ndarray:
+    def census(self, rng: np.random.Generator, size: int, p: float) -> np.ndarray:
         """Counts of ``size`` waiting times drawn from ``rng``, indexed by ``n``.
 
         One multinomial draw counts the waiting times up to a depth ``K``;
         the waiting times past it are ``K + Geometric(p)``, since the law
-        is memoryless, and are drawn one by one by :meth:`waiting_times`
-        into ``uniforms``, a scratch array of at least ``size`` doubles.
+        is memoryless, and are drawn one by one by :meth:`waiting_times`.
         ``K`` balances the multinomial's chain of binomials, one per
         waiting time, against the draws it leaves: about
         ``_CENSUS_STEP_DRAWS / p`` of them.
@@ -270,7 +268,7 @@ class PayoutRule:
         # numpy gives the last category what the others leave: the
         # waiting times past the depth, of probability q**depth
         head = rng.multinomial(size, p * q ** np.arange(depth + 1.0))
-        rest = self.waiting_times(rng.random(head[-1], out=uniforms[:head[-1]]), p)
+        rest = self.waiting_times(rng.random(head[-1]), p)
         if depth:
             rest += depth
         counts = np.bincount(rest, minlength=depth + 1)
@@ -633,8 +631,7 @@ class Table(PayoutRule):
         idx = np.searchsorted(cumulative, u, side="right")
         return np.minimum(idx, len(self.rows) - 1).astype(np.int64) + 1
 
-    def census(self, rng: np.random.Generator, size: int, p: float,
-               uniforms: np.ndarray) -> np.ndarray:
+    def census(self, rng: np.random.Generator, size: int, p: float) -> np.ndarray:
         """Counts of ``size`` rows drawn from ``rng`` by one multinomial draw,
         indexed by row; the last row takes what the others leave, as in
         :meth:`waiting_times`."""

@@ -2,7 +2,8 @@
 
 Simulation draws waiting times in fixed blocks of 2**16, with block
 ``b`` seeded by ``SeedSequence(entropy=seed, spawn_key=(b,))``, and
-every estimator draws a block by the same law:
+every estimator draws a block by the same law, in one function
+(``_block_run``):
 
 * block 0 is drawn one by one, one uniform variate per waiting time;
 * every later block is drawn as its census, the count of each waiting
@@ -32,11 +33,12 @@ waiting time drawn: a mean over rounds does not depend on their order.
 Blocks are drawn, counted and dropped one at a time, in order, on the
 calling thread, so the estimators use O(2**16) memory whatever the run
 length, and a run that stops at a ruinous draw draws no block after it.
-The blocks share one scratch array, so two threads must not sample at
-once.  The wealth path is built the same way by :func:`trajectory_blocks`,
-one block of log wealth at a time; :func:`simulate_trajectory` is their
-concatenation.  A path left unsummed keeps a block index and an interval
-holding its running sum, not its draws.
+Each block draws into fresh arrays, so runs on several threads at once
+draw what they draw one at a time.  The wealth path is built the same
+way by :func:`trajectory_blocks`, one block of log wealth at a time;
+:func:`simulate_trajectory` is their concatenation.  A path left
+unsummed keeps a block index and an interval holding its running sum,
+not its draws.
 """
 
 from __future__ import annotations
@@ -50,10 +52,6 @@ import numpy as np
 from .gamble import _U, GambleSpec, PlayerState, net_wealth, overflowed_factor
 
 _BLOCK_SIZE = 1 << 16
-
-#: Scratch array of one block of uniform variates: fresh 2**16 arrays cost
-#: more in page faults than the arithmetic on them.
-_UNIFORMS = np.empty(_BLOCK_SIZE)
 
 
 class NonpositiveReturnError(ArithmeticError):
@@ -157,27 +155,6 @@ def _block_generator(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _block_waiting_times(spec: GambleSpec, seed: int, block: int, size: int) -> np.ndarray:
-    """The first ``size`` waiting times of one block, in order.
-
-    Block 0 is drawn one by one, one uniform variate per waiting time;
-    PCG64's ``random(k)`` is a prefix of its ``random(2**16)``, so a short
-    block is exactly the head of the full one.  A later block is the
-    :func:`_order` of its census, and a short one that order's head.
-    """
-    rng = _block_generator(seed, block)
-    if block == 0:
-        u = rng.random(size, out=_UNIFORMS[:size])
-        return spec.payout_rule.waiting_times(u, spec.probability_parameter)
-    return _order(rng, _counted(spec, rng))[:size]
-
-
-def _counted(spec: GambleSpec, rng: np.random.Generator) -> np.ndarray:
-    """The census of a block after the first, drawn from its generator as
-    counts by the rule's :meth:`~petersburg.gamble.PayoutRule.census`."""
-    return spec.payout_rule.census(rng, _BLOCK_SIZE, spec.probability_parameter, _UNIFORMS)
-
-
 def _order(rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
     """The draws of a block with census ``counts``, shuffled by ``rng``.
 
@@ -187,6 +164,41 @@ def _order(rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
     order = np.repeat(np.arange(len(counts)), counts)
     rng.shuffle(order)
     return order
+
+
+def _block_run(spec: GambleSpec, seed: int, block: int, lo: int, hi: int,
+               held: Optional[Callable[[np.ndarray], np.ndarray]]
+               ) -> Tuple[np.ndarray, Optional[Tuple[int, int]], Callable[[], np.ndarray]]:
+    """Draws ``lo:hi`` of the run, in block ``block``, cut before the first ruinous one.
+
+    Returns the census of the draws kept; the first draw that ``held``
+    (see :func:`_ruin_test`) finds ruinous as ``(index, n)`` with a 0-based
+    index, or ``None``; and ``order``, a function of no arguments giving
+    the draws kept, to be called at most once.
+
+    Block 0 is drawn one by one, one uniform variate per waiting time;
+    PCG64's ``random(k)`` is a prefix of its ``random(2**16)``, so a short
+    block is the head of the full one.  A later block is its census, then
+    the :func:`_order` of it, and a short block that order's head.  A full
+    later block whose census holds no ruinous waiting time is counted
+    without its order, which ``order`` draws only when called.
+    """
+    rng = _block_generator(seed, block)
+    if block:
+        counts = spec.payout_rule.census(rng, _BLOCK_SIZE, spec.probability_parameter)
+        if hi - lo == _BLOCK_SIZE and (held is None or not len(held(counts))):
+            return counts, None, lambda: _order(rng, counts)
+        draws = _order(rng, counts)[:hi - lo]
+    else:
+        draws = spec.payout_rule.waiting_times(rng.random(hi - lo), spec.probability_parameter)
+    counts = np.bincount(draws)
+    ruinous = () if held is None else held(counts)
+    fatal = None
+    if len(ruinous):
+        first = int(np.argmax(np.isin(draws, ruinous)))
+        draws, fatal = draws[:first], (lo + first, int(draws[first]))
+        counts = np.bincount(draws)
+    return counts, fatal, lambda: draws
 
 
 def _spans(count: int) -> Iterator[Tuple[int, int, int]]:
@@ -218,7 +230,7 @@ def draw_waiting_times(
     config = config or SimulationConfig()
     out = np.empty(count, dtype=np.int64)
     for block, lo, hi in _spans(count):
-        out[lo:hi] = _block_waiting_times(spec, config.seed, block, hi - lo)
+        out[lo:hi] = _block_run(spec, config.seed, block, lo, hi, None)[2]()
     return out
 
 
@@ -349,38 +361,6 @@ def _ruin_test(state: PlayerState, spec: GambleSpec) -> Callable[[np.ndarray], n
     return held
 
 
-def _block_run(spec: GambleSpec, seed: int, block: int, lo: int, hi: int,
-               held: Optional[Callable[[np.ndarray], np.ndarray]]
-               ) -> Tuple[Optional[np.ndarray], np.ndarray, Optional[Tuple[int, int]],
-                          Optional[np.random.Generator]]:
-    """Draws ``lo:hi`` of the run, cut before the first ruinous one.
-
-    Returns the draws kept, their census, the first draw that ``held``
-    (see :func:`_ruin_test`) finds ruinous as ``(index, n)`` with a 0-based
-    index (``None`` when no draw ruins, or ``held`` is ``None``), and the
-    block's generator (``None`` for block 0).  A full block after the first
-    whose census holds no ruinous waiting time is counted without its
-    order: its draws are ``None``, and ``_order(rng, counts)`` draws them
-    as :func:`_block_waiting_times` would.  Any other block's order is
-    drawn at once.
-    """
-    rng = None
-    if block:
-        rng = _block_generator(seed, block)
-        counts = _counted(spec, rng)
-        if hi - lo == _BLOCK_SIZE and (held is None or not len(held(counts))):
-            return None, counts, None, rng
-        draws = _order(rng, counts)[:hi - lo]
-    else:
-        draws = _block_waiting_times(spec, seed, block, hi - lo)
-    counts = np.bincount(draws)
-    ruinous = () if held is None else held(counts)
-    if not len(ruinous):
-        return draws, counts, None, rng
-    first = int(np.argmax(np.isin(draws, ruinous)))
-    return draws[:first], np.bincount(draws[:first]), (lo + first, int(draws[first])), rng
-
-
 def _census(
     state: PlayerState,
     spec: GambleSpec,
@@ -396,7 +376,7 @@ def _census(
     No block after the ruinous one is drawn.
     """
     held = _ruin_test(state, spec) if stop_at_ruin else None
-    return _sum_censuses(_block_run(spec, config.seed, *span, held)[1:3]
+    return _sum_censuses(_block_run(spec, config.seed, *span, held)[:2]
                          for span in _spans(count))
 
 
@@ -510,23 +490,23 @@ def _path_blocks(
         return sums
 
     for block, lo, hi in _spans(rounds):
-        draws, counts, fatal, rng = _block_run(spec, seed, block, lo, hi, held)
+        counts, fatal, order = _block_run(spec, seed, block, lo, hi, held)
         logs, seen = _log_table(state, spec, counts)
-        terms = len(draws) if draws is not None else hi - lo
+        terms = hi - lo if fatal is None else fatal[0] - lo
         row_low, row_high, low, high = _sum_bounds(
             low, high, start, logs[seen], counts[seen].astype(np.float64), terms)
         asked = False
 
         def values() -> Tuple[np.ndarray, np.ndarray]:
-            nonlocal asked, deferred, draws
+            nonlocal asked, deferred
             asked = True
             if deferred is not None:
                 for again in range(deferred, block):
-                    replayed = _block_waiting_times(spec, seed, again, _BLOCK_SIZE)
-                    summed(replayed, _log_table(state, spec, np.bincount(replayed))[0])
+                    census, _, replayed = _block_run(spec, seed, again, again * _BLOCK_SIZE,
+                                                     (again + 1) * _BLOCK_SIZE, None)
+                    summed(replayed(), _log_table(state, spec, census)[0])
                 deferred = None
-            if draws is None:
-                draws = _order(rng, counts)
+            draws = order()
             sums = summed(draws, logs)
             sums += start
             return draws, sums if block == 0 else sums[1:]

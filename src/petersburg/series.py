@@ -395,6 +395,16 @@ def ensemble_average_growth(
                             expected_payout(spec, policy, wealth=state.wealth))
 
 
+def _mean_factor(wealth: float, price: float, mean_payout: float) -> float:
+    """``(wealth - price + mean_payout) / wealth``, split where the sum
+    overflows (a wealth above about 1e292); where ``mean_payout / wealth``
+    does (a tiny wealth) it is ``inf``, and a rate is a difference of logs."""
+    factor = (wealth - price + mean_payout) / wealth
+    if factor == math.inf:
+        factor = overflowed_factor(wealth - price, mean_payout, 0.0, wealth)
+    return factor
+
+
 def _ensemble_growth(state: PlayerState, spec: GambleSpec, policy: TruncationPolicy,
                      inner: SeriesResult) -> SeriesResult:
     """:func:`ensemble_average_growth` from ``inner``, the expected payout
@@ -411,12 +421,7 @@ def _ensemble_growth(state: PlayerState, spec: GambleSpec, policy: TruncationPol
         return SeriesResult.undefined(
             UndefinedReason.NONPOSITIVE_LOG_ARGUMENT, inner.terms_used
         )
-    mean_factor = (w - c + inner.value) / w
-    if mean_factor == math.inf:
-        # the quotient overflows when the sum does (a wealth above about
-        # 1e292), which the split mends, or when E/w does (a tiny
-        # wealth), where the rate is taken as a difference of logs
-        mean_factor = overflowed_factor(w - c, inner.value, 0.0, w)
+    mean_factor = _mean_factor(w, c, inner.value)
     tail = (inner.tail_bound or 0.0) / w
     if mean_factor <= 0.0:
         return SeriesResult.undefined(

@@ -521,7 +521,7 @@ class TestSimulateCommand:
         def draw(*args):
             raise AssertionError("a block was drawn before the path file was opened")
 
-        monkeypatch.setattr(montecarlo, "_block_waiting_times", draw)
+        monkeypatch.setattr(montecarlo, "_block_generator", draw)
         (tmp_path / "a-directory").mkdir()
         result = run("simulate", "--wealth", "100", "--price", "2", "--rounds", "1000",
                      "--wealth-path-out", str(tmp_path / target))
@@ -529,12 +529,19 @@ class TestSimulateCommand:
         assert result.stdout == ""
         assert result.stderr.startswith("error:")
 
-    def test_refused_run_leaves_no_path_file(self, tmp_path):
+    @pytest.mark.parametrize("args, error", [
+        (["--rounds", "10", "--geom-p", "1e-12"], "error: geometric parameter"),
+        # runs whose estimate fails after every row is written
+        (["--rounds", "1"], "error: need at least 2 rounds"),
+        (["--payout", "menger", "--geom-p", "0.001", "--rounds", "1000"],
+         "error: not a finite number: growth_rate_estimate = inf"),
+    ], ids=["refused", "one-round", "infinite-estimate"])
+    def test_refused_run_leaves_no_path_file(self, tmp_path, args, error):
         out = tmp_path / "path.csv"
-        result = run("simulate", "--wealth", "100", "--price", "2", "--rounds", "10",
-                     "--geom-p", "1e-12", "--wealth-path-out", str(out))
+        result = run("simulate", "--wealth", "100", "--price", "2", *args,
+                     "--wealth-path-out", str(out))
         assert result.exit_code == 1
-        assert result.stderr.startswith("error: geometric parameter")
+        assert result.stderr.startswith(error)
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["link-to-devnull", "link-to-file", "fifo"])

@@ -1,5 +1,6 @@
 """Tests for seeded simulation: draws, trajectories, and estimators."""
 
+import concurrent.futures
 import json
 import dataclasses
 import math
@@ -99,6 +100,35 @@ class TestDrawWaitingTimes:
         expected.append(total * 0.5**10)
         chi2 = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
         assert chi2 < 29.588
+
+    @pytest.mark.parametrize("spec", [
+        GambleSpec(),
+        GambleSpec(payout_rule=Table(((0.5, 1.0), (0.3, 2.0), (0.2, 8.0)))),
+    ], ids=["p=0.5", "table"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_draws_follow_the_block_law(self, spec, seed):
+        # blocks 0, 1 and the head of block 2, rebuilt from the law alone:
+        # block 0 one uniform per waiting time, each later block its census
+        # shuffled, from the generator of its seed and index
+        count = 2 * 2**16 + 1000
+        blocks = []
+        for block in range(3):
+            rng = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(entropy=seed, spawn_key=(block,))))
+            if block == 0:
+                draws = spec.payout_rule.waiting_times(rng.random(2**16),
+                                                       spec.probability_parameter)
+            else:
+                counts = spec.payout_rule.census(rng, 2**16, spec.probability_parameter)
+                draws = np.repeat(np.arange(len(counts)), counts)
+                rng.shuffle(draws)
+            blocks.append(draws)
+        reference = np.concatenate(blocks)[:count]
+        config = SimulationConfig(seed=seed)
+        assert np.array_equal(draw_waiting_times(spec, count, config), reference)
+        trajectory = simulate_trajectory(PlayerState(wealth=100.0, ticket_price=2.0), spec,
+                                         count, config)
+        assert np.array_equal(trajectory.waiting_times, reference)
 
     @pytest.mark.parametrize("count", [1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
     def test_spans_tile_the_draws_in_blocks(self, count):
@@ -858,3 +888,20 @@ class TestCallingThread:
         run(GambleSpec(), SimulationConfig(seed=5))
         assert threads == [(block, threading.get_ident()) for block in range(4)]
         assert threading.active_count() == before
+
+    def test_threads_sampling_at_once_draw_the_serial_draws(self):
+        # each block draws into its own arrays: 8 threads sampling at once
+        # draw, run after run, what each seed draws alone
+        spec = GambleSpec(probability_parameter=1e-3)
+        serial = [draw_waiting_times(spec, 2**16, SimulationConfig(seed=seed))
+                  for seed in range(8)]
+        start = threading.Barrier(8)
+
+        def differing(seed):
+            start.wait()
+            return sum(not np.array_equal(
+                draw_waiting_times(spec, 2**16, SimulationConfig(seed=seed)), serial[seed])
+                for _ in range(40))
+
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            assert list(pool.map(differing, range(8))) == [0] * 8
