@@ -106,7 +106,6 @@ __all__ = [
     "Census",
     "NonpositiveReturnError",
     "SampleStats",
-    "SimulationConfig",
     "Trajectory",
     "draw_waiting_times",
     "ensemble_average_estimate",

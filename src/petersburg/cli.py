@@ -264,7 +264,7 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
     # the sampler, and numpy with it, loads only for the command using it
     from .montecarlo import (
         NonpositiveReturnError,
-        SimulationConfig,
+        _check_seed,
         ensemble_average_estimate,
         subinterval_estimate,
         time_average_census,
@@ -273,7 +273,7 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
 
     spec, state, policy, parameters = _series_setup(payout_rule, geom_p, tol, max_terms,
                                                     wealth, price)
-    config = SimulationConfig(seed=seed)
+    _check_seed(seed)
     if workers < 1:  # checked, then ignored: the sampler runs on one thread
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     if wealth_path_out is not None and mode != "time":
@@ -294,7 +294,7 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
     known = {}  # the analytic value beside an estimate, if the series gives one
     if mode == "ensemble":
         parameters["samples"] = samples
-        stats = ensemble_average_estimate(state, spec, samples, config)
+        stats = ensemble_average_estimate(state, spec, samples, seed)
         analytic = expected_payout(spec, policy, wealth=wealth)
         if analytic.is_converged:
             known["analytic_mean_factor"] = _mean_factor(wealth, price, analytic.value)
@@ -305,7 +305,7 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
         q = rounds if subintervals is None else subintervals
         parameters["subintervals"] = q
         try:
-            stats = subinterval_estimate(state, spec, q, config)
+            stats = subinterval_estimate(state, spec, q, seed)
         except NonpositiveReturnError as exc:
             emit({"mode": "subinterval", "error": "NonpositiveReturn", "detail": str(exc)})
             return 2
@@ -330,7 +330,7 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
     with path_file:
         try:
             run = time_average_census(
-                state, spec, rounds, config,
+                state, spec, rounds, seed,
                 path=None if wealth_path_out is None else _wealth_path_writer(path_file))
             if run.bankrupt_at is None:
                 results = finite(_estimate_results(time_average_estimate(run), "time",
@@ -456,11 +456,11 @@ def _wealth_path_writer(handle) -> Callable[..., None]:
     """Write the header of the ``round,wealth`` CSV of a path to ``handle``,
     and return the writer of its rows, one block of log wealth at a time.
 
-    ``write(log_wealth)`` writes a block given as an array, as
-    :func:`.montecarlo.trajectory_blocks` yields it.  ``write(log_wealth,
-    rows, low, high)`` writes one as :func:`.montecarlo.time_average_census`
-    gives it to ``path``: ``log_wealth`` is then a function of no arguments
-    returning that array, its ``rows`` rows each within ``[low, high]``.
+    ``write(log_wealth, rows, low, high)`` writes a block as
+    :func:`.montecarlo.time_average_census` gives it to ``path``:
+    ``log_wealth`` is a function of no arguments returning the array
+    :func:`.montecarlo.trajectory_blocks` yields, its ``rows`` rows each
+    within ``[low, high]``.
     A path leaves the double range: its rows then read ``inf`` (log wealth
     at or above 710) or ``0.0`` (at or below -746).  A block whose bounds
     lie wholly past one bound is written from ``rows`` alone, and its
@@ -484,15 +484,13 @@ def _wealth_path_writer(handle) -> Callable[..., None]:
             handle.write(text)
         written += rows
 
-    def write(log_wealth, rows: int = 0, low: float = -math.inf,
-              high: float = math.inf) -> None:
+    def write(log_wealth, rows: int, low: float, high: float) -> None:
         nonlocal written
         cell = _fixed_cell(low, high)
         if cell is not None:
             fixed(rows, cell)
             return
-        if callable(log_wealth):
-            log_wealth = log_wealth()
+        log_wealth = log_wealth()
         for start in range(0, len(log_wealth), _PATH_SLICE):
             part = log_wealth[start:start + _PATH_SLICE]
             top = part.max()

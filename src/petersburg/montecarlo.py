@@ -1,9 +1,10 @@
 """Monte Carlo verification of the analytic growth rates.
 
-Simulation draws waiting times in fixed blocks of 2**16, with block
-``b`` seeded by ``SeedSequence(entropy=seed, spawn_key=(b,))``, and
-every estimator draws a block by the same law, in one function
-(``_block_run``):
+Every sampler takes ``seed``, a nonnegative integer (default 0) seeding
+the whole experiment.  Simulation draws waiting times in fixed blocks of
+2**16, with block ``b`` seeded by ``SeedSequence(entropy=seed,
+spawn_key=(b,))``, and every estimator draws a block by the same law, in
+one function (``_block_run``):
 
 * block 0 is drawn one by one, one uniform variate per waiting time;
 * every later block is drawn as its census, the count of each waiting
@@ -60,21 +61,6 @@ class NonpositiveReturnError(ArithmeticError):
 
 class BankruptTrajectoryError(NonpositiveReturnError):
     """The trajectory hit bankruptcy; growth-rate estimates do not exist."""
-
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    """Reproducibility knob for the samplers.
-
-    Args:
-        seed: Nonnegative integer seeding the whole experiment.
-    """
-
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -150,7 +136,13 @@ class Census:
 # ====== Seeded blocks ======
 
 
+def _check_seed(seed: int) -> None:
+    if not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 def _block_generator(seed: int, block: int) -> np.random.Generator:
+    _check_seed(seed)
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(block,))
     return np.random.Generator(np.random.PCG64(seq))
 
@@ -207,9 +199,7 @@ def _spans(count: int) -> Iterator[Tuple[int, int, int]]:
             for start in range(0, count, _BLOCK_SIZE))
 
 
-def draw_waiting_times(
-    spec: GambleSpec, count: int, config: Optional[SimulationConfig] = None
-) -> np.ndarray:
+def draw_waiting_times(spec: GambleSpec, count: int, seed: int = 0) -> np.ndarray:
     """First ``count`` waiting times of the seeded experiment.
 
     The sequence depends only on the seed (and the gamble's law), never
@@ -220,17 +210,16 @@ def draw_waiting_times(
     Args:
         spec: Gamble specification.
         count: Number of draws (positive).
-        config: Seed.
+        seed: Nonnegative integer seeding the whole experiment.
 
     Returns:
         Array of ``count`` waiting times (1-based, dtype int64).
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count!r}")
-    config = config or SimulationConfig()
     out = np.empty(count, dtype=np.int64)
     for block, lo, hi in _spans(count):
-        out[lo:hi] = _block_run(spec, config.seed, block, lo, hi, None)[2]()
+        out[lo:hi] = _block_run(spec, seed, block, lo, hi, None)[2]()
     return out
 
 
@@ -361,23 +350,14 @@ def _ruin_test(state: PlayerState, spec: GambleSpec) -> Callable[[np.ndarray], n
     return held
 
 
-def _census(
-    state: PlayerState,
-    spec: GambleSpec,
-    count: int,
-    config: SimulationConfig,
-    stop_at_ruin: bool,
-) -> Tuple[np.ndarray, Optional[Tuple[int, int]]]:
-    """Census of the first ``count`` draws, block by block.
-
-    With ``stop_at_ruin``, the census stops before the first draw whose
-    growth factor is nonpositive, returned as ``(index, n)`` with a
-    0-based index; otherwise, and when no draw ruins, it is ``None``.
-    No block after the ruinous one is drawn.
+def _census(spec: GambleSpec, count: int, seed: int,
+            held: Optional[Callable[[np.ndarray], np.ndarray]] = None
+            ) -> Tuple[np.ndarray, Optional[Tuple[int, int]]]:
+    """Census of the first ``count`` draws, block by block, cut before the
+    first draw that ``held`` finds ruinous, returned as ``(index, n)`` (see
+    :func:`_block_run`), or ``None``.  No block after the ruinous one is drawn.
     """
-    held = _ruin_test(state, spec) if stop_at_ruin else None
-    return _sum_censuses(_block_run(spec, config.seed, *span, held)[:2]
-                         for span in _spans(count))
+    return _sum_censuses(_block_run(spec, seed, *span, held)[:2] for span in _spans(count))
 
 
 def _sum_censuses(parts: Iterable[Tuple[np.ndarray, Optional[Tuple[int, int]]]]
@@ -451,7 +431,7 @@ def _sum_bounds(low: float, high: float, start: float, logs: np.ndarray,
 
 
 def _path_blocks(
-    state: PlayerState, spec: GambleSpec, rounds: int, config: SimulationConfig
+    state: PlayerState, spec: GambleSpec, rounds: int, seed: int
 ) -> Iterator[Tuple[np.ndarray, Optional[Tuple[int, int]], int, float, float,
                     Callable[[], Tuple[np.ndarray, np.ndarray]]]]:
     """The run of :func:`trajectory_blocks`, block by block, with each
@@ -472,7 +452,6 @@ def _path_blocks(
     seeds, census then order, to rebuild the running sum exactly, so the
     state kept is a block index and an interval whatever the run length.
     """
-    seed = config.seed
     start = math.log(state.wealth)
     held = _ruin_test(state, spec)
     # the running sum is carried into each block's cumsum, so the path is
@@ -527,7 +506,7 @@ def trajectory_blocks(
     state: PlayerState,
     spec: GambleSpec,
     rounds: int,
-    config: Optional[SimulationConfig] = None,
+    seed: int = 0,
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """The run of :func:`simulate_trajectory`, one block of 2**16 rounds at a time.
 
@@ -543,12 +522,11 @@ def trajectory_blocks(
         state: Wealth and ticket price.
         spec: Gamble specification.
         rounds: Number of rounds to attempt (positive).
-        config: Seed.
+        seed: Nonnegative integer seeding the whole experiment.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be positive, got {rounds!r}")
-    for _, fatal, _, _, _, values in _path_blocks(state, spec, rounds,
-                                                  config or SimulationConfig()):
+    for _, fatal, _, _, _, values in _path_blocks(state, spec, rounds, seed):
         draws, log_wealth = values()
         yield draws if fatal is None else np.append(draws, fatal[1]), log_wealth
 
@@ -557,7 +535,7 @@ def simulate_trajectory(
     state: PlayerState,
     spec: GambleSpec,
     rounds: int,
-    config: Optional[SimulationConfig] = None,
+    seed: int = 0,
 ) -> Trajectory:
     """Play the gamble ``rounds`` times at a fixed ticket price.
 
@@ -575,13 +553,13 @@ def simulate_trajectory(
         state: Wealth and ticket price.
         spec: Gamble specification.
         rounds: Number of rounds to attempt (positive).
-        config: Seed.
+        seed: Nonnegative integer seeding the whole experiment.
 
     Returns:
         A :class:`Trajectory`.
     """
     draws, log_path = (np.concatenate(parts)
-                       for parts in zip(*trajectory_blocks(state, spec, rounds, config)))
+                       for parts in zip(*trajectory_blocks(state, spec, rounds, seed)))
     bankrupt_at: Optional[int] = None
     bankrupt_wealth: Optional[float] = None
     if len(log_path) == len(draws):  # the ruinous round adds a draw but no wealth
@@ -602,8 +580,8 @@ def time_average_census(
     state: PlayerState,
     spec: GambleSpec,
     rounds: int,
-    config: Optional[SimulationConfig] = None,
-    path: Optional[Callable[[np.ndarray], object]] = None,
+    seed: int = 0,
+    path: Optional[Callable[[Callable[[], np.ndarray], int, float, float], object]] = None,
 ) -> Census:
     """The run :func:`simulate_trajectory` plays, counted instead of stored.
 
@@ -615,7 +593,7 @@ def time_average_census(
         state: Wealth and ticket price.
         spec: Gamble specification.
         rounds: Number of rounds to attempt (positive).
-        config: Seed.
+        seed: Nonnegative integer seeding the whole experiment.
         path: Called once per block, in order, with ``(log_wealth, rows,
             low, high)``: a function of no arguments returning the block's
             log wealth, the array :func:`trajectory_blocks` yields; that
@@ -632,13 +610,12 @@ def time_average_census(
     """
     if rounds < 1:
         raise ValueError(f"rounds must be positive, got {rounds!r}")
-    config = config or SimulationConfig()
     if path is None:
-        counts, fatal = _census(state, spec, rounds, config, stop_at_ruin=True)
+        counts, fatal = _census(spec, rounds, seed, _ruin_test(state, spec))
     else:
         def written():
             for block_counts, fatal, rows, low, high, values in _path_blocks(
-                    state, spec, rounds, config):
+                    state, spec, rounds, seed):
                 path(lambda: values()[1], rows, low, high)
                 yield block_counts, fatal
 
@@ -684,7 +661,7 @@ def subinterval_estimate(
     state: PlayerState,
     spec: GambleSpec,
     subintervals: int,
-    config: Optional[SimulationConfig] = None,
+    seed: int = 0,
 ) -> SampleStats:
     """Growth rate from returns that each act for a fraction of a unit time.
 
@@ -699,13 +676,14 @@ def subinterval_estimate(
     grows is the gamble's non-ergodicity made visible on one sample.
 
     The ``q`` returns are the first ``q`` draws of the seeded
-    experiment, the same draws a trajectory from the same config plays.
+    experiment, reduced from the census :func:`time_average_census`
+    counts for ``q`` rounds: the draws a trajectory of the same seed plays.
 
     Args:
         state: Wealth and ticket price.
         spec: Gamble specification.
         subintervals: Number of slices ``q`` (positive).
-        config: Seed.
+        seed: Nonnegative integer seeding the whole experiment.
 
     Returns:
         Mean per-unit-time rate over the ``q`` returns and its standard
@@ -718,28 +696,27 @@ def subinterval_estimate(
     q = subintervals
     if q < 1:
         raise ValueError(f"subintervals must be positive, got {subintervals!r}")
-    config = config or SimulationConfig()
-    counts, fatal = _census(state, spec, q, config, stop_at_ruin=True)
-    if fatal is not None:
+    run = time_average_census(state, spec, q, seed)
+    if run.bankrupt_at is not None:
         raise NonpositiveReturnError(
-            f"draw {fatal[0] + 1} yields a nonpositive return; no real "
+            f"draw {run.bankrupt_at} yields a nonpositive return; no real "
             f"fractional-period rate exists at this ticket price"
         )
     if q == 1:
-        return _census_stats(counts, lambda ns: _growth_factors(state, spec, ns) - 1.0)
+        return _census_stats(run.counts, lambda ns: _growth_factors(state, spec, ns) - 1.0)
 
     def rates(ns: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
             return q * np.expm1(_log_growth_factors(state, spec, ns) / q)
 
-    return _census_stats(counts, rates)
+    return _census_stats(run.counts, rates)
 
 
 def ensemble_average_estimate(
     state: PlayerState,
     spec: GambleSpec,
     samples: int,
-    config: Optional[SimulationConfig] = None,
+    seed: int = 0,
 ) -> SampleStats:
     """Average single-round growth factor across independent players.
 
@@ -763,7 +740,7 @@ def ensemble_average_estimate(
         state: Wealth and ticket price.
         spec: Gamble specification.
         samples: Number of independent players (at least 2).
-        config: Seed.
+        seed: Nonnegative integer seeding the whole experiment.
 
     Returns:
         Mean growth factor and its standard error.  When the payout
@@ -775,6 +752,5 @@ def ensemble_average_estimate(
     """
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples!r}")
-    config = config or SimulationConfig()
-    counts, _ = _census(state, spec, samples, config, stop_at_ruin=False)
+    counts, _ = _census(spec, samples, seed)
     return _census_stats(counts, lambda ns: _growth_factors(state, spec, ns))

@@ -19,7 +19,6 @@ from petersburg import (
     GambleSpec,
     Menger,
     PlayerState,
-    SimulationConfig,
     Table,
     TruncationPolicy,
     UndefinedReason,
@@ -184,8 +183,7 @@ class TestAcceptance:
         analytic = time_average_growth(state, spec, TruncationPolicy(1e-13))
         assert abs(analytic.value - GROWTH_100_2) < 1e-12
         start = time.perf_counter()
-        trajectory = simulate_trajectory(state, spec, 1_000_000,
-                                         SimulationConfig(seed=0))
+        trajectory = simulate_trajectory(state, spec, 1_000_000, 0)
         stats = time_average_estimate(trajectory)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0
@@ -199,8 +197,7 @@ class TestAcceptance:
         medians = []
         for samples in (1_000, 10_000, 100_000, 1_000_000):
             estimates = [
-                ensemble_average_estimate(state, spec, samples,
-                                          SimulationConfig(seed=rep)).estimate
+                ensemble_average_estimate(state, spec, samples, rep).estimate
                 for rep in range(100)
             ]
             medians.append(float(np.median(estimates)))
@@ -209,17 +206,16 @@ class TestAcceptance:
         # The per-trajectory growth estimate, by contrast, tightens like a
         # well-behaved average: 100x the rounds buys ~10x the precision.
         short = time_average_estimate(
-            simulate_trajectory(state, spec, 10_000, SimulationConfig(seed=0)))
+            simulate_trajectory(state, spec, 10_000, 0))
         long = time_average_estimate(
-            simulate_trajectory(state, spec, 1_000_000, SimulationConfig(seed=0)))
+            simulate_trajectory(state, spec, 1_000_000, 0))
         assert short.stderr / long.stderr >= 10.0
 
     def test_subinterval_estimator_bridges_both_averages(self):
         state = PlayerState(wealth=100.0, ticket_price=2.0)
         spec = GambleSpec()
         # Many fine slices: the estimator lands on the time-average rate.
-        fine = subinterval_estimate(state, spec, 1_000_000,
-                                    SimulationConfig(seed=0))
+        fine = subinterval_estimate(state, spec, 1_000_000, 0)
         assert abs(fine.estimate - GROWTH_100_2) <= 3.0 * fine.stderr
         # One slice: the estimator is exactly the simple rate of return,
         # whatever the draw happened to be.  One-row tables force each
@@ -230,8 +226,8 @@ class TestAcceptance:
             certainty = GambleSpec(payout_rule=Table(((1.0, payout),)))
             stats = subinterval_estimate(state, certainty, 1)
             assert stats.estimate == factor - 1.0
-        first = int(draw_waiting_times(spec, 1, SimulationConfig(seed=0))[0])
-        natural = subinterval_estimate(state, spec, 1, SimulationConfig(seed=0))
+        first = int(draw_waiting_times(spec, 1, 0)[0])
+        natural = subinterval_estimate(state, spec, 1, 0)
         assert natural.estimate == (100.0 - 2.0 + 2.0 ** (first - 1)) / 100.0 - 1.0
 
     def test_simulate_cli_is_byte_identical_across_workers(self):

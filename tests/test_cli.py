@@ -24,7 +24,6 @@ from petersburg import (
     GambleSpec,
     Menger,
     PlayerState,
-    SimulationConfig,
     Table,
     simulate_trajectory,
     trajectory_blocks,
@@ -69,7 +68,7 @@ def _reject_constant(token):
 def reference_path_file(state, spec, rounds, seed):
     """The wealth-path CSV written row by row: ``math.exp``, ``repr`` and
     ``csv.writer`` for each round of the trajectory."""
-    trajectory = simulate_trajectory(state, spec, rounds, SimulationConfig(seed=seed))
+    trajectory = simulate_trajectory(state, spec, rounds, seed)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["round", "wealth"])
@@ -349,6 +348,17 @@ class TestSimulateCommand:
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr == f"error: workers must be a positive integer, got {workers}\n"
+
+    @pytest.mark.parametrize("mode", ["time", "ensemble", "subinterval"])
+    def test_a_negative_seed_is_refused_before_the_path_file_opens(self, tmp_path, mode):
+        out = tmp_path / "path.csv"
+        out.write_bytes(b"kept\n")
+        result = run("simulate", "--mode", mode, "--wealth", "100", "--price", "2",
+                     "--rounds", "10", "--seed", "-1", "--wealth-path-out", str(out))
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: seed must be a nonnegative integer, got -1\n"
+        assert out.read_bytes() == b"kept\n"
 
     def test_ensemble_mode(self):
         result = run("simulate", "--mode", "ensemble", "--wealth", "100",
@@ -847,9 +857,8 @@ class TestWealthPathFile:
         monkeypatch.undo()
         handle = io.StringIO()
         write = _wealth_path_writer(handle)
-        for _, log_wealth in trajectory_blocks(PlayerState(100.0, 2.0), GambleSpec(), rounds,
-                                               SimulationConfig(seed=1)):
-            write(log_wealth)
+        for _, log_wealth in trajectory_blocks(PlayerState(100.0, 2.0), GambleSpec(), rounds, 1):
+            write(lambda: log_wealth, len(log_wealth), -math.inf, math.inf)
         assert data == handle.getvalue().encode()
         assert data.endswith(b"\n1000000,inf\n")
 
@@ -931,10 +940,10 @@ class TestWealthPathWriter:
         handle = io.StringIO()
         write = _wealth_path_writer(handle)
         if first:
-            write(np.full(first, 800.0))
+            write(lambda: np.full(first, 800.0), first, -math.inf, math.inf)
         written = handle.tell()
         for begin, end in zip(bounds, bounds[1:]):
-            write(path[begin:end])
+            write(lambda: path[begin:end], end - begin, -math.inf, math.inf)
         expected = "".join(["%d,%s\n" % (first + t, _wealth_cell(x))
                             for t, x in enumerate(path.tolist())])
         assert handle.getvalue()[written:] == expected
@@ -946,8 +955,8 @@ class TestWealthPathWriter:
         handle = io.StringIO()
         write = _wealth_path_writer(handle)
         if first:
-            write(np.full(first, 800.0))
-        write(np.array([-800.0, 800.0]))
+            write(lambda: np.full(first, 800.0), first, -math.inf, math.inf)
+        write(lambda: np.array([-800.0, 800.0]), 2, -math.inf, math.inf)
         rows = handle.getvalue().splitlines()
         assert rows == ["round,wealth", *(f"{t},inf" for t in range(first)),
                         f"{first},0.0", f"{first + 1},inf"]

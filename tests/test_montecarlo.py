@@ -2,7 +2,6 @@
 
 import concurrent.futures
 import json
-import dataclasses
 import math
 import threading
 import tracemalloc
@@ -19,7 +18,6 @@ from petersburg import (
     Menger,
     NonpositiveReturnError,
     PlayerState,
-    SimulationConfig,
     Table,
     ensemble_average_estimate,
     draw_waiting_times,
@@ -36,6 +34,29 @@ from petersburg.cli import main
 
 GROWTH_100_2 = 0.0234834936741544663694884870358
 
+#: Three full blocks and a partial one.
+CENSUS_ROUNDS = 3 * 2**16 + 123
+
+#: Each seeded entry point run on ``CENSUS_ROUNDS`` draws, ``seed``
+#: passed on if given, reduced to a value that compares with ``==``.
+SEEDED_RUNS = {
+    "draws": lambda *seed: np.bincount(
+        draw_waiting_times(GambleSpec(), CENSUS_ROUNDS, *seed)).tolist(),
+    "blocks": lambda *seed: np.bincount(np.concatenate([
+        draws for draws, _ in trajectory_blocks(PlayerState(wealth=100.0, ticket_price=2.0),
+                                                GambleSpec(), CENSUS_ROUNDS, *seed)])).tolist(),
+    "trajectory": lambda *seed: np.bincount(simulate_trajectory(
+        PlayerState(wealth=100.0, ticket_price=2.0), GambleSpec(), CENSUS_ROUNDS,
+        *seed).waiting_times).tolist(),
+    "census": lambda *seed: time_average_census(
+        PlayerState(wealth=100.0, ticket_price=2.0), GambleSpec(), CENSUS_ROUNDS,
+        *seed).counts.tolist(),
+    "subinterval": lambda *seed: subinterval_estimate(
+        PlayerState(wealth=100.0, ticket_price=2.0), GambleSpec(), CENSUS_ROUNDS, *seed),
+    "ensemble": lambda *seed: ensemble_average_estimate(
+        PlayerState(wealth=100.0, ticket_price=2.0), GambleSpec(), CENSUS_ROUNDS, *seed),
+}
+
 
 # ====== Seeded draws ======
 
@@ -43,40 +64,40 @@ GROWTH_100_2 = 0.0234834936741544663694884870358
 class TestDrawWaitingTimes:
     def test_same_seed_same_draws(self):
         spec = GambleSpec()
-        a = draw_waiting_times(spec, 10_000, SimulationConfig(seed=7))
-        b = draw_waiting_times(spec, 10_000, SimulationConfig(seed=7))
+        a = draw_waiting_times(spec, 10_000, 7)
+        b = draw_waiting_times(spec, 10_000, 7)
         assert np.array_equal(a, b)
 
     def test_different_seed_different_draws(self):
         spec = GambleSpec()
-        a = draw_waiting_times(spec, 10_000, SimulationConfig(seed=7))
-        b = draw_waiting_times(spec, 10_000, SimulationConfig(seed=8))
+        a = draw_waiting_times(spec, 10_000, 7)
+        b = draw_waiting_times(spec, 10_000, 8)
         assert not np.array_equal(a, b)
 
     def test_prefix_property(self):
         # Asking for fewer draws yields a prefix of the longer run.
         spec = GambleSpec()
-        short = draw_waiting_times(spec, 1_000, SimulationConfig(seed=5))
-        long = draw_waiting_times(spec, 100_000, SimulationConfig(seed=5))
+        short = draw_waiting_times(spec, 1_000, 5)
+        long = draw_waiting_times(spec, 100_000, 5)
         assert np.array_equal(short, long[:1_000])
 
     def test_draws_are_positive_integers(self):
-        draws = draw_waiting_times(GambleSpec(), 50_000, SimulationConfig(seed=1))
+        draws = draw_waiting_times(GambleSpec(), 50_000, 1)
         assert draws.min() >= 1
 
     def test_geometric_mean_waiting_time(self):
-        draws = draw_waiting_times(GambleSpec(), 200_000, SimulationConfig(seed=2))
+        draws = draw_waiting_times(GambleSpec(), 200_000, 2)
         assert abs(draws.mean() - 2.0) < 0.02
 
     def test_skewed_coin_changes_the_law(self):
         spec = GambleSpec(probability_parameter=0.9)
-        draws = draw_waiting_times(spec, 200_000, SimulationConfig(seed=2))
+        draws = draw_waiting_times(spec, 200_000, 2)
         assert abs(draws.mean() - 1.0 / 0.9) < 0.01
 
     def test_table_draws_stay_in_support(self):
         table = Table(((0.5, 1.0), (0.25, 2.0), (0.25, 8.0)))
         spec = GambleSpec(payout_rule=table)
-        draws = draw_waiting_times(spec, 100_000, SimulationConfig(seed=4))
+        draws = draw_waiting_times(spec, 100_000, 4)
         assert draws.min() >= 1
         assert draws.max() <= 3
         first = float(np.mean(draws == 1))
@@ -92,7 +113,7 @@ class TestDrawWaitingTimes:
         # significance 1e-3 is 29.588; the seeded draws must not be
         # distinguishable from the half-half-half law at that level.
         total = 1_000_000
-        draws = draw_waiting_times(GambleSpec(), total, SimulationConfig(seed=0))
+        draws = draw_waiting_times(GambleSpec(), total, 0)
         counts = np.bincount(draws, minlength=12)
         observed = [int(counts[n]) for n in range(1, 11)]
         observed.append(total - sum(observed))
@@ -124,10 +145,9 @@ class TestDrawWaitingTimes:
                 rng.shuffle(draws)
             blocks.append(draws)
         reference = np.concatenate(blocks)[:count]
-        config = SimulationConfig(seed=seed)
-        assert np.array_equal(draw_waiting_times(spec, count, config), reference)
+        assert np.array_equal(draw_waiting_times(spec, count, seed), reference)
         trajectory = simulate_trajectory(PlayerState(wealth=100.0, ticket_price=2.0), spec,
-                                         count, config)
+                                         count, seed)
         assert np.array_equal(trajectory.waiting_times, reference)
 
     @pytest.mark.parametrize("count", [1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
@@ -140,18 +160,28 @@ class TestDrawWaitingTimes:
         assert all(0 < hi - lo <= 2**16 for _, lo, hi in spans)
 
 
-class TestSimulationConfig:
-    def test_defaults(self):
-        assert SimulationConfig().seed == 0
+class TestSeed:
+    """Every sampler takes ``seed``, refused unless a nonnegative ``int``."""
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(seed=-1)
+    @pytest.mark.parametrize("run", sorted(SEEDED_RUNS))
+    def test_the_default_is_seed_0(self, run):
+        assert SEEDED_RUNS[run]() == SEEDED_RUNS[run](0)
 
-    def test_seed_is_the_only_field(self):
-        assert [f.name for f in dataclasses.fields(SimulationConfig)] == ["seed"]
-        with pytest.raises(TypeError):
-            SimulationConfig(seed=1, workers=2)
+    @pytest.mark.parametrize("run", sorted(SEEDED_RUNS))
+    def test_true_is_seed_1(self, run):
+        # ``bool`` is an ``int``, and numpy seeds True as 1
+        assert SEEDED_RUNS[run](True) == SEEDED_RUNS[run](1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, np.int64(3)], ids=["-1", "1.5", "int64"])
+    @pytest.mark.parametrize("run", sorted(SEEDED_RUNS))
+    def test_a_bad_seed_is_refused_before_any_generator_is_built(self, monkeypatch, run, seed):
+        def built(*args, **kwargs):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(np.random, "SeedSequence", built)
+        with pytest.raises(ValueError) as refused:
+            SEEDED_RUNS[run](seed)
+        assert str(refused.value) == f"seed must be a nonnegative integer, got {seed!r}"
 
 
 # ====== Trajectories ======
@@ -168,8 +198,8 @@ class TestSimulateTrajectory:
 
     def test_reproducible(self):
         state = PlayerState(wealth=100.0, ticket_price=2.0)
-        a = simulate_trajectory(state, GambleSpec(), 5_000, SimulationConfig(seed=11))
-        b = simulate_trajectory(state, GambleSpec(), 5_000, SimulationConfig(seed=11))
+        a = simulate_trajectory(state, GambleSpec(), 5_000, 11)
+        b = simulate_trajectory(state, GambleSpec(), 5_000, 11)
         assert np.array_equal(a.log_wealth_path, b.log_wealth_path)
         assert np.array_equal(a.waiting_times, b.waiting_times)
 
@@ -196,8 +226,7 @@ class TestSimulateTrajectory:
     def test_bankruptcy_truncates_the_path(self):
         # Price 11 against wealth 10: the shortest game zeroes the player.
         state = PlayerState(wealth=10.0, ticket_price=11.0)
-        trajectory = simulate_trajectory(state, GambleSpec(), 1_000,
-                                         SimulationConfig(seed=0))
+        trajectory = simulate_trajectory(state, GambleSpec(), 1_000, 0)
         assert trajectory.bankrupt_at is not None
         assert trajectory.bankrupt_at <= 1_000
         assert len(trajectory.log_wealth_path) == trajectory.bankrupt_at
@@ -216,24 +245,21 @@ class TestSimulateTrajectory:
 class TestTimeAverageEstimate:
     def test_matches_series_value(self):
         state = PlayerState(wealth=100.0, ticket_price=2.0)
-        trajectory = simulate_trajectory(state, GambleSpec(), 200_000,
-                                         SimulationConfig(seed=0))
+        trajectory = simulate_trajectory(state, GambleSpec(), 200_000, 0)
         stats = time_average_estimate(trajectory)
         assert abs(stats.estimate - GROWTH_100_2) < 5.0 * stats.stderr
         assert stats.count == 200_000
 
     def test_stderr_scale(self):
         state = PlayerState(wealth=100.0, ticket_price=2.0)
-        trajectory = simulate_trajectory(state, GambleSpec(), 200_000,
-                                         SimulationConfig(seed=0))
+        trajectory = simulate_trajectory(state, GambleSpec(), 200_000, 0)
         stats = time_average_estimate(trajectory)
         # Per-round log returns have spread about 0.149 here.
         assert abs(stats.stderr - 0.149 / math.sqrt(200_000)) < 0.05 * stats.stderr
 
     def test_census_accounts_for_every_round(self):
         state = PlayerState(wealth=100.0, ticket_price=2.0)
-        trajectory = simulate_trajectory(state, GambleSpec(), 50_000,
-                                         SimulationConfig(seed=0))
+        trajectory = simulate_trajectory(state, GambleSpec(), 50_000, 0)
         stats = time_average_estimate(trajectory)
         assert sum(stats.frequencies.values()) == stats.count
         assert stats.max_n == max(stats.frequencies)
@@ -243,8 +269,7 @@ class TestTimeAverageEstimate:
 
     def test_bankrupt_trajectory_rejected(self):
         state = PlayerState(wealth=10.0, ticket_price=11.0)
-        trajectory = simulate_trajectory(state, GambleSpec(), 10_000,
-                                         SimulationConfig(seed=0))
+        trajectory = simulate_trajectory(state, GambleSpec(), 10_000, 0)
         with pytest.raises(BankruptTrajectoryError):
             time_average_estimate(trajectory)
 
@@ -261,9 +286,9 @@ class TestTimeAverageEstimate:
 class TestSubintervalEstimate:
     def test_single_interval_equals_simple_return(self):
         state = PlayerState(wealth=100.0, ticket_price=2.0)
-        config = SimulationConfig(seed=0)
-        stats = subinterval_estimate(state, GambleSpec(), 1, config)
-        n = int(draw_waiting_times(GambleSpec(), 1, config)[0])
+        seed = 0
+        stats = subinterval_estimate(state, GambleSpec(), 1, seed)
+        n = int(draw_waiting_times(GambleSpec(), 1, seed)[0])
         factor = (100.0 - 2.0 + 2.0 ** (n - 1)) / 100.0
         assert stats.estimate == factor - 1.0
         assert stats.count == 1
@@ -292,9 +317,9 @@ class TestSubintervalEstimate:
 
     def test_many_intervals_approach_time_average(self):
         state = PlayerState(wealth=100.0, ticket_price=2.0)
-        config = SimulationConfig(seed=0)
-        fine = subinterval_estimate(state, GambleSpec(), 200_000, config)
-        trajectory = simulate_trajectory(state, GambleSpec(), 200_000, config)
+        seed = 0
+        fine = subinterval_estimate(state, GambleSpec(), 200_000, seed)
+        trajectory = simulate_trajectory(state, GambleSpec(), 200_000, seed)
         coarse = time_average_estimate(trajectory)
         assert abs(fine.estimate - coarse.estimate) < 1e-4
         assert abs(fine.estimate - GROWTH_100_2) < 5.0 * fine.stderr
@@ -303,9 +328,9 @@ class TestSubintervalEstimate:
         # The q sampled returns are the first q draws of the seeded
         # experiment -- the same outcomes a trajectory plays.
         state = PlayerState(wealth=100.0, ticket_price=2.0)
-        config = SimulationConfig(seed=12)
-        stats = subinterval_estimate(state, GambleSpec(), 500, config)
-        trajectory = simulate_trajectory(state, GambleSpec(), 500, config)
+        seed = 12
+        stats = subinterval_estimate(state, GambleSpec(), 500, seed)
+        trajectory = simulate_trajectory(state, GambleSpec(), 500, seed)
         factors = trajectory.growth_factors()
         rates = 500 * np.expm1(np.log(factors) / 500)
         assert abs(stats.estimate - float(rates.mean())) < 1e-15
@@ -318,15 +343,15 @@ class TestSubintervalEstimate:
         # For the same draws, a return held for a shorter slice contributes
         # less: q * (r**(1/q) - 1) decreases toward log(r) as q grows.
         state = PlayerState(wealth=100.0, ticket_price=2.0)
-        config = SimulationConfig(seed=0)
-        full = subinterval_estimate(state, GambleSpec(), 50_000, config)
-        trajectory = simulate_trajectory(state, GambleSpec(), 50_000, config)
+        seed = 0
+        full = subinterval_estimate(state, GambleSpec(), 50_000, seed)
+        trajectory = simulate_trajectory(state, GambleSpec(), 50_000, seed)
         logarithmic = time_average_estimate(trajectory)
         assert full.estimate >= logarithmic.estimate
         assert abs(full.estimate - logarithmic.estimate) < 1e-4
         # A single slice is the raw first-round return, which for this seed
         # sits far above the long-run growth rate.
-        one = subinterval_estimate(state, GambleSpec(), 1, config)
+        one = subinterval_estimate(state, GambleSpec(), 1, seed)
         assert one.estimate > full.estimate
 
     def test_interval_count_must_be_positive(self):
@@ -339,7 +364,7 @@ class TestSubintervalEstimate:
         # and a zero return has no real fractional-period rate.
         state = PlayerState(wealth=10.0, ticket_price=11.0)
         with pytest.raises(NonpositiveReturnError):
-            subinterval_estimate(state, GambleSpec(), 10_000, SimulationConfig(seed=0))
+            subinterval_estimate(state, GambleSpec(), 10_000, 0)
 
 
 # ====== Ensemble estimator ======
@@ -352,22 +377,20 @@ class TestEnsembleAverageEstimate:
         table = Table(((0.5, 1.0), (0.25, 2.0), (0.25, 8.0)))
         state = PlayerState(wealth=10.0, ticket_price=2.0)
         stats = ensemble_average_estimate(state, GambleSpec(payout_rule=table),
-                                          200_000, SimulationConfig(seed=0))
+                                          200_000, 0)
         assert abs(stats.estimate - 1.1) < 5.0 * stats.stderr
         assert stats.count == 200_000
 
     def test_capped_gamble_matches_expectation(self):
         state = PlayerState(wealth=100.0, ticket_price=2.0)
         spec = GambleSpec(payout_rule=Capped(1e9))
-        stats = ensemble_average_estimate(state, spec, 200_000,
-                                          SimulationConfig(seed=0))
+        stats = ensemble_average_estimate(state, spec, 200_000, 0)
         # Rare huge payouts make this a very noisy estimator; sanity only.
         assert 0.9 < stats.estimate < 1.5
 
     def test_census_accounts_for_every_player(self):
         state = PlayerState(wealth=100.0, ticket_price=2.0)
-        stats = ensemble_average_estimate(state, GambleSpec(), 100_000,
-                                          SimulationConfig(seed=0))
+        stats = ensemble_average_estimate(state, GambleSpec(), 100_000, 0)
         assert sum(stats.frequencies.values()) == stats.count
         assert stats.max_n == max(stats.frequencies)
         assert abs(stats.frequencies[1] / stats.count - 0.5) < 0.01
@@ -386,8 +409,7 @@ class TestAnalyticAgreement:
         state = PlayerState(wealth=50.0, ticket_price=3.0)
         spec = GambleSpec()
         analytic = time_average_growth(state, spec).value
-        trajectory = simulate_trajectory(state, spec, 400_000,
-                                         SimulationConfig(seed=1))
+        trajectory = simulate_trajectory(state, spec, 400_000, 1)
         stats = time_average_estimate(trajectory)
         assert abs(stats.estimate - analytic) < 5.0 * stats.stderr
 
@@ -402,8 +424,7 @@ class TestAnalyticAgreement:
         # 100 seeds is compared.
         target = 1.0 + (15.0 - 2.0) / 1000.0
         errors = [
-            np.median([abs(ensemble_average_estimate(state, spec, samples,
-                                                     SimulationConfig(seed=seed)).estimate
+            np.median([abs(ensemble_average_estimate(state, spec, samples, seed).estimate
                            - target)
                        for seed in range(100)])
             for samples in (1_000, 1_000_000)
@@ -415,9 +436,6 @@ class TestAnalyticAgreement:
 # ====== Census reductions ======
 
 
-#: Three full blocks and a partial one.
-CENSUS_ROUNDS = 3 * 2**16 + 123
-
 #: One round in 10**5 pays nothing, and at price 10.5 against wealth 10
 #: that round is ruinous.  At seed ``RARE_RUIN_SEED`` the first one falls
 #: at round 74 029, in the second block, the first one drawn as counts.
@@ -426,9 +444,9 @@ RARE_RUIN_STATE = PlayerState(wealth=10.0, ticket_price=10.5)
 RARE_RUIN_SEED = 2
 
 
-def one_cumsum_path(state, spec, rounds, config):
+def one_cumsum_path(state, spec, rounds, seed):
     """The log-wealth path as one cumsum over every round drawn."""
-    draws = draw_waiting_times(spec, rounds, config)
+    draws = draw_waiting_times(spec, rounds, seed)
     ns = np.arange(1, int(draws.max()) + 1)
     fatal = np.flatnonzero(np.isin(draws, ns[montecarlo._growth_factors(state, spec, ns) <= 0.0]))
     survived = draws[: fatal[0]] if fatal.size else draws
@@ -449,20 +467,18 @@ class TestTrajectoryBlocks:
         (RARE_RUIN_STATE, GambleSpec(payout_rule=RARE_RUIN), 200_000, RARE_RUIN_SEED),
     ])
     def test_blocks_round_the_path_as_one_cumsum(self, state, spec, rounds, seed):
-        config = SimulationConfig(seed=seed)
-        blocks = list(trajectory_blocks(state, spec, rounds, config))
+        blocks = list(trajectory_blocks(state, spec, rounds, seed))
         assert all(len(draws) <= 2**16 for draws, _ in blocks)
         path = np.concatenate([log_wealth for _, log_wealth in blocks])
-        assert path.tobytes() == one_cumsum_path(state, spec, rounds, config).tobytes()
-        trajectory = simulate_trajectory(state, spec, rounds, config)
+        assert path.tobytes() == one_cumsum_path(state, spec, rounds, seed).tobytes()
+        trajectory = simulate_trajectory(state, spec, rounds, seed)
         assert trajectory.log_wealth_path.tobytes() == path.tobytes()
         assert np.array_equal(trajectory.waiting_times,
                               np.concatenate([draws for draws, _ in blocks]))
 
     def test_no_block_follows_a_bankruptcy(self):
         spec = GambleSpec(payout_rule=RARE_RUIN)
-        blocks = list(trajectory_blocks(RARE_RUIN_STATE, spec, 10 * 2**16,
-                                        SimulationConfig(seed=RARE_RUIN_SEED)))
+        blocks = list(trajectory_blocks(RARE_RUIN_STATE, spec, 10 * 2**16, RARE_RUIN_SEED))
         assert len(blocks) == 2
         draws, log_wealth = blocks[-1]
         assert draws[-1] == 2  # the payout-0 outcome, ruinous at this price
@@ -538,8 +554,7 @@ def pooled_frequencies(seeds, draw):
 
 
 def ensemble_counts(spec, samples, seed):
-    frequencies = ensemble_average_estimate(LAW_STATE, spec, samples,
-                                            SimulationConfig(seed=seed)).frequencies
+    frequencies = ensemble_average_estimate(LAW_STATE, spec, samples, seed).frequencies
     counts = np.zeros(max(frequencies) + 1, dtype=np.int64)
     counts[list(frequencies)] = list(frequencies.values())
     return counts
@@ -550,9 +565,9 @@ def ensemble_counts(spec, samples, seed):
 CENSUS_MODES = {
     "ensemble": ensemble_counts,
     "time": lambda spec, samples, seed: time_average_census(
-        LAW_STATE, spec, samples, SimulationConfig(seed=seed)).counts,
+        LAW_STATE, spec, samples, seed).counts,
     "drawn": lambda spec, samples, seed: np.bincount(
-        draw_waiting_times(spec, samples, SimulationConfig(seed=seed))),
+        draw_waiting_times(spec, samples, seed)),
 }
 
 
@@ -617,7 +632,7 @@ class TestEnsembleCensusLaw:
                                      lambda seed: ensemble_counts(spec, samples, seed))
         # other seeds: an ensemble's census is that of the drawn waiting times
         drawn = pooled_frequencies(seeds, lambda seed: np.bincount(
-            draw_waiting_times(spec, samples, SimulationConfig(seed=1000 + seed))))
+            draw_waiting_times(spec, samples, 1000 + seed)))
         both = np.zeros(max(len(counted), len(drawn)))
         both[:len(counted)] += counted
         both[:len(drawn)] += drawn
@@ -635,8 +650,7 @@ class TestEnsembleCensusLaw:
         spec = GambleSpec()
         pairs = np.zeros((4, 4))
         for seed in range(10):
-            draws = np.minimum(draw_waiting_times(spec, 3 * 2**16, SimulationConfig(seed=seed)),
-                               4)[2**16:] - 1
+            draws = np.minimum(draw_waiting_times(spec, 3 * 2**16, seed), 4)[2**16:] - 1
             np.add.at(pairs, (draws[:-1], draws[1:]), 1)
         law = np.array([0.5, 0.25, 0.125, 0.125])
         expected = pairs.sum() * np.outer(law, law)
@@ -649,10 +663,7 @@ class TestEnsembleCensusLaw:
     def test_a_shorter_run_is_a_sub_census_of_a_longer_one(self, spec, seed):
         sizes = (1, 2, 1000, 1024, 2**14, 2**14 + 1, 40_000, 40_001, 65_535, 65_536,
                  65_537, CENSUS_ROUNDS)
-        state = PlayerState(wealth=100.0, ticket_price=2.0)
-        config = SimulationConfig(seed=seed)
-        censuses = [montecarlo._census(state, spec, size, config, stop_at_ruin=False)[0]
-                    for size in sizes]
+        censuses = [montecarlo._census(spec, size, seed)[0] for size in sizes]
         width = max(len(counts) for counts in censuses)
         censuses = [np.pad(counts, (0, width - len(counts))) for counts in censuses]
         for size, counts in zip(sizes, censuses):
@@ -666,7 +677,7 @@ class TestEnsembleCensusLaw:
         spec = GambleSpec(probability_parameter=0.05)
         for samples in (2, 1000, 2**14):
             counts = ensemble_counts(spec, samples, seed=7)
-            drawn = np.bincount(draw_waiting_times(spec, samples, SimulationConfig(seed=7)))
+            drawn = np.bincount(draw_waiting_times(spec, samples, 7))
             assert np.array_equal(counts, drawn)
 
     @pytest.mark.parametrize("size", [2**16 - 1, 2**16, 2**16 + 1, 2**16 + 600])
@@ -674,11 +685,11 @@ class TestEnsembleCensusLaw:
     def test_every_estimator_reduces_one_census(self, law, size):
         # with no ruinous round, the time run, the ensemble and the ordered
         # draws of one seed and size count the same waiting times
-        spec, config = CENSUS_LAWS[law], SimulationConfig(seed=3)
+        spec, seed = CENSUS_LAWS[law], 3
         censuses = [
-            time_average_census(LAW_STATE, spec, size, config).counts,
-            montecarlo._census(LAW_STATE, spec, size, config, stop_at_ruin=False)[0],
-            np.bincount(draw_waiting_times(spec, size, config)),
+            time_average_census(LAW_STATE, spec, size, seed).counts,
+            montecarlo._census(spec, size, seed)[0],
+            np.bincount(draw_waiting_times(spec, size, seed)),
         ]
         # a census drawn as counts may end in waiting times counted 0 times
         first, *others = [np.trim_zeros(counts, "b") for counts in censuses]
@@ -690,8 +701,8 @@ class TestEnsembleCensusLaw:
                              ids=["p=0.5", "p=1e-3"])
     def test_a_trajectory_extends_across_a_partial_counted_block(self, spec):
         # each run ends inside a block after the first, the head of its order
-        config = SimulationConfig(seed=5)
-        runs = [simulate_trajectory(LAW_STATE, spec, rounds, config)
+        seed = 5
+        runs = [simulate_trajectory(LAW_STATE, spec, rounds, seed)
                 for rounds in (2**16 + 600, 2**16 + 40_001, 3 * 2**16 + 5)]
         for shorter, longer in zip(runs, runs[1:]):
             head = shorter.rounds
@@ -717,27 +728,27 @@ class TestCensusReducer:
 
     def test_streaming_estimate_equals_the_trajectory_estimate(self):
         state = PlayerState(wealth=100.0, ticket_price=2.0)
-        config = SimulationConfig(seed=4)
+        seed = 4
         streamed = time_average_estimate(
-            time_average_census(state, GambleSpec(), CENSUS_ROUNDS, config))
+            time_average_census(state, GambleSpec(), CENSUS_ROUNDS, seed))
         stored = time_average_estimate(
-            simulate_trajectory(state, GambleSpec(), CENSUS_ROUNDS, config))
+            simulate_trajectory(state, GambleSpec(), CENSUS_ROUNDS, seed))
         assert streamed == stored
         assert streamed.count == CENSUS_ROUNDS
 
     def test_first_ruin_past_the_first_block(self, tmp_path, capsys):
         spec = GambleSpec(payout_rule=RARE_RUIN)
-        config = SimulationConfig(seed=RARE_RUIN_SEED)
-        trajectory = simulate_trajectory(RARE_RUIN_STATE, spec, 200_000, config)
+        seed = RARE_RUIN_SEED
+        trajectory = simulate_trajectory(RARE_RUIN_STATE, spec, 200_000, seed)
         assert trajectory.bankrupt_at > 2**16
 
-        census = time_average_census(RARE_RUIN_STATE, spec, 200_000, config)
+        census = time_average_census(RARE_RUIN_STATE, spec, 200_000, seed)
         assert census.bankrupt_at == trajectory.bankrupt_at
         assert census.bankrupt_wealth == trajectory.bankrupt_wealth
 
         with pytest.raises(NonpositiveReturnError,
                            match=f"draw {trajectory.bankrupt_at} yields"):
-            subinterval_estimate(RARE_RUIN_STATE, spec, 200_000, config)
+            subinterval_estimate(RARE_RUIN_STATE, spec, 200_000, seed)
 
         table = tmp_path / "rare-ruin.csv"
         table.write_text("probability,payout\n0.99999,10.0\n1e-05,0.0\n")
@@ -756,10 +767,10 @@ class TestCensusReducer:
         spec = GambleSpec(payout_rule=Table(((0.5, 13.0), (0.499999, 8.5), (1e-06, 0.0))))
         state = PlayerState(wealth=10.0, ticket_price=10.5)
         rounds = 2**21
-        trajectory = simulate_trajectory(state, spec, rounds, SimulationConfig(seed=0))
+        trajectory = simulate_trajectory(state, spec, rounds, 0)
         assert trajectory.bankrupt_at == 751_822
         assert trajectory.bankrupt_wealth < 0.0
-        census = time_average_census(state, spec, rounds, SimulationConfig(seed=0))
+        census = time_average_census(state, spec, rounds, 0)
         assert census.bankrupt_at == trajectory.bankrupt_at
         assert census.bankrupt_wealth == trajectory.bankrupt_wealth
         assert census.counts.sum() == trajectory.bankrupt_at - 1
@@ -776,7 +787,7 @@ class TestCensusReducer:
         monkeypatch.setattr(montecarlo, "_block_generator", counted)
         spec = GambleSpec(payout_rule=Table(((0.5, 13.0), (0.499999, 8.5), (1e-06, 0.0))))
         state = PlayerState(wealth=10.0, ticket_price=10.5)
-        census = time_average_census(state, spec, 2**21, SimulationConfig(seed=0))
+        census = time_average_census(state, spec, 2**21, 0)
         assert census.bankrupt_at == 751_822
         assert drawn == list(range(12))
 
@@ -788,9 +799,8 @@ class TestCensusReducer:
         spec = GambleSpec(payout_rule=Capped(2.0 ** 17))
         state = PlayerState(wealth=10.0, ticket_price=10.5)
         for seed in range(4):
-            config = SimulationConfig(seed=seed)
-            census = time_average_census(state, spec, 2**22, config)
-            trajectory = simulate_trajectory(state, spec, 2**22, config)
+            census = time_average_census(state, spec, 2**22, seed)
+            trajectory = simulate_trajectory(state, spec, 2**22, seed)
             assert census.bankrupt_at is not None
             assert census.bankrupt_at == trajectory.bankrupt_at
             assert np.array_equal(census.counts, np.bincount(trajectory.waiting_times[:-1]))
@@ -832,7 +842,7 @@ class TestCensusReducer:
         assert factors[11] == 2.0**12
         for seed in range(20):
             stats = time_average_estimate(
-                time_average_census(state, spec, 1000, SimulationConfig(seed=seed)))
+                time_average_census(state, spec, 1000, seed))
             assert math.isfinite(stats.estimate) and math.isfinite(stats.stderr)
 
     def test_finite_factors_match_the_scalar_reference(self):
@@ -864,17 +874,7 @@ class TestCensusReducer:
 class TestCallingThread:
     """The sampler draws every block on the thread that asks for it."""
 
-    @pytest.mark.parametrize("run", [
-        lambda spec, config: draw_waiting_times(spec, CENSUS_ROUNDS, config),
-        lambda spec, config: simulate_trajectory(
-            PlayerState(wealth=100.0, ticket_price=2.0), spec, CENSUS_ROUNDS, config),
-        lambda spec, config: time_average_census(
-            PlayerState(wealth=100.0, ticket_price=2.0), spec, CENSUS_ROUNDS, config),
-        lambda spec, config: subinterval_estimate(
-            PlayerState(wealth=100.0, ticket_price=2.0), spec, CENSUS_ROUNDS, config),
-        lambda spec, config: ensemble_average_estimate(
-            PlayerState(wealth=100.0, ticket_price=2.0), spec, CENSUS_ROUNDS, config),
-    ], ids=["draws", "trajectory", "census", "subinterval", "ensemble"])
+    @pytest.mark.parametrize("run", sorted(SEEDED_RUNS))
     def test_every_block_is_drawn_on_the_calling_thread(self, monkeypatch, run):
         threads = []
         generator = montecarlo._block_generator
@@ -885,7 +885,7 @@ class TestCallingThread:
 
         monkeypatch.setattr(montecarlo, "_block_generator", recorded)
         before = threading.active_count()
-        run(GambleSpec(), SimulationConfig(seed=5))
+        SEEDED_RUNS[run](5)
         assert threads == [(block, threading.get_ident()) for block in range(4)]
         assert threading.active_count() == before
 
@@ -893,14 +893,14 @@ class TestCallingThread:
         # each block draws into its own arrays: 8 threads sampling at once
         # draw, run after run, what each seed draws alone
         spec = GambleSpec(probability_parameter=1e-3)
-        serial = [draw_waiting_times(spec, 2**16, SimulationConfig(seed=seed))
+        serial = [draw_waiting_times(spec, 2**16, seed)
                   for seed in range(8)]
         start = threading.Barrier(8)
 
         def differing(seed):
             start.wait()
             return sum(not np.array_equal(
-                draw_waiting_times(spec, 2**16, SimulationConfig(seed=seed)), serial[seed])
+                draw_waiting_times(spec, 2**16, seed), serial[seed])
                 for _ in range(40))
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:

@@ -1,5 +1,6 @@
 """Tests for the package's exports and what its commands import."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -63,3 +64,11 @@ def test_star_import_binds_every_exported_name():
 def test_unknown_attribute_names_the_module():
     with pytest.raises(AttributeError, match="module 'petersburg' has no attribute 'nonesuch'"):
         petersburg.nonesuch
+
+
+def test_readme_python_examples_run():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
