@@ -16,8 +16,14 @@ Exit codes: 0 on success; 1 for usage, I/O, or evaluation errors; 2
 when the evaluated state has no defined recommendation, a simulated
 trajectory went bankrupt, or a sampled return was nonpositive.
 
-The parsers are ``argparse`` ones, built once at import; a usage error
-prints a ``Usage:`` line and the error on stderr.
+Options are declared once, on ``argparse`` parsers built at import.  A
+command line whose tokens are each an exact option of its command or the
+value after one, whose values all pass their ``type`` and ``choices``,
+and that names every required option, is parsed into the namespace
+argparse would give by one lookup per token.  Any other goes to argparse
+unchanged: ``--help``, ``--version``, ``--opt=value``, an unknown or
+missing token, a refused value.  So a usage error prints argparse's
+``Usage:`` line and its error on stderr.
 """
 
 from __future__ import annotations
@@ -562,17 +568,81 @@ class _Parser(argparse.ArgumentParser):
     An option that takes a value takes the next token, whatever it looks
     like, so ``--price -1e-3`` and ``--wealth -inf`` reach the library's
     own checks; plain argparse reads such a value as an unknown option.
+
+    A command line that argparse would accept is parsed by :meth:`_accept`
+    instead; any other goes to argparse.
     """
 
     def __init__(self, **kwargs) -> None:
-        super().__init__(formatter_class=_HelpFormatter, allow_abbrev=False, **kwargs)
+        # the help option is added by argparse's own __init__
         self._valued = set()
+        self._accepted = {}
+        super().__init__(formatter_class=_HelpFormatter, allow_abbrev=False, **kwargs)
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
         if action.nargs != 0:
             self._valued.update(action.option_strings)
+        kind = kwargs.get("action", "store")
+        if kind in ("store", "store_true", "append") and "nargs" not in kwargs:
+            self._accepted.update(dict.fromkeys(action.option_strings, (action, kind)))
         return action
+
+    def parse_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        accepted = self._accept(args) if namespace is None else None
+        return super().parse_args(args, namespace) if accepted is None else accepted
+
+    def _accept(self, tokens) -> Optional[argparse.Namespace]:
+        """The namespace argparse gives for ``tokens``, built without it, or
+        ``None`` to leave ``tokens`` to argparse.
+
+        ``tokens`` are accepted when each is an exact option of
+        ``_accepted`` (action ``store``, ``store_true`` or ``append``) or
+        the value following a valued one, each value's ``type`` call
+        succeeds and its choice is valid, and every required option is
+        given.  The rest is filled as argparse fills it: defaults, a string
+        default through ``type``, then the ``set_defaults`` values.  A
+        value ``--`` is left to argparse, which drops it.
+        """
+        given = {}
+        tokens = iter(tokens)
+        try:
+            for token in tokens:
+                action, kind = self._accepted.get(token, (None, None))
+                if action is None:
+                    return None
+                if kind == "store_true":
+                    given[action] = action.const
+                    continue
+                value = next(tokens, "--")
+                if value == "--":
+                    return None
+                if action.type is not None:
+                    value = action.type(value)
+                if action.choices is not None and value not in action.choices:
+                    return None
+                if kind == "append":
+                    given.setdefault(action, list(action.default or ())).append(value)
+                else:
+                    given[action] = value
+            values = {}
+            for action in self._actions:
+                if action in given:
+                    values[action.dest] = given[action]
+                elif action.required:
+                    return None
+                elif action.dest is not argparse.SUPPRESS \
+                        and action.default is not argparse.SUPPRESS:
+                    default = action.default
+                    if isinstance(default, str) and action.type is not None:
+                        default = action.type(default)
+                    values[action.dest] = default
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None  # a failing type call, which argparse reports
+        values.update((dest, value) for dest, value in self._defaults.items()
+                      if dest not in values)
+        return argparse.Namespace(**values)
 
     def parse_known_args(self, args=None, namespace=None):
         tokens = iter(sys.argv[1:] if args is None else args)

@@ -328,13 +328,21 @@ def _bankrupt_wealth(state: PlayerState, spec: GambleSpec, survived: np.ndarray,
         return None
 
 
-def _ruin_test(state: PlayerState, spec: GambleSpec) -> Callable[[np.ndarray], np.ndarray]:
+def _ruin_test(state: PlayerState, spec: GambleSpec
+               ) -> Optional[Callable[[np.ndarray], np.ndarray]]:
     """``held(counts)``: the waiting times counted in ``counts`` whose
-    growth factor is nonpositive, the ruinous ones.
+    growth factor is nonpositive, the ruinous ones; ``None`` where none is.
 
-    Each waiting time's factor is computed once a run, when it is first
+    It is ``None`` where the least payout's growth factor, computed with
+    the operations of :func:`_growth_factors`, is positive: each of them
+    rounds monotonically in the payout, so no factor is smaller.  Else
+    each waiting time's factor is computed once a run, when it is first
     counted, so a block costs a lookup, not a factor table.
     """
+    w = state.wealth
+    net, residual = net_wealth(w, state.ticket_price)
+    if (net + spec.payout_rule.min_payout(w) + residual) / w > 0.0:
+        return None
     marks = np.zeros(1, dtype=np.int8)  # per waiting time: 0 unknown, 1 safe, 2 ruinous
 
     def held(counts: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ import re
 import sys
 import tracemalloc
 from typing import NamedTuple
+from unittest import mock
 
 import jsonschema
 import mpmath
@@ -28,7 +29,7 @@ from petersburg import (
     simulate_trajectory,
     trajectory_blocks,
 )
-from petersburg import montecarlo
+from petersburg import cli, montecarlo
 from petersburg.cli import _PATH_SLICE, _wealth_cell, _wealth_path_writer, main, parse_payout
 from mp_oracle import reference
 from test_gamble import SMALLEST_SAMPLED_P
@@ -1109,3 +1110,206 @@ class TestHelp:
         assert result.stdout.startswith(f"Usage: petersburg {command} [OPTIONS]")
         named = set(re.findall(r"--[\w-]+", result.stdout))
         assert COMMAND_OPTIONS[command] | {"--help"} <= named
+
+
+# ====== fast path ======
+
+
+@contextlib.contextmanager
+def argparse_only():
+    """Every command line parsed by argparse: the fast path defers all."""
+    with mock.patch.object(cli._Parser, "_accept", lambda self, tokens: None):
+        yield
+
+
+#: Values each option is given in the differential test that its parser
+#: accepts, all cheap to run; ``{dir}`` is a temporary directory.
+ACCEPTED_VALUES = {
+    "--wealth": ["100", "10", "1e-3", "-5", "inf"],
+    "--price": ["2", "0", "-1e-3", "nan"],
+    "--utility": ["log", "sqrt"],
+    "--payout": ["bernoulli", "menger", "capped:1000", "table:{dir}/table.csv"],
+    "--geom-p": ["0.5", "0.3", "2"],
+    "--tol": ["1e-8", "-1"],
+    "--max-terms": ["1000", "5"],
+    "--format": ["json", "csv"],
+    "--wmin": ["10"],
+    "--wmax": ["100"],
+    "--points": ["2", "0"],
+    "--price-tol": ["1e-6"],
+    "--mode": ["time", "ensemble", "subinterval"],
+    "--rounds": ["10", "1000", "0"],
+    "--samples": ["10", "1"],
+    "--subintervals": ["10"],
+    "--seed": ["0", "3", "-1"],
+    "--workers": ["1", "2", "0"],
+    "--wealth-path-out": ["{dir}/path.csv", "{dir}", ""],
+    "--nmax": ["3", "5", "-1"],
+}
+
+#: Values each option is given that its parser refuses; any path is accepted.
+REFUSED_VALUES = {
+    "--wealth": ["x", ""],
+    "--price": ["x"],
+    "--utility": ["exp"],
+    "--payout": ["capped:x", "table:{dir}/missing.csv", "table:", "roulette"],
+    "--geom-p": ["x"],
+    "--tol": ["x"],
+    "--max-terms": ["1.5", "x"],
+    "--format": ["xml"],
+    "--wmin": ["x"],
+    "--wmax": ["x"],
+    "--points": ["x"],
+    "--price-tol": ["x"],
+    "--mode": ["bogus"],
+    "--rounds": ["1e3"],
+    "--samples": ["x"],
+    "--subintervals": ["x"],
+    "--seed": ["x"],
+    "--workers": ["x"],
+    "--nmax": ["x"],
+}
+
+#: Tokens that are no option of any command, or that argparse alone handles.
+ODD_TOKENS = ["--help", "-h", "--version", "--", "bogus", "--wealth", "--inset=1", "--nmax",
+              "--wealth-path-out", "--weal"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command line that a command's parser mostly accepts, with now and
+    then a token or a value only argparse handles."""
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS) * 3 + ["--help", "--version", "x"]))
+    options = sorted(COMMAND_OPTIONS.get(command, {"--wealth"}) - {"--inset"})
+    flags = [["--inset"]] if "--inset" in COMMAND_OPTIONS.get(command, ()) else []
+
+    def valued(values):
+        named = [option for option in options if option in values]
+        return st.sampled_from(named).flatmap(lambda option: st.sampled_from(
+            values[option]).map(lambda value: [option, value]))
+
+    accepted = st.one_of(valued(ACCEPTED_VALUES), *map(st.just, flags))
+    piece = st.one_of(
+        accepted, accepted, accepted, valued(REFUSED_VALUES),
+        accepted.map(lambda pair: ["=".join(pair)]),
+        st.sampled_from(ODD_TOKENS).map(lambda token: [token]),
+        st.sampled_from(options).map(lambda option: [option, "--"]),
+    )
+    # half the lines are ones that argparse accepts, bar a missing --wealth
+    prefix = draw(st.sampled_from([["--wealth", "100"], ["--wealth", "100"], []]))
+    pieces = draw(st.lists(accepted if draw(st.booleans()) else piece, max_size=5))
+    return [command] + prefix + [token for part in pieces for token in part]
+
+
+def outcome(argv, directory):
+    """What ``main`` does on ``argv``: its exit code, stdout and stderr, or the
+    exception it raised, and the bytes of the path file it left."""
+    path = directory / "path.csv"
+    try:
+        result = tuple(run(*argv))
+    except Exception as exc:  # a value "--" reaches some commands as a list
+        result = (type(exc), str(exc))
+    written = path.read_bytes() if path.is_file() else None
+    with contextlib.suppress(FileNotFoundError):
+        path.unlink()
+    return result, written
+
+
+class TestFastPath:
+    @pytest.fixture(scope="class")
+    def directory(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("fast-path")
+        (directory / "table.csv").write_text("probability,payout\n0.5,1.0\n0.5,4.0\n")
+        return directory
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=command_lines())
+    @example(argv=["evaluate", "--wealth", "x"])
+    @example(argv=["evaluate", "--wealth=100", "--price=2"])
+    @example(argv=["menger", "--wealth", "10", "--nmax", "3", "--nmax", "5", "--nmax", "x"])
+    @example(argv=["simulate", "--wealth", "100", "--rounds", "10", "--wealth-path-out", "--"])
+    @example(argv=["breakeven", "--payout", "table:{dir}/missing.csv"])
+    @example(argv=["simulate", "--wealth", "100", "--rounds", "10", "--wealth-path-out"])
+    def test_main_does_what_argparse_alone_does(self, directory, argv):
+        argv = [token.format(dir=directory) for token in argv]
+        fast = outcome(argv, directory)
+        with argparse_only():
+            assert outcome(argv, directory) == fast
+
+    @pytest.mark.parametrize("argv, error", [
+        (["evaluate", "--wealth", "x"], "Error: argument --wealth: invalid float value: 'x'"),
+        (["evaluate"], "Error: the following arguments are required: --wealth"),
+        (["menger", "--wealth", "10", "--nmax", "1.5"],
+         "Error: argument --nmax: invalid int value: '1.5'"),
+    ])
+    def test_a_refused_command_line_is_refused_by_argparse(self, argv, error):
+        result = run(*argv)
+        lines = result.stderr.splitlines()
+        assert result.exit_code == 1
+        assert lines[0] == f"Usage: petersburg {argv[0]} [OPTIONS]"
+        assert lines[-1] == error
+
+
+#: Valid command lines: one per option of each command, and one per payout
+#: form.  ``{table}`` is a payout table file.
+SERVED = [
+    "evaluate --wealth 100",
+    "evaluate --wealth 100 --price 2",
+    "evaluate --wealth 100 --utility log",
+    "evaluate --wealth 100 --payout bernoulli",
+    "evaluate --wealth 100 --payout menger",
+    "evaluate --wealth 100 --payout capped:1000",
+    "evaluate --wealth 100 --payout table:{table}",
+    "evaluate --wealth 100 --geom-p 0.3",
+    "evaluate --wealth 100 --tol 1e-8",
+    "evaluate --wealth 100 --max-terms 1000",
+    "evaluate --wealth 100 --format csv",
+    "breakeven --wealth 100",
+    "breakeven --wmin 10",
+    "breakeven --wmax 100",
+    "breakeven --points 2",
+    "breakeven --inset",
+    "breakeven --inset --price 3",
+    "breakeven --price-tol 1e-6",
+    "breakeven --payout capped:1000",
+    "breakeven --geom-p 0.3",
+    "breakeven --tol 1e-8",
+    "breakeven --max-terms 1000",
+    "breakeven --format csv",
+    "simulate --wealth 100",
+    "simulate --wealth 100 --price 2",
+    "simulate --wealth 100 --mode ensemble",
+    "simulate --wealth 100 --rounds 10",
+    "simulate --wealth 100 --mode ensemble --samples 10",
+    "simulate --wealth 100 --mode subinterval --subintervals 10",
+    "simulate --wealth 100 --seed 3",
+    "simulate --wealth 100 --workers 2",
+    "simulate --wealth 100 --wealth-path-out path.csv",
+    "simulate --wealth 100 --payout menger",
+    "simulate --wealth 100 --geom-p 0.3",
+    "simulate --wealth 100 --tol 1e-8",
+    "simulate --wealth 100 --max-terms 1000",
+    "simulate --wealth 100 --format csv",
+    "menger --wealth 100",
+    "menger --wealth 100 --nmax 3 --nmax 5",
+    "menger --wealth 100 --format csv",
+]
+
+
+class TestFastPathServes:
+    def test_every_option_has_a_line(self):
+        named = {(line.split()[0], token) for line in SERVED for token in line.split()}
+        for command in COMMAND_OPTIONS:
+            options = set(re.findall(r"--[\w-]+", run(command, "--help").stdout)) - {"--help"}
+            assert {(command, option) for option in options} <= named
+
+    @pytest.mark.parametrize("line", SERVED)
+    def test_each_line_is_accepted_as_argparse_parses_it(self, tmp_path, line):
+        table = tmp_path / "table.csv"
+        table.write_text("probability,payout\n0.5,1.0\n0.5,4.0\n")
+        command, *tokens = line.format(table=table).split()
+        parser = cli._COMMANDS[command]
+        accepted = parser._accept(tokens)
+        assert accepted is not None
+        with argparse_only():
+            assert parser.parse_args(tokens) == accepted

@@ -26,7 +26,7 @@ from petersburg import (
     support_size,
 )
 from petersburg.cli import parse_payout
-from petersburg.gamble import net_wealth
+from petersburg.gamble import _MAX_WAITING_TIME, net_wealth
 
 
 class TestDoublingPayouts:
@@ -228,6 +228,25 @@ class TestMinPayout:
     def test_table_minimum(self):
         table = Table(((0.5, 4.0), (0.5, 0.25)))
         assert min_payout(GambleSpec(payout_rule=table)) == 0.25
+
+    @pytest.mark.parametrize("rule, wealth", [
+        (BernoulliOriginal(), 100.0),
+        (Capped(1e6), 100.0),
+        (Capped(sys.float_info.max), 100.0),
+        (Menger(), 1e-300),
+        (Menger(), 100.0),
+        (Menger(), 1e300),
+        (Table(((0.25, 4.0), (0.5, -0.5), (0.25, 0.0))), 100.0),
+    ])
+    def test_minimum_bounds_every_sampled_payout(self, rule, wealth):
+        # the sampler drops its per-draw ruin test on this bound, so it
+        # must hold at every waiting time the sampler can draw
+        least = rule.min_payout(wealth)
+        limit = rule.support_size or _MAX_WAITING_TIME
+        step = 2**20
+        for first in range(1, limit + 1, step):
+            ns = np.arange(first, min(first + step, limit + 1))
+            assert rule.payouts(ns, wealth).min() >= least
 
 
 class TestPlayerState:

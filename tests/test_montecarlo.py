@@ -1,6 +1,7 @@
 """Tests for seeded simulation: draws, trajectories, and estimators."""
 
 import concurrent.futures
+import io
 import json
 import math
 import threading
@@ -30,7 +31,7 @@ from petersburg import (
     trajectory_blocks,
 )
 from petersburg import montecarlo
-from petersburg.cli import main
+from petersburg.cli import _wealth_path_writer, main
 
 GROWTH_100_2 = 0.0234834936741544663694884870358
 
@@ -365,6 +366,63 @@ class TestSubintervalEstimate:
         state = PlayerState(wealth=10.0, ticket_price=11.0)
         with pytest.raises(NonpositiveReturnError):
             subinterval_estimate(state, GambleSpec(), 10_000, 0)
+
+
+# ====== Ruin test ======
+
+
+def per_n_ruin_test(state, spec):
+    """The ruin test without its shortcut: the factor of each counted
+    waiting time, tested on its own."""
+    def held(counts):
+        seen = np.flatnonzero(counts)
+        return seen[montecarlo._growth_factors(state, spec, seen) <= 0.0]
+
+    return held
+
+
+class TestRuinTest:
+    #: Two full blocks, the second counted without its order, and a partial one.
+    ROUNDS = 2 * 2**16 + 5
+
+    def test_a_run_no_draw_can_ruin_has_none(self):
+        # every time op of the bench: no waiting time is looked up
+        assert montecarlo._ruin_test(PlayerState(100.0, 2.0), GambleSpec()) is None
+        assert montecarlo._ruin_test(PlayerState(100.0, 2.0), GambleSpec(Capped(1e6))) is None
+
+    def runs(self, state, spec):
+        """The census, the subinterval estimate (or its refusal) and the
+        path file of one run."""
+        census = time_average_census(state, spec, self.ROUNDS, 1)
+        try:
+            subinterval = subinterval_estimate(state, spec, self.ROUNDS, 1)
+        except NonpositiveReturnError as exc:
+            subinterval = str(exc)
+        handle = io.StringIO()
+        time_average_census(state, spec, self.ROUNDS, 1, path=_wealth_path_writer(handle))
+        return (census.counts.tolist(), census.bankrupt_at, census.bankrupt_wealth,
+                subinterval, handle.getvalue())
+
+    @pytest.mark.parametrize("wealth, rule", [
+        (100.0, BernoulliOriginal()),
+        (100.0, Capped(1000.0)),
+        (100.0, Menger()),
+        (10.0, Table(((0.5, 3.0), (0.5, 0.25)))),
+        # at a price of the wealth the least payout's sum is 2**-80, and its
+        # factor 2**-1080 rounds to 0.0: ruinous
+        (2.0 ** 1000, Table(((0.5, 2.0 ** -80), (0.5, 1.0)))),
+    ])
+    @pytest.mark.parametrize("side", [-1, 0, 1])
+    def test_agrees_with_the_per_n_test_at_the_ruin_price(self, monkeypatch, wealth, rule,
+                                                          side):
+        edge = wealth + rule.min_payout(wealth)
+        price = edge if side == 0 else math.nextafter(edge, side * math.inf)
+        state, spec = PlayerState(wealth, price), GambleSpec(payout_rule=rule)
+        if side:
+            assert (montecarlo._ruin_test(state, spec) is None) == (side < 0)
+        runs = self.runs(state, spec)
+        monkeypatch.setattr(montecarlo, "_ruin_test", per_n_ruin_test)
+        assert runs == self.runs(state, spec)
 
 
 # ====== Ensemble estimator ======
