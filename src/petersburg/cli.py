@@ -9,8 +9,9 @@ keys.  CSV output is a plain data table on stdout.  A seeded run prints
 the same bytes every time; ``simulate --workers`` is accepted for older
 command lines and has no effect.
 
-Output is strict in either format: a result that is not a finite number
-fails the command instead of printing ``Infinity``, ``inf`` or ``NaN``.
+Output is strict in either format: a value that is not a finite number
+fails any command, naming its row (see :func:`_emit`), instead of
+printing ``Infinity``, ``inf`` or ``NaN``.
 
 Exit codes: 0 on success; 1 for usage, I/O, or evaluation errors; 2
 when the evaluated state has no defined recommendation, a simulated
@@ -22,8 +23,8 @@ value after one, whose values all pass their ``type`` and ``choices``,
 and that names every required option, is parsed into the namespace
 argparse would give by one lookup per token.  Any other goes to argparse
 unchanged: ``--help``, ``--version``, ``--opt=value``, an unknown or
-missing token, a refused value.  So a usage error prints argparse's
-``Usage:`` line and its error on stderr.
+missing token, a refused value, a value ``--``, which is never one.  So a
+usage error prints argparse's ``Usage:`` line and its error on stderr.
 """
 
 from __future__ import annotations
@@ -115,10 +116,7 @@ def _payout_arg(token: str) -> PayoutRule:
 
 
 def _series_dict(result: SeriesResult) -> dict:
-    out = {
-        "classification": result.classification.value,
-        "terms_used": result.terms_used,
-    }
+    out = {"classification": result.classification.value, "terms_used": result.terms_used}
     if result.value is not None:
         out["value"] = result.value
     if result.tail_bound is not None:
@@ -128,35 +126,46 @@ def _series_dict(result: SeriesResult) -> dict:
     return out
 
 
-def _r(x) -> str:
-    """Shortest round-tripping decimal text for a float CSV cell."""
-    return repr(float(x))
+def _cell(value) -> str:
+    """A CSV cell: a finite float as its shortest round-tripping text, ``None`` empty."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError("not a finite number")
+        return repr(float(value))
+    return "" if value is None else str(value)
 
 
-def _series_row(label: str, result: SeriesResult) -> list:
-    return [
-        label,
-        result.classification.value,
-        "" if result.value is None else _r(result.value),
-        "" if result.tail_bound is None else _r(result.tail_bound),
-        str(result.terms_used),
-        "" if result.reason is None else result.reason.value,
-    ]
+def _check_finite(rows) -> None:
+    """Raise a ``ValueError`` naming each cell past the header row that holds a
+    float that is not finite: by its row's label, else by column and first cell."""
+    header, *body = rows
+    named = []
+    for row in body:
+        for column, value in zip(header, row):
+            if isinstance(value, float) and not math.isfinite(value):
+                label = (row[0] if isinstance(row[0], str)
+                         else f"{column} at {header[0]} {row[0]}")
+                named.append(f"{label} = {value}")
+    if named:
+        raise ValueError(f"not a finite number: {', '.join(named)}")
 
 
 def _emit(fmt: str, command: str, parameters: dict, results: dict, rows) -> None:
-    if fmt == "json":
-        envelope = {
-            "command": command,
-            "parameters": parameters,
-            "results": results,
-            "version": __version__,
-        }
-        print(json.dumps(envelope, sort_keys=True, allow_nan=False))
-    else:
-        buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\n").writerows(rows)
-        sys.stdout.write(buffer.getvalue())
+    """Print the envelope, or ``rows`` (header first, the values of ``results``)
+    as CSV; a value that is not finite fails either format by :func:`_check_finite`."""
+    try:
+        if fmt == "json":
+            envelope = {"command": command, "parameters": parameters, "results": results,
+                        "version": __version__}
+            text = json.dumps(envelope, sort_keys=True, allow_nan=False) + "\n"
+        else:
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\n").writerows(map(_cell, row) for row in rows)
+            text = buffer.getvalue()
+    except ValueError:
+        _check_finite(rows)
+        raise
+    sys.stdout.write(text)
 
 
 def _series_setup(payout_rule, geom_p, tol, max_terms, wealth=None, price=None):
@@ -188,9 +197,10 @@ def evaluate_cmd(wealth, price, utility, payout_rule, geom_p, tol, max_terms, fm
         series.append(("utility_change", report.utility_change))
     results = {label: _series_dict(result) for label, result in series}
     results["recommendation"] = report.recommendation.value
-    rows = [["quantity", "classification", "value", "tail_bound", "terms_used", "reason"]]
-    rows += [_series_row(label, result) for label, result in series]
-    rows.append(["recommendation", report.recommendation.value, "", "", "", ""])
+    columns = ("classification", "value", "tail_bound", "terms_used", "reason")
+    rows = [("quantity", *columns)]
+    rows += [(label, *map(results[label].get, columns)) for label, _ in series]
+    rows.append(("recommendation", report.recommendation.value) + (None,) * 4)
 
     if utility is not None:
         parameters["utility"] = utility
@@ -218,7 +228,7 @@ def breakeven_cmd(wealth, wmin, wmax, points, inset, price, price_tol,
         parameters["price_tol"] = price_tol
         solved = breakeven_price(wealth, spec, policy, price_tol)
         results = {"wealth": wealth, "price": solved}
-        rows = [["wealth", "breakeven_price"], [_r(wealth), _r(solved)]]
+        rows = [("wealth", "breakeven_price"), (wealth, solved)]
         _emit(fmt, "breakeven", parameters, results, rows)
         return
 
@@ -231,15 +241,14 @@ def breakeven_cmd(wealth, wmin, wmax, points, inset, price, price_tol,
         parameters["price"] = price
         data = []
         failures = []
-        rows = [["wealth", "g_bar"]]
+        rows = [("wealth", "g_bar")]
         for w in wealth_grid(w_min, w_max, num_points):
             result = time_average_growth(PlayerState(w, price), spec, policy)
             if result.is_converged:
                 data.append({"wealth": w, "growth_rate": result.value})
-                rows.append([_r(w), _r(result.value)])
             else:
                 failures.append({"wealth": w, "error": result.classification.value})
-                rows.append([_r(w), ""])
+            rows.append((w, result.value))
         results = {"price": price, "inset": data, "failures": failures}
         if failures:
             print(f"warning: no defined growth rate at {len(failures)} grid point(s)",
@@ -255,9 +264,9 @@ def breakeven_cmd(wealth, wmin, wmax, points, inset, price, price_tol,
         "solver_tolerance": curve.solver_tolerance,
     }
     # points and failures each ascend in wealth, so merged they are the grid
-    cells = sorted([(w, _r(p)) for w, p in curve.points]
-                   + [(w, "") for w, _ in curve.failures])
-    rows = [["wealth", "breakeven_price"]] + [[_r(w), cell] for w, cell in cells]
+    rows = [("wealth", "breakeven_price")]
+    rows += sorted([*curve.points, *((w, None) for w, _ in curve.failures)],
+                   key=lambda row: row[0])
     if curve.failures:
         print(f"warning: no break-even price at {len(curve.failures)} grid point(s)",
               file=sys.stderr)
@@ -286,16 +295,8 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
         raise UsageError("--wealth-path-out requires --mode time")
     parameters.update(mode=mode, seed=seed)
 
-    def finite(results: dict) -> dict:
-        # a result that is not a finite number fails the command in either format
-        nonfinite = [f"{key} = {value!r}" for key, value in results.items()
-                     if isinstance(value, float) and not math.isfinite(value)]
-        if nonfinite:
-            raise ValueError(f"not a finite number: {', '.join(nonfinite)}")
-        return results
-
     def emit(results: dict) -> None:
-        _emit(fmt, "simulate", parameters, finite(results), _field_rows(results))
+        _emit(fmt, "simulate", parameters, results, _field_rows(results))
 
     known = {}  # the analytic value beside an estimate, if the series gives one
     if mode == "ensemble":
@@ -339,8 +340,10 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
                 state, spec, rounds, seed,
                 path=None if wealth_path_out is None else _wealth_path_writer(path_file))
             if run.bankrupt_at is None:
-                results = finite(_estimate_results(time_average_estimate(run), "time",
-                                                   "growth_rate_estimate", "rounds", **known))
+                results = _estimate_results(time_average_estimate(run), "time",
+                                            "growth_rate_estimate", "rounds", **known)
+                rows = _field_rows(results)
+                _check_finite(rows)
         except BaseException:
             # a run that fails or is refused, or whose estimate fails, leaves
             # no path file; a bankrupt run keeps its path
@@ -355,7 +358,7 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
 
     if isinstance(analytic, TruncationInconclusiveError):
         print(f"note: analytic_growth_rate omitted: {analytic}", file=sys.stderr)
-    emit(results)
+    _emit(fmt, "simulate", parameters, results, rows)
 
 
 def _remove_opened(file, path: str) -> None:
@@ -388,15 +391,11 @@ def _estimate_results(stats, mode: str, estimate: str, count: str, **known) -> d
 def _field_rows(results: dict) -> list:
     """The ``field,value`` CSV rows of a ``simulate`` envelope's ``results``.
 
-    Fields come in the dict's order, a float as its shortest round-tripping
-    text and ``None`` as an empty cell; the census follows as ``k_<n>`` rows.
+    Fields come in the dict's order; the census follows as ``k_<n>`` rows.
     """
-    rows = [["field", "value"]]
-    for key, value in results.items():
-        if key != "frequencies":
-            rows.append([key, "" if value is None
-                         else _r(value) if isinstance(value, float) else str(value)])
-    rows += [[f"k_{n}", str(c)] for n, c in results.get("frequencies", ())]
+    rows = [("field", "value")]
+    rows += [(key, value) for key, value in results.items() if key != "frequencies"]
+    rows += [(f"k_{n}", c) for n, c in results.get("frequencies", ())]
     return rows
 
 
@@ -544,8 +543,7 @@ def menger_cmd(wealth, nmax_list, fmt):
         "literal_price_grid": literal_grid,
         "time_recommendation": time_rec.value,
     }
-    rows = [["n_max", "price"]]
-    rows += [[str(row["n_max"]), _r(row["price"])] for row in truncations]
+    rows = [("n_max", "price")] + [(row["n_max"], row["price"]) for row in truncations]
     parameters = {"wealth": wealth, "nmax": list(nmax_list)}
     _emit(fmt, "menger", parameters, results, rows)
 
@@ -567,26 +565,16 @@ class _Parser(argparse.ArgumentParser):
 
     An option that takes a value takes the next token, whatever it looks
     like, so ``--price -1e-3`` and ``--wealth -inf`` reach the library's
-    own checks; plain argparse reads such a value as an unknown option.
+    own checks; plain argparse reads such a value as an unknown option.  A
+    ``--`` is never a value: argparse reports the value as missing.
 
     A command line that argparse would accept is parsed by :meth:`_accept`
-    instead; any other goes to argparse.
+    instead; any other goes to argparse.  Both look options up in argparse's
+    own ``_option_string_actions``.
     """
 
     def __init__(self, **kwargs) -> None:
-        # the help option is added by argparse's own __init__
-        self._valued = set()
-        self._accepted = {}
         super().__init__(formatter_class=_HelpFormatter, allow_abbrev=False, **kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        if action.nargs != 0:
-            self._valued.update(action.option_strings)
-        kind = kwargs.get("action", "store")
-        if kind in ("store", "store_true", "append") and "nargs" not in kwargs:
-            self._accepted.update(dict.fromkeys(action.option_strings, (action, kind)))
-        return action
 
     def parse_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
@@ -597,24 +585,26 @@ class _Parser(argparse.ArgumentParser):
         """The namespace argparse gives for ``tokens``, built without it, or
         ``None`` to leave ``tokens`` to argparse.
 
-        ``tokens`` are accepted when each is an exact option of
-        ``_accepted`` (action ``store``, ``store_true`` or ``append``) or
-        the value following a valued one, each value's ``type`` call
-        succeeds and its choice is valid, and every required option is
-        given.  The rest is filled as argparse fills it: defaults, a string
-        default through ``type``, then the ``set_defaults`` values.  A
-        value ``--`` is left to argparse, which drops it.
+        ``tokens`` are accepted when each is an exact option of the parser
+        whose action is ``store_true``, or ``store`` or ``append`` with no
+        ``nargs``, or the value following a valued one, each value's
+        ``type`` call succeeds and its choice is valid, and every required
+        option is given.  The rest is filled as argparse fills it: defaults,
+        a string default through ``type``, then the ``set_defaults`` values.
+        A value ``--`` is left to argparse, which refuses it.
         """
         given = {}
         tokens = iter(tokens)
         try:
             for token in tokens:
-                action, kind = self._accepted.get(token, (None, None))
-                if action is None:
-                    return None
-                if kind == "store_true":
+                action = self._option_string_actions.get(token)
+                kind = type(action)
+                if kind is argparse._StoreTrueAction:
                     given[action] = action.const
                     continue
+                if kind not in (argparse._StoreAction, argparse._AppendAction) \
+                        or action.nargs is not None:
+                    return None
                 value = next(tokens, "--")
                 if value == "--":
                     return None
@@ -622,7 +612,7 @@ class _Parser(argparse.ArgumentParser):
                     value = action.type(value)
                 if action.choices is not None and value not in action.choices:
                     return None
-                if kind == "append":
+                if kind is argparse._AppendAction:
                     given.setdefault(action, list(action.default or ())).append(value)
                 else:
                     given[action] = value
@@ -645,11 +635,20 @@ class _Parser(argparse.ArgumentParser):
         return argparse.Namespace(**values)
 
     def parse_known_args(self, args=None, namespace=None):
+        # a valued option is joined to its value; ``--`` stays apart, not stored as []
         tokens = iter(sys.argv[1:] if args is None else args)
         joined = []
         for token in tokens:
-            value = next(tokens, None) if token in self._valued else None
-            joined.append(token if value is None else f"{token}={value}")
+            option, equals, value = token.partition("=")
+            action = self._option_string_actions.get(option)
+            if action is None or action.nargs == 0 or equals and value != "--":
+                joined.append(token)
+                continue
+            value = value if equals else next(tokens, None)
+            if value == "--":
+                joined += [option, value]
+            else:
+                joined.append(option if value is None else f"{option}={value}")
         return super().parse_known_args(joined, namespace)
 
     def error(self, message):

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import importlib.resources
 import io
 import json
@@ -31,6 +32,7 @@ from petersburg import (
 )
 from petersburg import cli, montecarlo
 from petersburg.cli import _PATH_SLICE, _wealth_cell, _wealth_path_writer, main, parse_payout
+from petersburg.series import SeriesResult
 from mp_oracle import reference
 from test_gamble import SMALLEST_SAMPLED_P
 
@@ -221,6 +223,16 @@ class TestEvaluateCommand:
             assert lines[-1][:2] == ["recommendation", "Buy"]
             assert all(line[1] == "Converged" and math.isfinite(float(line[2]))
                        for line in lines[:-1])
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_payout_past_the_double_range_fails(self, tmp_path, fmt):
+        # the probabilities sum to 1 + 8e-10, within a table's tolerance, and
+        # the expected payout and growth factor overflow a double
+        (tmp_path / "rows.csv").write_text("p,m\n" + "0.5000000004,1.7976931348623157e308\n" * 2)
+        result = run("evaluate", "--wealth", "100", "--payout", f"table:{tmp_path / 'rows.csv'}",
+                     "--format", fmt)
+        assert result == (1, "", "error: not a finite number: naive_expected_payout = inf, "
+                                 "ensemble_growth = inf\n")
 
     def test_too_few_terms_names_the_least(self):
         result = run("evaluate", "--wealth", "100", "--price", "2", "--max-terms", "5")
@@ -1079,6 +1091,65 @@ class TestMainEntryPoint:
         assert result.stderr == "error: tolerance must be positive, got -1.0\n"
 
 
+# ====== finiteness ======
+
+
+#: For each command, the library call whose result is made non-finite, the
+#: change of its result given the bad value ``v``, the command line, and
+#: what the error names.
+NONFINITE = {
+    "evaluate": (
+        cli, "evaluate_state",
+        lambda report, v: dataclasses.replace(
+            report, time_growth=SeriesResult.converged(v, 0.0, 21)),
+        ["evaluate", "--wealth", "100", "--price", "2"], "time_growth = {v}"),
+    "breakeven-wealth": (
+        cli, "breakeven_price", lambda price, v: v,
+        ["breakeven", "--wealth", "100"], "breakeven_price at wealth 100.0 = {v}"),
+    "breakeven-grid": (
+        cli, "breakeven_curve",
+        lambda curve, v: dataclasses.replace(
+            curve, points=((curve.points[0][0], v),) + curve.points[1:]),
+        ["breakeven", "--points", "2"], "breakeven_price at wealth 10.0 = {v}"),
+    "breakeven-inset": (
+        cli, "time_average_growth", lambda result, v: SeriesResult.converged(v, 0.0, 21),
+        ["breakeven", "--inset", "--points", "2"],
+        "g_bar at wealth 10.0 = {v}, g_bar at wealth 10000.0 = {v}"),
+    "menger": (
+        cli, "menger_partial_sum_price", lambda price, v: v,
+        ["menger", "--wealth", "100", "--nmax", "3"], "price at n_max 3 = {v}"),
+    "simulate-time": (
+        montecarlo, "time_average_estimate",
+        lambda stats, v: dataclasses.replace(stats, estimate=v),
+        ["simulate", "--wealth", "100", "--price", "2", "--rounds", "10"],
+        "growth_rate_estimate = {v}"),
+    "simulate-ensemble": (
+        montecarlo, "ensemble_average_estimate",
+        lambda stats, v: dataclasses.replace(stats, estimate=v),
+        ["simulate", "--mode", "ensemble", "--wealth", "100", "--price", "2", "--samples", "10"],
+        "mean_factor_estimate = {v}"),
+    "simulate-subinterval": (
+        montecarlo, "subinterval_estimate",
+        lambda stats, v: dataclasses.replace(stats, stderr=v),
+        ["simulate", "--mode", "subinterval", "--wealth", "100", "--price", "2",
+         "--subintervals", "6"],
+        "stderr = {v}"),
+}
+
+
+class TestNonfiniteResults:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("case", sorted(NONFINITE))
+    def test_every_command_fails_naming_the_row(self, monkeypatch, case, value, fmt):
+        owner, name, change, argv, named = NONFINITE[case]
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *args, **kwargs: change(real(*args, **kwargs), value))
+        result = run(*argv, "--format", fmt)
+        assert result == (1, "", f"error: not a finite number: {named.format(v=value)}\n")
+
+
 # ====== help ======
 
 
@@ -1194,6 +1265,7 @@ def command_lines(draw):
         accepted.map(lambda pair: ["=".join(pair)]),
         st.sampled_from(ODD_TOKENS).map(lambda token: [token]),
         st.sampled_from(options).map(lambda option: [option, "--"]),
+        st.sampled_from(options).map(lambda option: [f"{option}=--"]),
     )
     # half the lines are ones that argparse accepts, bar a missing --wealth
     prefix = draw(st.sampled_from([["--wealth", "100"], ["--wealth", "100"], []]))
@@ -1202,13 +1274,10 @@ def command_lines(draw):
 
 
 def outcome(argv, directory):
-    """What ``main`` does on ``argv``: its exit code, stdout and stderr, or the
-    exception it raised, and the bytes of the path file it left."""
+    """What ``main`` does on ``argv``: its exit code, stdout and stderr, and
+    the bytes of the path file it left."""
     path = directory / "path.csv"
-    try:
-        result = tuple(run(*argv))
-    except Exception as exc:  # a value "--" reaches some commands as a list
-        result = (type(exc), str(exc))
+    result = tuple(run(*argv))
     written = path.read_bytes() if path.is_file() else None
     with contextlib.suppress(FileNotFoundError):
         path.unlink()
@@ -1228,6 +1297,7 @@ class TestFastPath:
     @example(argv=["evaluate", "--wealth=100", "--price=2"])
     @example(argv=["menger", "--wealth", "10", "--nmax", "3", "--nmax", "5", "--nmax", "x"])
     @example(argv=["simulate", "--wealth", "100", "--rounds", "10", "--wealth-path-out", "--"])
+    @example(argv=["simulate", "--wealth", "100", "--rounds", "10", "--wealth-path-out=--"])
     @example(argv=["breakeven", "--payout", "table:{dir}/missing.csv"])
     @example(argv=["simulate", "--wealth", "100", "--rounds", "10", "--wealth-path-out"])
     def test_main_does_what_argparse_alone_does(self, directory, argv):
@@ -1241,13 +1311,29 @@ class TestFastPath:
         (["evaluate"], "Error: the following arguments are required: --wealth"),
         (["menger", "--wealth", "10", "--nmax", "1.5"],
          "Error: argument --nmax: invalid int value: '1.5'"),
+        # ``--`` is never a value, whether it follows the option or an ``=``
+        (["simulate", "--wealth", "100", "--rounds", "10", "--wealth-path-out", "--"],
+         "Error: argument --wealth-path-out: expected one argument"),
+        (["menger", "--wealth", "10", "--nmax", "--"],
+         "Error: argument --nmax: expected one argument"),
+        (["evaluate", "--wealth", "100", "--format", "--"],
+         "Error: argument --format: expected one argument"),
+        (["simulate", "--wealth", "100", "--rounds", "10", "--wealth-path-out=--"],
+         "Error: argument --wealth-path-out: expected one argument"),
+        (["menger", "--wealth", "10", "--nmax=--"],
+         "Error: argument --nmax: expected one argument"),
+        (["evaluate", "--wealth", "100", "--format=--"],
+         "Error: argument --format: expected one argument"),
     ])
-    def test_a_refused_command_line_is_refused_by_argparse(self, argv, error):
+    def test_a_refused_command_line_is_refused_by_argparse(self, argv, error, tmp_path,
+                                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
         result = run(*argv)
         lines = result.stderr.splitlines()
-        assert result.exit_code == 1
+        assert (result.exit_code, result.stdout) == (1, "")
         assert lines[0] == f"Usage: petersburg {argv[0]} [OPTIONS]"
         assert lines[-1] == error
+        assert list(tmp_path.iterdir()) == []
 
 
 #: Valid command lines: one per option of each command, and one per payout
@@ -1302,6 +1388,12 @@ class TestFastPathServes:
         for command in COMMAND_OPTIONS:
             options = set(re.findall(r"--[\w-]+", run(command, "--help").stdout)) - {"--help"}
             assert {(command, option) for option in options} <= named
+
+    def test_an_option_with_nargs_is_left_to_argparse(self):
+        parser = cli._Parser(prog="petersburg")
+        parser.add_argument("--pair", nargs=1)
+        assert parser._accept(["--pair", "a"]) is None
+        assert parser.parse_args(["--pair", "a"]).pair == ["a"]
 
     @pytest.mark.parametrize("line", SERVED)
     def test_each_line_is_accepted_as_argparse_parses_it(self, tmp_path, line):
