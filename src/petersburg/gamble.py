@@ -8,7 +8,8 @@ rule maps a waiting time to a dollar payout; the growth factor of a round
 is the ratio of wealth after the round to wealth before it.
 
 Everything a payout rule decides lives in its class: its payouts, scalar
-and vectorised; its log and square-root series terms, safe where the
+and vectorised; its log terms and its power terms, of which the expected
+payout and the square-root utility are two members, each safe where the
 payout leaves the double range; the tail each criterion series may omit;
 its waiting-time law; its smallest payout and its command-line token.
 The series engine, the sampler and the command line ask the rule and
@@ -26,14 +27,13 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, count, repeat
-from operator import add, mul
+from operator import add, mul, pos
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Tuple
 
 if TYPE_CHECKING:
     import numpy as np
 
 _LN2 = math.log(2.0)
-_SQRT2 = math.sqrt(2.0)
 #: Unit roundoff of a double: one correctly rounded operation errs by at
 #: most this much relative to its result.
 _U = 2.0 ** -53
@@ -41,6 +41,8 @@ _U = 2.0 ** -53
 #: The smallest subnormal double: rounding a result below the normal
 #: range lowers it by at most half of this.
 _TINY = 2.0 ** -1074
+#: The smallest normal double.
+_NORMAL = 2.0 ** -1022
 #: Slack, in logs, of a tail's ``reach``: far wider than the rounding
 #: of ``rest`` and of ``reach``'s own logs.
 _SLACK = 1e-9
@@ -67,8 +69,9 @@ _MENGER_OVERFLOW_N = 10
 
 #: A series term ``(n, weight, log_weight) -> P(n) * gain(n)``, where
 #: ``weight = P(n)`` and ``log_weight`` is its log.  A term raises
-#: ``ValueError`` where the gain does not exist (the log or square root
-#: of a nonpositive wealth).
+#: ``ValueError`` where the gain does not exist (the log or a fractional
+#: power of a nonpositive wealth).  Where its payout, the wealth after
+#: it or its weight leaves the double range, a term takes it in logs.
 Term = Callable[[int, float, float], float]
 
 
@@ -82,7 +85,8 @@ class Tail(NamedTuple):
     ``rest(n)`` returns ``(omitted, bound)``: ``omitted`` is what of that
     part is known in closed form, and ``bound`` bounds the error of
     adding it, the part left out plus the closed form's own rounding.
-    An exact tail returns ``(value, 0.0)``, an envelope ``(0.0, bound)``.
+    An exact tail returns ``(value, 0.0)``, an envelope ``(0.0, bound)``;
+    a rounded closed form counts its rounding in ``bound``.
     ``reach(tolerance)``, where given, is an ``n`` before which that
     bound, as ``rest`` computes it, stays above ``tolerance``: the sum
     asks ``rest`` from ``max(start, reach(tolerance))`` on.
@@ -130,9 +134,16 @@ def _climb(rounding: Callable[[float, float], float], n: float, log_tol: float,
 
 def _doubling_start(net: float) -> int:
     """First ``n`` with ``2**(n-1) >= 2 |net|``: from there on a doubling
-    payout keeps ``|net 2**(1-n)|`` within 1/2."""
+    payout keeps ``|net 2**(1-n)|`` within 1/2.  It is 1 at ``net = 0``."""
     mantissa, exponent = math.frexp(abs(net))
-    return max(1, exponent + (1 if mantissa == 0.5 else 2))
+    return max(1, exponent + (1 if mantissa == 0.5 else 2)) if net else 1
+
+
+def _power(theta: float) -> Callable[[float], float]:
+    """``x -> x**theta``: ``+x`` at 1; ``math.sqrt`` at 1/2, which ``x ** 0.5``
+    does not always match; ``math.pow`` elsewhere.  The last two raise
+    ``ValueError`` where ``**`` would go complex."""
+    return {1.0: pos, 0.5: math.sqrt}.get(theta) or (lambda x: math.pow(x, theta))
 
 
 class PayoutRule:
@@ -153,20 +164,18 @@ class PayoutRule:
         return self.payout(1, wealth)
 
     def log_terms(self, net: float, wealth: float, residual: float,
-                  with_slope: bool = False) -> tuple:
-        """Terms of ``P(n) * (ln(net + payout_n) - ln(wealth))``.
+                  with_slope: bool = False):
+        """The term of ``P(n) * (ln(net + payout_n) - ln(wealth))``.
 
         ``net + residual`` is the surviving wealth, ``residual`` being
-        the rounding error of ``net`` (see :func:`net_wealth`).  Returns
-        ``(term, far)``: ``term`` holds for every ``n``; ``far`` is the
-        same term taken in log space, which the series uses past
-        ``n = 900``, where weights and payouts leave the double range.
+        the rounding error of ``net`` (see :func:`net_wealth`).  The term
+        holds for every ``n``: where the payout or the wealth after it
+        leaves the double range, the rule takes the log its own way.
 
-        Each rule writes one ``term`` and one ``far``.  With ``with_slope``
-        both also add ``P(n) / (net + payout_n)`` to a running sum after
-        their value, in the order of the calls, and the call returns
-        ``(term, far, slope)``, ``slope()`` reading that sum: minus the
-        derivative of the series in the price.
+        With ``with_slope`` the term also adds ``P(n) / (net + payout_n)``
+        to a running sum after its value, in the order of the calls, and
+        the call returns ``(term, slope)``, ``slope()`` reading that sum:
+        minus the derivative of the series in the price.
         """
         payout, log_wealth, slope = self.payout, math.log(wealth), 0.0
 
@@ -182,38 +191,37 @@ class PayoutRule:
                 slope += weight / (net + m)
             return value
 
-        return (term, term, lambda: slope) if with_slope else (term, term)
+        return (term, lambda: slope) if with_slope else term
 
-    def sqrt_terms(self, net: float, wealth: float, residual: float) -> Tuple[Term, Term]:
-        """Terms of ``P(n) * (sqrt(net + payout_n) - sqrt(wealth))``, as
+    def power_terms(self, theta: float, net: float, wealth: float, residual: float,
+                    base: float) -> Term:
+        """The term of ``P(n) * ((net + payout_n + residual)**theta - base)``,
+        for ``0 < theta <= 1`` and ``base`` 0 or ``wealth**theta``, as
         :meth:`log_terms`."""
-        payout, sqrt_wealth = self.payout, math.sqrt(wealth)
+        payout, power = self.payout, _power(theta)
+        scale = power(wealth)
+        unit = base / scale
 
         def term(n: int, weight: float, log_weight: float) -> float:
             m = payout(n, wealth)
             after = net + m + residual
             if after < math.inf:
-                return weight * (math.sqrt(after) - sqrt_wealth)
-            factor = overflowed_factor(net, m, residual, wealth)
-            return weight * sqrt_wealth * (math.sqrt(factor) - 1.0)
+                return weight * (power(after) - base)
+            return weight * scale * (power(overflowed_factor(net, m, residual, wealth)) - unit)
 
-        return term, term
+        return term
 
     def tail(self, term: Term, p: float) -> Optional[Tail]:
         """Exact tail of any series of ``term`` past the last paid outcome,
         or ``None`` when payouts never stop."""
         return None
 
-    def payout_tail(self, p: float) -> Optional[Tail]:
-        """Tail of the expected payout, or ``None`` if there is none."""
-        return None
-
     def log_tail(self, p: float, net: float, wealth: float) -> Optional[Tail]:
         """Tail of the series of :meth:`log_terms`, or ``None``."""
         return None
 
-    def sqrt_tail(self, p: float, net: float, wealth: float) -> Optional[Tail]:
-        """Tail of the series of :meth:`sqrt_terms`, or ``None``."""
+    def power_tail(self, theta: float, p: float, net: float, base: float) -> Optional[Tail]:
+        """Tail of the series of :meth:`power_terms`, or ``None``."""
         return None
 
     def outcomes(self, p: float, max_terms: int) -> Iterator[Tuple[int, float, float]]:
@@ -284,60 +292,52 @@ class PayoutRule:
 
 
 class _Doubling(PayoutRule):
-    """Waiting time ``n`` pays ``2**(n - 1)`` up to ``_last_paid``, then nothing."""
+    """Waiting time ``n`` pays ``2**(n - 1)`` up to ``_last_paid``, at most
+    1024, then ``_past``: nothing, or ``inf`` past the double range."""
+
+    _past = 0.0
 
     def payout(self, n: int, wealth: float = 1.0) -> float:
-        if n > self._last_paid:
-            return 0.0
-        try:
-            return math.ldexp(1.0, n - 1)
-        except OverflowError:
-            return math.inf
+        return math.ldexp(1.0, n - 1) if n <= self._last_paid else self._past
 
     def payouts(self, ns: np.ndarray, wealth: float) -> np.ndarray:
         import numpy as np
-        with np.errstate(over="ignore"):
-            base = np.ldexp(1.0, np.minimum(ns - 1, 1024))
-        return np.where(ns <= self._last_paid, base, 0.0)
+        base = np.ldexp(1.0, np.minimum(ns - 1, 1023))
+        return np.where(ns <= self._last_paid, base, self._past)
+
+    # The terms inline the payout; where it or the wealth after it overflows
+    # they take _doubling_log, and the slope's P(n) / inf is 0
 
     def log_terms(self, net: float, wealth: float, residual: float,
-                  with_slope: bool = False) -> tuple:
-        log_wealth, last, payout, slope = math.log(wealth), self._last_paid, self.payout, 0.0
-
-        def far(n: int, weight: float, log_weight: float) -> float:
-            nonlocal slope
-            value = weight * (_doubling_log(n, net) - log_wealth)
-            if with_slope:
-                slope += weight / (net + payout(n))
-            return value
+                  with_slope: bool = False):
+        log_wealth, slope = math.log(wealth), 0.0
+        last, past = self._last_paid, self._past
 
         def term(n: int, weight: float, log_weight: float) -> float:
             nonlocal slope
-            try:
-                m = math.ldexp(1.0, n - 1) if n <= last else 0.0
-            except OverflowError:
-                return far(n, weight, log_weight)
-            value = weight * (math.log(net + m + residual) - log_wealth)
+            m = math.ldexp(1.0, n - 1) if n <= last else past
+            after = net + m + residual
+            if after == math.inf:
+                return weight * (_doubling_log(n, net) - log_wealth)
+            value = weight * (math.log(after) - log_wealth)
             if with_slope:
                 slope += weight / (net + m)
             return value
 
-        return (term, far, lambda: slope) if with_slope else (term, far)
+        return (term, lambda: slope) if with_slope else term
 
-    def sqrt_terms(self, net: float, wealth: float, residual: float) -> Tuple[Term, Term]:
-        sqrt_wealth, last = math.sqrt(wealth), self._last_paid
-
-        def far(n: int, weight: float, log_weight: float) -> float:
-            return math.exp(log_weight + 0.5 * _doubling_log(n, net)) - weight * sqrt_wealth
+    def power_terms(self, theta: float, net: float, wealth: float, residual: float,
+                    base: float) -> Term:
+        power, last, past = _power(theta), self._last_paid, self._past
 
         def term(n: int, weight: float, log_weight: float) -> float:
-            try:
-                m = math.ldexp(1.0, n - 1) if n <= last else 0.0
-            except OverflowError:
-                return far(n, weight, log_weight)
-            return weight * (math.sqrt(net + m + residual) - sqrt_wealth)
+            m = math.ldexp(1.0, n - 1) if n <= last else past
+            after = net + m + residual
+            if after == math.inf:
+                return math.exp(log_weight + theta * _doubling_log(n, net)) - weight * base
+            return weight * (power(after) - base)
 
-        return term, far
+        return term
 
     def huge_log_factors(self, ns: np.ndarray, net: float, wealth: float) -> np.ndarray:
         import numpy as np
@@ -353,14 +353,7 @@ class BernoulliOriginal(_Doubling):
     """
 
     token = "bernoulli"
-    _last_paid = math.inf
-
-    def payout_tail(self, p: float) -> Optional[Tail]:
-        # term = p q^(n-1) 2^(n-1), exactly geometric in 2q
-        ratio = 2.0 * (1.0 - p)
-        if ratio >= 1.0:
-            return None
-        return Tail(1, lambda n: (p * ratio ** n / (1.0 - ratio), 0.0))
+    _last_paid, _past = 1024, math.inf
 
     # Past n0 = _doubling_start(net), x_k = net 2**(1-k) lies within 1/4,
     # and a term splits into a part with a closed-form sum over k > n and
@@ -430,25 +423,36 @@ class BernoulliOriginal(_Doubling):
 
         return Tail(_doubling_start(net), rest, reach)
 
-    def sqrt_tail(self, p: float, net: float, wealth: float) -> Optional[Tail]:
-        # sqrt(net + 2**(k-1)) = sqrt(2)**(k-1) sqrt(1 + x_k).  Over k > n,
-        # P(k) (sqrt(2)**(k-1) - sqrt(w)) sums to
-        # p g**n / (1 - g) - sqrt(w) q**n with g = q sqrt(2), and
-        # |sqrt(1 + x) - 1| <= |x| bounds the rest by
-        # |net| p h**n / (1 - h) with h = q / sqrt(2).
-        growth = (1.0 - p) * _SQRT2
+    def power_tail(self, theta: float, p: float, net: float, base: float) -> Optional[Tail]:
+        # (net + 2**(k-1))**theta = 2**(theta (k-1)) (1 + x_k)**theta.  Over
+        # k > n, P(k) (2**(theta (k-1)) - base) sums to
+        # p G**n / (1 - G) - base q**n with G = q 2**theta, and
+        # |(1 + x)**theta - 1| <= |x| on |x| <= 1/2 bounds the rest by
+        # |net| p h**n / (1 - h) with h = q / 2**(1 - theta).
+        growth = (1.0 - p) * 2.0 ** theta
         if growth >= 1.0:
             return None
-        log_q, sqrt_w = math.log1p(-p), math.sqrt(wealth)
-        short = 1.0 - growth  # off by 3 u growth: 3 u / short of itself
-        shrink = (1.0 - p) / _SQRT2
+        log_q = math.log1p(-p)
+        num, den = theta.as_integer_ratio()
+        short = 1.0 - growth
+        shrink = (1.0 - p) / 2.0 ** (1 - theta)
         scale = abs(net) * p / (1.0 - shrink)
+        # G rounds by 3 u G, in q, 2**theta and their product: 3 u / short of
+        # short.  At theta = 1, p > 1/2 makes q, so G, exact.  A 2**x other
+        # than sqrt(2) may miss by an ulp: a unit more in G, two in G**n.
+        # Parts below the normal range lose a subnormal each
+        slack = {1.0: 0.0, 0.5: 3.0 / short}.get(theta, 2.0 + 4.0 / short)
+        floor = (base + 1.0 / short + scale) * _TINY
 
         def rest(n: int) -> Tuple[float, float]:
             qn = math.exp(n * log_q)
-            gn = math.ldexp(qn, n // 2) * (_SQRT2 if n % 2 else 1.0)
-            rises, falls = p * gn / short, sqrt_w * qn
-            rounding = (8.0 - 3.0 * n * log_q + 3.0 / short) * _U * (rises + falls)
+            if qn >= _NORMAL:
+                whole, part = divmod(num * n, den)
+                gn, spread = math.ldexp(qn * 2.0 ** (part / den), whole), 3.0
+            else:  # G**n may still be far from 0; its log errs by 5 n |ln q| u
+                gn, spread = math.exp(n * (log_q + theta * _LN2)), 5.0
+            rises, falls = p * gn / short, base * qn
+            rounding = (8.0 - spread * n * log_q + slack) * _U * (rises + falls) + floor
             return rises - falls, scale * shrink ** n + rounding
 
         return Tail(_doubling_start(net), rest)
@@ -480,32 +484,25 @@ class Menger(PayoutRule):
         return out
 
     def log_terms(self, net: float, wealth: float, residual: float,
-                  with_slope: bool = False) -> tuple:
+                  with_slope: bool = False):
         # ln(net + w e^T - w) - ln w  =  T + log1p((net - w) e^-T / w).
         # The terms do not compute the payout; the slope asks for it again
         payout, slope = self.payout, 0.0
 
         def term(n: int, weight: float, log_weight: float) -> float:
             nonlocal slope
-            try:
-                t = 2.0 ** n
-            except OverflowError:
-                t = math.inf
-            damp = math.exp(-t) if t < 745.0 else 0.0
-            value = weight * (t + math.log1p((net - wealth + residual) * damp / wealth))
+            if weight < _NORMAL:
+                # the weight leaves the normal range while T explodes
+                value = math.exp(log_weight + n * _LN2)
+            else:
+                t = 2.0 ** n if n < 1024 else math.inf
+                damp = math.exp(-t) if t < 745.0 else 0.0
+                value = weight * (t + math.log1p((net - wealth + residual) * damp / wealth))
             if with_slope:
                 slope += weight / (net + payout(n, wealth))
             return value
 
-        def far(n: int, weight: float, log_weight: float) -> float:
-            nonlocal slope
-            # the weight underflows while the term explodes
-            value = math.exp(log_weight + n * _LN2)
-            if with_slope:
-                slope += weight / (net + payout(n, wealth))
-            return value
-
-        return (term, far, lambda: slope) if with_slope else (term, far)
+        return (term, lambda: slope) if with_slope else term
 
     def log_tail(self, p: float, net: float, wealth: float) -> Optional[Tail]:
         q = 1.0 - p

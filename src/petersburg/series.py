@@ -15,12 +15,13 @@ Rather than truncating blindly, each evaluation returns a
   nonpositive quantity, e.g. a ticket price that risks bankruptcy.
 
 All criteria are one sum, ``sum P(n) * gain(n)``, taken by one loop,
-:func:`_sum`.  The payout rule supplies the terms and, where it knows
-one, the tail as a closed-form part and a bound on the rest: summed
-exactly (capped, table and exactly geometric tails), in closed form up
-to a remainder geometric in ``q/2`` or ``q/sqrt(2)`` (the log and sqrt
-tails of the doubling payout, which end the sum in a number of terms
-that hardly depends on ``p``), or only bounded by an envelope.
+:func:`_sum`.  The payout rule supplies the terms, each safe where its
+payout or weight leaves the double range, and, where it knows one, the
+tail as a closed-form part and a bound on the rest: summed exactly
+(capped and table tails), in closed form up to its rounding and a
+remainder geometric in ``q/2`` or ``q/2**(1 - theta)`` (the log and
+power tails of the doubling payout, which end the sum in a number of
+terms that hardly depends on ``p``), or only bounded by an envelope.
 Divergence detection only runs for series without a tail: with one the
 series is provably convergent, and heavy-tailed cases (small geometric
 parameter) rise for many terms before decaying, which would otherwise
@@ -94,8 +95,8 @@ class SeriesResult:
     ``value`` and ``tail_bound`` are set only for ``Converged`` results;
     ``reason`` only for ``Undefined`` ones.  ``tail_bound`` is zero when
     the remainder beyond the examined terms was summed exactly (finite
-    tables, capped tails, exactly geometric tails), and bounds what a
-    closed form leaves out, its rounding included, otherwise.
+    tables, capped tails), and bounds what a closed form leaves out, its
+    rounding included, otherwise (the geometric expected payout too).
     """
 
     classification: Classification
@@ -176,15 +177,15 @@ def _sum(
     spec: GambleSpec,
     policy: TruncationPolicy,
     term: Term,
-    far: Optional[Term] = None,
     tail: Optional[Tail] = None,
     empirical_from: Optional[int] = None,
     sign_only: bool = False,
 ) -> SeriesResult:
     """Sum ``term(n, P(n), ln P(n))`` over the outcomes of ``spec``.
 
-    Past ``n = 900`` the terms come from ``far`` (default ``term``).  The
-    rule's exact tail past its last paid outcome, if it has one, replaces
+    ``term`` holds at every ``n``: the rule that wrote it takes it in
+    logs where its payout or weight leaves the double range.  The rule's
+    exact tail past its last paid outcome, if it has one, replaces
     ``tail``.  From ``tail.start`` on, or from ``tail.reach(tolerance)``
     if that is later, the sum stops once the bound of ``tail.rest(n)``
     is within the tolerance, and reports the terms so far plus the
@@ -212,15 +213,12 @@ def _sum(
     p = spec.probability_parameter
     tail = rule.tail(term, p) or tail
     start, rest, reach = tail or (None, None, None)
-    far = far or term
     if reach is not None and not sign_only:
         start = max(start, reach(policy.tolerance))
     window_from = empirical_from or 1
     window: deque = deque(maxlen=_DIVERGENCE_WINDOW)
     total = mass = 0.0
     for n, weight, log_weight in rule.outcomes(p, policy.max_terms):
-        if n > 900:  # weights and payouts leave the double range
-            term = far
         try:
             tau = term(n, weight, log_weight)
         except ValueError as exc:
@@ -280,17 +278,23 @@ def expected_payout(
 
     Returns:
         ``DivergesPositive`` for the classic doubling lottery (each term
-        contributes half a dollar forever), an exact ``Converged`` value
-        for capped, table, and fast-decaying geometric variants.
+        contributes half a dollar forever); ``Converged`` for capped and
+        table variants, exactly, and for fast-decaying geometric ones
+        (``p > 1/2``), up to the rounding of their closed-form tail.
     """
-    policy = policy or TruncationPolicy()
+    return _power_series(spec, policy or TruncationPolicy(), 1.0, wealth)
+
+
+def _power_series(spec: GambleSpec, policy: TruncationPolicy, theta: float, wealth: float,
+                  net: float = 0.0, residual: float = 0.0, base: float = 0.0) -> SeriesResult:
+    """Sum of ``P(n) * ((net + payout_n + residual)**theta - base)``, for
+    ``0 < theta <= 1`` and ``base`` 0 or ``wealth**theta``: the expected
+    payout at ``theta = 1``, the square-root change at 1/2.  It stays in
+    dollars: ``wealth**theta`` times a sum of ``r**theta - 1`` over growth
+    factors would lose the digits of a payout small beside the wealth."""
     rule = spec.payout_rule
-    payout = rule.payout
-
-    def term(n: int, weight: float, log_weight: float) -> float:
-        return weight * payout(n, wealth)
-
-    return _sum(spec, policy, term, tail=rule.payout_tail(spec.probability_parameter))
+    return _sum(spec, policy, rule.power_terms(theta, net, wealth, residual, base),
+                rule.power_tail(theta, spec.probability_parameter, net, base))
 
 
 class _Probe:
@@ -330,11 +334,13 @@ def _log_change_series(
     net, residual = net_wealth(wealth, price)
     tail = rule.log_tail(spec.probability_parameter, net, wealth)
     sign_only = probe is not None and probe.sign_only
-    term, far, *slope = rule.log_terms(net, wealth, residual,
-                                       with_slope=probe is not None and not sign_only)
-    result = _sum(spec, policy, term, far, tail, sign_only=sign_only)
-    if slope:
-        probe.slope = slope[0]()
+    with_slope = probe is not None and not sign_only
+    term = rule.log_terms(net, wealth, residual, with_slope)
+    if with_slope:
+        term, slope = term
+    result = _sum(spec, policy, term, tail, sign_only=sign_only)
+    if with_slope:
+        probe.slope = slope()
     return result
 
 
@@ -410,9 +416,10 @@ def _ensemble_growth(state: PlayerState, spec: GambleSpec, policy: TruncationPol
     """:func:`ensemble_average_growth` from ``inner``, the expected payout
     of ``spec`` under ``policy`` at the player's wealth.
 
-    Every built-in payout sum that converges is exact (``tail_bound``
-    0.0), so ``inner`` is used as it is: a bound too coarse for the
-    tolerance raises :class:`TruncationInconclusiveError`.
+    ``inner`` is used as it is: its ``tail_bound``, the rounding of a
+    geometric closed-form tail, bounds the rate's error by ``t / (f - t)``,
+    ``t = tail_bound / wealth``.  A bound too coarse for the tolerance
+    raises :class:`TruncationInconclusiveError`.
     """
     w, c = state.wealth, state.ticket_price
     if inner.classification is Classification.DIVERGES_POSITIVE:
@@ -480,19 +487,11 @@ def expected_utility_change(
     if utility == "log":
         return _log_change_series(spec, w, c, policy)
     if utility == "sqrt":
-        return _sqrt_change_series(spec, w, c, policy)
+        net, residual = net_wealth(w, c)
+        return _power_series(spec, policy, 0.5, w, net, residual, math.sqrt(w))
     if not callable(utility):
         raise ValueError(f"utility must be 'log', 'sqrt', or a callable, got {utility!r}")
     return _custom_change_series(spec, w, c, policy, utility)
-
-
-def _sqrt_change_series(
-    spec: GambleSpec, wealth: float, price: float, policy: TruncationPolicy
-) -> SeriesResult:
-    rule = spec.payout_rule
-    net, residual = net_wealth(wealth, price)
-    term, far = rule.sqrt_terms(net, wealth, residual)
-    return _sum(spec, policy, term, far, rule.sqrt_tail(spec.probability_parameter, net, wealth))
 
 
 def _custom_change_series(

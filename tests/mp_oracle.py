@@ -9,8 +9,11 @@ At wealth 1e300 a 40-digit sum cannot tell the price 499.26 from 1 or
 
 A doubling series is summed term by term to ``_DIRECT`` terms past the
 payout's crossing of ``2 |net|``; past them ``|net 2**(1-n)| <
-2**-_DIRECT``, and the tail is the expansion of the log or root in that
+2**-_DIRECT``, and the tail is the expansion of the log or power in that
 ratio, taken to enough orders that what it leaves is below the precision.
+The expected payout, the square-root utility and any power ``theta`` in
+``(0, 1]`` are one family, the gain ``(net + m)**theta - base``: the
+payout is ``theta = 1`` with ``net`` and ``base`` 0.
 """
 
 import math
@@ -56,23 +59,34 @@ def precision(wealth: float, p: float) -> int:
     return max(_MIN_BITS, math.ceil(math.log2(wealth)) + math.ceil(-math.log2(p)) + _GUARD_BITS)
 
 
-def _gain(utility: str, net, wealth) -> Tuple[Callable, Callable]:
+def _power(utility, wealth):
+    """``(theta, base)`` of a power gain ``(net + m)**theta - base``: the
+    expected payout (``"none"``) is ``theta = 1``, ``base = 0``;
+    ``"sqrt"`` is ``theta = 1/2``, ``base = sqrt(w)``; a number is
+    ``theta`` itself, with ``base = w**theta``."""
+    if utility == "none":
+        return mpmath.mpf(1), mpmath.mpf(0)
+    theta = mpmath.mpf(1) / 2 if utility == "sqrt" else mpmath.mpf(utility)
+    return theta, wealth ** theta
+
+
+def _gain(utility, net, wealth) -> Tuple[Callable, Callable]:
     """``g(m)``, the change in utility from a payout ``m``, and the size
     ``|g|`` of what the float loop rounds while computing it."""
     if utility == "log":
         log_w = mpmath.log(wealth)
         return (lambda m: mpmath.log(net + m) - log_w,
                 lambda m: abs(mpmath.log(net + m)) + abs(log_w) + 1)
-    if utility == "sqrt":
-        sqrt_w = mpmath.sqrt(wealth)
-        return (lambda m: mpmath.sqrt(net + m) - sqrt_w,
-                lambda m: mpmath.sqrt(net + m) + sqrt_w + 1)
-    return (lambda m: m), abs
+    if utility == "none":
+        return (lambda m: m), abs
+    theta, base = _power(utility, wealth)
+    return (lambda m: (net + m) ** theta - base,
+            lambda m: (net + m) ** theta + base + 1)
 
 
-def _doubling_tail(utility: str, p, net, wealth, n0: int):
-    """``sum_{n > n0} P(n) g(2**(n-1))`` for the log or root utility, summed
-    in powers of ``x = net 2**(1-n)``, to the working precision."""
+def _doubling_tail(utility, p, net, wealth, n0: int):
+    """``sum_{n > n0} P(n) g(2**(n-1))`` for the log or a power utility,
+    summed in powers of ``x = net 2**(1-n)``, to the working precision."""
     q = 1 - p
     # |x| < 2**-_DIRECT, so the orders past these leave below 2**-(prec + _DIRECT)
     orders = mpmath.mp.prec // _DIRECT + 1
@@ -83,28 +97,32 @@ def _doubling_tail(utility: str, p, net, wealth, n0: int):
             ratio = q / mpmath.mpf(2) ** k
             tail += (-1) ** (k + 1) * net ** k / k * p * ratio ** n0 / (1 - ratio)
         return tail
-    # sqrt(net + 2**(n-1)) = 2**((n-1)/2) sum_k binom(1/2, k) x**k
-    tail = -mpmath.sqrt(wealth) * q ** n0
+    # (net + 2**(n-1))**theta = 2**(theta (n-1)) sum_k binom(theta, k) x**k
+    theta, base = _power(utility, wealth)
+    tail = -base * q ** n0
     for k in range(0, orders + 1):
-        ratio = q * mpmath.mpf(2) ** (mpmath.mpf(1) / 2 - k)
-        tail += mpmath.binomial(mpmath.mpf(1) / 2, k) * net ** k * p * ratio ** n0 / (1 - ratio)
+        ratio = q * mpmath.mpf(2) ** (theta - k)
+        tail += mpmath.binomial(theta, k) * net ** k * p * ratio ** n0 / (1 - ratio)
     return tail
 
 
-def reference(spec: GambleSpec, wealth: float, price: float, utility: str) -> Reference:
+def reference(spec: GambleSpec, wealth: float, price: float, utility) -> Reference:
     """The criterion series of ``utility`` (``"none"`` for the expected
-    payout, ``"log"`` or ``"sqrt"``) at :func:`precision`."""
+    payout, ``"log"``, ``"sqrt"``, or a number ``theta`` in ``(0, 1]`` for
+    ``(w - c + m)**theta - w**theta``) at :func:`precision`."""
     bits = precision(wealth, spec.probability_parameter)
     with mpmath.workprec(bits):
         return _reference(spec, wealth, price, utility)._replace(bits=bits)
 
 
-def _reference(spec: GambleSpec, wealth: float, price: float, utility: str) -> Reference:
+def _reference(spec: GambleSpec, wealth: float, price: float, utility) -> Reference:
     rule = spec.payout_rule
     w = mpmath.mpf(wealth)
-    net = w - mpmath.mpf(price)
+    # the expected payout is the power family at net 0
+    net = w - mpmath.mpf(price) if utility != "none" else mpmath.mpf(0)
     lowest = mpmath.mpf(min_payout(spec, wealth))
-    if (utility == "log" and net + lowest <= 0) or (utility == "sqrt" and net + lowest < 0):
+    if (utility == "log" and net + lowest <= 0) or (utility not in ("log", "none")
+                                                    and net + lowest < 0):
         return Reference(Classification.UNDEFINED, reason=UndefinedReason.BANKRUPTCY_TERM)
     g, size = _gain(utility, net, w)
     if isinstance(rule, Table):
@@ -126,8 +144,8 @@ def _reference(spec: GambleSpec, wealth: float, price: float, utility: str) -> R
         value = (mpmath.fsum(p * q ** (n - 1) * g(paid(n)) for n in range(1, last + 1))
                  + q ** last * g(0))
         return Reference(Classification.CONVERGED, value, magnitude)
-    if isinstance(rule, Menger) or (utility == "none" and 2 * q >= 1) or (
-            utility == "sqrt" and q * mpmath.sqrt(2) >= 1):
+    if isinstance(rule, Menger) or (utility != "log"
+                                    and q * 2 ** _power(utility, w)[0] >= 1):
         return Reference(Classification.DIVERGES_POSITIVE)
     n0 = _DIRECT + int(mpmath.ceil(mpmath.log(2 * abs(net) + 2, 2)))
     value = mpmath.fsum(p * q ** (n - 1) * g(mpmath.mpf(2) ** (n - 1)) for n in range(1, n0 + 1))

@@ -26,7 +26,7 @@ from petersburg import (
     support_size,
 )
 from petersburg.cli import parse_payout
-from petersburg.gamble import _MAX_WAITING_TIME, net_wealth
+from petersburg.gamble import _MAX_WAITING_TIME, _doubling_start, net_wealth
 
 
 class TestDoublingPayouts:
@@ -218,6 +218,17 @@ class TestNetWealth:
         assert Fraction(net) + Fraction(residual) == Fraction(wealth) - Fraction(price)
 
 
+class TestDoublingStart:
+    @pytest.mark.parametrize("net, start", [
+        (0.0, 1), (-0.0, 1), (0.25, 1), (0.5, 1), (0.75, 2), (1.0, 2), (-3.0, 4), (4.0, 4),
+    ])
+    def test_first_n_whose_payout_reaches_twice_net(self, net, start):
+        # 2**(start - 1) >= 2 |net| > 2**(start - 2), or start = 1
+        assert _doubling_start(net) == start
+        assert 2.0 ** (start - 1) >= 2.0 * abs(net)
+        assert start == 1 or 2.0 ** (start - 2) < 2.0 * abs(net)
+
+
 class TestMinPayout:
     def test_doubling_minimum_is_one_dollar(self):
         assert min_payout(GambleSpec()) == 1.0
@@ -333,7 +344,7 @@ class TestRuleConformance:
         state = PlayerState(wealth=wealth, ticket_price=wealth / 2.0)
         vectorised = montecarlo._log_growth_factors(state, GambleSpec(rule), self.ns)
         net, residual = net_wealth(state.wealth, state.ticket_price)
-        term, _ = rule.log_terms(net, wealth, residual)
+        term = rule.log_terms(net, wealth, residual)
         for n, factor in zip(self.ns.tolist(), vectorised.tolist()):
             gain = term(n, 1.0, 0.0)
             if math.isinf(gain) or math.isinf(factor):

@@ -76,8 +76,20 @@ class TestExpectedPayout:
         result = expected_payout(spec)
         assert result.is_converged
         assert abs(result.value - 1.5) < 1e-14
-        assert result.tail_bound == 0.0
+        # the closed form's rounding, which a bound of 0 would leave out
+        assert result.tail_bound < 1e-14
         assert result.terms_used == 1
+
+    @pytest.mark.parametrize("p", [0.5001, 0.50001])
+    def test_closed_form_holds_its_rounding(self, p):
+        # the geometric tail p (2q)**n / (1 - 2q) is rounded: at p = 0.5001
+        # it misses P / (2P - 1) by about 2.4e-13, inside its bound
+        result = expected_payout(GambleSpec(probability_parameter=p))
+        assert result.is_converged
+        with mpmath.workprec(200):
+            exact = mpmath.mpf(p) / (2 * mpmath.mpf(p) - 1)
+            assert abs(mpmath.mpf(result.value) - exact) <= result.tail_bound
+        assert 0.0 < result.tail_bound <= 1e-10
 
     def test_doubling_with_slow_decay_detected_divergent(self):
         # Success probability 0.4 makes the terms grow like 1.2**n; there is
@@ -187,7 +199,7 @@ def _probed_sum(p, wealth, price, policy, skip=True):
     its start."""
     rule = BernoulliOriginal()
     net, residual = net_wealth(wealth, price)
-    term, far = rule.log_terms(net, wealth, residual)
+    term = rule.log_terms(net, wealth, residual)
     tail = rule.log_tail(p, net, wealth)
     probes = []
 
@@ -197,7 +209,7 @@ def _probed_sum(p, wealth, price, policy, skip=True):
 
     probed = tail._replace(rest=rest, reach=tail.reach if skip else None)
     try:
-        result = _sum(GambleSpec(rule, p), policy, term, far, probed)
+        result = _sum(GambleSpec(rule, p), policy, term, probed)
     except TruncationInconclusiveError as exc:
         result = f"inconclusive: {exc}"
     return result, probes

@@ -24,11 +24,14 @@ from petersburg import (
     PlayerState,
     Table,
     TruncationInconclusiveError,
+    TruncationPolicy,
     expected_payout,
     expected_utility_change,
     min_payout,
     time_average_growth,
 )
+from petersburg.gamble import net_wealth
+from petersburg.series import _power_series
 
 _TABLES = {
     "few": ((0.5, 0.0), (0.25, 3.0), (0.25, 40.0)),
@@ -142,6 +145,45 @@ class TestDoublingTailTerms:
             result = expected_utility_change(PlayerState(wealth, price), spec, "sqrt")
             assert result.terms_used < 100
             assert_agrees(result, reference(spec, wealth, price, "sqrt"))
+
+
+class TestPowerFamily:
+    """The expected payout (``theta = 1``), the square-root change
+    (``theta = 1/2``) and other powers share one doubling tail."""
+
+    @pytest.mark.parametrize("p", [0.5001, 0.501, 0.6, 0.75, 0.99])
+    def test_payout(self, p):
+        spec = GambleSpec(probability_parameter=p)
+        assert_agrees(expected_payout(spec), reference(spec, 1.0, 0.0, "none"))
+
+    @pytest.mark.parametrize("p", [0.3, 0.4, 0.6, 0.99])
+    @pytest.mark.parametrize("wealth", [1.0, 1e6])
+    def test_sqrt_change(self, p, wealth):
+        spec = GambleSpec(probability_parameter=p)
+        for price in (0.0, 0.02 * wealth, wealth + 0.5):
+            result = expected_utility_change(PlayerState(wealth, price), spec, "sqrt")
+            assert_agrees(result, reference(spec, wealth, price, "sqrt"))
+
+    @pytest.mark.parametrize("p", [0.5, 0.6])
+    @pytest.mark.parametrize("wealth, price", [(1.0, 0.0), (100.0, 2.0), (1e6, 1e6)])
+    def test_power_nine_tenths(self, p, wealth, price):
+        spec = GambleSpec(probability_parameter=p)
+        net, residual = net_wealth(wealth, price)
+        result = _power_series(spec, TruncationPolicy(), 0.9, wealth, net, residual,
+                               math.pow(wealth, 0.9))
+        assert result.is_converged
+        assert_agrees(result, reference(spec, wealth, price, 0.9))
+
+    @pytest.mark.parametrize("p", [0.2929, 0.293])
+    def test_sqrt_tail_near_its_edge_is_never_wrong(self, p):
+        # q sqrt(2) is within 2e-4 of 1, and q**n underflows long before
+        # G**n = (q sqrt(2))**n falls: no verdict, or the right one
+        spec = GambleSpec(probability_parameter=p)
+        try:
+            result = expected_utility_change(PlayerState(100.0, 2.0), spec, "sqrt")
+        except TruncationInconclusiveError:
+            return
+        assert_agrees(result, reference(spec, 100.0, 2.0, "sqrt"))
 
 
 class TestOraclePrecision:
