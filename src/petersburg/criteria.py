@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from .gamble import GambleSpec, PlayerState, min_payout
 from .series import (
@@ -93,7 +93,7 @@ def evaluate(
     state: PlayerState,
     spec: GambleSpec,
     policy: Optional[TruncationPolicy] = None,
-    utility: Optional[Union[str, Callable[[float], float]]] = None,
+    utility: Optional[str] = None,
 ) -> DecisionReport:
     """Evaluate every decision criterion for one state and gamble.
 
@@ -101,8 +101,9 @@ def evaluate(
         state: Wealth and ticket price.
         spec: Gamble specification.
         policy: Truncation policy shared by all series.
-        utility: Optional ``"log"``, ``"sqrt"``, or callable; when given,
-            the report also carries the expected utility change.
+        utility: Optional ``"log"`` or ``"sqrt"``; when given, the report
+            also carries the expected utility change.  Any other value
+            raises ``ValueError``, as in :func:`expected_utility_change`.
 
     Returns:
         A :class:`DecisionReport` whose four criteria fields are always

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, count, repeat
 from operator import add, mul, pos
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Tuple, Union
 
 if TYPE_CHECKING:
     import numpy as np
@@ -50,6 +50,8 @@ _SLACK = 1e-9
 _LOG_NORMAL = 1022.0 * _LN2 - _SLACK
 #: ``ln(10 u)``, the least log of the doubling log tail's rounding factor.
 _LOG_10U = math.log(10.0 * _U)
+#: A log whose ``exp`` is a huge double: a divergence floor is capped there.
+_LOG_HUGE = 709.0
 
 #: Waiting times drawn one by one in the time a census spends on one
 #: binomial of its multinomial chain.
@@ -95,6 +97,21 @@ class Tail(NamedTuple):
     start: int
     rest: Callable[[int], Tuple[float, float]]
     reach: Optional[Callable[[float], int]] = None
+
+
+class Diverges(NamedTuple):
+    """A proof that a series diverges to ``+inf``: every term from term
+    ``start`` on is at least ``floor > 0``.
+
+    A rule returns one in place of a :class:`Tail` where its series has
+    no finite sum, and the series engine reads it at term ``start``,
+    before it computes that term.  ``floor`` is rounded down: to about
+    ``e**709`` where it lies past the double range, and to 0.0 where it
+    lies below it.
+    """
+
+    start: int
+    floor: float
 
 
 def _doubling_log(n, net, log1p=math.log1p, ldexp=math.ldexp):
@@ -216,12 +233,15 @@ class PayoutRule:
         or ``None`` when payouts never stop."""
         return None
 
-    def log_tail(self, p: float, net: float, wealth: float) -> Optional[Tail]:
-        """Tail of the series of :meth:`log_terms`, or ``None``."""
+    def log_tail(self, p: float, net: float, wealth: float) -> Union[Tail, Diverges, None]:
+        """Tail of the series of :meth:`log_terms`, its proof of divergence,
+        or ``None``."""
         return None
 
-    def power_tail(self, theta: float, p: float, net: float, base: float) -> Optional[Tail]:
-        """Tail of the series of :meth:`power_terms`, or ``None``."""
+    def power_tail(self, theta: float, p: float, net: float, wealth: float,
+                   base: float) -> Union[Tail, Diverges, None]:
+        """Tail of the series of :meth:`power_terms`, its proof of
+        divergence, or ``None``."""
         return None
 
     def outcomes(self, p: float, max_terms: int) -> Iterator[Tuple[int, float, float]]:
@@ -423,17 +443,31 @@ class BernoulliOriginal(_Doubling):
 
         return Tail(_doubling_start(net), rest, reach)
 
-    def power_tail(self, theta: float, p: float, net: float, base: float) -> Optional[Tail]:
+    def power_tail(self, theta: float, p: float, net: float, wealth: float,
+                   base: float) -> Union[Tail, Diverges, None]:
         # (net + 2**(k-1))**theta = 2**(theta (k-1)) (1 + x_k)**theta.  Over
         # k > n, P(k) (2**(theta (k-1)) - base) sums to
         # p G**n / (1 - G) - base q**n with G = q 2**theta, and
         # |(1 + x)**theta - 1| <= |x| on |x| <= 1/2 bounds the rest by
         # |net| p h**n / (1 - h) with h = q / 2**(1 - theta).
         growth = (1.0 - p) * 2.0 ** theta
-        if growth >= 1.0:
-            return None
-        log_q = math.log1p(-p)
         num, den = theta.as_integer_ratio()
+        start, diverges = _doubling_start(net), growth >= 1.0
+        if den == 2 and abs(growth - 1.0) <= 8.0 * _U:
+            # G errs by a few units; at theta = 1/2, 2 q**2 >= 1 decides it
+            # exactly.  At theta = 1 rounding keeps q on its side of 1/2
+            from fractions import Fraction
+            diverges = 2 * (1 - Fraction(p)) ** 2 >= 1
+        if diverges:
+            # Past start (1 + x_k)**theta >= 1/2, so once also
+            # 2**(theta (k-1)) >= 4 base a term is at least
+            # P(k) 2**(theta (k-1)) / 4 = p G**(k-1) / 4 >= p / 4
+            if base:
+                start = max(start, math.ceil(math.log2(4.0 * base) / theta + _SLACK) + 1)
+            return Diverges(start, p / 4.0)
+        if growth >= 1.0:
+            return None  # G < 1 by less than its rounding: no bound can show it
+        log_q = math.log1p(-p)
         short = 1.0 - growth
         shrink = (1.0 - p) / 2.0 ** (1 - theta)
         scale = abs(net) * p / (1.0 - shrink)
@@ -455,7 +489,28 @@ class BernoulliOriginal(_Doubling):
             rounding = (8.0 - spread * n * log_q + slack) * _U * (rises + falls) + floor
             return rises - falls, scale * shrink ** n + rounding
 
-        return Tail(_doubling_start(net), rest)
+        return Tail(start, rest)
+
+
+def _menger_log_factor(n: int, shortfall: float, wealth: float) -> float:
+    """``ln(e**T + shortfall / w)`` with ``T = 2**n``, as
+    ``T + log1p(shortfall e**-T / w)``: the log growth factor of a Menger
+    payout, ``shortfall`` being the surviving wealth less ``w``."""
+    t = 2.0 ** n if n < 1024 else math.inf
+    damp = math.exp(-t) if t < 745.0 else 0.0
+    return t + math.log1p(shortfall * damp / wealth)
+
+
+def _menger_halved(net: float, wealth: float) -> float:
+    """A ``T`` past which ``(w - net) e**-T <= w/2``: Menger's wealth after
+    a payout is then at least half the payout."""
+    owed = wealth - net
+    return math.log(owed) - math.log(wealth) + _LN2 + _SLACK if owed > 0.0 else 0.0
+
+
+def _menger_step(t: float) -> int:
+    """The first ``n >= 1`` with ``2**n >= t``."""
+    return max(1, math.ceil(math.log2(t))) if t > 2.0 else 1
 
 
 @dataclass(frozen=True)
@@ -495,25 +550,57 @@ class Menger(PayoutRule):
                 # the weight leaves the normal range while T explodes
                 value = math.exp(log_weight + n * _LN2)
             else:
-                t = 2.0 ** n if n < 1024 else math.inf
-                damp = math.exp(-t) if t < 745.0 else 0.0
-                value = weight * (t + math.log1p((net - wealth + residual) * damp / wealth))
+                value = weight * _menger_log_factor(n, net - wealth + residual, wealth)
             if with_slope:
                 slope += weight / (net + payout(n, wealth))
             return value
 
         return (term, lambda: slope) if with_slope else term
 
-    def log_tail(self, p: float, net: float, wealth: float) -> Optional[Tail]:
+    def power_terms(self, theta: float, net: float, wealth: float, residual: float,
+                    base: float) -> Term:
+        # where the power of the wealth after the payout overflows, it is
+        # taken from the log growth factor, as in the log terms
+        plain = super().power_terms(theta, net, wealth, residual, base)
+        log_wealth, shortfall = math.log(wealth), net - wealth + residual
+
+        def term(n: int, weight: float, log_weight: float) -> float:
+            value = plain(n, weight, log_weight)
+            if value < math.inf:
+                return value
+            log_after = log_wealth + _menger_log_factor(n, shortfall, wealth)
+            return math.exp(log_weight + theta * log_after) - weight * base
+
+        return term
+
+    def log_tail(self, p: float, net: float, wealth: float) -> Union[Tail, Diverges, None]:
         q = 1.0 - p
         ratio = 2.0 * q
         if ratio >= 1.0:
-            return None
+            # Once (w - net) e**-T <= w/2 a term is at least
+            # P(k) (2**k - ln 2) >= P(k) 2**(k-1) = p (2q)**(k-1) >= p
+            return Diverges(_menger_step(_menger_halved(net, wealth)), p)
         try:
             kappa = abs(math.log1p((net - wealth) * math.exp(-2.0) / wealth))
         except ValueError:
             return None  # the first outcome bankrupts; its term says so
         return Tail(1, lambda n: (0.0, kappa * q ** n + 2.0 * p * ratio ** n / (1.0 - ratio)))
+
+    def power_tail(self, theta: float, p: float, net: float, wealth: float,
+                   base: float) -> Union[Tail, Diverges, None]:
+        # Once (w - net) e**-T <= w/2 the wealth after the payout is at
+        # least w e**T / 2; once also e**(theta T) >= 2**(1 + theta), its
+        # power is at least twice w**theta >= base, and a term is at least
+        # b(k) = P(k) (w/2)**theta e**(theta T) / 2.  As
+        # b(k + 1) / b(k) = q e**(theta T) grows with k, b falls until that
+        # ratio reaches 1 and never after: its least value from the start on
+        # is b at the first k that also has q e**(theta T) >= 1.
+        log_q = math.log1p(-p)
+        need = max(_menger_halved(net, wealth), (1.0 + theta) * _LN2 / theta + _SLACK)
+        least = _menger_step(max(need, -log_q / theta + _SLACK))
+        log_floor = (math.log(p) + (least - 1) * log_q - _LN2 - _SLACK
+                     + theta * (math.log(wealth) - _LN2 + 2.0 ** least))
+        return Diverges(_menger_step(need), math.exp(min(log_floor, _LOG_HUGE)))
 
     def huge_log_factors(self, ns: np.ndarray, net: float, wealth: float) -> np.ndarray:
         import numpy as np

@@ -7,12 +7,14 @@ Rather than truncating blindly, each evaluation returns a
 * ``Converged`` -- the omitted tail is summed in closed form or bounded,
   and what its closed form leaves out stays below the policy tolerance,
   so the reported value is trustworthy;
-* ``DivergesPositive`` / ``DivergesNegative`` -- the terms do not decay
-  (detected over a window of consecutive terms, or a rule's own term
-  overflowing the double range; a payout past that range whose custom
-  utility is not finite gives no verdict);
-* ``Undefined`` -- some outcome requires the log (or other utility) of a
+* ``DivergesPositive`` -- the payout rule proves that every term from
+  some ``n`` on is at least a positive floor (a
+  :class:`~petersburg.gamble.Diverges` certificate);
+* ``Undefined`` -- some outcome requires the log (or square root) of a
   nonpositive quantity, e.g. a ticket price that risks bankruptcy.
+
+No series yields ``DivergesNegative``; the label stays in
+:class:`Classification` and in the output schema.
 
 All criteria are one sum, ``sum P(n) * gain(n)``, taken by one loop,
 :func:`_sum`.  The payout rule supplies the terms, each safe where its
@@ -22,28 +24,26 @@ tail as a closed-form part and a bound on the rest: summed exactly
 remainder geometric in ``q/2`` or ``q/2**(1 - theta)`` (the log and
 power tails of the doubling payout, which end the sum in a number of
 terms that hardly depends on ``p``), or only bounded by an envelope.
-Divergence detection only runs for series without a tail: with one the
-series is provably convergent, and heavy-tailed cases (small geometric
-parameter) rise for many terms before decaying, which would otherwise
-look like divergence.
+Where the series has no finite sum, the rule gives a proof of divergence
+in place of the tail.  No verdict is read off the terms themselves:
+heavy-tailed cases (small geometric parameter) rise for many terms
+before they decay.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
-from .gamble import GambleSpec, PlayerState, Tail, Term, net_wealth, overflowed_factor
+from .gamble import (Diverges, GambleSpec, PlayerState, Tail, Term, net_wealth,
+                     overflowed_factor)
 
-# consecutive-term ratios at or above 1 - slack count as "not decaying"
-_RATIO_SLACK = 1e-12
 # the spacing of doubles at 1
 _EPS = 2.0 ** -52
-# consecutive non-decaying terms that classify a series as divergent
-_DIVERGENCE_WINDOW = 16
+# the least term budget a policy accepts
+_LEAST_MAX_TERMS = 16
 
 
 class Classification(str, Enum):
@@ -63,7 +63,8 @@ class UndefinedReason(str, Enum):
 
 
 class TruncationInconclusiveError(ArithmeticError):
-    """Neither the tail envelope nor the divergence test fired within max_terms."""
+    """Within max_terms, no tail bound reached the tolerance and no proof of
+    divergence came into force."""
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,7 @@ class TruncationPolicy:
         tolerance: Absolute bound the omitted tail must satisfy before a
             result is reported ``Converged``.
         max_terms: Hard cap on examined terms; exceeding it raises
-            :class:`TruncationInconclusiveError`.  At least 16, the run
-            of non-decaying terms that classifies a series as divergent.
+            :class:`TruncationInconclusiveError`.  At least 16.
     """
 
     tolerance: float = 1e-10
@@ -84,8 +84,8 @@ class TruncationPolicy:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
-        if self.max_terms < _DIVERGENCE_WINDOW:
-            raise ValueError(f"max_terms must be at least {_DIVERGENCE_WINDOW}")
+        if self.max_terms < _LEAST_MAX_TERMS:
+            raise ValueError(f"max_terms must be at least {_LEAST_MAX_TERMS}")
 
 
 @dataclass(frozen=True)
@@ -114,10 +114,6 @@ class SeriesResult:
         return cls(Classification.DIVERGES_POSITIVE, terms_used)
 
     @classmethod
-    def diverges_negative(cls, terms_used: int) -> "SeriesResult":
-        return cls(Classification.DIVERGES_NEGATIVE, terms_used)
-
-    @classmethod
     def undefined(cls, reason: UndefinedReason, terms_used: int) -> "SeriesResult":
         return cls(Classification.UNDEFINED, terms_used, reason=reason)
 
@@ -126,75 +122,36 @@ class SeriesResult:
         return self.classification is Classification.CONVERGED
 
 
-class _UndefinedTerm(ValueError):
-    """Internal: a custom utility rejected its argument."""
-
-    def __init__(self, reason: UndefinedReason):
-        self.reason = reason
-        super().__init__(reason.value)
-
-
 # ---------------------------------------------------------------------------
 # summation engine
 # ---------------------------------------------------------------------------
-
-def _window_divergence(window: "deque[float]") -> int:
-    """Return +1/-1 if the window shows sign-uniform non-decaying terms."""
-    first = window[0]
-    sign = 1 if first > 0.0 else (-1 if first < 0.0 else 0)
-    if sign == 0:
-        return 0
-    prev = abs(first)
-    for tau in list(window)[1:]:
-        mag = abs(tau)
-        if (sign > 0) != (tau > 0.0) or tau == 0.0:
-            return 0
-        if mag < prev * (1.0 - _RATIO_SLACK):
-            return 0
-        prev = mag
-    return sign
-
-
-def _empirical_bound(window: "deque[float]") -> Optional[float]:
-    """Geometric envelope of the tail fitted to the trailing window, if any."""
-    mags = [abs(t) for t in window]
-    if all(m == 0.0 for m in mags):
-        return 0.0
-    if all(m > 0.0 for m in mags[:-1]):
-        rho = max(b / a for a, b in zip(mags, mags[1:]))
-        if rho < 1.0:
-            return mags[-1] * rho / (1.0 - rho)
-    return None
-
-
-def _undefined(exc: ValueError, n: int) -> SeriesResult:
-    """A term raised ``exc``: a log or root of nonpositive wealth, unless a
-    custom utility says otherwise."""
-    return SeriesResult.undefined(getattr(exc, "reason", UndefinedReason.BANKRUPTCY_TERM), n)
-
 
 def _sum(
     spec: GambleSpec,
     policy: TruncationPolicy,
     term: Term,
-    tail: Optional[Tail] = None,
-    empirical_from: Optional[int] = None,
+    tail: Union[Tail, Diverges, None] = None,
     sign_only: bool = False,
 ) -> SeriesResult:
     """Sum ``term(n, P(n), ln P(n))`` over the outcomes of ``spec``.
 
     ``term`` holds at every ``n``: the rule that wrote it takes it in
-    logs where its payout or weight leaves the double range.  The rule's
-    exact tail past its last paid outcome, if it has one, replaces
-    ``tail``.  From ``tail.start`` on, or from ``tail.reach(tolerance)``
+    logs where its payout or weight leaves the double range.  A term
+    that raises ``ValueError`` makes the sum ``Undefined``; one that is
+    not finite raises :class:`FloatingPointError`.  The rule's exact tail
+    past its last paid outcome, if it has one, replaces ``tail``.
+
+    A :class:`~petersburg.gamble.Diverges` proof makes the sum
+    ``DivergesPositive`` once it reaches the proof's ``start``, before it
+    computes that term; the terms before it are computed, so an
+    undefined one keeps its verdict.  With a :class:`~petersburg.gamble.Tail`,
+    from ``tail.start`` on, or from ``tail.reach(tolerance)``
     if that is later, the sum stops once the bound of ``tail.rest(n)``
     is within the tolerance, and reports the terms so far plus the
     closed-form part of the rest.  Before ``reach`` no bound could
     reach the tolerance, so asking ``rest`` there would change nothing.
-    Without a tail, a window of non-decaying terms means divergence.  With
-    ``empirical_from`` (a custom utility, whose terms may still rise
-    before it) the window starts at that ``n``, and a geometric envelope
-    fitted to it may certify convergence.
+    With neither, the sum raises :class:`TruncationInconclusiveError`
+    after ``max_terms`` terms.
 
     With ``sign_only``, a sum with a tail asks ``rest`` from
     ``tail.start`` on, and also stops at the first ``n`` where the sign of
@@ -212,48 +169,33 @@ def _sum(
     rule = spec.payout_rule
     p = spec.probability_parameter
     tail = rule.tail(term, p) or tail
-    start, rest, reach = tail or (None, None, None)
+    proof = tail.start if isinstance(tail, Diverges) else None
+    start, rest, reach = tail if tail and proof is None else (None, None, None)
     if reach is not None and not sign_only:
         start = max(start, reach(policy.tolerance))
-    window_from = empirical_from or 1
-    window: deque = deque(maxlen=_DIVERGENCE_WINDOW)
     total = mass = 0.0
     for n, weight, log_weight in rule.outcomes(p, policy.max_terms):
+        if n == proof:
+            return SeriesResult.diverges_positive(n)
         try:
             tau = term(n, weight, log_weight)
-        except ValueError as exc:
-            return _undefined(exc, n)
+        except ValueError:
+            return SeriesResult.undefined(UndefinedReason.BANKRUPTCY_TERM, n)
         if not math.isfinite(tau):
-            if math.isnan(tau):
-                raise FloatingPointError(f"term {n} evaluated to NaN")
-            return (SeriesResult.diverges_positive(n) if tau > 0
-                    else SeriesResult.diverges_negative(n))
+            raise FloatingPointError(f"term {n} evaluated to {tau!r}")
         total += tau
         if sign_only:
             mass += abs(tau)
-        if start is None:
-            if n < window_from:
-                continue
-            window.append(tau)
-            if len(window) == window.maxlen:
-                sign = _window_divergence(window)
-                if sign > 0:
-                    return SeriesResult.diverges_positive(n)
-                if sign < 0:
-                    return SeriesResult.diverges_negative(n)
-                bound = _empirical_bound(window) if empirical_from else None
-                if bound is not None and bound <= policy.tolerance:
-                    return SeriesResult.converged(total, bound, n)
-        elif n >= start:
+        if start is not None and n >= start:
             try:
                 omitted, bound = rest(n)
-            except ValueError as exc:
-                return _undefined(exc, n + 1)
+            except ValueError:
+                return SeriesResult.undefined(UndefinedReason.BANKRUPTCY_TERM, n + 1)
             if bound <= policy.tolerance or (
                     sign_only and abs(total + omitted) > 2.0 * bound + n * _EPS * mass):
                 return SeriesResult.converged(total + omitted, bound, n)
     raise TruncationInconclusiveError(
-        f"no tail bound below {policy.tolerance!r} and no divergence detected "
+        f"no tail bound below {policy.tolerance!r} and no proof of divergence "
         f"within {policy.max_terms} terms"
     )
 
@@ -294,7 +236,7 @@ def _power_series(spec: GambleSpec, policy: TruncationPolicy, theta: float, weal
     factors would lose the digits of a payout small beside the wealth."""
     rule = spec.payout_rule
     return _sum(spec, policy, rule.power_terms(theta, net, wealth, residual, base),
-                rule.power_tail(theta, spec.probability_parameter, net, base))
+                rule.power_tail(theta, spec.probability_parameter, net, wealth, base))
 
 
 class _Probe:
@@ -419,15 +361,17 @@ def _ensemble_growth(state: PlayerState, spec: GambleSpec, policy: TruncationPol
     ``inner`` is used as it is: its ``tail_bound``, the rounding of a
     geometric closed-form tail, bounds the rate's error by ``t / (f - t)``,
     ``t = tail_bound / wealth``.  A bound too coarse for the tolerance
-    raises :class:`TruncationInconclusiveError`.
+    raises :class:`TruncationInconclusiveError`.  The rate is
+    ``log1p(x)``, ``x = (mean - price) / wealth``, and the reported bound
+    adds the rounding of ``x``, ``eps |x| / f`` to first order, doubled to
+    cover the rest and the rounding of ``f``, and an ulp of ``log1p``,
+    ``eps |rate|``.  The tolerance gates the payout's part alone, as more
+    terms would not shrink the rounding.  Where ``x`` leaves the range of
+    ``log1p``, the rate is a difference of logs.
     """
     w, c = state.wealth, state.ticket_price
     if inner.classification is Classification.DIVERGES_POSITIVE:
         return SeriesResult.diverges_positive(inner.terms_used)
-    if inner.classification is Classification.DIVERGES_NEGATIVE:
-        return SeriesResult.undefined(
-            UndefinedReason.NONPOSITIVE_LOG_ARGUMENT, inner.terms_used
-        )
     mean_factor = _mean_factor(w, c, inner.value)
     tail = (inner.tail_bound or 0.0) / w
     if mean_factor <= 0.0:
@@ -437,8 +381,12 @@ def _ensemble_growth(state: PlayerState, spec: GambleSpec, policy: TruncationPol
     if tail < mean_factor:
         bound = tail / (mean_factor - tail)
         if bound <= policy.tolerance:
-            rate = (math.log(mean_factor) if mean_factor < math.inf
-                    else math.log(w - c + inner.value) - math.log(w))
+            x = (inner.value - c) / w
+            if -1.0 < x < math.inf:
+                rate = math.log1p(x)
+                bound += _EPS * (2.0 * abs(x) / mean_factor + abs(rate))
+            else:
+                rate = math.log(w - c + inner.value) - math.log(w)
             return SeriesResult.converged(rate, bound, inner.terms_used)
     raise TruncationInconclusiveError(
         "could not certify the ensemble growth rate to the requested tolerance"
@@ -448,7 +396,7 @@ def _ensemble_growth(state: PlayerState, spec: GambleSpec, policy: TruncationPol
 def expected_utility_change(
     state: PlayerState,
     spec: GambleSpec,
-    utility: Union[str, Callable[[float], float]],
+    utility: str,
     policy: Optional[TruncationPolicy] = None,
 ) -> SeriesResult:
     """Expected change in utility from buying one ticket.
@@ -456,8 +404,7 @@ def expected_utility_change(
     Args:
         state: Wealth and ticket price.
         spec: Gamble specification.
-        utility: ``"log"``, ``"sqrt"``, or any callable mapping wealth to
-            utility.  With ``"log"`` this reproduces
+        utility: ``"log"`` or ``"sqrt"``.  With ``"log"`` this reproduces
             :func:`time_average_growth` term for term -- the time
             criterion needs no utility function, yet coincides with log
             utility exactly.
@@ -468,19 +415,10 @@ def expected_utility_change(
         - u(wealth))``.  Domain violations (nonpositive argument for
         ``log``, negative for ``sqrt``) yield ``Undefined``.
 
-    Note:
-        Custom callables get no closed-form tail envelope, except the
-        exact tails of capped and table gambles; convergence is then
-        certified from an empirical geometric envelope fitted to the
-        trailing window.  Window and envelope start past
-        ``log2(wealth) + 1/p``, where the terms of a log-like utility
-        peak: they rise until the payouts reach the wealth and for about
-        the mean waiting time ``1/p`` after; terms that still rise past
-        that point may be misread as divergence.  A payout past the
-        double range, or one that takes the wealth past it, whose
-        utility is not finite raises
-        :class:`TruncationInconclusiveError`; a bounded utility, such
-        as ``-1/x``, gets its limit there and sums on.
+    Raises:
+        ValueError: For any other utility, a callable included: only the
+            built-in utilities have tails and proofs of divergence, and
+            no verdict is read off the terms alone.
     """
     policy = policy or TruncationPolicy()
     w, c = state.wealth, state.ticket_price
@@ -489,46 +427,7 @@ def expected_utility_change(
     if utility == "sqrt":
         net, residual = net_wealth(w, c)
         return _power_series(spec, policy, 0.5, w, net, residual, math.sqrt(w))
-    if not callable(utility):
-        raise ValueError(f"utility must be 'log', 'sqrt', or a callable, got {utility!r}")
-    return _custom_change_series(spec, w, c, policy, utility)
-
-
-def _custom_change_series(
-    spec: GambleSpec,
-    wealth: float,
-    price: float,
-    policy: TruncationPolicy,
-    utility: Callable[[float], float],
-) -> SeriesResult:
-    base = utility(wealth)
-    payout = spec.payout_rule.payout
-    net, residual = net_wealth(wealth, price)
-
-    def term(n: int, weight: float, log_weight: float) -> float:
-        m = payout(n, wealth)
-        arg = net + m + residual
-        try:
-            change = utility(arg) - base
-        except (ValueError, OverflowError):
-            if arg == math.inf:
-                change = math.nan
-            else:
-                raise _UndefinedTerm(UndefinedReason.BANKRUPTCY_TERM if arg <= 0.0
-                                     else UndefinedReason.NONPOSITIVE_LOG_ARGUMENT) from None
-        if arg == math.inf and not math.isfinite(change):
-            # a payout that overflows, alone or added to the wealth, says
-            # nothing of how the series ends
-            raise TruncationInconclusiveError(
-                f"the payout of term {n} overflows a double, alone or with the wealth, and "
-                f"the utility of it is not finite; no tail bound below "
-                f"{policy.tolerance!r} came before it")
-        return weight * change
-
-    # the terms rise until the payout passes the wealth, about
-    # n = log2(wealth), and for the mean waiting time 1/p beyond
-    peak = 1.0 / spec.probability_parameter + max(0.0, math.log2(wealth))
-    return _sum(spec, policy, term, empirical_from=int(peak) + 1)
+    raise ValueError(f"utility must be 'log' or 'sqrt', got {utility!r}")
 
 
 def bernoulli_literal_lhs(

@@ -144,6 +144,8 @@ def _reference(spec: GambleSpec, wealth: float, price: float, utility) -> Refere
         value = (mpmath.fsum(p * q ** (n - 1) * g(paid(n)) for n in range(1, last + 1))
                  + q ** last * g(0))
         return Reference(Classification.CONVERGED, value, magnitude)
+    if isinstance(rule, Menger) and utility == "log" and 2 * q < 1:
+        return _menger_log(p, net, w)
     if isinstance(rule, Menger) or (utility != "log"
                                     and q * 2 ** _power(utility, w)[0] >= 1):
         return Reference(Classification.DIVERGES_POSITIVE)
@@ -154,25 +156,24 @@ def _reference(spec: GambleSpec, wealth: float, price: float, utility) -> Refere
                                            for k in range(1, n + 1)))
 
 
-def reciprocal_reference(spec: GambleSpec, wealth: float, price: float) -> Reference:
-    """Series of ``P(n) (1/w - 1/(w - c + payout_n))``, the change of the
-    utility ``-1/x``, at :func:`precision`, ``bits``.  Past ``last = 3 *
-    bits`` terms every payout exceeds ``2**(last - 1)``, and only
-    ``sum P(n) / w = q**last / w`` is left to the precision."""
-    bits = precision(wealth, spec.probability_parameter)
-    last = 3 * bits
-    with mpmath.workprec(bits):
-        w = mpmath.mpf(wealth)
-        net, p = w - mpmath.mpf(price), mpmath.mpf(spec.probability_parameter)
-        if isinstance(spec.payout_rule, Menger):
-            paid = [w * mpmath.expm1(mpmath.mpf(2) ** n) for n in range(1, last + 1)]
-        else:
-            paid = [mpmath.mpf(2) ** (n - 1) for n in range(1, last + 1)]
-        terms = [p * (1 - p) ** (n - 1) * (1 / w - 1 / (net + m)) for n, m in enumerate(paid, 1)]
-        rest = (1 - p) ** last / w
-        size = mpmath.fsum(map(abs, terms)) + rest
-        return Reference(Classification.CONVERGED, mpmath.fsum(terms) + rest, lambda n: size,
-                         bits=bits)
+def _menger_log(p, net, wealth) -> Reference:
+    """Menger's log series for ``2q < 1``: ``ln((net + w e**T - w) / w)``
+    with ``T = 2**n`` is ``T + log1p((net - w) e**-T / w)``.  The ``T``
+    parts sum to ``2p / (1 - 2q)``; the rest fall below the precision once
+    ``2**n`` exceeds it, by the ``n`` summed here."""
+    q = 1 - p
+
+    def weight(n):
+        return p * q ** (n - 1)
+
+    def rest(n):
+        return mpmath.log1p((net - wealth) * mpmath.exp(-mpmath.mpf(2) ** n) / wealth)
+
+    last = math.ceil(math.log2(mpmath.mp.prec)) + 2
+    value = 2 * p / (1 - 2 * q) + mpmath.fsum(weight(n) * rest(n) for n in range(1, last + 1))
+    return Reference(Classification.CONVERGED, value,
+                     lambda n: mpmath.fsum(weight(k) * (2 ** k + abs(rest(k)) + 1)
+                                           for k in range(1, n + 1)))
 
 
 def literal_lhs(spec: GambleSpec, wealth: float, price: float):

@@ -28,7 +28,7 @@ from petersburg import criteria, series
 from petersburg.gamble import net_wealth
 from petersburg.criteria import _criterion_sign
 from petersburg.series import SeriesResult, _Probe, _sum
-from mp_oracle import assert_agrees, literal_lhs, reciprocal_reference, reference
+from mp_oracle import assert_agrees, literal_lhs, reference
 from test_series_oracle import _price, _spec
 
 # High-precision reference values, computed independently with 50-digit
@@ -92,11 +92,12 @@ class TestExpectedPayout:
         assert 0.0 < result.tail_bound <= 1e-10
 
     def test_doubling_with_slow_decay_detected_divergent(self):
-        # Success probability 0.4 makes the terms grow like 1.2**n; there is
-        # no closed-form tail, so the windowed detector must flag divergence.
+        # Success probability 0.4 makes the terms grow like 1.2**n; each is
+        # at least p / 4, which the rule proves from the first term on.
         spec = GambleSpec(probability_parameter=0.4)
         result = expected_payout(spec)
         assert result.classification is Classification.DIVERGES_POSITIVE
+        assert result.terms_used == 1
 
 
 # ====== Time-average growth ======
@@ -458,8 +459,11 @@ class TestEnsembleAverageGrowth:
         result = series._ensemble_growth(PlayerState(100.0, 2.0), GambleSpec(),
                                          TruncationPolicy(), inner)
         assert result.is_converged
-        assert result.value == math.log(1.03)
-        assert result.tail_bound == (1e-9 / 100.0) / (1.03 - 1e-9 / 100.0)
+        # log1p of 0.03, not the log of the rounded factor 1.03
+        assert result.value == math.log1p(0.03)
+        # the payout's bound, plus the rounding of 0.03 and of log1p
+        truncation = (1e-9 / 100.0) / (1.03 - 1e-9 / 100.0)
+        assert truncation < result.tail_bound < truncation + 1e-16
         assert result.terms_used == 12
 
 
@@ -482,45 +486,14 @@ class TestExpectedUtilityChange:
         assert abs(result.value - SQRT_CHANGE_100_2) < 1e-10
 
     def test_sqrt_utility_bankruptcy_is_undefined(self):
+        # the first outcome leaves 5 - 7 + 1 < 0; p = 0.2 makes the series
+        # diverge, from a start past that outcome
         state = PlayerState(wealth=5.0, ticket_price=7.0)
-        result = expected_utility_change(state, GambleSpec(), "sqrt")
-        assert result.classification is Classification.UNDEFINED
-
-    def test_callable_utility_matches_named_log(self):
-        state = PlayerState(wealth=100.0, ticket_price=2.0)
-        spec = GambleSpec()
-        custom = expected_utility_change(state, spec, math.log)
-        named = expected_utility_change(state, spec, "log")
-        assert abs(custom.value - named.value) < 1e-9
-
-    def test_callable_utility_respects_tail_bound(self):
-        state = PlayerState(wealth=100.0, ticket_price=2.0)
-        result = expected_utility_change(state, GambleSpec(), math.log)
-        assert result.is_converged
-        assert abs(result.value - GROWTH_100_2) <= result.tail_bound + 1e-13
-
-    @pytest.mark.parametrize("p", [0.5, 0.2, 0.05])
-    def test_callable_log_agrees_with_named_log(self, p):
-        # At p = 0.05 the terms rise until n ~ 1/p; a window reading that
-        # rise as divergence once called this convergent series divergent.
-        state = PlayerState(wealth=100.0, ticket_price=2.0)
-        spec = GambleSpec(probability_parameter=p)
-        custom = expected_utility_change(state, spec, lambda x: math.log(x))
-        named = expected_utility_change(state, spec, "log")
-        assert custom.is_converged
-        assert abs(custom.value - named.value) <= custom.tail_bound + named.tail_bound
-
-    @pytest.mark.parametrize("wealth", [1e5, 1e6])
-    def test_callable_log_converges_at_large_wealth(self, wealth):
-        # The terms rise until the payout passes the wealth, n ~ log2(wealth),
-        # and for about 1/p rounds more; a window starting at 1/p read that
-        # rise as divergence.
-        state = PlayerState(wealth=wealth, ticket_price=2.0)
-        spec = GambleSpec(probability_parameter=0.05)
-        custom = expected_utility_change(state, spec, math.log)
-        named = expected_utility_change(state, spec, "log")
-        assert custom.is_converged
-        assert abs(custom.value - named.value) <= custom.tail_bound + named.tail_bound
+        for p in (0.5, 0.2):
+            result = expected_utility_change(state, GambleSpec(probability_parameter=p), "sqrt")
+            assert result.classification is Classification.UNDEFINED
+            assert result.reason is UndefinedReason.BANKRUPTCY_TERM
+            assert result.terms_used == 1
 
     def test_named_log_keeps_its_terms(self):
         # the closed doubling tail ends this series in fewer than 100
@@ -531,73 +504,34 @@ class TestExpectedUtilityChange:
         assert result.terms_used < 100
         assert_agrees(result, reference(spec, 100.0, 2.0, "log"))
 
-    def test_callable_on_capped_gamble_sums_the_tail_exactly(self):
-        state = PlayerState(wealth=100.0, ticket_price=2.0)
-        spec = GambleSpec(payout_rule=Capped(1e9))
-        custom = expected_utility_change(state, spec, math.log)
-        named = expected_utility_change(state, spec, "log")
-        assert (custom.value, custom.tail_bound, custom.terms_used) == (
-            named.value, 0.0, named.terms_used)
-
-    def test_linear_utility_recovers_divergent_expectation(self):
-        state = PlayerState(wealth=100.0, ticket_price=2.0)
-        result = expected_utility_change(state, GambleSpec(), lambda x: x)
-        assert result.classification is Classification.DIVERGES_POSITIVE
-
-    def test_overflowing_payout_is_no_divergence(self):
-        # at p = 0.01 the window has not settled when 2**1024 overflows;
-        # an infinite term there says nothing of the series
-        state = PlayerState(wealth=100.0, ticket_price=2.0)
-        spec = GambleSpec(probability_parameter=0.01)
-        with pytest.raises(TruncationInconclusiveError, match="payout of term 1025 overflows"):
-            expected_utility_change(state, spec, math.log)
-
-    @pytest.mark.parametrize("rule, p", [(BernoulliOriginal(), 0.01), (Menger(), 0.3)],
-                             ids=["bernoulli", "menger"])
-    def test_bounded_utility_sums_past_overflowing_payouts(self, rule, p):
-        # u(inf) = -0.0 is the exact limit, so a payout past the double
-        # range still gives a finite term
-        spec = GambleSpec(rule, p)
-        result = expected_utility_change(PlayerState(100.0, 2.0), spec, lambda x: -1.0 / x)
-        assert result.is_converged
-        assert_agrees(result, reciprocal_reference(spec, 100.0, 2.0))
-
-    def test_log_of_overflowing_menger_payout_is_no_divergence(self):
-        state = PlayerState(wealth=100.0, ticket_price=2.0)
-        spec = GambleSpec(Menger(), 0.3)
-        with pytest.raises(TruncationInconclusiveError, match="payout of term 10 overflows"):
-            expected_utility_change(state, spec, math.log)
-
-    def test_negated_linear_utility_diverges_negative(self):
-        state = PlayerState(wealth=100.0, ticket_price=2.0)
-        result = expected_utility_change(state, GambleSpec(), lambda x: -x)
-        assert result.classification is Classification.DIVERGES_NEGATIVE
-
     def test_unknown_utility_name_rejected(self):
         state = PlayerState(wealth=100.0, ticket_price=2.0)
         with pytest.raises(ValueError):
             expected_utility_change(state, GambleSpec(), "cubic")
 
-    def test_callable_utility_of_a_bankrupt_outcome_is_undefined(self):
-        result = expected_utility_change(PlayerState(100.0, 101.0), GambleSpec(), math.log)
-        assert result.classification is Classification.UNDEFINED
-        assert result.reason is UndefinedReason.BANKRUPTCY_TERM
-        assert result.terms_used == 1
+    def test_callable_utility_is_refused(self):
+        # a callable once summed to the log utility's value, Converged, for
+        # a series the 1e-30 x part makes diverge
+        state = PlayerState(wealth=100.0, ticket_price=2.0)
 
-    def test_callable_utility_failing_on_positive_wealth_is_undefined(self):
-        # the first outcome leaves 99 > 0, where this utility has no value
-        result = expected_utility_change(PlayerState(100.0, 2.0), GambleSpec(),
-                                         lambda x: math.log(x - 99.0))
-        assert result.classification is Classification.UNDEFINED
-        assert result.reason is UndefinedReason.NONPOSITIVE_LOG_ARGUMENT
-
-    def test_nan_utility_fails_loudly(self):
-        # term 7 pays 64, leaving 98 + 64 = 162
         def utility(x):
-            return math.nan if x == 162.0 else math.log(x)
+            return math.log(x) + 1e-30 * x
 
-        with pytest.raises(FloatingPointError, match="term 7 evaluated to NaN"):
-            expected_utility_change(PlayerState(100.0, 2.0), GambleSpec(), utility)
+        with pytest.raises(ValueError, match="utility must be 'log' or 'sqrt'"):
+            expected_utility_change(state, GambleSpec(), utility)
+        with pytest.raises(ValueError, match="utility must be 'log' or 'sqrt'"):
+            criteria.evaluate(state, GambleSpec(), utility=utility)
+
+
+class TestNonfiniteTerms:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_nonfinite_term_raises(self, bad):
+        # no verdict is read off a term: an infinite one proves nothing
+        def term(n, weight, log_weight):
+            return bad if n == 7 else weight
+
+        with pytest.raises(FloatingPointError, match="term 7 evaluated to"):
+            _sum(GambleSpec(), TruncationPolicy(), term)
 
 
 # ====== Literal all-or-nothing accounting ======
@@ -656,10 +590,16 @@ class TestDoubleRange:
         assert result.is_converged, result
         assert abs(mpmath.mpf(result.value) - exact) <= 1e-14 * abs(exact)
 
-    def test_custom_utility_of_an_overflowing_wealth_is_inconclusive(self):
-        with pytest.raises(TruncationInconclusiveError, match="payout of term 1 overflows"):
-            expected_utility_change(PlayerState(1e308, 0.0), _TABLE_AT_THE_DOUBLE_RANGE,
-                                    math.log)
+    @pytest.mark.parametrize("price", [0.0, 2.0])
+    def test_menger_at_the_top_of_the_double_range_diverges(self, price):
+        # term 1's payout, and the expected payout, lie past the double
+        # range; each series is proved divergent before any term overflows
+        wealth = 1.7e308
+        state, spec = PlayerState(wealth, price), GambleSpec(Menger())
+        for result in (expected_payout(spec, wealth=wealth), ensemble_average_growth(state, spec),
+                       time_average_growth(state, spec),
+                       expected_utility_change(state, spec, "sqrt")):
+            assert result.classification is Classification.DIVERGES_POSITIVE
 
     @pytest.mark.parametrize("wealth, rule", [(1e-320, Capped(1e300)),
                                               (1e308, Table(((1.0, 1e308),)))],

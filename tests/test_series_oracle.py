@@ -11,6 +11,7 @@ closed form past those terms, its rounding included, must sit inside
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,17 +26,21 @@ from petersburg import (
     Table,
     TruncationInconclusiveError,
     TruncationPolicy,
+    bernoulli_literal_lhs,
+    ensemble_average_growth,
     expected_payout,
     expected_utility_change,
     min_payout,
     time_average_growth,
 )
-from petersburg.gamble import net_wealth
+from petersburg.gamble import Diverges, net_wealth
 from petersburg.series import _power_series
 
 _TABLES = {
     "few": ((0.5, 0.0), (0.25, 3.0), (0.25, 40.0)),
     "wide": ((0.125, 1.5), (0.5, 0.25), (0.25, 1e5), (0.125, 7.0)),
+    # every product and partial sum of its mean, 14.75, is a double
+    "exact": ((0.5, 1.0), (0.25, 3.0), (0.25, 54.0)),
 }
 
 
@@ -198,3 +203,118 @@ class TestOraclePrecision:
         assert f"{growth(499.26):.1e}" == "5.6e-304"
         assert f"{growth(498.80):.1e}" == "4.6e-301"
         assert growth(499.27) < 0.0
+
+
+with mpmath.workprec(200):
+    #: The double nearest 1 - 1/sqrt(2), where q sqrt(2) crosses 1.
+    _SQRT_EDGE = float(1 - 1 / mpmath.sqrt(2))
+#: Geometric parameters about the edges of divergence: q sqrt(2) = 1 for
+#: the square root, 2q = 1 for the payout and Menger's log.  At 0.9 and
+#: 0.99 the bound on Menger's payout terms still falls past their start.
+_EDGE_PS = [0.002, 0.05, 0.29, math.nextafter(_SQRT_EDGE, 0.0), _SQRT_EDGE,
+            math.nextafter(_SQRT_EDGE, 1.0), 0.3, 0.5, 0.5 + 1e-9, 0.6, 0.9, 0.99]
+_CRITERIA = ["payout", "ensemble", "time", "literal", "sqrt"]
+
+
+def _criterion(criterion: str, spec: GambleSpec, wealth: float, price: float):
+    """The library's result of one criterion, and the divergence verdict of
+    its mpmath reference: the ensemble rate diverges with the payout, and
+    the literal criterion with the log series at price 0."""
+    state = PlayerState(wealth, price)
+    run, utility, at = {
+        "payout": (lambda: expected_payout(spec, wealth=wealth), "none", price),
+        "ensemble": (lambda: ensemble_average_growth(state, spec), "none", price),
+        "time": (lambda: time_average_growth(state, spec), "log", price),
+        "literal": (lambda: bernoulli_literal_lhs(state, spec), "log", 0.0),
+        "sqrt": (lambda: expected_utility_change(state, spec, "sqrt"), "sqrt", price),
+    }[criterion]
+    ref = reference(spec, wealth, at, utility).classification
+    return run, ref is Classification.DIVERGES_POSITIVE
+
+
+class TestDivergenceCertificates:
+    """Every divergence verdict comes from a rule's proof, and each proof's
+    floor lies below the true terms."""
+
+    @pytest.mark.parametrize("p", _EDGE_PS)
+    @pytest.mark.parametrize("rule", ["bernoulli", "menger", "capped", "table"])
+    @pytest.mark.parametrize("criterion", _CRITERIA)
+    def test_verdicts_agree_with_the_reference(self, criterion, rule, p):
+        spec = _spec(rule, p, 1e9, "wide")
+        for wealth in (1.0, 100.0, 1e6):
+            for share in (0.0, 0.5):
+                run, diverges = _criterion(criterion, spec, wealth, share * wealth)
+                try:
+                    result = run()
+                except TruncationInconclusiveError:
+                    # no verdict is never a wrong one; but a divergent series is proved so
+                    assert not diverges, (criterion, rule, p, wealth, share)
+                    continue
+                verdict = result.classification is Classification.DIVERGES_POSITIVE
+                assert verdict == diverges, (criterion, rule, p, wealth, share, result)
+
+    @pytest.mark.parametrize("p", _EDGE_PS)
+    @pytest.mark.parametrize("series", ["doubling payout", "doubling sqrt", "menger payout",
+                                        "menger sqrt", "menger log"])
+    def test_floor_lies_below_every_term_from_the_start(self, series, p):
+        proved = 0
+        for wealth in (1e-300, 1.0, 100.0, 1e6, 1e300):
+            for share in (0.0, 0.5, 1.0, 6.0):
+                certificate, term = _certified(series, p, wealth, share * wealth)
+                if not isinstance(certificate, Diverges):
+                    continue
+                proved += 1
+                assert certificate.floor > 0.0
+                with mpmath.workprec(200):
+                    for k in range(certificate.start, certificate.start + 61):
+                        assert certificate.floor <= term(k), (series, p, wealth, share, k)
+        # Menger's payout and square root always diverge; the rest where
+        # 2q >= 1, or q sqrt(2) >= 1
+        edge = {"doubling payout": p <= 0.5, "doubling sqrt": p < _SQRT_EDGE,
+                "menger log": p <= 0.5}.get(series, True)
+        assert proved == (20 if edge else 0)
+
+
+def _certified(series: str, p: float, wealth: float, price: float):
+    """The certificate a rule gives for one series, and the series' exact
+    term ``k`` in mpmath."""
+    family, kind = series.split()
+    rule = BernoulliOriginal() if family == "doubling" else Menger()
+    net, _ = net_wealth(wealth, price)
+    w, c = mpmath.mpf(wealth), mpmath.mpf(price)
+
+    def paid(k):
+        if family == "doubling":
+            return 2 ** mpmath.mpf(k - 1)
+        return w * mpmath.expm1(2 ** mpmath.mpf(k))
+
+    def weight(k):
+        return p * (1 - mpmath.mpf(p)) ** (k - 1)
+
+    if kind == "payout":
+        return rule.power_tail(1.0, p, 0.0, wealth, 0.0), lambda k: weight(k) * paid(k)
+    if kind == "sqrt":
+        return (rule.power_tail(0.5, p, net, wealth, math.sqrt(wealth)),
+                lambda k: weight(k) * (mpmath.sqrt(w - c + paid(k)) - mpmath.sqrt(w)))
+    return (rule.log_tail(p, net, wealth),
+            lambda k: weight(k) * (mpmath.log(w - c + paid(k)) - mpmath.log(w)))
+
+
+class TestEnsembleRateRounding:
+    """The ensemble rate is ``log1p((E[m] - c) / w)``, and its bound counts
+    that rounding: the log of the rounded factor ``(w - c + E[m]) / w``
+    missed mpmath by up to 7.6e-17 outside a bound of 3.8e-18."""
+
+    @pytest.mark.parametrize("rule, p", [("bernoulli", 0.6), ("bernoulli", 0.9),
+                                         ("bernoulli", 0.99), ("capped", 0.5), ("table", 0.5)])
+    @pytest.mark.parametrize("wealth, price", [(100.0, 2.0), (1.0, 0.5), (1e6, 3.0)])
+    def test_rate_holds_the_reference_within_its_bound(self, rule, p, wealth, price):
+        # the capped and table means, 10 and 11.5 / 7.5 ..., are summed exactly
+        spec = _spec(rule, p, 1e6, "exact")
+        result = ensemble_average_growth(PlayerState(wealth, price), spec)
+        mean = reference(spec, wealth, 0.0, "none")
+        with mpmath.workprec(mean.bits):
+            w = mpmath.mpf(wealth)
+            exact = mpmath.log((w - mpmath.mpf(price) + mean.value) / w)
+            assert abs(mpmath.mpf(result.value) - exact) <= result.tail_bound
+        assert 0.0 < result.tail_bound <= 1e-10
