@@ -7,13 +7,13 @@ explicit table gambles which carry their own probabilities.  Each payout
 rule maps a waiting time to a dollar payout; the growth factor of a round
 is the ratio of wealth after the round to wealth before it.
 
-Everything a payout rule decides lives in its class: its payouts, scalar
-and vectorised; its log terms and its power terms, of which the expected
-payout and the square-root utility are two members, each safe where the
-payout leaves the double range; the tail each criterion series may omit;
-its waiting-time law; its smallest payout and its command-line token.
-The series engine, the sampler and the command line ask the rule and
-never branch on its type.
+Everything a payout rule decides lives in its class: its payouts, scalar,
+vectorised and streamed with the outcomes' weights; the log of a wealth
+after a payout past the double range; the tail each criterion series may
+omit; its waiting-time law; its smallest payout and its command-line
+token.  The log and power terms, the expected payout and the square-root
+utility among them, are written once for every rule.  The series engine,
+the sampler and the command line ask the rule and never branch on its type.
 
 Only the vectorised methods, which the sampler calls, import numpy; the
 series paths run on the ``math`` module alone, so a command that only
@@ -26,7 +26,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, count, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from operator import add, mul, pos
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Tuple, Union
 
@@ -68,13 +68,16 @@ _PROBABILITY_TOLERANCE = 1e-9
 
 #: Menger payouts ``w * expm1(2**n)`` exceed the double range from here on.
 _MENGER_OVERFLOW_N = 10
+#: ``2**(n - 1)`` for ``n = 1 .. 1024``: every doubling payout a double holds.
+_POWERS_OF_TWO = tuple(math.ldexp(1.0, k) for k in range(1024))
 
-#: A series term ``(n, weight, log_weight) -> P(n) * gain(n)``, where
-#: ``weight = P(n)`` and ``log_weight`` is its log.  A term raises
+#: A series term ``(n, weight, log_weight, m) -> P(n) * gain(n)``, where
+#: ``weight = P(n)``, ``log_weight`` is its log and ``m`` is the payout of
+#: outcome ``n`` (see :meth:`PayoutRule.outcomes`).  A term raises
 #: ``ValueError`` where the gain does not exist (the log or a fractional
-#: power of a nonpositive wealth).  Where its payout, the wealth after
-#: it or its weight leaves the double range, a term takes it in logs.
-Term = Callable[[int, float, float], float]
+#: power of a nonpositive wealth).  Where the wealth after the payout or
+#: the weight leaves the double range, a term takes it in logs.
+Term = Callable[[int, float, float, float], float]
 
 
 class OutOfSupportError(LookupError):
@@ -91,7 +94,9 @@ class Tail(NamedTuple):
     a rounded closed form counts its rounding in ``bound``.
     ``reach(tolerance)``, where given, is an ``n`` before which that
     bound, as ``rest`` computes it, stays above ``tolerance``: the sum
-    asks ``rest`` from ``max(start, reach(tolerance))`` on.
+    asks ``rest`` from ``max(start, reach(tolerance))`` on.  It is
+    ``inf`` where no bound can end the sum, and a tail that gives it
+    vouches that every term from ``start`` on is defined.
     """
 
     start: int
@@ -166,11 +171,12 @@ def _power(theta: float) -> Callable[[float], float]:
 class PayoutRule:
     """Base of the payout rules; one subclass per rule.
 
-    A rule provides ``payout(n, wealth)`` and ``payouts(ns, wealth)``, the
-    same payouts for a numpy array of waiting times, bit for bit, and
-    ``token``, its command-line form.  The defaults below are the
-    geometric waiting-time law and the series terms written with the
-    plain payout; a rule overrides what it knows better.
+    A rule provides ``payout(n, wealth)``, and the same payouts bit for
+    bit from ``payouts(ns, wealth)``, for a numpy array of waiting times,
+    and ``_payout_stream(wealth)``, for ``n = 1, 2, ...``; ``token``, its
+    command-line form; and :meth:`_log_after`.  The defaults below are the
+    geometric waiting-time law and the series terms, which serve every
+    rule; a rule overrides what it knows better.
     """
 
     #: Number of outcomes, or ``None`` for geometric waiting times.
@@ -180,30 +186,40 @@ class PayoutRule:
         """Smallest payout over the support."""
         return self.payout(1, wealth)
 
+    def _log_after(self, n: int, net: float, residual: float, wealth: float) -> float:
+        """``ln(net + m_n + residual)`` where the payout ``m_n`` lies past the
+        double range: ``inf`` for a rule whose payouts are all finite."""
+        return math.inf
+
     def log_terms(self, net: float, wealth: float, residual: float,
                   with_slope: bool = False):
-        """The term of ``P(n) * (ln(net + payout_n) - ln(wealth))``.
+        """The term of ``P(n) * (ln(net + m_n + residual) - ln(wealth))``.
 
         ``net + residual`` is the surviving wealth, ``residual`` being
         the rounding error of ``net`` (see :func:`net_wealth`).  The term
-        holds for every ``n``: where the payout or the wealth after it
-        leaves the double range, the rule takes the log its own way.
+        holds for every ``n``: where the wealth after the payout
+        overflows, it takes the log of :func:`overflowed_factor`, and
+        where that overflows too, the payout being past the double range,
+        :meth:`_log_after`.
 
-        With ``with_slope`` the term also adds ``P(n) / (net + payout_n)``
+        With ``with_slope`` the term also adds ``P(n) / (net + m_n)``
         to a running sum after its value, in the order of the calls, and
         the call returns ``(term, slope)``, ``slope()`` reading that sum:
         minus the derivative of the series in the price.
         """
-        payout, log_wealth, slope = self.payout, math.log(wealth), 0.0
+        log_after, log_wealth, slope = self._log_after, math.log(wealth), 0.0
 
-        def term(n: int, weight: float, log_weight: float) -> float:
+        def term(n: int, weight: float, log_weight: float, m: float) -> float:
             nonlocal slope
-            m = payout(n, wealth)
             after = net + m + residual
             if after < math.inf:
                 value = weight * (math.log(after) - log_wealth)
             else:
-                value = weight * math.log(overflowed_factor(net, m, residual, wealth))
+                factor = overflowed_factor(net, m, residual, wealth)
+                if factor < math.inf:
+                    value = weight * math.log(factor)
+                else:
+                    value = weight * (log_after(n, net, residual, wealth) - log_wealth)
             if with_slope:
                 slope += weight / (net + m)
             return value
@@ -212,19 +228,22 @@ class PayoutRule:
 
     def power_terms(self, theta: float, net: float, wealth: float, residual: float,
                     base: float) -> Term:
-        """The term of ``P(n) * ((net + payout_n + residual)**theta - base)``,
+        """The term of ``P(n) * ((net + m_n + residual)**theta - base)``,
         for ``0 < theta <= 1`` and ``base`` 0 or ``wealth**theta``, as
-        :meth:`log_terms`."""
-        payout, power = self.payout, _power(theta)
+        :meth:`log_terms`; past the double range it is
+        ``exp(ln P(n) + theta * _log_after) - P(n) * base``."""
+        log_after, power = self._log_after, _power(theta)
         scale = power(wealth)
         unit = base / scale
 
-        def term(n: int, weight: float, log_weight: float) -> float:
-            m = payout(n, wealth)
+        def term(n: int, weight: float, log_weight: float, m: float) -> float:
             after = net + m + residual
             if after < math.inf:
                 return weight * (power(after) - base)
-            return weight * scale * (power(overflowed_factor(net, m, residual, wealth)) - unit)
+            factor = overflowed_factor(net, m, residual, wealth)
+            if factor < math.inf:
+                return weight * scale * (power(factor) - unit)
+            return math.exp(log_weight + theta * log_after(n, net, residual, wealth)) - weight * base
 
         return term
 
@@ -244,14 +263,18 @@ class PayoutRule:
         divergence, or ``None``."""
         return None
 
-    def outcomes(self, p: float, max_terms: int) -> Iterator[Tuple[int, float, float]]:
-        """``(n, P(n), ln P(n))`` for the first ``max_terms`` outcomes.
+    def outcomes(self, p: float, max_terms: int,
+                 wealth: float) -> Iterator[Tuple[int, float, float, float]]:
+        """``(n, P(n), ln P(n), m_n)`` for the first ``max_terms`` outcomes,
+        ``m_n`` being the payout of ``n`` at ``wealth``.
 
-        Weights are multiplied along, ``P(n + 1) = P(n) * (1 - p)``.
+        Weights are multiplied along, ``P(n + 1) = P(n) * (1 - p)``, and
+        the payouts come from ``_payout_stream``.
         """
         return zip(range(1, max_terms + 1),
                    accumulate(repeat(1.0 - p), mul, initial=p),
-                   accumulate(repeat(math.log1p(-p)), add, initial=math.log(p)))
+                   accumulate(repeat(math.log1p(-p)), add, initial=math.log(p)),
+                   self._payout_stream(wealth))
 
     def probability(self, n: int, p: float) -> float:
         """``P(n)`` under the waiting-time law."""
@@ -325,39 +348,11 @@ class _Doubling(PayoutRule):
         base = np.ldexp(1.0, np.minimum(ns - 1, 1023))
         return np.where(ns <= self._last_paid, base, self._past)
 
-    # The terms inline the payout; where it or the wealth after it overflows
-    # they take _doubling_log, and the slope's P(n) / inf is 0
+    def _payout_stream(self, wealth: float) -> Iterator[float]:
+        return chain(islice(_POWERS_OF_TWO, self._last_paid), repeat(self._past))
 
-    def log_terms(self, net: float, wealth: float, residual: float,
-                  with_slope: bool = False):
-        log_wealth, slope = math.log(wealth), 0.0
-        last, past = self._last_paid, self._past
-
-        def term(n: int, weight: float, log_weight: float) -> float:
-            nonlocal slope
-            m = math.ldexp(1.0, n - 1) if n <= last else past
-            after = net + m + residual
-            if after == math.inf:
-                return weight * (_doubling_log(n, net) - log_wealth)
-            value = weight * (math.log(after) - log_wealth)
-            if with_slope:
-                slope += weight / (net + m)
-            return value
-
-        return (term, lambda: slope) if with_slope else term
-
-    def power_terms(self, theta: float, net: float, wealth: float, residual: float,
-                    base: float) -> Term:
-        power, last, past = _power(theta), self._last_paid, self._past
-
-        def term(n: int, weight: float, log_weight: float) -> float:
-            m = math.ldexp(1.0, n - 1) if n <= last else past
-            after = net + m + residual
-            if after == math.inf:
-                return math.exp(log_weight + theta * _doubling_log(n, net)) - weight * base
-            return weight * (power(after) - base)
-
-        return term
+    def _log_after(self, n: int, net: float, residual: float, wealth: float) -> float:
+        return _doubling_log(n, net)
 
     def huge_log_factors(self, ns: np.ndarray, net: float, wealth: float) -> np.ndarray:
         import numpy as np
@@ -444,7 +439,7 @@ class BernoulliOriginal(_Doubling):
         return Tail(_doubling_start(net), rest, reach)
 
     def power_tail(self, theta: float, p: float, net: float, wealth: float,
-                   base: float) -> Union[Tail, Diverges, None]:
+                   base: float) -> Union[Tail, Diverges]:
         # (net + 2**(k-1))**theta = 2**(theta (k-1)) (1 + x_k)**theta.  Over
         # k > n, P(k) (2**(theta (k-1)) - base) sums to
         # p G**n / (1 - G) - base q**n with G = q 2**theta, and
@@ -466,7 +461,8 @@ class BernoulliOriginal(_Doubling):
                 start = max(start, math.ceil(math.log2(4.0 * base) / theta + _SLACK) + 1)
             return Diverges(start, p / 4.0)
         if growth >= 1.0:
-            return None  # G < 1 by less than its rounding: no bound can show it
+            # G < 1 by less than its rounding: no bound can show it
+            return Tail(start, lambda n: (0.0, math.inf), lambda tolerance: math.inf)
         log_q = math.log1p(-p)
         short = 1.0 - growth
         shrink = (1.0 - p) / 2.0 ** (1 - theta)
@@ -538,13 +534,19 @@ class Menger(PayoutRule):
         out[small] = [self.payout(int(n), wealth) for n in ns[small]]
         return out
 
+    def _payout_stream(self, wealth: float) -> Iterator[float]:
+        return chain(map(self.payout, range(1, _MENGER_OVERFLOW_N), repeat(wealth)),
+                     repeat(math.inf))
+
+    def _log_after(self, n: int, net: float, residual: float, wealth: float) -> float:
+        return math.log(wealth) + _menger_log_factor(n, net - wealth + residual, wealth)
+
     def log_terms(self, net: float, wealth: float, residual: float,
                   with_slope: bool = False):
-        # ln(net + w e^T - w) - ln w  =  T + log1p((net - w) e^-T / w).
-        # The terms do not compute the payout; the slope asks for it again
-        payout, slope = self.payout, 0.0
+        # ln(net + w e^T - w) - ln w  =  T + log1p((net - w) e^-T / w)
+        slope = 0.0
 
-        def term(n: int, weight: float, log_weight: float) -> float:
+        def term(n: int, weight: float, log_weight: float, m: float) -> float:
             nonlocal slope
             if weight < _NORMAL:
                 # the weight leaves the normal range while T explodes
@@ -552,26 +554,10 @@ class Menger(PayoutRule):
             else:
                 value = weight * _menger_log_factor(n, net - wealth + residual, wealth)
             if with_slope:
-                slope += weight / (net + payout(n, wealth))
+                slope += weight / (net + m)
             return value
 
         return (term, lambda: slope) if with_slope else term
-
-    def power_terms(self, theta: float, net: float, wealth: float, residual: float,
-                    base: float) -> Term:
-        # where the power of the wealth after the payout overflows, it is
-        # taken from the log growth factor, as in the log terms
-        plain = super().power_terms(theta, net, wealth, residual, base)
-        log_wealth, shortfall = math.log(wealth), net - wealth + residual
-
-        def term(n: int, weight: float, log_weight: float) -> float:
-            value = plain(n, weight, log_weight)
-            if value < math.inf:
-                return value
-            log_after = log_wealth + _menger_log_factor(n, shortfall, wealth)
-            return math.exp(log_weight + theta * log_after) - weight * base
-
-        return term
 
     def log_tail(self, p: float, net: float, wealth: float) -> Union[Tail, Diverges, None]:
         q = 1.0 - p
@@ -597,10 +583,14 @@ class Menger(PayoutRule):
         # is b at the first k that also has q e**(theta T) >= 1.
         log_q = math.log1p(-p)
         need = max(_menger_halved(net, wealth), (1.0 + theta) * _LN2 / theta + _SLACK)
-        least = _menger_step(max(need, -log_q / theta + _SLACK))
-        log_floor = (math.log(p) + (least - 1) * log_q - _LN2 - _SLACK
-                     + theta * (math.log(wealth) - _LN2 + 2.0 ** least))
-        return Diverges(_menger_step(need), math.exp(min(log_floor, _LOG_HUGE)))
+        start, least = _menger_step(need), _menger_step(max(need, -log_q / theta + _SLACK))
+        while True:
+            log_floor = (math.log(p) + (least - 1) * log_q - _LN2 - _SLACK
+                         + theta * (math.log(wealth) - _LN2 + 2.0 ** least))
+            if log_floor >= -_LOG_NORMAL:
+                return Diverges(start, math.exp(min(log_floor, _LOG_HUGE)))
+            # b rises past least: the proof starts where b is a normal double
+            start = least = least + 1
 
     def huge_log_factors(self, ns: np.ndarray, net: float, wealth: float) -> np.ndarray:
         import numpy as np
@@ -644,7 +634,7 @@ class Capped(_Doubling):
         # outcome's term at the weight q**n of all of them together
         q = 1.0 - p
         return Tail(max(self._last_paid, 1),
-                    lambda n: (term(n + 1, q ** n, n * math.log1p(-p)), 0.0))
+                    lambda n: (term(n + 1, q ** n, n * math.log1p(-p), 0.0), 0.0))
 
 
 @dataclass(frozen=True)
@@ -702,9 +692,10 @@ class Table(PayoutRule):
     def tail(self, term: Term, p: float) -> Optional[Tail]:
         return Tail(len(self.rows), lambda n: (0.0, 0.0))
 
-    def outcomes(self, p: float, max_terms: int) -> Iterator[Tuple[int, float, float]]:
-        probs = [prob for prob, _ in self.rows]
-        return zip(count(1), probs, map(math.log, probs))
+    def outcomes(self, p: float, max_terms: int,
+                 wealth: float) -> Iterator[Tuple[int, float, float, float]]:
+        probs, payouts = zip(*self.rows)
+        return zip(count(1), probs, map(math.log, probs), payouts)
 
     def probability(self, n: int, p: float) -> float:
         return self._row(n)[0]

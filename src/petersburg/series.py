@@ -129,14 +129,16 @@ class SeriesResult:
 def _sum(
     spec: GambleSpec,
     policy: TruncationPolicy,
+    wealth: float,
     term: Term,
     tail: Union[Tail, Diverges, None] = None,
     sign_only: bool = False,
 ) -> SeriesResult:
-    """Sum ``term(n, P(n), ln P(n))`` over the outcomes of ``spec``.
+    """Sum ``term(n, P(n), ln P(n), m_n)`` over the outcomes of ``spec``,
+    ``m_n`` being the payout of outcome ``n`` at ``wealth``.
 
-    ``term`` holds at every ``n``: the rule that wrote it takes it in
-    logs where its payout or weight leaves the double range.  A term
+    ``term`` holds at every ``n``: it takes the wealth after the payout in
+    logs where that or the weight leaves the double range.  A term
     that raises ``ValueError`` makes the sum ``Undefined``; one that is
     not finite raises :class:`FloatingPointError`.  The rule's exact tail
     past its last paid outcome, if it has one, replaces ``tail``.
@@ -150,8 +152,10 @@ def _sum(
     is within the tolerance, and reports the terms so far plus the
     closed-form part of the rest.  Before ``reach`` no bound could
     reach the tolerance, so asking ``rest`` there would change nothing.
-    With neither, the sum raises :class:`TruncationInconclusiveError`
-    after ``max_terms`` terms.
+    No bound can end a sum whose first useful ``n`` lies past
+    ``max_terms``: it computes only the terms before ``tail.start``, so
+    an undefined one keeps its verdict.  A sum that ends neither way
+    raises :class:`TruncationInconclusiveError`.
 
     With ``sign_only``, a sum with a tail asks ``rest`` from
     ``tail.start`` on, and also stops at the first ``n`` where the sign of
@@ -171,14 +175,17 @@ def _sum(
     tail = rule.tail(term, p) or tail
     proof = tail.start if isinstance(tail, Diverges) else None
     start, rest, reach = tail if tail and proof is None else (None, None, None)
+    terms = policy.max_terms
     if reach is not None and not sign_only:
         start = max(start, reach(policy.tolerance))
+        if start > terms:  # no bound can end the sum
+            terms = min(tail.start - 1, terms)
     total = mass = 0.0
-    for n, weight, log_weight in rule.outcomes(p, policy.max_terms):
+    for n, weight, log_weight, m in rule.outcomes(p, terms, wealth):
         if n == proof:
             return SeriesResult.diverges_positive(n)
         try:
-            tau = term(n, weight, log_weight)
+            tau = term(n, weight, log_weight, m)
         except ValueError:
             return SeriesResult.undefined(UndefinedReason.BANKRUPTCY_TERM, n)
         if not math.isfinite(tau):
@@ -235,7 +242,7 @@ def _power_series(spec: GambleSpec, policy: TruncationPolicy, theta: float, weal
     dollars: ``wealth**theta`` times a sum of ``r**theta - 1`` over growth
     factors would lose the digits of a payout small beside the wealth."""
     rule = spec.payout_rule
-    return _sum(spec, policy, rule.power_terms(theta, net, wealth, residual, base),
+    return _sum(spec, policy, wealth, rule.power_terms(theta, net, wealth, residual, base),
                 rule.power_tail(theta, spec.probability_parameter, net, wealth, base))
 
 
@@ -280,7 +287,7 @@ def _log_change_series(
     term = rule.log_terms(net, wealth, residual, with_slope)
     if with_slope:
         term, slope = term
-    result = _sum(spec, policy, term, tail, sign_only=sign_only)
+    result = _sum(spec, policy, wealth, term, tail, sign_only=sign_only)
     if with_slope:
         probe.slope = slope()
     return result

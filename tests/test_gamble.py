@@ -346,7 +346,7 @@ class TestRuleConformance:
         net, residual = net_wealth(state.wealth, state.ticket_price)
         term = rule.log_terms(net, wealth, residual)
         for n, factor in zip(self.ns.tolist(), vectorised.tolist()):
-            gain = term(n, 1.0, 0.0)
+            gain = term(n, 1.0, 0.0, rule.payout(n, wealth))
             if math.isinf(gain) or math.isinf(factor):
                 assert gain == factor, n
             else:
@@ -354,13 +354,26 @@ class TestRuleConformance:
                 assert abs(gain - factor) <= bound, n
 
     def test_vectorised_payouts_are_the_scalar_ones(self, rule):
+        # and so are the payouts the series stream with the outcomes
         spec = GambleSpec(rule)
-        for wealth in (1e-3, 1.0, 1e6):
+        for wealth in (1e-320, 1e-3, 1.0, 1e6, 1e300):
             scalar = [payout(spec, n, wealth) for n in self.ns.tolist()]
             assert rule.payouts(self.ns, wealth).tolist() == scalar
+            streamed = [m for *_, m in rule.outcomes(0.5, len(self.ns), wealth)]
+            assert list(map(float.hex, streamed)) == list(map(float.hex, scalar))
 
     def test_token_round_trips(self, rule):
         if isinstance(rule, Table):
             assert rule.token == "table:1100 rows"
         else:
             assert parse_payout(rule.token) == rule
+
+
+@pytest.mark.parametrize("cap", [0.5, 1.0, 2.0 ** 40, sys.float_info.max])
+def test_capped_payout_streams_are_the_scalar_payouts(cap):
+    # a cap below 1 pays nothing from the first outcome on
+    rule, ns = Capped(cap), np.arange(1, 1101)
+    scalar = [payout(GambleSpec(rule), n) for n in ns.tolist()]
+    assert rule.payouts(ns, 1.0).tolist() == scalar
+    streamed = [m for *_, m in rule.outcomes(0.5, len(ns), 1.0)]
+    assert list(map(float.hex, streamed)) == list(map(float.hex, scalar))

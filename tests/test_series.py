@@ -37,6 +37,8 @@ GROWTH_100_2 = 0.0234834936741544663694884870358
 SQRT_CHANGE_100_2 = 0.166173985552501931271073755935
 LITERAL_GAINS_100 = 0.0429577007756673356177266531277
 LOG_MEAN_FACTOR_CAPPED = 0.122217632724249200546148584247
+# the two doubles just above 1 - 1/sqrt(2), where q sqrt(2) < 1 rounds to 1
+_SQRT_EDGE_ABOVE = [0.2928932188134525, 0.29289321881345254]
 
 
 # ====== Expected payout ======
@@ -210,7 +212,7 @@ def _probed_sum(p, wealth, price, policy, skip=True):
 
     probed = tail._replace(rest=rest, reach=tail.reach if skip else None)
     try:
-        result = _sum(GambleSpec(rule, p), policy, term, probed)
+        result = _sum(GambleSpec(rule, p), policy, wealth, term, probed)
     except TruncationInconclusiveError as exc:
         result = f"inconclusive: {exc}"
     return result, probes
@@ -272,7 +274,7 @@ def _reference_slope(spec: GambleSpec, wealth: float, price: float, terms_used: 
     rule, p = spec.payout_rule, spec.probability_parameter
     net = wealth - price
     slope = 0.0
-    for n, weight, _ in rule.outcomes(p, terms_used):
+    for n, weight, _, _ in rule.outcomes(p, terms_used, wealth):
         slope += weight / (net + rule.payout(n, wealth))
     if isinstance(rule, Capped):
         # every outcome past the cap pays nothing
@@ -487,9 +489,10 @@ class TestExpectedUtilityChange:
 
     def test_sqrt_utility_bankruptcy_is_undefined(self):
         # the first outcome leaves 5 - 7 + 1 < 0; p = 0.2 makes the series
-        # diverge, from a start past that outcome
+        # diverge, from a start past that outcome, and just above
+        # 1 - 1/sqrt(2) no bound can end it, from a tail past that outcome
         state = PlayerState(wealth=5.0, ticket_price=7.0)
-        for p in (0.5, 0.2):
+        for p in (0.5, 0.2, _SQRT_EDGE_ABOVE[0]):
             result = expected_utility_change(state, GambleSpec(probability_parameter=p), "sqrt")
             assert result.classification is Classification.UNDEFINED
             assert result.reason is UndefinedReason.BANKRUPTCY_TERM
@@ -503,6 +506,27 @@ class TestExpectedUtilityChange:
         result = expected_utility_change(state, spec, "log")
         assert result.terms_used < 100
         assert_agrees(result, reference(spec, 100.0, 2.0, "log"))
+
+    @pytest.mark.parametrize("p", _SQRT_EDGE_ABOVE)
+    def test_sqrt_sum_no_bound_can_end_stops_at_its_tail(self, p):
+        # q sqrt(2) < 1 by less than its rounding: no bound can end the sum,
+        # which computes the 8 terms before the tail's start, where
+        # 2**(n - 1) >= 2 * 98, and raises, not all 10 000 of max_terms
+        rule, wealth = BernoulliOriginal(), 100.0
+        net, residual = net_wealth(wealth, 2.0)
+        term = rule.power_terms(0.5, net, wealth, residual, 10.0)
+        tail = rule.power_tail(0.5, p, net, wealth, 10.0)
+        summed = []
+
+        def counted(n, weight, log_weight, m):
+            summed.append(n)
+            return term(n, weight, log_weight, m)
+
+        with pytest.raises(TruncationInconclusiveError, match="within 10000 terms"):
+            _sum(GambleSpec(rule, p), TruncationPolicy(), wealth, counted, tail)
+        assert summed == list(range(1, tail.start)) == list(range(1, 9))
+        with pytest.raises(TruncationInconclusiveError, match="within 10000 terms"):
+            expected_utility_change(PlayerState(wealth, 2.0), GambleSpec(rule, p), "sqrt")
 
     def test_unknown_utility_name_rejected(self):
         state = PlayerState(wealth=100.0, ticket_price=2.0)
@@ -527,11 +551,11 @@ class TestNonfiniteTerms:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_a_nonfinite_term_raises(self, bad):
         # no verdict is read off a term: an infinite one proves nothing
-        def term(n, weight, log_weight):
+        def term(n, weight, log_weight, m):
             return bad if n == 7 else weight
 
         with pytest.raises(FloatingPointError, match="term 7 evaluated to"):
-            _sum(GambleSpec(), TruncationPolicy(), term)
+            _sum(GambleSpec(), TruncationPolicy(), 1.0, term)
 
 
 # ====== Literal all-or-nothing accounting ======

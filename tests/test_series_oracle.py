@@ -258,7 +258,7 @@ class TestDivergenceCertificates:
                                         "menger sqrt", "menger log"])
     def test_floor_lies_below_every_term_from_the_start(self, series, p):
         proved = 0
-        for wealth in (1e-300, 1.0, 100.0, 1e6, 1e300):
+        for wealth in (5e-324, 1e-320, 1e-310, 1e-300, 1.0, 100.0, 1e6, 1e300):
             for share in (0.0, 0.5, 1.0, 6.0):
                 certificate, term = _certified(series, p, wealth, share * wealth)
                 if not isinstance(certificate, Diverges):
@@ -272,7 +272,17 @@ class TestDivergenceCertificates:
         # 2q >= 1, or q sqrt(2) >= 1
         edge = {"doubling payout": p <= 0.5, "doubling sqrt": p < _SQRT_EDGE,
                 "menger log": p <= 0.5}.get(series, True)
-        assert proved == (20 if edge else 0)
+        assert proved == (32 if edge else 0)
+
+    @pytest.mark.parametrize("p", [1e-5, 0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("series", ["menger payout", "menger sqrt"])
+    def test_menger_floor_is_a_normal_double(self, series, p):
+        # beside a subnormal wealth the bound at the least k lies below the
+        # normal range; the proof starts later, where it is a normal double
+        for wealth in (5e-324, 1e-320, 1e-310):
+            for share in (0.0, 0.5, 1.0, 6.0):
+                certificate, _ = _certified(series, p, wealth, share * wealth)
+                assert certificate.floor >= 2.0 ** -1022, (wealth, share, certificate)
 
 
 def _certified(series: str, p: float, wealth: float, price: float):
