@@ -1,4 +1,9 @@
-"""The ``"%d,%s\\n" % (row, repr(x))`` rows of a slice of doubles, in numpy.
+"""The bytes of the ``round,wealth`` rows of a wealth path, in numpy.
+
+Each row is ``b"%d,%s\\n" % (row, repr(x))``.  :func:`rows` writes those
+of a slice of doubles.  :func:`fixed` writes a run of rows whose cells
+all read one text, ``inf`` or ``0.0``, as numpy records of a cached
+thousand-row template.
 
 ``repr`` of a float is its shortest decimal text that reads back as the
 same double.  CPython finds those digits with bignum arithmetic, one cell
@@ -16,6 +21,7 @@ promotes ``uint64`` mixed with ``int64`` to ``float64``.
 from __future__ import annotations
 
 import functools
+from typing import Iterator
 
 import numpy as np
 
@@ -133,8 +139,8 @@ def _digits(numbers, width: int):
     return columns
 
 
-def rows(first: int, values) -> str:
-    """``"%d,%s\n" % (first + t, repr(x))`` for each float ``values[t]``, joined."""
+def rows(first: int, values) -> bytes:
+    """``b"%d,%s\n" % (first + t, repr(x))`` for each float ``values[t]``, joined."""
     values = np.asarray(values, dtype=np.float64)
     count = len(values)
     output, exponent, fallback = _decimals(values.view(_U64))
@@ -180,4 +186,42 @@ def rows(first: int, values) -> str:
     if odd.size:
         text = [repr(x).encode() for x in values[odd].tolist()]
         cell[odd, :-1] = np.array(text, dtype=f"S{_CELL - 1}").view(np.uint8).reshape(odd.size, -1)
-    return matrix[matrix != 0].tobytes().decode("ascii")
+    return matrix[matrix != 0].tobytes()
+
+
+#: thousands of rows in each chunk of :func:`fixed`
+_CHUNK = 8
+
+
+@functools.lru_cache(maxsize=None)
+def _template(cell: bytes) -> np.ndarray:
+    """Rows ``000,cell`` to ``999,cell``: the rows of a thousand whose
+    cells read ``cell``, each without its thousands, one ``S`` item each."""
+    return np.array([b"%03d,%s\n" % (row, cell) for row in range(1000)])
+
+
+def fixed(first: int, stop: int, cell: bytes) -> Iterator[bytes]:
+    """The rows ``first`` to ``stop - 1``, each ``b"%d,%s\\n" % (row, cell)``,
+    in chunks of at most ``_CHUNK`` thousand rows.
+
+    Rows below 1000 are formatted by ``%``.  A chunk of later rows is a
+    record array, one record per row: its thousands as text beside that
+    row of :func:`_template`.  Its thousands have one width throughout,
+    so each record is as long as its row.
+    """
+    if first < 1000 and first < stop:
+        below = min(stop, 1000)
+        yield (b"%d," + cell + b"\n") * (below - first) % tuple(range(first, below))
+        first = below
+    template = _template(cell)
+    while first < stop:
+        thousands = first // 1000
+        width = len(str(thousands))
+        end = min(stop, 1000 * min(thousands + _CHUNK, 10 ** width))
+        records = np.empty((-(-end // 1000) - thousands, 1000),
+                           dtype=[("thousands", f"S{width}"), ("row", template.dtype)])
+        records["thousands"] = np.arange(thousands, thousands + len(records)).astype(
+            f"S{width}")[:, None]
+        records["row"] = template
+        yield records.reshape(-1)[first - 1000 * thousands:end - 1000 * thousands].tobytes()
+        first = end

@@ -32,14 +32,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import functools
 import io
 import json
 import math
 import os
 import stat
 import sys
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from . import __version__
 from .criteria import (
@@ -333,7 +332,7 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
     # the path file opens before any draw: a path that cannot be written
     # fails the command before the run is sampled
     path_file = (contextlib.nullcontext() if wealth_path_out is None
-                 else open(wealth_path_out, "w", newline=""))
+                 else open(wealth_path_out, "wb"))
     with path_file:
         try:
             run = time_average_census(
@@ -403,6 +402,8 @@ _PATH_SLICE = 1 << 13
 
 #: ``math.exp`` overflows from this log wealth up, so those cells read ``inf``
 _EXP_OVERFLOW = 710.0
+#: the largest log wealth whose ``math.exp`` is finite
+_EXP_LARGEST = 709.782712893384
 #: ``math.exp`` rounds to 0.0 from this log wealth down
 _EXP_UNDERFLOW = -746.0
 
@@ -418,48 +419,21 @@ def _wealth_cell(log_wealth: float) -> str:
     return repr(_wealth(log_wealth))
 
 
-def _fixed_cell(low: float, high: float) -> Optional[str]:
+def _fixed_cell(low: float, high: float) -> Optional[bytes]:
     """The cell every row reads when each row's log wealth lies in
     ``[low, high]`` and that lies wholly past one bound of the double
     range, else ``None``."""
     if low >= _EXP_OVERFLOW:
-        return "inf"
+        return b"inf"
     if high <= _EXP_UNDERFLOW:
-        return "0.0"
+        return b"0.0"
     return None
 
 
-@functools.lru_cache(maxsize=None)
-def _row_template(cell: str) -> tuple:
-    """Rows ``000,cell`` to ``999,cell``: the rows of a thousand whose
-    cells read ``cell``, each without its thousands."""
-    return tuple(f"{row:03d},{cell}\n" for row in range(1000))
-
-
-def _fixed_rows(first: int, stop: int, cell: str) -> Iterator[str]:
-    """The CSV text of rows ``first`` to ``stop - 1``, whose cells all read
-    ``cell``, a thousand rows or fewer at a time.
-
-    Rows below 1000 have no thousands and are formatted one by one; the
-    rest are sliced from :func:`_row_template` and joined with their
-    thousands in front of each row.
-    """
-    if first < 1000:
-        below = min(stop, 1000)
-        yield f"%d,{cell}\n" * (below - first) % tuple(range(first, below))
-        first = below
-    template = _row_template(cell)
-    while first < stop:
-        thousands, row = divmod(first, 1000)
-        end = min(stop - 1000 * thousands, 1000)
-        prefix = str(thousands)
-        yield prefix + prefix.join(template[row:end])
-        first = 1000 * thousands + end
-
-
 def _wealth_path_writer(handle) -> Callable[..., None]:
-    """Write the header of the ``round,wealth`` CSV of a path to ``handle``,
-    and return the writer of its rows, one block of log wealth at a time.
+    """Write the header of the ``round,wealth`` CSV of a path to the binary
+    ``handle``, and return the writer of its rows, one block of log wealth
+    at a time.
 
     ``write(log_wealth, rows, low, high)`` writes a block as
     :func:`.montecarlo.time_average_census` gives it to ``path``:
@@ -471,22 +445,21 @@ def _wealth_path_writer(handle) -> Callable[..., None]:
     lie wholly past one bound is written from ``rows`` alone, and its
     ``log_wealth`` is never called, so its order is never drawn.  Any other
     block is written in slices of up to 2**13 rows: a slice lying wholly
-    past one bound is written from a cached template of a thousand rows
-    (see :func:`_fixed_rows`), and any other is formatted in numpy by
-    :func:`._shortest.rows`, which gives ``repr``'s shortest digits.  Each
-    slice or thousand is written at once, so memory holds one slice's
-    cells, not the path's, and the file is the same byte for byte as one
-    formatted row by row.
+    past one bound is written as numpy records of a cached thousand-row
+    template by :func:`._shortest.fixed`, and any other is formatted in
+    numpy by :func:`._shortest.rows`, which gives ``repr``'s shortest
+    digits.  Each slice, or chunk of at most 8 000 fixed rows, is written
+    at once as bytes, so memory holds one slice's cells, not the path's,
+    and the file is the same byte for byte as one formatted row by row.
     """
     from . import _shortest
 
-    handle.write("round,wealth\n")
+    handle.write(b"round,wealth\n")
     written = 0
 
-    def fixed(rows: int, cell: str) -> None:
+    def fixed(rows: int, cell: bytes) -> None:
         nonlocal written
-        for text in _fixed_rows(written, written + rows, cell):
-            handle.write(text)
+        handle.writelines(_shortest.fixed(written, written + rows, cell))
         written += rows
 
     def write(log_wealth, rows: int, low: float, high: float) -> None:
@@ -498,15 +471,16 @@ def _wealth_path_writer(handle) -> Callable[..., None]:
         log_wealth = log_wealth()
         for start in range(0, len(log_wealth), _PATH_SLICE):
             part = log_wealth[start:start + _PATH_SLICE]
-            top = part.max()
-            cell = _fixed_cell(part.min(), top)
+            cell = _fixed_cell(part.min(), part.max())
             if cell is not None:
                 fixed(len(part), cell)
                 continue
             # the scalar math.exp: numpy's exp may round the last digit
-            # differently; past 709 it may overflow, and takes the try
-            exp = math.exp if top <= 709.0 else _wealth
-            handle.write(_shortest.rows(written, list(map(exp, part.tolist()))))
+            # differently; past its largest finite argument a cell reads inf
+            values = part.clip(max=_EXP_LARGEST)
+            values[:] = list(map(math.exp, values.tolist()))
+            values[part > _EXP_LARGEST] = math.inf
+            handle.write(_shortest.rows(written, values))
             written += len(part)
 
     return write

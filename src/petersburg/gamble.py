@@ -110,9 +110,10 @@ class Diverges(NamedTuple):
 
     A rule returns one in place of a :class:`Tail` where its series has
     no finite sum, and the series engine reads it at term ``start``,
-    before it computes that term.  ``floor`` is rounded down: to about
-    ``e**709`` where it lies past the double range, and to 0.0 where it
-    lies below it.
+    before it computes that term.  ``floor`` is rounded down, to about
+    ``e**709`` where it lies past the double range, and is a normal
+    double: where the least term lies below the normal range, the proof
+    starts later, where the terms have risen into it.
     """
 
     start: int
@@ -459,7 +460,14 @@ class BernoulliOriginal(_Doubling):
             # P(k) 2**(theta (k-1)) / 4 = p G**(k-1) / 4 >= p / 4
             if base:
                 start = max(start, math.ceil(math.log2(4.0 * base) / theta + _SLACK) + 1)
-            return Diverges(start, p / 4.0)
+            log_floor = math.log(p) - 2.0 * _LN2 - _SLACK
+            if log_floor >= -_LOG_NORMAL:
+                return Diverges(start, p / 4.0)
+            # p / 4 lies below the normal range: the proof starts where
+            # p G**(k-1) / 4, rising with k, is a normal double
+            log_growth = math.log1p(-p) + theta * _LN2
+            start = max(start, math.ceil((-_LOG_NORMAL - log_floor) / log_growth) + 1)
+            return Diverges(start, math.exp(log_floor + (start - 1) * log_growth))
         if growth >= 1.0:
             # G < 1 by less than its rounding: no bound can show it
             return Tail(start, lambda n: (0.0, math.inf), lambda tolerance: math.inf)

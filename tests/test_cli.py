@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import importlib.resources
 import io
 import json
@@ -35,6 +36,14 @@ from petersburg.cli import _PATH_SLICE, _wealth_cell, _wealth_path_writer, main,
 from petersburg.series import SeriesResult
 from mp_oracle import reference
 from test_gamble import SMALLEST_SAMPLED_P
+
+#: sha256 of the 10**6-round path file at seed 1, ``--wealth 100 --price 2``
+PATH_1E6_SEED_1 = "a10e7a7859835bce9c255edaa312f789f6e44025684538098b1d7695c3385525"
+
+#: ... and at ``--price 60``, whose rows read 0.0 from early on
+PATH_1E6_PRICE_60 = "7940307301edcfd9a3ea198a48c2d40d7105263cd06c176aa27dfc7d0b45a08b"
+#: ... and of 70 000 rounds at seed 1, ``--price 2``
+PATH_70000_SEED_1 = "ac926a70594455e6275b3e30d798fc9edb9cb09533ed9ed68b9a010b84541d84"
 
 BREAKEVEN_100 = 4.36019402978550666497679191764
 
@@ -771,6 +780,28 @@ class TestWealthPathFile:
         assert zeros[0] < 1000
         assert zeros == list(range(zeros[0], 100_001))
 
+    def test_underflow_to_zero_over_a_million_rounds(self, tmp_path, capsys):
+        # every block past the first is written from its census as 0.0 rows
+        code, data = self.write(tmp_path, "--wealth", "100", "--price", "60",
+                                "--rounds", "1000000", "--seed", "1")
+        assert code == 0
+        assert data.count(b"\n") == 1_000_002
+        assert data.endswith(b"\n1000000,0.0\n")
+        assert hashlib.sha256(data).hexdigest() == PATH_1E6_PRICE_60
+        # the first block's rows are the reference's
+        assert data.startswith(
+            reference_path_file(PlayerState(100.0, 60.0), GambleSpec(), 2**16, 1))
+
+    def test_shorter_path_truncates_a_longer_file(self, tmp_path, capsys):
+        # a path written over a longer file keeps none of its rows
+        args = ("--wealth", "100", "--price", "2", "--seed", "1")
+        _, fresh = self.write(tmp_path, *args, "--rounds", "70000")
+        self.write(tmp_path, *args, "--rounds", "1000000")
+        _, over = self.write(tmp_path, *args, "--rounds", "70000")
+        assert over.count(b"\n") == 70_002
+        assert over == fresh
+        assert hashlib.sha256(over).hexdigest() == PATH_70000_SEED_1
+
     def test_bankruptcy_in_a_later_block(self, tmp_path, capsys):
         # the first ruinous round of this table at seed 2 is round 74 029
         table = tmp_path / "rare-ruin.csv"
@@ -868,12 +899,14 @@ class TestWealthPathFile:
         assert ordered == [15]
         # the same bytes as the writer gives the arrays of every block
         monkeypatch.undo()
-        handle = io.StringIO()
+        handle = io.BytesIO()
         write = _wealth_path_writer(handle)
         for _, log_wealth in trajectory_blocks(PlayerState(100.0, 2.0), GambleSpec(), rounds, 1):
             write(lambda: log_wealth, len(log_wealth), -math.inf, math.inf)
-        assert data == handle.getvalue().encode()
+        assert data == handle.getvalue()
         assert data.endswith(b"\n1000000,inf\n")
+        # the bytes of the row-by-row writers before the numpy ones
+        assert hashlib.sha256(data).hexdigest() == PATH_1E6_SEED_1
 
     def test_deferred_blocks_are_replayed_for_a_later_finite_row(self, tmp_path, monkeypatch,
                                                                   capsys):
@@ -950,7 +983,7 @@ class TestWealthPathWriter:
         # repeated cut, or one at either end, makes an empty block
         path = np.concatenate([np.resize(values, length) for values, length in runs])
         bounds = [0, *sorted(c for c in cuts if c <= len(path)), len(path)]
-        handle = io.StringIO()
+        handle = io.BytesIO()
         write = _wealth_path_writer(handle)
         if first:
             write(lambda: np.full(first, 800.0), first, -math.inf, math.inf)
@@ -959,20 +992,44 @@ class TestWealthPathWriter:
             write(lambda: path[begin:end], end - begin, -math.inf, math.inf)
         expected = "".join(["%d,%s\n" % (first + t, _wealth_cell(x))
                             for t, x in enumerate(path.tolist())])
-        assert handle.getvalue()[written:] == expected
-        assert handle.getvalue()[:13] == "round,wealth\n"
+        assert handle.getvalue()[written:] == expected.encode()
+        assert handle.getvalue()[:13] == b"round,wealth\n"
 
     @pytest.mark.parametrize("first", [0, 995, 1000, 12_345, 999_990])
     def test_leading_inf_run(self, first):
         # the rows the sweep writes before those it compares
-        handle = io.StringIO()
+        handle = io.BytesIO()
         write = _wealth_path_writer(handle)
         if first:
             write(lambda: np.full(first, 800.0), first, -math.inf, math.inf)
         write(lambda: np.array([-800.0, 800.0]), 2, -math.inf, math.inf)
-        rows = handle.getvalue().splitlines()
+        rows = handle.getvalue().decode().splitlines()
         assert rows == ["round,wealth", *(f"{t},inf" for t in range(first)),
                         f"{first},0.0", f"{first + 1},inf"]
+
+    @pytest.mark.parametrize("log_wealth", [800.0, -800.0], ids=["inf", "zero"])
+    @pytest.mark.parametrize("first, rows", [
+        (990, 20),  # rows below 1000, then the first thousand
+        (9_990, 20),  # the thousands gain a digit
+        (99_990, 20),
+        (999_990, 20),
+        (1_000, 8_001),  # a chunk of 8 000 rows, then one of a single row
+        (12_345, 3 * 8_000 + 17),  # chunks from mid-thousand, across 8 000-row edges
+        (995, 9_010),  # below 1000, then chunks up to the width edge and past it
+    ])
+    def test_fixed_run_across_width_and_chunk_edges(self, log_wealth, first, rows):
+        # both runs go by their bounds alone: neither array is built
+        def unused():
+            raise AssertionError("a fixed run was materialised")
+
+        handle = io.BytesIO()
+        write = _wealth_path_writer(handle)
+        write(unused, first, 800.0, 800.0)
+        written = handle.tell()
+        write(unused, rows, log_wealth, log_wealth)
+        cell = _wealth_cell(log_wealth)
+        expected = "".join(["%d,%s\n" % (t, cell) for t in range(first, first + rows)])
+        assert handle.getvalue()[written:] == expected.encode()
 
 
 # ====== menger ======

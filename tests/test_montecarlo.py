@@ -398,7 +398,7 @@ class TestRuinTest:
             subinterval = subinterval_estimate(state, spec, self.ROUNDS, 1)
         except NonpositiveReturnError as exc:
             subinterval = str(exc)
-        handle = io.StringIO()
+        handle = io.BytesIO()
         time_average_census(state, spec, self.ROUNDS, 1, path=_wealth_path_writer(handle))
         return (census.counts.tolist(), census.bankrupt_at, census.bankrupt_wealth,
                 subinterval, handle.getvalue())

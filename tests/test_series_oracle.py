@@ -284,6 +284,20 @@ class TestDivergenceCertificates:
                 certificate, _ = _certified(series, p, wealth, share * wealth)
                 assert certificate.floor >= 2.0 ** -1022, (wealth, share, certificate)
 
+    @pytest.mark.parametrize("p", [5e-324, 1e-320, 1e-310])
+    @pytest.mark.parametrize("series", ["doubling payout", "doubling sqrt"])
+    def test_doubling_floor_is_a_normal_double(self, series, p):
+        # p / 4 lies below the normal range; the proof starts later, where
+        # the rising terms are normal doubles
+        for wealth in (5e-324, 1.0, 100.0, 1e300):
+            for share in (0.0, 0.5, 1.0, 6.0):
+                certificate, term = _certified(series, p, wealth, share * wealth)
+                assert isinstance(certificate, Diverges)
+                assert certificate.floor >= 2.0 ** -1022, (wealth, share, certificate)
+                with mpmath.workprec(200):
+                    for k in range(certificate.start, certificate.start + 61):
+                        assert certificate.floor <= term(k), (series, p, wealth, share, k)
+
 
 def _certified(series: str, p: float, wealth: float, price: float):
     """The certificate a rule gives for one series, and the series' exact

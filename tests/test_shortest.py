@@ -10,7 +10,7 @@ from petersburg import _shortest
 
 def reference(first, values):
     """The rows formatted one by one, as ``%`` and ``repr`` write them."""
-    return "".join("%d,%s\n" % (first + t, repr(x)) for t, x in enumerate(values))
+    return "".join("%d,%s\n" % (first + t, repr(x)) for t, x in enumerate(values)).encode()
 
 
 def assert_rows(values, first=0):
@@ -98,3 +98,14 @@ def test_exp_grid():
 def test_row_numbers(first):
     # from 999 999 the row numbers gain a digit within the slice
     assert_rows([math.exp(x) for x in np.linspace(-10.0, 10.0, 2001).tolist()], first)
+
+
+@pytest.mark.parametrize("cell", [b"inf", b"0.0"])
+@pytest.mark.parametrize("first, stop", [(0, 0), (0, 1), (5, 5), (0, 20_000), (999, 1_001),
+                                         (7_999, 8_001), (1_500, 30_500),
+                                         (9_999_990, 10_000_010)])
+def test_fixed_runs(cell, first, stop):
+    # each chunk holds at most 8 000 rows, and none is empty
+    chunks = list(_shortest.fixed(first, stop, cell))
+    assert b"".join(chunks) == b"".join(b"%d,%s\n" % (t, cell) for t in range(first, stop))
+    assert all(0 < chunk.count(b"\n") <= 8_000 for chunk in chunks)
