@@ -1,9 +1,15 @@
-"""The bytes of the ``round,wealth`` rows of a wealth path, in numpy.
+"""The wealth-path file: its ``round,wealth`` rows as bytes, in numpy.
 
-Each row is ``b"%d,%s\\n" % (row, repr(x))``.  :func:`rows` writes those
-of a slice of doubles.  :func:`fixed` writes a run of rows whose cells
-all read one text, ``inf`` or ``0.0``, as numpy records of a cached
-thousand-row template.
+:func:`writer` writes the header to a binary handle and returns the
+writer of the rows, one block of log wealth at a time.  Row ``t`` reads
+``b"%d,%s\\n" % (t, repr(math.exp(x)))`` for its log wealth ``x``: ``inf``
+above 709.782712893384, where ``math.exp`` overflows, and ``0.0`` at or
+below -746.  A block lying wholly past one of those edges is written
+from its bounds alone.  Any other is written in slices of at most 8 000
+rows: a slice lying wholly past one edge by :func:`fixed`, which writes
+a run of rows whose cells all read one text as numpy records of a cached
+thousand-row template, and any other by :func:`rows`, which formats a
+slice of doubles.  So memory holds one slice's cells, not the path's.
 
 ``repr`` of a float is its shortest decimal text that reads back as the
 same double.  CPython finds those digits with bignum arithmetic, one cell
@@ -21,7 +27,8 @@ promotes ``uint64`` mixed with ``int64`` to ``float64``.
 from __future__ import annotations
 
 import functools
-from typing import Iterator
+import math
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -189,8 +196,12 @@ def rows(first: int, values) -> bytes:
     return matrix[matrix != 0].tobytes()
 
 
-#: thousands of rows in each chunk of :func:`fixed`
-_CHUNK = 8
+#: rows written at once: a slice of log wealth, or a chunk of a run of one cell
+_SLICE = 8_000
+#: the largest log wealth whose ``math.exp`` is finite
+_EXP_LARGEST = 709.782712893384
+#: ``math.exp`` rounds to 0.0 from this log wealth down
+_EXP_UNDERFLOW = -746.0
 
 
 @functools.lru_cache(maxsize=None)
@@ -202,7 +213,7 @@ def _template(cell: bytes) -> np.ndarray:
 
 def fixed(first: int, stop: int, cell: bytes) -> Iterator[bytes]:
     """The rows ``first`` to ``stop - 1``, each ``b"%d,%s\\n" % (row, cell)``,
-    in chunks of at most ``_CHUNK`` thousand rows.
+    in chunks of at most ``_SLICE`` rows.
 
     Rows below 1000 are formatted by ``%``.  A chunk of later rows is a
     record array, one record per row: its thousands as text beside that
@@ -217,7 +228,7 @@ def fixed(first: int, stop: int, cell: bytes) -> Iterator[bytes]:
     while first < stop:
         thousands = first // 1000
         width = len(str(thousands))
-        end = min(stop, 1000 * min(thousands + _CHUNK, 10 ** width))
+        end = min(stop, 1000 * thousands + _SLICE, 1000 * 10 ** width)
         records = np.empty((-(-end // 1000) - thousands, 1000),
                            dtype=[("thousands", f"S{width}"), ("row", template.dtype)])
         records["thousands"] = np.arange(thousands, thousands + len(records)).astype(
@@ -225,3 +236,53 @@ def fixed(first: int, stop: int, cell: bytes) -> Iterator[bytes]:
         records["row"] = template
         yield records.reshape(-1)[first - 1000 * thousands:end - 1000 * thousands].tobytes()
         first = end
+
+
+def _wealth_cell(log_wealth: float) -> str:
+    """The cell of one row, formatted by itself: the row-by-row reference."""
+    try:
+        return repr(math.exp(log_wealth))
+    except OverflowError:
+        return "inf"
+
+
+def _fixed_cell(low: float, high: float) -> Optional[bytes]:
+    """The cell every row reads when each row's log wealth lies in
+    ``[low, high]`` and that lies wholly past one edge, else ``None``."""
+    if low > _EXP_LARGEST:
+        return b"inf"
+    if high <= _EXP_UNDERFLOW:
+        return b"0.0"
+    return None
+
+
+def writer(handle) -> Callable[..., None]:
+    """Write the header to the binary ``handle``, and return the writer of
+    the rows: ``path`` of :func:`.montecarlo.time_average_census`."""
+    handle.write(b"round,wealth\n")
+    written = 0
+
+    def write(log_wealth, count: int, low: float, high: float) -> None:
+        nonlocal written
+        cell = _fixed_cell(low, high)
+        if cell is not None:
+            # the block's order is never drawn
+            handle.writelines(fixed(written, written + count, cell))
+            written += count
+            return
+        log_wealth = log_wealth()
+        for start in range(0, len(log_wealth), _SLICE):
+            part = log_wealth[start:start + _SLICE]
+            cell = _fixed_cell(part.min(), part.max())
+            if cell is not None:
+                handle.writelines(fixed(written, written + len(part), cell))
+            else:
+                # the scalar math.exp: numpy's exp may round the last digit
+                # differently; past its largest finite argument a cell reads inf
+                values = part.clip(max=_EXP_LARGEST)
+                values[:] = list(map(math.exp, values.tolist()))
+                values[part > _EXP_LARGEST] = math.inf
+                handle.write(rows(written, values))
+            written += len(part)
+
+    return write

@@ -9,6 +9,10 @@ keys.  CSV output is a plain data table on stdout.  A seeded run prints
 the same bytes every time; ``simulate --workers`` is accepted for older
 command lines and has no effect.
 
+``simulate --wealth-path-out`` also writes the run's wealth path as a
+``round,wealth`` CSV file; :mod:`._shortest` writes its bytes, and loads
+only for a run that writes one.
+
 Output is strict in either format: a value that is not a finite number
 fails any command, naming its row (see :func:`_emit`), instead of
 printing ``Infinity``, ``inf`` or ``NaN``.
@@ -38,7 +42,7 @@ import math
 import os
 import stat
 import sys
-from typing import Callable, Optional
+from typing import Optional
 
 from . import __version__
 from .criteria import (
@@ -335,9 +339,12 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
                  else open(wealth_path_out, "wb"))
     with path_file:
         try:
-            run = time_average_census(
-                state, spec, rounds, seed,
-                path=None if wealth_path_out is None else _wealth_path_writer(path_file))
+            path = None
+            if wealth_path_out is not None:
+                from ._shortest import writer
+
+                path = writer(path_file)
+            run = time_average_census(state, spec, rounds, seed, path=path)
             if run.bankrupt_at is None:
                 results = _estimate_results(time_average_estimate(run), "time",
                                             "growth_rate_estimate", "rounds", **known)
@@ -396,94 +403,6 @@ def _field_rows(results: dict) -> list:
     rows += [(key, value) for key, value in results.items() if key != "frequencies"]
     rows += [(f"k_{n}", c) for n, c in results.get("frequencies", ())]
     return rows
-
-
-_PATH_SLICE = 1 << 13
-
-#: ``math.exp`` overflows from this log wealth up, so those cells read ``inf``
-_EXP_OVERFLOW = 710.0
-#: the largest log wealth whose ``math.exp`` is finite
-_EXP_LARGEST = 709.782712893384
-#: ``math.exp`` rounds to 0.0 from this log wealth down
-_EXP_UNDERFLOW = -746.0
-
-
-def _wealth(log_wealth: float) -> float:
-    try:
-        return math.exp(log_wealth)
-    except OverflowError:
-        return math.inf
-
-
-def _wealth_cell(log_wealth: float) -> str:
-    return repr(_wealth(log_wealth))
-
-
-def _fixed_cell(low: float, high: float) -> Optional[bytes]:
-    """The cell every row reads when each row's log wealth lies in
-    ``[low, high]`` and that lies wholly past one bound of the double
-    range, else ``None``."""
-    if low >= _EXP_OVERFLOW:
-        return b"inf"
-    if high <= _EXP_UNDERFLOW:
-        return b"0.0"
-    return None
-
-
-def _wealth_path_writer(handle) -> Callable[..., None]:
-    """Write the header of the ``round,wealth`` CSV of a path to the binary
-    ``handle``, and return the writer of its rows, one block of log wealth
-    at a time.
-
-    ``write(log_wealth, rows, low, high)`` writes a block as
-    :func:`.montecarlo.time_average_census` gives it to ``path``:
-    ``log_wealth`` is a function of no arguments returning the array
-    :func:`.montecarlo.trajectory_blocks` yields, its ``rows`` rows each
-    within ``[low, high]``.
-    A path leaves the double range: its rows then read ``inf`` (log wealth
-    at or above 710) or ``0.0`` (at or below -746).  A block whose bounds
-    lie wholly past one bound is written from ``rows`` alone, and its
-    ``log_wealth`` is never called, so its order is never drawn.  Any other
-    block is written in slices of up to 2**13 rows: a slice lying wholly
-    past one bound is written as numpy records of a cached thousand-row
-    template by :func:`._shortest.fixed`, and any other is formatted in
-    numpy by :func:`._shortest.rows`, which gives ``repr``'s shortest
-    digits.  Each slice, or chunk of at most 8 000 fixed rows, is written
-    at once as bytes, so memory holds one slice's cells, not the path's,
-    and the file is the same byte for byte as one formatted row by row.
-    """
-    from . import _shortest
-
-    handle.write(b"round,wealth\n")
-    written = 0
-
-    def fixed(rows: int, cell: bytes) -> None:
-        nonlocal written
-        handle.writelines(_shortest.fixed(written, written + rows, cell))
-        written += rows
-
-    def write(log_wealth, rows: int, low: float, high: float) -> None:
-        nonlocal written
-        cell = _fixed_cell(low, high)
-        if cell is not None:
-            fixed(rows, cell)
-            return
-        log_wealth = log_wealth()
-        for start in range(0, len(log_wealth), _PATH_SLICE):
-            part = log_wealth[start:start + _PATH_SLICE]
-            cell = _fixed_cell(part.min(), part.max())
-            if cell is not None:
-                fixed(len(part), cell)
-                continue
-            # the scalar math.exp: numpy's exp may round the last digit
-            # differently; past its largest finite argument a cell reads inf
-            values = part.clip(max=_EXP_LARGEST)
-            values[:] = list(map(math.exp, values.tolist()))
-            values[part > _EXP_LARGEST] = math.inf
-            handle.write(_shortest.rows(written, values))
-            written += len(part)
-
-    return write
 
 
 def menger_cmd(wealth, nmax_list, fmt):

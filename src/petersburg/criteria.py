@@ -399,10 +399,6 @@ def bernoulli_stake(
         payouts) yield ``NEVER_ZERO`` with no price, since the expected
         log change stays positive at every price below the whole
         wealth; undefined gains yield ``UNDEFINED``.
-
-    Raises:
-        ArithmeticError: If the gain series diverges to negative
-            infinity, which no payout rule representable here produces.
     """
     if not (math.isfinite(wealth) and wealth > 0.0):
         raise ValueError(f"wealth must be positive and finite, got {wealth!r}")
@@ -415,10 +411,6 @@ def bernoulli_stake(
         return StakeResult(kind=StakeKind.NEVER_ZERO, gains=gains)
     if gains.classification is Classification.UNDEFINED:
         return StakeResult(kind=StakeKind.UNDEFINED, gains=gains)
-    if not gains.is_converged:
-        raise ArithmeticError(
-            f"gain series is {gains.classification.value}; no stake exists"
-        )
     price = wealth * -math.expm1(-gains.value)
     return StakeResult(kind=StakeKind.PRICE, gains=gains, price=price)
 

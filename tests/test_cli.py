@@ -32,7 +32,8 @@ from petersburg import (
     trajectory_blocks,
 )
 from petersburg import cli, montecarlo
-from petersburg.cli import _PATH_SLICE, _wealth_cell, _wealth_path_writer, main, parse_payout
+from petersburg._shortest import _EXP_LARGEST, _SLICE, _wealth_cell, writer as path_writer
+from petersburg.cli import main, parse_payout
 from petersburg.series import SeriesResult
 from mp_oracle import reference
 from test_gamble import SMALLEST_SAMPLED_P
@@ -900,7 +901,7 @@ class TestWealthPathFile:
         # the same bytes as the writer gives the arrays of every block
         monkeypatch.undo()
         handle = io.BytesIO()
-        write = _wealth_path_writer(handle)
+        write = path_writer(handle)
         for _, log_wealth in trajectory_blocks(PlayerState(100.0, 2.0), GambleSpec(), rounds, 1):
             write(lambda: log_wealth, len(log_wealth), -math.inf, math.inf)
         assert data == handle.getvalue()
@@ -962,7 +963,7 @@ _EXP_EDGES = (709.0, 709.78, 709.79, math.nextafter(710.0, 0.0), 710.0, 710.5, 1
 
 _run_values = st.lists(st.one_of(st.sampled_from(_EXP_EDGES), st.floats(-800.0, 800.0)),
                        min_size=1, max_size=3)
-_run_length = st.one_of(st.integers(1, 1500), st.integers(_PATH_SLICE - 3, _PATH_SLICE + 3))
+_run_length = st.one_of(st.integers(1, 1500), st.integers(_SLICE - 3, _SLICE + 3))
 
 
 class TestWealthPathWriter:
@@ -971,9 +972,9 @@ class TestWealthPathWriter:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(first=st.sampled_from([0, 999, 1000, 9_999, 99_990, 999_995]),
            runs=st.lists(st.tuples(_run_values, _run_length), min_size=1, max_size=4),
-           cuts=st.lists(st.integers(0, 3 * _PATH_SLICE), max_size=4))
-    @example(first=999_995, runs=[([800.0], 2 * _PATH_SLICE + 3)], cuts=[])
-    @example(first=99_990, runs=[([4.6, 709.5, -745.0], 2 * _PATH_SLICE + 3)], cuts=[])
+           cuts=st.lists(st.integers(0, 3 * _SLICE), max_size=4))
+    @example(first=999_995, runs=[([800.0], 2 * _SLICE + 3)], cuts=[])
+    @example(first=99_990, runs=[([4.6, 709.5, -745.0], 2 * _SLICE + 3)], cuts=[])
     @example(first=0, runs=[([-800.0], 1500), ([4.6, 709.9], 10), ([-745.2], 3)], cuts=[1499])
     @example(first=1000, runs=[([709.0, 709.78], 100), ([-745.13, -745.0], 100)], cuts=[100])
     @example(first=1000, runs=[([800.0], 100), ([-800.0], 100)], cuts=[0, 100, 100, 200])
@@ -984,7 +985,7 @@ class TestWealthPathWriter:
         path = np.concatenate([np.resize(values, length) for values, length in runs])
         bounds = [0, *sorted(c for c in cuts if c <= len(path)), len(path)]
         handle = io.BytesIO()
-        write = _wealth_path_writer(handle)
+        write = path_writer(handle)
         if first:
             write(lambda: np.full(first, 800.0), first, -math.inf, math.inf)
         written = handle.tell()
@@ -999,7 +1000,7 @@ class TestWealthPathWriter:
     def test_leading_inf_run(self, first):
         # the rows the sweep writes before those it compares
         handle = io.BytesIO()
-        write = _wealth_path_writer(handle)
+        write = path_writer(handle)
         if first:
             write(lambda: np.full(first, 800.0), first, -math.inf, math.inf)
         write(lambda: np.array([-800.0, 800.0]), 2, -math.inf, math.inf)
@@ -1007,7 +1008,9 @@ class TestWealthPathWriter:
         assert rows == ["round,wealth", *(f"{t},inf" for t in range(first)),
                         f"{first},0.0", f"{first + 1},inf"]
 
-    @pytest.mark.parametrize("log_wealth", [800.0, -800.0], ids=["inf", "zero"])
+    # exp overflows past _EXP_LARGEST, below 710: a run there reads inf too
+    @pytest.mark.parametrize("log_wealth", [800.0, 709.79, math.nextafter(_EXP_LARGEST, 710.0),
+                                            -800.0], ids=["inf", "inf_edge", "inf_next", "zero"])
     @pytest.mark.parametrize("first, rows", [
         (990, 20),  # rows below 1000, then the first thousand
         (9_990, 20),  # the thousands gain a digit
@@ -1023,7 +1026,7 @@ class TestWealthPathWriter:
             raise AssertionError("a fixed run was materialised")
 
         handle = io.BytesIO()
-        write = _wealth_path_writer(handle)
+        write = path_writer(handle)
         write(unused, first, 800.0, 800.0)
         written = handle.tell()
         write(unused, rows, log_wealth, log_wealth)

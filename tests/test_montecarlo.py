@@ -31,7 +31,8 @@ from petersburg import (
     trajectory_blocks,
 )
 from petersburg import montecarlo
-from petersburg.cli import _wealth_path_writer, main
+from petersburg._shortest import writer
+from petersburg.cli import main
 
 GROWTH_100_2 = 0.0234834936741544663694884870358
 
@@ -399,7 +400,7 @@ class TestRuinTest:
         except NonpositiveReturnError as exc:
             subinterval = str(exc)
         handle = io.BytesIO()
-        time_average_census(state, spec, self.ROUNDS, 1, path=_wealth_path_writer(handle))
+        time_average_census(state, spec, self.ROUNDS, 1, path=writer(handle))
         return (census.counts.tolist(), census.bankrupt_at, census.bankrupt_wealth,
                 subinterval, handle.getvalue())
 
