@@ -336,24 +336,17 @@ def _ruin_test(state: PlayerState, spec: GambleSpec
     It is ``None`` where the least payout's growth factor, computed with
     the operations of :func:`_growth_factors`, is positive: each of them
     rounds monotonically in the payout, so no factor is smaller.  Else
-    each waiting time's factor is computed once a run, when it is first
-    counted, so a block costs a lookup, not a factor table.
+    ``held`` computes the factor of each waiting time that ``counts``
+    holds, one block at a time, and keeps nothing between calls.
     """
     w = state.wealth
     net, residual = net_wealth(w, state.ticket_price)
     if (net + spec.payout_rule.min_payout(w) + residual) / w > 0.0:
         return None
-    marks = np.zeros(1, dtype=np.int8)  # per waiting time: 0 unknown, 1 safe, 2 ruinous
 
     def held(counts: np.ndarray) -> np.ndarray:
-        nonlocal marks
-        if len(marks) < len(counts):
-            marks = np.concatenate([marks, np.zeros(len(counts) - len(marks), dtype=np.int8)])
         seen = np.flatnonzero(counts)
-        new = seen[marks[seen] == 0]
-        if new.size:
-            marks[new] = np.where(_growth_factors(state, spec, new) <= 0.0, 2, 1)
-        return seen[marks[seen] == 2]
+        return seen[_growth_factors(state, spec, seen) <= 0.0]
 
     return held
 

@@ -92,11 +92,12 @@ class TruncationPolicy:
 class SeriesResult:
     """Classified outcome of a truncated series evaluation.
 
-    ``value`` and ``tail_bound`` are set only for ``Converged`` results;
-    ``reason`` only for ``Undefined`` ones.  ``tail_bound`` is zero when
-    the remainder beyond the examined terms was summed exactly (finite
-    tables, capped tails), and bounds what a closed form leaves out, its
-    rounding included, otherwise (the geometric expected payout too).
+    ``value`` and ``tail_bound`` are set only for ``Converged`` results,
+    and ``value`` is then finite; ``reason`` only for ``Undefined`` ones.
+    ``tail_bound`` is zero when the remainder beyond the examined terms
+    was summed exactly (finite tables, capped tails), and bounds what a
+    closed form leaves out, its rounding included, otherwise (the
+    geometric expected payout too).
     """
 
     classification: Classification
@@ -140,8 +141,10 @@ def _sum(
     ``term`` holds at every ``n``: it takes the wealth after the payout in
     logs where that or the weight leaves the double range.  A term
     that raises ``ValueError`` makes the sum ``Undefined``; one that is
-    not finite raises :class:`FloatingPointError`.  The rule's exact tail
-    past its last paid outcome, if it has one, replaces ``tail``.
+    not finite raises :class:`FloatingPointError`, as does a sum of finite
+    terms that leaves the double range, so a ``Converged`` value is
+    finite.  The rule's exact tail past its last paid outcome, if it has
+    one, replaces ``tail``.
 
     A :class:`~petersburg.gamble.Diverges` proof makes the sum
     ``DivergesPositive`` once it reaches the proof's ``start``, before it
@@ -198,9 +201,12 @@ def _sum(
                 omitted, bound = rest(n)
             except ValueError:
                 return SeriesResult.undefined(UndefinedReason.BANKRUPTCY_TERM, n + 1)
+            value = total + omitted
             if bound <= policy.tolerance or (
-                    sign_only and abs(total + omitted) > 2.0 * bound + n * _EPS * mass):
-                return SeriesResult.converged(total + omitted, bound, n)
+                    sign_only and abs(value) > 2.0 * bound + n * _EPS * mass):
+                if not math.isfinite(value):
+                    raise FloatingPointError(f"the sum through term {n} evaluated to {value!r}")
+                return SeriesResult.converged(value, bound, n)
     raise TruncationInconclusiveError(
         f"no tail bound below {policy.tolerance!r} and no proof of divergence "
         f"within {policy.max_terms} terms"

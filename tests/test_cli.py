@@ -237,12 +237,11 @@ class TestEvaluateCommand:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_a_payout_past_the_double_range_fails(self, tmp_path, fmt):
         # the probabilities sum to 1 + 8e-10, within a table's tolerance, and
-        # the expected payout and growth factor overflow a double
+        # the expected payout's sum overflows a double: the series raises
         (tmp_path / "rows.csv").write_text("p,m\n" + "0.5000000004,1.7976931348623157e308\n" * 2)
         result = run("evaluate", "--wealth", "100", "--payout", f"table:{tmp_path / 'rows.csv'}",
                      "--format", fmt)
-        assert result == (1, "", "error: not a finite number: naive_expected_payout = inf, "
-                                 "ensemble_growth = inf\n")
+        assert result == (1, "", "error: the sum through term 2 evaluated to inf\n")
 
     def test_too_few_terms_names_the_least(self):
         result = run("evaluate", "--wealth", "100", "--price", "2", "--max-terms", "5")

@@ -740,13 +740,17 @@ class TestEnsembleCensusLaw:
             assert np.array_equal(counts, drawn)
 
     @pytest.mark.parametrize("size", [2**16 - 1, 2**16, 2**16 + 1, 2**16 + 600])
-    @pytest.mark.parametrize("law", sorted(CENSUS_LAWS))
+    @pytest.mark.parametrize("law", sorted(CENSUS_LAWS) + ["ruin-tested"])
     def test_every_estimator_reduces_one_census(self, law, size):
         # with no ruinous round, the time run, the ensemble and the ordered
-        # draws of one seed and size count the same waiting times
-        spec, seed = CENSUS_LAWS[law], 3
+        # draws of one seed and size count the same waiting times.  At a
+        # price of 100.5 the 2**40 cap's waiting times past 41 ruin, so the
+        # time run tests every block's waiting times and finds none ruinous
+        state, spec = ((LAW_STATE, CENSUS_LAWS[law]) if law in CENSUS_LAWS
+                       else (PlayerState(100.0, 100.5), GambleSpec(Capped(2.0 ** 40))))
+        seed = 3
         censuses = [
-            time_average_census(LAW_STATE, spec, size, seed).counts,
+            time_average_census(state, spec, size, seed).counts,
             montecarlo._census(spec, size, seed)[0],
             np.bincount(draw_waiting_times(spec, size, seed)),
         ]
@@ -851,10 +855,10 @@ class TestCensusReducer:
         assert drawn == list(range(12))
 
     def test_ruin_marks_match_the_trajectory(self):
-        # The marks of ruinous waiting times grow with the largest one
-        # seen; a wrong mark would move the ruinous round or the census
-        # away from the trajectory's.  Waiting times past 18 pay nothing,
-        # and at this price that round is ruinous.
+        # Each block's waiting times are tested as the census counts them;
+        # a waiting time missed or wrongly held would move the ruinous
+        # round or the census away from the trajectory's.  Waiting times
+        # past 18 pay nothing, and at this price that round is ruinous.
         spec = GambleSpec(payout_rule=Capped(2.0 ** 17))
         state = PlayerState(wealth=10.0, ticket_price=10.5)
         for seed in range(4):

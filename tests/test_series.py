@@ -638,6 +638,21 @@ class TestDoubleRange:
         assert result.is_converged, result
         assert abs(mpmath.mpf(result.value) - exact) <= 1e-14 * exact
 
+    def test_a_sum_of_finite_terms_past_the_double_range_raises(self):
+        # the probabilities sum to 1 + 8e-10, within a table's tolerance;
+        # the two finite payout terms overflow their running total, so no
+        # Converged value holds the expected payout or the ensemble rate.
+        # The time rate sums logs, and stays finite
+        rule = Table(((0.5000000004, 1.7976931348623157e308),) * 2)
+        state, spec = PlayerState(100.0, 2.0), GambleSpec(rule)
+        with pytest.raises(FloatingPointError, match="the sum through term 2 evaluated to inf"):
+            expected_payout(spec, wealth=100.0)
+        with pytest.raises(FloatingPointError, match="the sum through term 2 evaluated to inf"):
+            ensemble_average_growth(state, spec)
+        result = time_average_growth(state, spec)
+        assert result.is_converged and math.isfinite(result.value)
+        assert_agrees(result, reference(spec, 100.0, 2.0, "log"))  # 705.1775...
+
 
 # ====== Divergence structure of the two classic series ======
 
