@@ -246,7 +246,12 @@ def breakeven_cmd(wealth, wmin, wmax, points, inset, price, price_tol,
         failures = []
         rows = [("wealth", "g_bar")]
         for w in wealth_grid(w_min, w_max, num_points):
-            result = time_average_growth(PlayerState(w, price), spec, policy)
+            try:
+                result = time_average_growth(PlayerState(w, price), spec, policy)
+            except TruncationInconclusiveError as exc:
+                failures.append({"wealth": w, "error": str(exc)})
+                rows.append((w, None))
+                continue
             if result.is_converged:
                 data.append({"wealth": w, "growth_rate": result.value})
             else:

@@ -19,6 +19,7 @@ from .gamble import GambleSpec, PlayerState, min_payout
 from .series import (
     Classification,
     SeriesResult,
+    TruncationInconclusiveError,
     TruncationPolicy,
     _Probe,
     _ensemble_growth,
@@ -151,18 +152,18 @@ def breakeven_price(
     """Ticket price at which the time-average growth rate is exactly zero.
 
     Below the returned price repeated play grows the player's wealth;
-    above it, wealth shrinks.  The root is bracketed between a vanishing
-    price and the bankruptcy price ``wealth + smallest payout`` and then
-    found by safeguarded Newton steps, bisecting where a step is not
-    usable; the growth rate is strictly decreasing in the price, so the
-    root is unique when it exists.  The result is the midpoint of a
-    bracket whose ends have certified signs and lie at most
+    above it, wealth shrinks.  The root is bracketed between a millionth
+    of the wealth, else a free ticket, and the bankruptcy price
+    ``wealth + smallest payout`` and then found by safeguarded Newton
+    steps, bisecting where a step is not usable; the growth rate is
+    strictly decreasing in the price, so the root is unique when it
+    exists.  The result is the midpoint of a bracket whose ends have
+    certified signs and lie at most
     ``max(price_tolerance, 4 ulp(bankruptcy price))`` apart.
 
     Each rate the steps read is summed once, and its slope in the price
-    is summed in the same pass.  The probes whose sign alone is read (the
-    bankruptcy end and a free ticket) stop summing once that sign is
-    certain.
+    is summed in the same pass.  The bankruptcy end, whose sign alone is
+    read, stops summing once that sign is certain.
 
     Args:
         wealth: Player wealth (must be positive and finite).
@@ -178,7 +179,7 @@ def breakeven_price(
     Raises:
         NoSignChangeError: If the growth rate keeps one sign at every
             candidate price -- never worth buying (nonpositive even at
-            vanishing prices) or always worth buying (positive
+            a free ticket) or always worth buying (positive
             divergence at every non-bankrupting price).
     """
     if not (math.isfinite(wealth) and wealth > 0.0):
@@ -190,38 +191,30 @@ def breakeven_price(
                                           max(price_tolerance / (16.0 * wealth), 4e-16)))
 
     # a rate the solver reads comes with its slope, in ``sloped.slope``
-    # until the next one; a rate whose sign alone is read stops early
-    sloped, signed = _Probe(), _Probe(sign_only=True)
+    # until the next one
+    sloped = _Probe()
 
     def growth_at(price: float) -> SeriesResult:
         return time_average_growth(PlayerState(wealth, price), spec, inner, _probe=sloped)
 
-    def sign_at(price: float) -> int:
-        return _criterion_sign(
-            time_average_growth(PlayerState(wealth, price), spec, inner, _probe=signed))
-
-    # lower end: scan down until the rate turns positive (or give up).  The
-    # rate falls with the price, so if it is not positive for a free
-    # ticket (a gamble that never pays) no scan can find a root.
+    # lower end: a millionth of the wealth, else a free ticket, whose rate
+    # sum P(n) ln(1 + m_n/w) is positive unless no outcome pays.  The rate
+    # falls with the price, and the Newton u step below climbs from lo to
+    # a root right of it, however close to lo, without overshooting.
     lo = wealth * 1e-6
     lo_growth = growth_at(lo)
-    if _criterion_sign(lo_growth) <= 0 and sign_at(0.0) <= 0:
-        raise NoSignChangeError(_NEVER_WORTH_BUYING)
-    shrink_attempts = 0
-    while _criterion_sign(lo_growth) <= 0 and shrink_attempts < 40:
-        lo *= 0.25
+    if _criterion_sign(lo_growth) <= 0:
+        lo = 0.0
         lo_growth = growth_at(lo)
-        shrink_attempts += 1
-    lo_sign = _criterion_sign(lo_growth)
-    if lo_sign < 0:
-        raise NoSignChangeError(_NEVER_WORTH_BUYING)
-    if lo_sign == 0:
-        return lo
+        if _criterion_sign(lo_growth) <= 0:
+            raise NoSignChangeError(_NEVER_WORTH_BUYING)
 
-    # upper end: approach the bankruptcy price from below
+    # upper end: approach the bankruptcy price from below; only its sign is
+    # read, so its sum stops once that sign is certain
     bankruptcy = wealth + min_payout(spec, wealth)
     hi = bankruptcy - bankruptcy * 1e-15
-    hi_sign = sign_at(hi)
+    hi_sign = _criterion_sign(time_average_growth(
+        PlayerState(wealth, hi), spec, inner, _probe=_Probe(sign_only=True)))
     if hi_sign == 0:
         return hi
     if hi_sign > 0:
@@ -333,14 +326,15 @@ def breakeven_curve(
 
     Returns:
         A :class:`BreakEvenCurve`.  Wealth levels where no break-even
-        price exists are recorded in ``failures`` instead of ``points``.
+        price exists, or where the series cannot settle one, are recorded
+        in ``failures`` instead of ``points``.
     """
     points: List[Tuple[float, float]] = []
     failures: List[Tuple[float, str]] = []
     for wealth in wealth_grid(w_min, w_max, num_points):
         try:
             points.append((wealth, breakeven_price(wealth, spec, policy, price_tolerance)))
-        except NoSignChangeError as exc:
+        except (NoSignChangeError, TruncationInconclusiveError) as exc:
             failures.append((wealth, str(exc)))
     return BreakEvenCurve(
         points=tuple(points),
@@ -404,8 +398,10 @@ def bernoulli_stake(
         raise ValueError(f"wealth must be positive and finite, got {wealth!r}")
     policy = policy or TruncationPolicy()
     # the closed form amplifies gain-series error by ~wealth, so the
-    # series is summed tighter to keep the price good to policy.tolerance*wealth
-    inner = replace(policy, tolerance=max(policy.tolerance / (16.0 * max(wealth, 1.0)), 4e-16))
+    # series is summed tighter to keep the price good to policy.tolerance*wealth,
+    # and never looser than the policy itself
+    inner = replace(policy, tolerance=min(policy.tolerance, max(
+        policy.tolerance / (16.0 * max(wealth, 1.0)), 4e-16)))
     gains = bernoulli_literal_lhs(PlayerState(wealth, 0.0), spec, inner)
     if gains.classification is Classification.DIVERGES_POSITIVE:
         return StakeResult(kind=StakeKind.NEVER_ZERO, gains=gains)

@@ -320,6 +320,24 @@ class TestBreakevenCommand:
         assert float(rows[3][1]) > 0.0
         assert "warning" in result.stderr
 
+    def test_inconclusive_grid_points_leave_empty_csv_cells(self):
+        result = run("breakeven", "--wmin", "10", "--wmax", "100000", "--points", "5",
+                     "--geom-p", "0.001", "--format", "csv")
+        assert result.exit_code == 0
+        rows = list(csv.reader(result.stdout.splitlines()))
+        assert rows[1:] == [[w, ""] for w in ("10.0", "100.0", "1000.0", "10000.0", "100000.0")]
+        assert result.stderr == "warning: no break-even price at 5 grid point(s)\n"
+
+    def test_inset_inconclusive_point_is_a_failure(self):
+        # the growth sum at wealth 1e308 finds no tail bound
+        result = run("breakeven", "--inset", "--wmin", "10", "--wmax", "1e308",
+                     "--points", "5")
+        assert result.exit_code == 0
+        envelope = parse_envelope(result)
+        assert len(envelope["results"]["inset"]) == 4
+        assert [f["wealth"] for f in envelope["results"]["failures"]] == [1e308]
+        assert envelope["results"]["failures"][0]["error"].startswith("no tail bound")
+
     def test_wealth_and_inset_conflict(self):
         result = run("breakeven", "--wealth", "100", "--inset")
         assert result.exit_code == 1

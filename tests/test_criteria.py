@@ -6,6 +6,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mp_oracle
 from mp_oracle import growth_sign
 from petersburg import criteria, series
 from petersburg import (
@@ -257,6 +258,17 @@ class TestBreakevenSolver:
             breakeven_price(15.2, GambleSpec(rule, 0.01))
         assert len(probes) <= 2
 
+    @pytest.mark.parametrize("a", [1e-3, 1e-4, 1e-6])
+    def test_root_below_a_millionth_of_the_wealth(self, monkeypatch, a):
+        # the root sits near a, below the first probe at 1e-6 * wealth = 0.01:
+        # Newton climbs to it from a free ticket, with no scan down from 0.01
+        spec = GambleSpec(Table(((1.0 - a, 0.0), (a, 1.0))))
+        probes = _recording_growth(monkeypatch)
+        price = breakeven_price(1e4, spec)
+        assert len(probes) <= 6
+        _assert_certified(probes, price, 1e-10)
+        assert abs(price - mp_oracle.breakeven(spec, 1e4)) < 1e-10
+
     def test_root_near_bankruptcy(self, monkeypatch):
         # at p = 0.05 and large wealth the root lies ~1e-7 below the
         # bankruptcy price, where the rate has a log singularity
@@ -364,6 +376,16 @@ class TestBreakevenCurve:
         assert [w for w, _ in curve.failures] == [10.0, 100.0, 1000.0]
         assert all(message for _, message in curve.failures)
 
+    def test_inconclusive_points_are_collected_not_fatal(self):
+        # at p = 0.001 the rate stays positive up to bankruptcy at the three
+        # smaller wealths, and its sum finds no tail bound at the two larger
+        curve = breakeven_curve(10.0, 1e5, 5, GambleSpec(probability_parameter=0.001))
+        assert curve.points == ()
+        assert [w for w, _ in curve.failures] == [10.0, 100.0, 1000.0, 10000.0, 100000.0]
+        messages = [message for _, message in curve.failures]
+        assert all("stays positive" in message for message in messages[:3])
+        assert all(message.startswith("no tail bound") for message in messages[3:])
+
     def test_iterates_as_pairs(self):
         curve = BreakEvenCurve(points=((10.0, 1.0), (20.0, 2.0)), solver_tolerance=1e-10)
         assert list(curve) == [(10.0, 1.0), (20.0, 2.0)]
@@ -403,6 +425,11 @@ class TestBernoulliStake:
         root = breakeven_price(wealth, GambleSpec())
         assert math.isfinite(stake) and 0.0 < stake < wealth
         assert math.isfinite(root) and 0.0 < root < wealth
+
+    def test_gains_are_summed_no_looser_than_the_policy(self):
+        result = bernoulli_stake(100.0, GambleSpec(), TruncationPolicy(tolerance=1e-20))
+        assert result.gains.is_converged
+        assert result.gains.tail_bound <= 1e-20
 
     def test_menger_payouts_accept_any_stake(self):
         result = bernoulli_stake(100.0, GambleSpec(payout_rule=Menger()))
