@@ -34,6 +34,7 @@ usage error prints argparse's ``Usage:`` line and its error on stderr.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import csv
 import io
@@ -240,44 +241,35 @@ def breakeven_cmd(wealth, wmin, wmax, points, inset, price, price_tol,
     num_points = _GRID_DEFAULTS[2] if points is None else points
     parameters.update({"wmin": w_min, "wmax": w_max, "points": num_points})
 
+    # each grid point is a cell (wealth, value or None, reason or None)
     if inset:
         parameters["price"] = price
-        data = []
-        failures = []
-        rows = [("wealth", "g_bar")]
+        cells = []
         for w in wealth_grid(w_min, w_max, num_points):
             try:
                 result = time_average_growth(PlayerState(w, price), spec, policy)
             except TruncationInconclusiveError as exc:
-                failures.append({"wealth": w, "error": str(exc)})
-                rows.append((w, None))
-                continue
-            if result.is_converged:
-                data.append({"wealth": w, "growth_rate": result.value})
+                cells.append((w, None, str(exc)))
             else:
-                failures.append({"wealth": w, "error": result.classification.value})
-            rows.append((w, result.value))
-        results = {"price": price, "inset": data, "failures": failures}
-        if failures:
-            print(f"warning: no defined growth rate at {len(failures)} grid point(s)",
-                  file=sys.stderr)
-        _emit(fmt, "breakeven", parameters, results, rows)
-        return
-
-    parameters["price_tol"] = price_tol
-    curve = breakeven_curve(w_min, w_max, num_points, spec, policy, price_tol)
-    results = {
-        "curve": [{"wealth": w, "price": p} for w, p in curve.points],
-        "failures": [{"wealth": w, "error": msg} for w, msg in curve.failures],
-        "solver_tolerance": curve.solver_tolerance,
-    }
-    # points and failures each ascend in wealth, so merged they are the grid
-    rows = [("wealth", "breakeven_price")]
-    rows += sorted([*curve.points, *((w, None) for w, _ in curve.failures)],
-                   key=lambda row: row[0])
-    if curve.failures:
-        print(f"warning: no break-even price at {len(curve.failures)} grid point(s)",
-              file=sys.stderr)
+                reason = None if result.is_converged else result.classification.value
+                cells.append((w, result.value, reason))
+        results = {"price": price}
+        data, column, key = "inset", "g_bar", "growth_rate"
+    else:
+        parameters["price_tol"] = price_tol
+        curve = breakeven_curve(w_min, w_max, num_points, spec, policy, price_tol)
+        # points and failures each ascend in wealth, so merged they are the grid
+        cells = sorted([*((w, p, None) for w, p in curve.points),
+                        *((w, None, msg) for w, msg in curve.failures)], key=lambda cell: cell[0])
+        results = {"solver_tolerance": curve.solver_tolerance}
+        data, column, key = "curve", "breakeven_price", "price"
+    results[data] = [{"wealth": w, key: v} for w, v, reason in cells if reason is None]
+    results["failures"] = [{"wealth": w, "error": reason} for w, _, reason in cells
+                          if reason is not None]
+    rows = [("wealth", column)] + [(w, v) for w, v, _ in cells]
+    reasons = collections.Counter(failure["error"] for failure in results["failures"])
+    for reason, count in reasons.items():  # in grid order of first occurrence
+        print(f"warning: {count} grid point(s): {reason}", file=sys.stderr)
     _emit(fmt, "breakeven", parameters, results, rows)
 
 
@@ -306,14 +298,31 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
     def emit(results: dict) -> None:
         _emit(fmt, "simulate", parameters, results, _field_rows(results))
 
-    known = {}  # the analytic value beside an estimate, if the series gives one
+    known, notes = {}, []  # analytic values by name, and notes on those left out
+
+    def analytic(name: str, series, value) -> None:
+        """Give ``value(result.value)`` as ``name`` where ``series()`` converges;
+        a series that cannot certify its value leaves a note instead."""
+        try:
+            result = series()
+        except TruncationInconclusiveError as exc:
+            notes.append(f"note: {name} omitted: {exc}")
+        else:
+            if result.is_converged:
+                known[name] = value(result.value)
+
+    def report(stats, estimate: str, count: str) -> None:
+        """Print an estimate beside the analytic values; the notes follow it."""
+        emit(_estimate_results(stats, mode, estimate, count, **known))
+        for note in notes:
+            print(note, file=sys.stderr)
+
     if mode == "ensemble":
         parameters["samples"] = samples
         stats = ensemble_average_estimate(state, spec, samples, seed)
-        analytic = expected_payout(spec, policy, wealth=wealth)
-        if analytic.is_converged:
-            known["analytic_mean_factor"] = _mean_factor(wealth, price, analytic.value)
-        emit(_estimate_results(stats, "ensemble", "mean_factor_estimate", "samples", **known))
+        analytic("analytic_mean_factor", lambda: expected_payout(spec, policy, wealth=wealth),
+                 lambda mean: _mean_factor(wealth, price, mean))
+        report(stats, "mean_factor_estimate", "samples")
         return
 
     if mode == "subinterval":
@@ -324,20 +333,12 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
         except NonpositiveReturnError as exc:
             emit({"mode": "subinterval", "error": "NonpositiveReturn", "detail": str(exc)})
             return 2
-        emit(_estimate_results(stats, "subinterval", "per_round_rate_estimate",
-                               "subintervals"))
+        report(stats, "per_round_rate_estimate", "subintervals")
         return
 
     parameters["rounds"] = rounds
-    # the analytic rate comes first and cheap; a rate the series cannot
-    # certify is left out, and the run is still reported
-    try:
-        analytic = time_average_growth(state, spec, policy)
-    except TruncationInconclusiveError as exc:
-        analytic = exc
-    else:
-        if analytic.is_converged:
-            known["analytic_growth_rate"] = analytic.value
+    # the analytic rate comes first and cheap
+    analytic("analytic_growth_rate", lambda: time_average_growth(state, spec, policy), float)
     # the path file opens before any draw: a path that cannot be written
     # fails the command before the run is sampled
     path_file = (contextlib.nullcontext() if wealth_path_out is None
@@ -351,25 +352,18 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
                 path = writer(path_file)
             run = time_average_census(state, spec, rounds, seed, path=path)
             if run.bankrupt_at is None:
-                results = _estimate_results(time_average_estimate(run), "time",
-                                            "growth_rate_estimate", "rounds", **known)
-                rows = _field_rows(results)
-                _check_finite(rows)
+                report(time_average_estimate(run), "growth_rate_estimate", "rounds")
+                return
         except BaseException:
-            # a run that fails or is refused, or whose estimate fails, leaves
-            # no path file; a bankrupt run keeps its path
+            # a run that fails or is refused, or whose estimate is refused,
+            # leaves no path file; a bankrupt run keeps its path
             if wealth_path_out is not None:
                 _remove_opened(path_file, wealth_path_out)
             raise
 
-    if run.bankrupt_at is not None:
-        emit({"mode": "time", "bankrupt_at": run.bankrupt_at,
-              "bankrupt_wealth": run.bankrupt_wealth})
-        return 2
-
-    if isinstance(analytic, TruncationInconclusiveError):
-        print(f"note: analytic_growth_rate omitted: {analytic}", file=sys.stderr)
-    _emit(fmt, "simulate", parameters, results, rows)
+    emit({"mode": "time", "bankrupt_at": run.bankrupt_at,
+          "bankrupt_wealth": run.bankrupt_wealth})
+    return 2
 
 
 def _remove_opened(file, path: str) -> None:

@@ -253,8 +253,8 @@ def _power_series(spec: GambleSpec, policy: TruncationPolicy, theta: float, weal
 
 
 class _Probe:
-    """What the break-even solver asks of one growth-rate sum besides its
-    result.
+    """What the break-even solver asks of one :func:`time_average_growth`
+    sum besides its result.
 
     A ``sign_only`` probe sums only until the sign of the value is
     certain (see :func:`_sum`).  Any other probe gets ``slope``: the sum
@@ -271,34 +271,6 @@ class _Probe:
         self.slope: Optional[float] = None
 
 
-def _log_change_series(
-    spec: GambleSpec,
-    wealth: float,
-    price: float,
-    policy: TruncationPolicy,
-    probe: Optional[_Probe] = None,
-) -> SeriesResult:
-    """Sum of ``P(n) * (ln(net + payout_n) - ln(wealth))`` over outcomes.
-
-    ``net = wealth - price`` is the wealth that survives the round
-    regardless of outcome (the original Bernoulli criterion ignores the
-    price on the gain side and passes a price of 0).  A ``probe`` asks
-    for a sign only, or for the slope as well (see :class:`_Probe`).
-    """
-    rule = spec.payout_rule
-    net, residual = net_wealth(wealth, price)
-    tail = rule.log_tail(spec.probability_parameter, net, wealth)
-    sign_only = probe is not None and probe.sign_only
-    with_slope = probe is not None and not sign_only
-    term = rule.log_terms(net, wealth, residual, with_slope)
-    if with_slope:
-        term, slope = term
-    result = _sum(spec, policy, wealth, term, tail, sign_only=sign_only)
-    if with_slope:
-        probe.slope = slope()
-    return result
-
-
 def time_average_growth(
     state: PlayerState,
     spec: GambleSpec,
@@ -306,7 +278,8 @@ def time_average_growth(
     *,
     _probe: Optional[_Probe] = None,
 ) -> SeriesResult:
-    """Expected per-round growth rate of log wealth.
+    """Expected per-round growth rate of log wealth, the sum of
+    ``P(n) * (ln(wealth - price + payout_n) - ln(wealth))`` over outcomes.
 
     This is the rate an individual player experiences when the gamble is
     played repeatedly, and the quantity whose sign the time criterion
@@ -328,7 +301,18 @@ def time_average_growth(
     ``_probe`` serves the break-even solver alone (see :class:`_Probe`).
     """
     policy = policy or TruncationPolicy()
-    return _log_change_series(spec, state.wealth, state.ticket_price, policy, _probe)
+    rule, wealth = spec.payout_rule, state.wealth
+    net, residual = net_wealth(wealth, state.ticket_price)
+    tail = rule.log_tail(spec.probability_parameter, net, wealth)
+    sign_only = _probe is not None and _probe.sign_only
+    with_slope = _probe is not None and not sign_only
+    term = rule.log_terms(net, wealth, residual, with_slope)
+    if with_slope:
+        term, slope = term
+    result = _sum(spec, policy, wealth, term, tail, sign_only=sign_only)
+    if with_slope:
+        _probe.slope = slope()
+    return result
 
 
 def ensemble_average_growth(
@@ -436,7 +420,7 @@ def expected_utility_change(
     policy = policy or TruncationPolicy()
     w, c = state.wealth, state.ticket_price
     if utility == "log":
-        return _log_change_series(spec, w, c, policy)
+        return time_average_growth(state, spec, policy)
     if utility == "sqrt":
         net, residual = net_wealth(w, c)
         return _power_series(spec, policy, 0.5, w, net, residual, math.sqrt(w))
@@ -466,7 +450,8 @@ def bernoulli_literal_lhs(
     w, c = state.wealth, state.ticket_price
     if c >= w:
         return SeriesResult.undefined(UndefinedReason.NONPOSITIVE_LOG_ARGUMENT, 0)
-    gains = _log_change_series(spec, w, 0.0, policy)
+    # the original criterion ignores the price on the gain side
+    gains = time_average_growth(PlayerState(w, 0.0), spec, policy)
     if not gains.is_converged:
         return gains
     # ln w - ln(w - c), positive for c > 0.  log1p(-c/w) amplifies the

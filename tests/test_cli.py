@@ -326,7 +326,15 @@ class TestBreakevenCommand:
         assert result.exit_code == 0
         rows = list(csv.reader(result.stdout.splitlines()))
         assert rows[1:] == [[w, ""] for w in ("10.0", "100.0", "1000.0", "10000.0", "100000.0")]
-        assert result.stderr == "warning: no break-even price at 5 grid point(s)\n"
+        # one line per failure reason, with its count, in grid order
+        assert result.stderr.splitlines() == [
+            "warning: 3 grid point(s): time-average growth stays positive at every "
+            "non-bankrupting ticket price; no finite break-even price exists",
+            "warning: 1 grid point(s): no tail bound below 6.25e-16 and no proof of "
+            "divergence within 10000 terms",
+            "warning: 1 grid point(s): no tail bound below 4e-16 and no proof of "
+            "divergence within 10000 terms",
+        ]
 
     def test_inset_inconclusive_point_is_a_failure(self):
         # the growth sum at wealth 1e308 finds no tail bound
@@ -337,6 +345,10 @@ class TestBreakevenCommand:
         assert len(envelope["results"]["inset"]) == 4
         assert [f["wealth"] for f in envelope["results"]["failures"]] == [1e308]
         assert envelope["results"]["failures"][0]["error"].startswith("no tail bound")
+        # one warning line names the reason, with its count
+        assert result.stderr.splitlines() == [
+            "warning: 1 grid point(s): no tail bound below 1e-10 and no proof of "
+            "divergence within 10000 terms"]
 
     def test_wealth_and_inset_conflict(self):
         result = run("breakeven", "--wealth", "100", "--inset")
@@ -694,16 +706,22 @@ class TestSimulateCommand:
         assert captured.err == ""
         assert sum(c for _, c in json.loads(captured.out)["results"]["frequencies"]) == 10
 
-    def test_uncertified_rate_keeps_the_run(self, capsys):
-        code = main(["simulate", "--wealth", "100", "--price", "2", "--rounds", "1000",
-                     "--tol", "1e-30", "--max-terms", "20"])
+    @pytest.mark.parametrize("args, field, count", [
+        (["--rounds", "1000", "--tol", "1e-30", "--max-terms", "20"],
+         "analytic_growth_rate", "rounds"),
+        (["--mode", "ensemble", "--samples", "1000", "--geom-p", "0.5000001"],
+         "analytic_mean_factor", "samples"),
+    ], ids=["time", "ensemble"])
+    def test_uncertified_rate_keeps_the_run(self, args, field, count, capsys):
+        # a series with no tail bound leaves its analytic value out, in one note
+        code = main(["simulate", "--wealth", "100", "--price", "2", *args])
         captured = capsys.readouterr()
         assert code == 0
-        assert captured.err.startswith("note: analytic_growth_rate omitted")
+        assert captured.err.startswith(f"note: {field} omitted: no tail bound")
         assert len(captured.err.splitlines()) == 1
         results = json.loads(captured.out)["results"]
-        assert "analytic_growth_rate" not in results
-        assert results["rounds"] == 1000
+        assert field not in results
+        assert results[count] == 1000
 
 
 #: ``simulate`` CSV envelopes byte for byte: an estimate lists its fields in
