@@ -252,6 +252,8 @@ def breakeven_cmd(wealth, wmin, wmax, points, inset, price, price_tol,
                 cells.append((w, None, str(exc)))
             else:
                 reason = None if result.is_converged else result.classification.value
+                if result.reason is not None:
+                    reason += f": {result.reason.value}"
                 cells.append((w, result.value, reason))
         results = {"price": price}
         data, column, key = "inset", "g_bar", "growth_rate"

@@ -40,6 +40,9 @@ class Recommendation(str, Enum):
     UNDEFINED = "Undefined"
 
 
+#: The least tolerance to which a criterion sums a series it tightens.
+_LEAST_TOLERANCE = 4e-16
+
 #: Newton steps :func:`breakeven_price` takes before it only bisects.
 #: Roots take fewer than ten, so the cap binds only where the step
 #: direction is badly wrong.
@@ -143,6 +146,13 @@ def _criterion_sign(result: SeriesResult) -> int:
     return -1
 
 
+def _tightened(policy: TruncationPolicy, tolerance: float, scale: float) -> TruncationPolicy:
+    """``policy`` summed to ``tolerance / (16 scale)``, for a result ``scale`` times as
+    sensitive, never looser than ``policy`` nor tighter than :data:`_LEAST_TOLERANCE`."""
+    return replace(policy, tolerance=min(policy.tolerance,
+                                         max(tolerance / (16.0 * scale), _LEAST_TOLERANCE)))
+
+
 def breakeven_price(
     wealth: float,
     spec: GambleSpec,
@@ -187,8 +197,7 @@ def breakeven_price(
     if not (math.isfinite(price_tolerance) and price_tolerance > 0.0):
         raise ValueError(f"price_tolerance must be positive, got {price_tolerance!r}")
     policy = policy or TruncationPolicy()
-    inner = replace(policy, tolerance=min(policy.tolerance,
-                                          max(price_tolerance / (16.0 * wealth), 4e-16)))
+    inner = _tightened(policy, price_tolerance, wealth)
 
     # a rate the solver reads comes with its slope, in ``sloped.slope``
     # until the next one
@@ -397,11 +406,9 @@ def bernoulli_stake(
     if not (math.isfinite(wealth) and wealth > 0.0):
         raise ValueError(f"wealth must be positive and finite, got {wealth!r}")
     policy = policy or TruncationPolicy()
-    # the closed form amplifies gain-series error by ~wealth, so the
-    # series is summed tighter to keep the price good to policy.tolerance*wealth,
-    # and never looser than the policy itself
-    inner = replace(policy, tolerance=min(policy.tolerance, max(
-        policy.tolerance / (16.0 * max(wealth, 1.0)), 4e-16)))
+    # the closed form amplifies gain-series error by ~wealth: the price
+    # stays good to policy.tolerance*wealth
+    inner = _tightened(policy, policy.tolerance, max(wealth, 1.0))
     gains = bernoulli_literal_lhs(PlayerState(wealth, 0.0), spec, inner)
     if gains.classification is Classification.DIVERGES_POSITIVE:
         return StakeResult(kind=StakeKind.NEVER_ZERO, gains=gains)

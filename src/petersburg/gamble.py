@@ -12,8 +12,10 @@ vectorised and streamed with the outcomes' weights; the log of a wealth
 after a payout past the double range; the tail each criterion series may
 omit; its waiting-time law; its smallest payout and its command-line
 token.  The log and power terms, the expected payout and the square-root
-utility among them, are written once for every rule.  The series engine,
-the sampler and the command line ask the rule and never branch on its type.
+utility among them, are written once for every rule, as plain terms; the
+series engine adds what does not depend on the rule, such as the solver's
+slope.  The series engine, the sampler and the command line ask the rule
+and never branch on its type.
 
 Only the vectorised methods, which the sampler calls, import numpy; the
 series paths run on the ``math`` module alone, so a command that only
@@ -192,8 +194,7 @@ class PayoutRule:
         double range: ``inf`` for a rule whose payouts are all finite."""
         return math.inf
 
-    def log_terms(self, net: float, wealth: float, residual: float,
-                  with_slope: bool = False):
+    def log_terms(self, net: float, wealth: float, residual: float) -> Term:
         """The term of ``P(n) * (ln(net + m_n + residual) - ln(wealth))``.
 
         ``net + residual`` is the surviving wealth, ``residual`` being
@@ -202,30 +203,19 @@ class PayoutRule:
         overflows, it takes the log of :func:`overflowed_factor`, and
         where that overflows too, the payout being past the double range,
         :meth:`_log_after`.
-
-        With ``with_slope`` the term also adds ``P(n) / (net + m_n)``
-        to a running sum after its value, in the order of the calls, and
-        the call returns ``(term, slope)``, ``slope()`` reading that sum:
-        minus the derivative of the series in the price.
         """
-        log_after, log_wealth, slope = self._log_after, math.log(wealth), 0.0
+        log_after, log_wealth = self._log_after, math.log(wealth)
 
         def term(n: int, weight: float, log_weight: float, m: float) -> float:
-            nonlocal slope
             after = net + m + residual
             if after < math.inf:
-                value = weight * (math.log(after) - log_wealth)
-            else:
-                factor = overflowed_factor(net, m, residual, wealth)
-                if factor < math.inf:
-                    value = weight * math.log(factor)
-                else:
-                    value = weight * (log_after(n, net, residual, wealth) - log_wealth)
-            if with_slope:
-                slope += weight / (net + m)
-            return value
+                return weight * (math.log(after) - log_wealth)
+            factor = overflowed_factor(net, m, residual, wealth)
+            if factor < math.inf:
+                return weight * math.log(factor)
+            return weight * (log_after(n, net, residual, wealth) - log_wealth)
 
-        return (term, lambda: slope) if with_slope else term
+        return term
 
     def power_terms(self, theta: float, net: float, wealth: float, residual: float,
                     base: float) -> Term:
@@ -549,23 +539,15 @@ class Menger(PayoutRule):
     def _log_after(self, n: int, net: float, residual: float, wealth: float) -> float:
         return math.log(wealth) + _menger_log_factor(n, net - wealth + residual, wealth)
 
-    def log_terms(self, net: float, wealth: float, residual: float,
-                  with_slope: bool = False):
+    def log_terms(self, net: float, wealth: float, residual: float) -> Term:
         # ln(net + w e^T - w) - ln w  =  T + log1p((net - w) e^-T / w)
-        slope = 0.0
-
         def term(n: int, weight: float, log_weight: float, m: float) -> float:
-            nonlocal slope
             if weight < _NORMAL:
                 # the weight leaves the normal range while T explodes
-                value = math.exp(log_weight + n * _LN2)
-            else:
-                value = weight * _menger_log_factor(n, net - wealth + residual, wealth)
-            if with_slope:
-                slope += weight / (net + m)
-            return value
+                return math.exp(log_weight + n * _LN2)
+            return weight * _menger_log_factor(n, net - wealth + residual, wealth)
 
-        return (term, lambda: slope) if with_slope else term
+        return term
 
     def log_tail(self, p: float, net: float, wealth: float) -> Union[Tail, Diverges, None]:
         q = 1.0 - p

@@ -259,9 +259,9 @@ class _Probe:
     A ``sign_only`` probe sums only until the sign of the value is
     certain (see :func:`_sum`).  Any other probe gets ``slope``: the sum
     of ``P(n) / (net + payout_n)`` over the terms the value took, plus
-    the exact tail of a capped rule, added up by the log terms as they
-    run (``with_slope``).  That is minus the derivative of the rate in
-    the price; it steers Newton steps and carries no error bound.
+    the exact tail of a capped rule, added up by :meth:`sloped` around
+    any rule's terms.  That is minus the derivative of the rate in the
+    price; it steers Newton steps and carries no error bound.
     """
 
     __slots__ = ("sign_only", "slope")
@@ -269,6 +269,18 @@ class _Probe:
     def __init__(self, sign_only: bool = False) -> None:
         self.sign_only = sign_only
         self.slope: Optional[float] = None
+
+    def sloped(self, term: Term, net: float) -> Term:
+        """``term``, adding ``P(n) / (net + m_n)`` after each value to a
+        ``slope`` that starts from 0 on each sum."""
+        self.slope = 0.0
+
+        def sloped_term(n: int, weight: float, log_weight: float, m: float) -> float:
+            value = term(n, weight, log_weight, m)
+            self.slope += weight / (net + m)
+            return value
+
+        return sloped_term
 
 
 def time_average_growth(
@@ -304,15 +316,11 @@ def time_average_growth(
     rule, wealth = spec.payout_rule, state.wealth
     net, residual = net_wealth(wealth, state.ticket_price)
     tail = rule.log_tail(spec.probability_parameter, net, wealth)
+    term = rule.log_terms(net, wealth, residual)
     sign_only = _probe is not None and _probe.sign_only
-    with_slope = _probe is not None and not sign_only
-    term = rule.log_terms(net, wealth, residual, with_slope)
-    if with_slope:
-        term, slope = term
-    result = _sum(spec, policy, wealth, term, tail, sign_only=sign_only)
-    if with_slope:
-        _probe.slope = slope()
-    return result
+    if _probe is not None and not sign_only:
+        term = _probe.sloped(term, net)
+    return _sum(spec, policy, wealth, term, tail, sign_only=sign_only)
 
 
 def ensemble_average_growth(

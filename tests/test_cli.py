@@ -318,7 +318,12 @@ class TestBreakevenCommand:
         assert rows[0] == ["wealth", "g_bar"]
         assert rows[1] == ["0.5", ""]  # wealth at or below price - 1
         assert float(rows[3][1]) > 0.0
-        assert "warning" in result.stderr
+        # the warning and the JSON failure name the reason the result carries
+        assert result.stderr == "warning: 1 grid point(s): Undefined: BankruptcyTerm\n"
+        envelope = parse_envelope(run("breakeven", "--inset", "--price", "2", "--wmin", "0.5",
+                                      "--wmax", "8", "--points", "3"))
+        assert envelope["results"]["failures"] == [
+            {"wealth": 0.5, "error": "Undefined: BankruptcyTerm"}]
 
     def test_inconclusive_grid_points_leave_empty_csv_cells(self):
         result = run("breakeven", "--wmin", "10", "--wmax", "100000", "--points", "5",

@@ -351,6 +351,15 @@ class TestSolverProbes:
         result = time_average_growth(PlayerState(100.0, 1.0), spec, _probe=probe)
         assert result.terms_used == 1001
         assert probe.slope == _reference_slope(spec, 100.0, 1.0, 1001)
+        # the one probe also sums a rate that is undefined at outcome 2 and
+        # one whose proof of divergence starts at outcome 2; each leaves a
+        # partial slope that the next sum must not add to
+        for spec, price, classification in (
+                (GambleSpec(Table(((0.5, 5.0), (0.5, 0.0)))), 2.0, Classification.UNDEFINED),
+                (GambleSpec(Menger(), 0.5), 6.0, Classification.DIVERGES_POSITIVE)):
+            result = time_average_growth(PlayerState(1.0, price), spec, _probe=probe)
+            assert (result.classification, result.terms_used) == (classification, 2)
+            assert probe.slope > 0.0
         spec = GambleSpec(Menger(), 0.51)
         result = time_average_growth(PlayerState(1.0, 0.01), spec, _solver_policy(1.0),
                                      _probe=probe)
