@@ -275,7 +275,7 @@ def breakeven_cmd(wealth, wmin, wmax, points, inset, price, price_tol,
     _emit(fmt, "breakeven", parameters, results, rows)
 
 
-def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, workers,
+def simulate_cmd(wealth, price, mode, rounds, samples, seed, workers,
                  wealth_path_out, payout_rule, geom_p, tol, max_terms, fmt):
     """Monte Carlo estimates of the growth rates."""
     # the sampler, and numpy with it, loads only for the command using it
@@ -321,17 +321,16 @@ def simulate_cmd(wealth, price, mode, rounds, samples, subintervals, seed, worke
 
     if mode == "ensemble":
         parameters["samples"] = samples
-        stats = ensemble_average_estimate(state, spec, samples, seed)
         analytic("analytic_mean_factor", lambda: expected_payout(spec, policy, wealth=wealth),
                  lambda mean: _mean_factor(wealth, price, mean))
+        stats = ensemble_average_estimate(state, spec, samples, seed)
         report(stats, "mean_factor_estimate", "samples")
         return
 
     if mode == "subinterval":
-        q = rounds if subintervals is None else subintervals
-        parameters["subintervals"] = q
+        parameters["subintervals"] = rounds
         try:
-            stats = subinterval_estimate(state, spec, q, seed)
+            stats = subinterval_estimate(state, spec, rounds, seed)
         except NonpositiveReturnError as exc:
             emit({"mode": "subinterval", "error": "NonpositiveReturn", "detail": str(exc)})
             return 2
@@ -529,10 +528,14 @@ class _Parser(argparse.ArgumentParser):
         return argparse.Namespace(**values)
 
     def parse_known_args(self, args=None, namespace=None):
-        # a valued option is joined to its value; ``--`` stays apart, not stored as []
+        # a valued option is joined to its value; ``--`` stays apart, not stored as [],
+        # and what follows a bare ``--`` passes as typed
         tokens = iter(sys.argv[1:] if args is None else args)
         joined = []
         for token in tokens:
+            if token == "--":
+                joined += [token, *tokens]
+                break
             option, equals, value = token.partition("=")
             action = self._option_string_actions.get(option)
             if action is None or action.nargs == 0 or equals and value != "--":
@@ -621,13 +624,11 @@ def _build_parsers():
                           help="Ticket price.  [default: %(default)s]")
     simulate.add_argument("--mode", choices=["time", "ensemble", "subinterval"], default="time",
                           help="Which growth estimate to run.  [default: %(default)s]")
-    simulate.add_argument("--rounds", type=int, default=100_000,
-                          help="Trajectory length (time mode; default q for subinterval "
-                               "mode).  [default: %(default)s]")
+    simulate.add_argument("--rounds", "--subintervals", type=int, default=100_000,
+                          help="Trajectory length (time mode), or slices per time unit q "
+                               "(subinterval mode).  [default: %(default)s]")
     simulate.add_argument("--samples", type=int, default=100_000,
                           help="Independent players (ensemble mode).  [default: %(default)s]")
-    simulate.add_argument("--subintervals", type=int,
-                          help="Slices per time unit, q (subinterval mode; default: --rounds).")
     simulate.add_argument("--seed", type=int, default=0,
                           help="Experiment seed.  [default: %(default)s]")
     simulate.add_argument("--workers", type=int, default=1,

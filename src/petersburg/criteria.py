@@ -167,9 +167,13 @@ def breakeven_price(
     ``wealth + smallest payout`` and then found by safeguarded Newton
     steps, bisecting where a step is not usable; the growth rate is
     strictly decreasing in the price, so the root is unique when it
-    exists.  The result is the midpoint of a bracket whose ends have
-    certified signs and lie at most
-    ``max(price_tolerance, 4 ulp(bankruptcy price))`` apart.
+    exists.  The result is the midpoint of a bracket whose ends lie at
+    most ``max(price_tolerance, 4 ulp(bankruptcy price))`` apart.  Only
+    the bankruptcy end's sign-only probe checks its sign against a bound;
+    the lower-end probe and each Newton probe read the sign of a
+    ``Converged`` value whatever its ``tail_bound``, so a rate whose
+    rounding passes its value can give a wrong price (README, "Known
+    limit").
 
     Each rate the steps read is summed once, and its slope in the price
     is summed in the same pass.  The bankruptcy end, whose sign alone is

@@ -451,6 +451,26 @@ class TestSimulateCommand:
         assert "stderr" in results
         assert envelope["parameters"]["subintervals"] == 5000
 
+    def test_subintervals_is_a_spelling_of_rounds(self):
+        args = cli._COMMANDS["simulate"].parse_args(["--wealth", "100", "--subintervals", "5"])
+        assert args.rounds == 5
+        assert not hasattr(args, "subintervals")
+
+    def test_ensemble_analytic_series_fails_before_any_draw(self, tmp_path, monkeypatch):
+        # the expected payout of two near-max payouts leaves the double range
+        def draw(*args):
+            raise AssertionError("a block was drawn before the analytic series was summed")
+
+        monkeypatch.setattr(montecarlo, "_block_generator", draw)
+        path = tmp_path / "rows.csv"
+        path.write_text("p,m\n0.5000000004,1.7976931348623157e308\n"
+                        "0.5000000004,1.7976931348623157e308\n")
+        result = run("simulate", "--mode", "ensemble", "--wealth", "100", "--price", "2",
+                     "--samples", "200000", "--payout", f"table:{path}")
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: the sum through term 2 evaluated to inf\n"
+
     def test_subinterval_nonpositive_return_exits_two(self):
         result = run("simulate", "--mode", "subinterval", "--wealth", "10",
                      "--price", "11", "--subintervals", "100", "--seed", "0")
@@ -1424,6 +1444,9 @@ class TestFastPath:
          "Error: argument --nmax: expected one argument"),
         (["evaluate", "--wealth", "100", "--format=--"],
          "Error: argument --format: expected one argument"),
+        # what follows a bare ``--`` reaches argparse as typed
+        (["evaluate", "--wealth", "100", "--", "--price", "2"],
+         "Error: unrecognized arguments: -- --price 2"),
     ])
     def test_a_refused_command_line_is_refused_by_argparse(self, argv, error, tmp_path,
                                                             monkeypatch):

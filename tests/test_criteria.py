@@ -13,11 +13,13 @@ from petersburg import (
     BernoulliOriginal,
     BreakEvenCurve,
     Capped,
+    Classification,
     GambleSpec,
     Menger,
     NoSignChangeError,
     PlayerState,
     Recommendation,
+    SeriesResult,
     StakeKind,
     Table,
     TruncationPolicy,
@@ -67,6 +69,11 @@ class TestRecommendations:
         report = evaluate(PlayerState(100.0, 99.0), GambleSpec(payout_rule=Menger()))
         expected = Recommendation.BUY_AT_ANY_NON_BANKRUPTING_PRICE
         assert report.recommendation is expected
+
+    def test_negative_divergence_means_dont_buy(self):
+        # no series yields DivergesNegative; the mapping still covers it
+        result = SeriesResult(Classification.DIVERGES_NEGATIVE, terms_used=5)
+        assert recommendation_for(result) is Recommendation.DONT_BUY
 
     def test_recommendation_follows_time_criterion(self):
         report = evaluate(PlayerState(100.0, 2.0), GambleSpec())
@@ -151,6 +158,11 @@ class TestBreakevenPrice:
         spec = GambleSpec()
         prices = [breakeven_price(w, spec) for w in (10.0, 100.0, 1000.0)]
         assert prices[0] < prices[1] < prices[2]
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-10, math.nan, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tolerance):
+        with pytest.raises(ValueError, match="price_tolerance must be positive"):
+            breakeven_price(100.0, GambleSpec(), price_tolerance=tolerance)
 
     def test_capped_gamble_has_a_root_too(self):
         spec = GambleSpec(payout_rule=Capped(1e9))
@@ -430,6 +442,11 @@ class TestBernoulliStake:
         result = bernoulli_stake(100.0, GambleSpec(), TruncationPolicy(tolerance=1e-20))
         assert result.gains.is_converged
         assert result.gains.tail_bound <= 1e-20
+
+    @pytest.mark.parametrize("wealth", [0.0, -1.0, math.inf, math.nan])
+    def test_wealth_must_be_positive_and_finite(self, wealth):
+        with pytest.raises(ValueError, match="wealth must be positive and finite"):
+            bernoulli_stake(wealth, GambleSpec())
 
     def test_menger_payouts_accept_any_stake(self):
         result = bernoulli_stake(100.0, GambleSpec(payout_rule=Menger()))

@@ -6,6 +6,7 @@ import json
 import math
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -932,6 +933,33 @@ class TestCensusReducer:
             finite = support[np.isfinite(factors)]
             assert finite[-1] == (1024 if isinstance(rule, BernoulliOriginal) else 2)
         assert factors.tolist() == [2.0, 1.0]
+
+
+def ulp_close(value: float, exact: Fraction) -> bool:
+    """Whether ``value`` lies within one ulp of the exact rational ``exact``."""
+    return abs(Fraction(value) - exact) <= Fraction(math.ulp(float(exact)))
+
+
+class TestSumsPastTheDoubleRange:
+    """The fallbacks for finite terms whose exactly rounded sum overflows."""
+
+    def test_census_mean_of_products_whose_sum_overflows(self):
+        values = [1.5e308, 1.7e308]
+        stats = montecarlo._census_stats(np.array([0, 1, 1]), lambda ns: np.array(values))
+        exact = sum(map(Fraction, values)) / 2
+        assert ulp_close(stats.estimate, exact)  # 1.6e308
+
+    def test_census_stderr_of_squares_whose_sum_overflows(self):
+        values = [-1e154, 1e154]
+        stats = montecarlo._census_stats(np.array([0, 1, 1]), lambda ns: np.array(values))
+        assert stats.estimate == 0.0
+        # the sample variance is 2 d**2, over two draws: the stderr is d
+        assert ulp_close(stats.stderr, Fraction(1e154))
+
+    def test_sum_bounds_of_products_whose_sum_overflows(self):
+        bounds = montecarlo._sum_bounds(0.0, 0.0, 0.0, np.array([-1e308, -1.5e308]),
+                                        np.ones(2), 2)
+        assert bounds == (-math.inf, math.inf, -math.inf, math.inf)
 
 
 class TestCallingThread:
